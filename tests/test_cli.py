@@ -9,6 +9,140 @@ from gtsreal.queries import GRAMMAR, ParseError, parse
 from gtsreal.report import Caps, corpus_verify, run
 
 
+# One document with every query kind and every declaration form, and its
+# machine report byte for byte.
+ALL_KINDS_DOC = """\
+set A = union(interval(closed 0, open 1), point 2, points(5, 7/2))
+set B = intersect(complement(A), interval(open -3, closed 3))
+set C = difference(closure(interval(open 0, open 1), sorg_r), interior(point 0, nat))
+set T = tail(left, interval(open 0, open 1/2), 1, 0)
+family P = periodic(interval(open 0, open 2), 1, all)
+family Q = split(0, periodic(interval(open 0, open 1), 1, upto 0), finite(interval(open -1, open 5)))
+family R = restricted(periodic(interval(open 0, open 2), 1, from 0), interval(closed 0, open 5))
+family S = periodic(point 0, 1, span -2 2)
+family W = fan(down, 0, 1)
+metric M = conj(rho_S)
+metric FP = float_paper(d_n_plus)
+bornology SYM = schema(closed affine(-1, -1), closed affine(1, 1))
+bornology UBS = schema(open -inf, open affine(0, 1))
+bornology MB = metric_bounded(d_n)
+map G = affine(2, 1)
+map H = pieces(breaks(0), piece(1, 0), piece(1, 1))
+collection PSI = collection(finite(interval(open 0, open 2)), finite(interval(open 0, open 1)), finite(interval(open 1, open 2)))
+collection PSIY = collection(finite(interval(open 0, open 2))) in interval(closed -1, closed 3)
+query normalize A
+query boundedness T
+query subset B A
+query equal A union(A, B)
+query contains T -3/4
+query sample A from -1 to 4 step 1/2
+query closure interval(open 0, open 1) sorg_l
+query interior interval(closed 0, closed 1) upper
+query eval M 0 1/2
+query eval FP 0 1
+query ball rho_S at 0 radius 1/2
+query nbhd d_n C delta 1/4
+query bounded_set rho_u interval(open -inf, closed 0)
+query topology_of conj(rho_u)
+query union_of Q
+query members finite(interval(open 0, open 1), point 3)
+query members P
+query ess_finite S
+query ess_finite P
+query ess_finite_on P interval(closed 0, closed 5)
+query locally_ess_finite R
+query full_ring reals of (interval(closed 0, open 1), interval(closed 1, open 2))
+query full_ring interval(closed 0, closed 1) of ()
+query gen_topology (interval(open 0, open 2), interval(open 1, open 3))
+query gen_topology ()
+query gen_topology_member (interval(open 0, open 2), interval(open 1, open 3)) interval(open 1, open 2)
+query ef_member P nat nat_bounded
+query member_generated finite(interval(open 0, open 1), interval(open 1, open 2)) PSI 1
+query member_generated finite(interval(open 0, open 1)) PSIY 2
+query op_member standard/lst interval(open 0, open 1)
+query cov_member standard/ut P
+query sm_member standard/uf T
+query cb_member sorgenfrey/lst interval(closed 0, open 1)
+query acb_member standard/om interval(closed 0, closed 1)
+query pt_of standard/lom
+query bornology_member UBS interval(open -inf, closed 0)
+query bornology_member MB closure(interval(closed 0, open 1), nat)
+query proper_check ub upper lower 16
+query proper_check lb upper lower 16
+query base_check fb sorg_r
+query chain_check d_n SYM delta 1/2 upto 64
+query chain_check d_n_plus SYM delta 1/8 upto 64
+query chain_search d_n SYM upto 16
+query uniform_chain d_n_plus UBS upto 16
+query metrizable standard/lst nat_bounded d_n
+query metrizable standard/ut fb d_n
+query strict_cont_refute G standard/lst standard/lst (P, finite(interval(open 0, open 1)))
+query strict_cont_refute H standard/lst standard/lst (finite(interval(open 1/2, open 3/2)))
+query axiom_probe standard/om
+query initial_member maps(G, H) borns(ub, nat_bounded) interval(closed 0, closed 1)
+query oracle_ess_finite S window -2 2 interval(closed -1, closed 1) max 8
+query oracle_ess_finite finite(interval(open 0, open 1), interval(open 0, open 2)) window 0 0 interval(closed 0, closed 1) max 4
+"""
+
+ALL_KINDS_REPORT = """\
+gtsreal-report-v1
+caps chain=64 depth=4 oracle=8
+q000|normalize|ok|[0, 1) u {2} u {7/2} u {5}
+q001|boundedness|ok|bounded=false above=true below=false finite=false
+q002|subset|ok|false
+q003|equal|ok|false
+q004|contains|ok|true
+q005|sample|ok|[0, 1/2, 2, 7/2]
+q006|closure|ok|(0, 1]
+q007|interior|ok|{}
+q008|eval|ok|1
+q009|eval|ok|1.0
+q010|ball|ok|[0, 1/2)
+q011|nbhd|ok|(-1/4, 5/4)
+q012|bounded_set|ok|true
+q013|topology_of|ok|lower
+q014|union_of|ok|(-inf, -4) u (-4, -3) u (-3, -2) u (-2, -1) u (-1, 5)
+q015|members|ok|[(0, 1), {3}]
+q016|members|ok|not finitely enumerable
+q017|ess_finite|ok|essentially_finite witness_size=5
+q018|ess_finite|ok|not essentially finite: trace K n UF is unbounded while every member is bounded
+q019|ess_finite_on|ok|essentially_finite witness_size=10
+q020|locally_ess_finite|ok|true
+q021|full_ring|ok|[(-inf, +inf), [0, 1), [0, 2), [1, 2), {}]
+q022|full_ring|ok|[[0, 1], {}]
+q023|gen_topology|ok|[(-inf, +inf), (0, 2), (0, 3), (1, 2), (1, 3), {}]
+q024|gen_topology|ok|[(-inf, +inf), {}]
+q025|gen_topology_member|ok|true
+q026|ef_member|ok|true
+q027|member_generated|ok|found=true depth=1
+q028|member_generated|ok|found=false depth=2
+q029|op_member|ok|true
+q030|cov_member|ok|true
+q031|sm_member|ok|false
+q032|cb_member|ok|false
+q033|acb_member|ok|true
+q034|pt_of|ok|standard/lst
+q035|bornology_member|ok|true
+q036|bornology_member|ok|true
+q037|proper_check|ok|PROPER
+q038|proper_check|ok|IMPROPER at n=0 closure=(-inf, +inf)
+q039|base_check|ok|false
+q040|chain_check|ok|pass (uniform, delta=1/2)
+q041|chain_check|ok|fail_at(1) missing=(-19/5, -3) delta=1/8
+q042|chain_search|ok|pass (uniform, delta=1)
+q043|uniform_chain|ok|pass (uniform, delta=1)
+q044|metrizable|ok|CONSISTENT
+q045|metrizable|ok|INCONSISTENT part=bornology: probe [0, 1]: d-bounded but outside the bornology
+q046|strict_cont_refute|ok|UNREFUTED
+q047|strict_cont_refute|ok|REFUTED witness=finite{(1/2, 3/2)}
+q048|axiom_probe|ok|all pass (122 checks)
+q049|initial_member|ok|true
+q050|oracle_ess_finite|ok|true
+q051|oracle_ess_finite|ok|true
+summary pass=52 fail=0 total=52
+"""
+
+
 class TestParse:
     def test_spec_example(self):
         doc = parse("set A = union(interval(closed 0, open 1), point 2); "
@@ -167,3 +301,13 @@ class TestMain:
         f.write_text("query frobnicate", encoding="utf-8")
         assert main(["eval", str(f)]) == 2
         assert "parse error" in capsys.readouterr().err
+
+    def test_all_kinds_golden_report(self, tmp_path):
+        f = tmp_path / "all.gts"
+        f.write_text(ALL_KINDS_DOC, encoding="utf-8")
+        out = tmp_path / "report.txt"
+        assert main(["--format", "machine", "--report", str(out),
+                     "eval", str(f)]) == 0
+        assert out.read_text(encoding="utf-8") == ALL_KINDS_REPORT
+        kinds = {line.split("|")[1] for line in ALL_KINDS_REPORT.splitlines()[2:-1]}
+        assert len(kinds) == 40
