@@ -33,7 +33,6 @@ from gtsreal.lines import (
     Bornology,
     LineId,
     admissible_battery,
-    bornology_member,
     cov_member,
     op_member,
     topology_of_line,
@@ -429,7 +428,7 @@ def metrizable_verdict(l: LineId, b: Bornology, d: QuasiMetric,
             "INCONSISTENT", "topology",
             f"tau(d)={got.value} but the line carries {want.value}")
     for a in probes:
-        bm = bornology_member(b, a)
+        bm = b.member(a)
         dm = d.is_bounded_set(a)
         if bm != dm:
             side = "bornology-member but not d-bounded" if bm else \
@@ -448,7 +447,7 @@ def metrizable_verdict(l: LineId, b: Bornology, d: QuasiMetric,
                 f"base element B_{n} is not d-bounded")
     for k in range(0, 9):
         ball = d.ball(0, Fraction(2) ** k)
-        if not bornology_member(b, ball):
+        if not b.member(ball):
             return MetrizabilityReport(
                 "INCONSISTENT", "bornology",
                 f"ball B_d(0, 2^{k}) escapes the bornology")
@@ -665,4 +664,4 @@ def initial_bornology_member(maps: Sequence[PiecewiseAffineMap],
     under every map must be bounded in the corresponding bornology."""
     if len(maps) != len(borns):
         raise PreconditionError("maps and bornologies must align")
-    return all(bornology_member(b, f.image(a)) for f, b in zip(maps, borns))
+    return all(b.member(f.image(a)) for f, b in zip(maps, borns))

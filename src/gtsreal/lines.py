@@ -13,6 +13,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 from typing import Optional, Tuple
 
 from gtsreal.covers import (
@@ -29,15 +30,23 @@ from gtsreal.covers import (
 )
 from gtsreal.qmetric import QuasiMetric
 from gtsreal.realset import (
+    EMPTY,
     NEG_INF,
     POS_INF,
     REALS,
     ConstructionError,
+    Interval,
     RealSet,
     TopologyKind,
+    closed,
+    closed_open,
     interval,
     is_finite,
+    open_closed,
+    open_iv,
+    point,
     points,
+    with_tails,
 )
 
 STANDARD_VARIANTS = (
@@ -301,12 +310,33 @@ def custom_bornology(schema: BaseSchema) -> Bornology:
     return Bornology("custom", schema=schema)
 
 
-def bornology_member(b: Bornology, a: RealSet) -> bool:
-    return b.member(a)
-
-
-def bornology_base(b: Bornology) -> Optional[BaseSchema]:
-    return b.base_schema()
+@lru_cache(maxsize=None)
+def probe_corpus() -> Tuple[RealSet, ...]:
+    """Fixed battery of 26 sets spanning the shapes the identity tables
+    discriminate: finite sets, bounded and unbounded intervals of all flag
+    combinations, half-lines, unions, and periodic-tail sets."""
+    half = (Interval(Fraction(0), Fraction(1, 2), True, False),)
+    opat = (Interval(Fraction(0), Fraction(1, 2), False, False),)
+    ppat = (Interval(Fraction(0), Fraction(0), True, True),)
+    return (
+        EMPTY, point(0), points([0, 1, 2]), points([Fraction(-5), 3, Fraction(7, 2)]),
+        closed(0, 1), open_iv(0, 1), closed_open(0, 1), open_closed(0, 1),
+        closed(-2, 5), interval(NEG_INF, 0), interval(NEG_INF, 0, False, True),
+        interval(0, POS_INF), interval(0, POS_INF, True, False), REALS,
+        interval(NEG_INF, -1).union(open_iv(1, POS_INF)),
+        closed(0, 1).union(closed(2, 3)),
+        closed_open(0, 1).union(closed_open(2, 3)),
+        point(0).union(open_iv(1, 2)),
+        interval(NEG_INF, 0).union(point(1)),
+        with_tails(EMPTY, left=(ppat, Fraction(1), Fraction(0))),
+        with_tails(EMPTY, right=(ppat, Fraction(1), Fraction(1, 2))),
+        with_tails(EMPTY, left=(opat, Fraction(1), Fraction(0))),
+        with_tails(EMPTY, right=(half, Fraction(1), Fraction(0))),
+        with_tails(EMPTY, left=(half, Fraction(1), Fraction(0)),
+                   right=(half, Fraction(1), Fraction(0))),
+        with_tails(closed(-3, -2), right=(opat, Fraction(1), Fraction(0))),
+        with_tails(point(-4), left=(ppat, Fraction(2), Fraction(-5))),
+    )
 
 
 # ---------------------------------------------------------------------------

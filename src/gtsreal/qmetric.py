@@ -362,54 +362,50 @@ class QuasiMetric:
 # ball closed forms (None encodes the whole line)
 # ---------------------------------------------------------------------------
 
-def _iv(lo, hi, lc, hc) -> Interval:
-    return Interval(lo, hi, lc, hc)
-
-
 def _ball_interval(n: MetricName, x: Fraction, r: Fraction) -> Optional[Interval]:
     one = Fraction(1)
     if n is MetricName.D_N:
-        return _iv(x - r, x + r, False, False)
+        return Interval(x - r, x + r, False, False)
     if n is MetricName.D_N1:
-        return None if r > 1 else _iv(x - r, x + r, False, False)
+        return None if r > 1 else Interval(x - r, x + r, False, False)
     if n is MetricName.D_N_PLUS:
         v = phi_q(x)
         hi = phi_q_inv(v + r)
         t = v - r
         lo = phi_q_inv(t) if t > 0 else NEG_INF
-        return _iv(lo, hi, False, False)
+        return Interval(lo, hi, False, False)
     if n is MetricName.D_N_PLUS_1:
         return None if r > 1 else _ball_interval(MetricName.D_N_PLUS, x, r)
     if n is MetricName.D_U:
         return _ball_d_u(x, r)
     if n is MetricName.RHO_U:
-        return _iv(NEG_INF, x + r, False, False)
+        return Interval(NEG_INF, x + r, False, False)
     if n is MetricName.RHO_U1:
-        return None if r > 1 else _iv(NEG_INF, x + r, False, False)
+        return None if r > 1 else Interval(NEG_INF, x + r, False, False)
     if n is MetricName.RHO_S:
         if r <= 1:
-            return _iv(x, x + r, True, False)
-        return _iv(NEG_INF, x + r, False, False)
+            return Interval(x, x + r, True, False)
+        return Interval(NEG_INF, x + r, False, False)
     if n is MetricName.RHO_S1:
-        return None if r > 1 else _iv(x, x + r, True, False)
+        return None if r > 1 else Interval(x, x + r, True, False)
     if n is MetricName.RHO_L:
         if r <= 1:
-            return _iv(x, x + r, True, False)
-        return _iv(x - r + 1, POS_INF, False, False)
+            return Interval(x, x + r, True, False)
+        return Interval(x - r + 1, POS_INF, False, False)
     if n is MetricName.RHO_0:
         if r <= 1:
-            return _iv(x, x + r, True, False)
-        return _iv(x + 1 - r, x + r, False, False)
+            return Interval(x, x + r, True, False)
+        return Interval(x + 1 - r, x + r, False, False)
     if n is MetricName.RHO_0_1:
-        return None if r > 1 else _iv(x, x + r, True, False)
+        return None if r > 1 else Interval(x, x + r, True, False)
     if n is MetricName.RHO_S_MINUS:
         v = phi_q(-x)
         t = v - r
         hi = -phi_q_inv(t) if t > 0 else POS_INF
         if r <= 1:
-            return _iv(x, hi, True, False)
+            return Interval(x, hi, True, False)
         if t > 0:
-            return _iv(NEG_INF, hi, False, False)
+            return Interval(NEG_INF, hi, False, False)
         return None
     raise AssertionError(n)
 
@@ -421,31 +417,31 @@ def _coball_interval(n: MetricName, x: Fraction, r: Fraction) -> Optional[Interv
     if n in sym:
         return _ball_interval(n, x, r)
     if n is MetricName.RHO_U:
-        return _iv(x - r, POS_INF, False, False)
+        return Interval(x - r, POS_INF, False, False)
     if n is MetricName.RHO_U1:
-        return None if r > 1 else _iv(x - r, POS_INF, False, False)
+        return None if r > 1 else Interval(x - r, POS_INF, False, False)
     if n is MetricName.RHO_S:
         if r <= 1:
-            return _iv(x - r, x, False, True)
-        return _iv(x - r, POS_INF, False, False)
+            return Interval(x - r, x, False, True)
+        return Interval(x - r, POS_INF, False, False)
     if n is MetricName.RHO_S1:
-        return None if r > 1 else _iv(x - r, x, False, True)
+        return None if r > 1 else Interval(x - r, x, False, True)
     if n is MetricName.RHO_L:
         if r <= 1:
-            return _iv(x - r, x, False, True)
-        return _iv(NEG_INF, x + r - 1, False, False)
+            return Interval(x - r, x, False, True)
+        return Interval(NEG_INF, x + r - 1, False, False)
     if n is MetricName.RHO_0:
         if r <= 1:
-            return _iv(x - r, x, False, True)
-        return _iv(x - r, x + r - 1, False, False)
+            return Interval(x - r, x, False, True)
+        return Interval(x - r, x + r - 1, False, False)
     if n is MetricName.RHO_0_1:
-        return None if r > 1 else _iv(x - r, x, False, True)
+        return None if r > 1 else Interval(x - r, x, False, True)
     if n is MetricName.RHO_S_MINUS:
         u = phi_q(-x)
         lo = -phi_q_inv(u + r)
         if r <= 1:
-            return _iv(lo, x, False, True)
-        return _iv(lo, POS_INF, False, False)
+            return Interval(lo, x, False, True)
+        return Interval(lo, POS_INF, False, False)
     raise AssertionError(n)
 
 
@@ -486,8 +482,8 @@ def _ball_d_u(x: Fraction, r: Fraction) -> Optional[Interval]:
     if lo is None:
         # walk exhausted without reaching r, so the plateau value 1+max(x,0)
         # (attained at the last breakpoint) is below r
-        return _iv(NEG_INF, hi, False, False)
-    return _iv(lo, hi, False, False)
+        return Interval(NEG_INF, hi, False, False)
+    return Interval(lo, hi, False, False)
 
 
 # ---------------------------------------------------------------------------

@@ -1,6 +1,10 @@
 """Query documents: a small exact-rational language for declaring sets,
 families, metrics, bornologies and maps, and running the library's decision
 procedures over them.  `gtsreal print-grammar` documents the surface.
+
+`QUERIES` is the one list of query kinds.  Each row holds the argument
+grammar, which the parser reads and `print-grammar` prints, and the
+evaluator, which `report.run` calls.
 """
 
 from __future__ import annotations
@@ -8,32 +12,71 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Optional, Tuple
+from functools import lru_cache
+from typing import Callable, Optional, Tuple
 
-from gtsreal import lines, realset
-from gtsreal.checkers import PiecewiseAffineMap
+from gtsreal import lines, oracles, realset
+from gtsreal.checkers import (
+    PiecewiseAffineMap,
+    axiom_probe,
+    base_check,
+    chain_check,
+    chain_search,
+    initial_bornology_member,
+    metrizable_verdict,
+    proper_check,
+    strict_cont_refute,
+    uniform_chain_check,
+)
 from gtsreal.covers import (
     ALL_INDICES,
     CovCollection,
     Fan,
+    GenCaps,
     IndexRange,
     Periodic,
+    PreconditionError,
     Restricted,
     Split,
+    ef_member,
+    ess_finite,
+    ess_finite_on,
     finite_family,
+    full_ring_closure,
+    gen_topology,
+    gen_topology_member,
+    locally_ess_finite,
+    member_generated,
+    members,
+    union_of,
 )
-from gtsreal.lines import BaseSchema, Bornology, LineId, custom_bornology, metric_bounded
+from gtsreal.lines import (
+    BaseSchema,
+    Bornology,
+    LineId,
+    acb_member,
+    cb_member,
+    cov_member,
+    custom_bornology,
+    metric_bounded,
+    op_member,
+    probe_corpus,
+    pt_of,
+    sm_member,
+)
 from gtsreal.qmetric import MetricName, PhiMode, QuasiMetric, metric
 from gtsreal.realset import (
     EMPTY,
     NEG_INF,
     POS_INF,
     REALS,
+    ConstructionError,
+    Interval,
     RealSet,
     TopologyKind,
 )
 
-GRAMMAR = """\
+_DECLARATIONS = """\
 gtsreal query documents (schema v1)
 ===================================
 
@@ -46,6 +89,8 @@ Statements are separated by ';' or newlines; '#' starts a comment.
 
 Rationals are exact: 3, -7/2, inf, -inf.  KIND is one of nat, upper, lower,
 sorg_r, sorg_l, discrete.  LINE is e.g. standard/lst or sorgenfrey/om.
+COLLECTION is the NAME of a collection declared above.  (X, ...) is a list
+of one or more X; ([X, ...]) may also be empty.
 
 SET:
   empty | reals | point RAT | points(RAT, ...)
@@ -56,7 +101,7 @@ SET:
   NAME
 
 FAMILY:
-  finite(SET, ...)
+  finite([SET, ...])
   periodic(SET, RAT, all | from INT | upto INT | span INT INT)
   split(RAT, FAMILY, FAMILY)
   restricted(FAMILY, SET)
@@ -77,35 +122,10 @@ MAP:
   affine(RAT, RAT)                            # slope, intercept
   pieces(breaks(RAT, ...), piece(RAT, RAT), ...)
   NAME
-
-QUERIES (answers are printed one per line, in document order):
-  query normalize SET | boundedness SET | subset SET SET | equal SET SET
-  query contains SET RAT | sample SET from RAT to RAT step RAT
-  query closure SET KIND | interior SET KIND
-  query eval METRIC RAT RAT | ball METRIC at RAT radius RAT
-  query nbhd METRIC SET delta RAT | bounded_set METRIC SET
-  query topology_of METRIC
-  query union_of FAMILY | members FAMILY
-  query ess_finite FAMILY | ess_finite_on FAMILY SET
-  query locally_ess_finite FAMILY
-  query full_ring SET of (SET, ...) | gen_topology (SET, ...)
-  query gen_topology_member (SET, ...) SET
-  query ef_member FAMILY KIND BORN
-  query member_generated FAMILY NAME INT      # NAME refers to a collection
-  query op_member LINE SET | cov_member LINE FAMILY
-  query sm_member LINE SET | cb_member LINE SET | acb_member LINE SET
-  query pt_of LINE
-  query bornology_member BORN SET
-  query proper_check BORN KIND KIND INT | base_check BORN KIND
-  query chain_check METRIC BORN delta RAT upto INT
-  query chain_search METRIC BORN upto INT
-  query uniform_chain METRIC BORN upto INT
-  query metrizable LINE BORN METRIC
-  query strict_cont_refute MAP LINE LINE (FAMILY, ...)
-  query axiom_probe LINE
-  query initial_member maps(MAP, ...) borns(BORN, ...) SET
-  query oracle_ess_finite FAMILY window INT INT SET max INT
 """
+
+# Parenthesis depth a document may nest to; deeper input is a parse error.
+MAX_NESTING = 200
 
 
 class ParseError(ValueError):
@@ -175,6 +195,30 @@ _NAMED_BORNS = {"fb": lines.FB, "all_sets": lines.ALL_SETS,
 
 _METRIC_NAMES = {m.value for m in MetricName}
 
+# Upper-case grammar words: the _Parser method that reads each.
+_READERS = {
+    "SET": "set_expr", "FAMILY": "family_expr", "METRIC": "metric_expr",
+    "BORN": "born_expr", "MAP": "map_expr", "LINE": "line_id", "KIND": "kind",
+    "RAT": "rat", "INT": "int_", "COLLECTION": "collection_ref",
+    "EXT": "ext", "RANGE": "index_range", "AFF": "affine",
+}
+
+# Declaration keyword -> (QueryDoc environment, _Parser method).
+_DECLARATION_READERS = {
+    "set": ("sets", "set_expr"), "family": ("families", "family_expr"),
+    "metric": ("metrics", "metric_expr"), "bornology": ("bornologies", "born_expr"),
+    "map": ("maps", "map_expr"), "collection": ("collections", "collection_expr"),
+}
+
+_WORD = re.compile(r"\((\[?)([A-Z]+), \.\.\.\]?\)|[(),]|[^\s(),]+")
+
+
+@lru_cache(maxsize=None)
+def _words(grammar: str) -> tuple:
+    """A grammar's words as (word, list item reader or None, list may be empty)."""
+    return tuple((m.group(), m.group(2), bool(m.group(1)))
+                 for m in _WORD.finditer(grammar))
+
 
 @dataclass
 class QueryDoc:
@@ -203,13 +247,16 @@ class _Parser:
     def __init__(self, text: str):
         self.toks = _tokenize(text)
         self.i = 0
+        self.depth = 0
         self.doc = QueryDoc()
-        self._stmt_start = 0
 
     # -- token plumbing ---------------------------------------------------
 
     def peek(self) -> Optional[Token]:
         return self.toks[self.i] if self.i < len(self.toks) else None
+
+    def at(self, text: str) -> bool:
+        return self.i < len(self.toks) and self.toks[self.i].text == text
 
     def next(self) -> Token:
         t = self.peek()
@@ -223,6 +270,12 @@ class _Parser:
         t = self.next()
         if t.text != text:
             raise ParseError(f"expected {text!r}, found {t.text!r}", t.line, t.col)
+        if text == "(":
+            self.depth += 1
+            if self.depth > MAX_NESTING:
+                raise ParseError(f"nested deeper than {MAX_NESTING}", t.line, t.col)
+        elif text == ")":
+            self.depth -= 1
         return t
 
     def expect_name(self) -> Token:
@@ -231,33 +284,58 @@ class _Parser:
             raise ParseError(f"expected a name, found {t.text!r}", t.line, t.col)
         return t
 
+    def one_of(self, choices) -> str:
+        t = self.expect_name()
+        if t.text not in choices:
+            raise ParseError(f"expected {' or '.join(choices)}, found {t.text!r}",
+                             t.line, t.col)
+        return t.text
+
     def rat(self) -> Fraction:
         t = self.next()
         if t.kind == "rat":
-            return Fraction(t.text)
+            return _fraction(t)
         if t.text == "inf" or t.text == "-inf":
             raise ParseError("infinite value not allowed here", t.line, t.col)
         raise ParseError(f"expected a rational, found {t.text!r}", t.line, t.col)
 
     def ext(self):
-        t = self.peek()
-        if t is not None and t.text == "inf":
-            self.next()
-            return POS_INF
-        if t is not None and t.text == "-inf":
-            self.next()
-            return NEG_INF
-        if t is not None and t.kind == "rat":
-            return Fraction(self.next().text)
-        found = t.text if t is not None else "EOF"
-        raise ParseError(f"expected a rational or inf, found {found!r}",
-                         t.line if t else 1, t.col if t else 1)
+        if self.at("inf") or self.at("-inf"):
+            return POS_INF if self.next().text == "inf" else NEG_INF
+        return self.rat()
 
     def int_(self) -> int:
         t = self.next()
         if t.kind != "rat" or "/" in t.text:
             raise ParseError(f"expected an integer, found {t.text!r}", t.line, t.col)
         return int(t.text)
+
+    def list_of(self, read, empty_ok: bool = False) -> tuple:
+        """A parenthesised, comma-separated list of what `read` reads."""
+        self.expect("(")
+        out = []
+        if not (empty_ok and self.at(")")):
+            out.append(read())
+            while self.at(","):
+                self.next()
+                out.append(read())
+        self.expect(")")
+        return tuple(out)
+
+    def read(self, grammar: str) -> tuple:
+        """Read the input `grammar` describes (see `Query`); return the values
+        of its readers, lists and keyword choices, in order."""
+        out = []
+        for word, item, empty_ok in _words(grammar):
+            if item is not None:
+                out.append(self.list_of(getattr(self, _READERS[item]), empty_ok))
+            elif word in _READERS:
+                out.append(getattr(self, _READERS[word])())
+            elif "|" in word:
+                out.append(self.one_of(word.split("|")))
+            else:
+                self.expect(word)
+        return tuple(out)
 
     # -- statement level ----------------------------------------------------
 
@@ -270,45 +348,20 @@ class _Parser:
                 continue
             start = self.i
             t = self.expect_name()
-            if t.text == "set":
-                name = self._decl_name(self.doc.sets)
-                self.expect("=")
-                self.doc.sets[name] = self.set_expr()
-            elif t.text == "family":
-                name = self._decl_name(self.doc.families)
-                self.expect("=")
-                self.doc.families[name] = self.family_expr()
-            elif t.text == "metric":
-                name = self._decl_name(self.doc.metrics)
-                self.expect("=")
-                self.doc.metrics[name] = self.metric_expr()
-            elif t.text == "bornology":
-                name = self._decl_name(self.doc.bornologies)
-                self.expect("=")
-                self.doc.bornologies[name] = self.born_expr()
-            elif t.text == "map":
-                name = self._decl_name(self.doc.maps)
-                self.expect("=")
-                self.doc.maps[name] = self.map_expr()
-            elif t.text == "collection":
-                name = self._decl_name(self.doc.collections)
-                self.expect("=")
-                self.expect("collection")
-                self.expect("(")
-                fams = [self.family_expr()]
-                while self.peek() and self.peek().text == ",":
-                    self.next()
-                    fams.append(self.family_expr())
-                self.expect(")")
-                carrier = REALS
-                if self.peek() is not None and self.peek().text == "in":
-                    self.next()
-                    carrier = self.set_expr()
-                self.doc.collections[name] = CovCollection.from_specs(fams, carrier)
-            elif t.text == "query":
-                queries.append(self.query_expr())
-            else:
-                raise ParseError(f"unknown statement {t.text!r}", t.line, t.col)
+            try:
+                if t.text == "query":
+                    queries.append(self.query_expr())
+                elif t.text in _DECLARATION_READERS:
+                    env_name, reader = _DECLARATION_READERS[t.text]
+                    env = getattr(self.doc, env_name)
+                    name = self._decl_name(env)
+                    self.expect("=")
+                    env[name] = getattr(self, reader)()
+                else:
+                    raise ParseError(f"unknown statement {t.text!r}", t.line, t.col)
+            except (ConstructionError, PreconditionError) as e:
+                last = self.toks[self.i - 1]
+                raise ParseError(str(e), last.line, last.col) from None
             statements.append(self._render(start))
             nxt = self.peek()
             if nxt is not None and nxt.kind != "sep":
@@ -329,6 +382,13 @@ class _Parser:
         return s.replace(" (", "(").replace("( ", "(") \
                 .replace(" )", ")").replace(" ,", ",")
 
+    def query_expr(self):
+        t = self.expect_name()
+        q = QUERIES.get(t.text)
+        if q is None:
+            raise ParseError(f"unknown query {t.text!r}", t.line, t.col)
+        return (t.text, self.read(q.grammar))
+
     # -- expressions ---------------------------------------------------------
 
     def set_expr(self) -> RealSet:
@@ -341,150 +401,61 @@ class _Parser:
         if w == "point":
             return realset.point(self.rat())
         if w == "points":
-            self.expect("(")
-            vals = [self.rat()]
-            while self.peek().text == ",":
-                self.next()
-                vals.append(self.rat())
-            self.expect(")")
-            return realset.points(vals)
+            return realset.points(self.list_of(self.rat))
         if w == "interval":
-            self.expect("(")
-            lc = self._bound_flag()
-            lo = self.ext()
-            self.expect(",")
-            hc = self._bound_flag()
-            hi = self.ext()
-            self.expect(")")
-            return realset.interval(lo, hi, lc and lo != NEG_INF, hc and hi != POS_INF)
+            lc, lo, hc, hi = self.read("(open|closed EXT, open|closed EXT)")
+            return realset.interval(lo, hi, lc == "closed" and lo != NEG_INF,
+                                    hc == "closed" and hi != POS_INF)
         if w in ("union", "intersect"):
-            self.expect("(")
-            args = [self.set_expr()]
-            while self.peek().text == ",":
-                self.next()
-                args.append(self.set_expr())
-            self.expect(")")
-            out = args[0]
-            for a in args[1:]:
+            out, *rest = self.list_of(self.set_expr)
+            for a in rest:
                 out = out.union(a) if w == "union" else out.intersect(a)
             return out
         if w == "complement":
-            self.expect("(")
-            a = self.set_expr()
-            self.expect(")")
-            return a.complement()
+            return self.read("(SET)")[0].complement()
         if w == "difference":
-            self.expect("(")
-            a = self.set_expr()
-            self.expect(",")
-            b = self.set_expr()
-            self.expect(")")
+            a, b = self.read("(SET, SET)")
             return a.difference(b)
         if w in ("closure", "interior"):
-            self.expect("(")
-            a = self.set_expr()
-            self.expect(",")
-            k = self.kind()
-            self.expect(")")
+            a, k = self.read("(SET, KIND)")
             return a.closure(k) if w == "closure" else a.interior(k)
         if w == "tail":
-            self.expect("(")
-            side = self.expect_name().text
-            if side not in ("left", "right"):
-                raise ParseError("tail side must be left or right", t.line, t.col)
-            self.expect(",")
-            pattern = self.set_expr()
-            self.expect(",")
-            period = self.rat()
-            self.expect(",")
-            cut = self.rat()
-            self.expect(")")
-            tail_args = (tuple(pattern.core), period, cut)
-            return realset.with_tails(
-                EMPTY, left=tail_args if side == "left" else None,
-                right=tail_args if side == "right" else None)
+            side, pattern, period, cut = self.read("(left|right, SET, RAT, RAT)")
+            return realset.with_tails(EMPTY, **{side: (tuple(pattern.core), period, cut)})
         if w in self.doc.sets:
             return self.doc.sets[w]
         raise ParseError(f"unknown identifier {w!r} (expected a set)", t.line, t.col)
 
-    def _bound_flag(self) -> bool:
-        t = self.expect_name()
-        if t.text == "open":
-            return False
-        if t.text == "closed":
-            return True
-        raise ParseError("expected open or closed", t.line, t.col)
-
     def kind(self) -> TopologyKind:
-        t = self.expect_name()
-        if t.text not in _KINDS:
-            raise ParseError(f"unknown topology kind {t.text!r}", t.line, t.col)
-        return _KINDS[t.text]
+        return _KINDS[self.one_of(_KINDS)]
 
     def family_expr(self):
         t = self.expect_name()
         w = t.text
         if w == "finite":
-            self.expect("(")
-            args = []
-            if self.peek().text != ")":
-                args.append(self.set_expr())
-                while self.peek().text == ",":
-                    self.next()
-                    args.append(self.set_expr())
-            self.expect(")")
-            return finite_family(args)
+            return finite_family(self.list_of(self.set_expr, empty_ok=True))
         if w == "periodic":
-            self.expect("(")
-            seed = self.set_expr()
-            self.expect(",")
-            period = self.rat()
-            self.expect(",")
-            rng = self._index_range()
-            self.expect(")")
-            return Periodic(seed, period, rng)
+            return Periodic(*self.read("(SET, RAT, RANGE)"))
         if w == "split":
-            self.expect("(")
-            cut = self.rat()
-            self.expect(",")
-            left = self.family_expr()
-            self.expect(",")
-            right = self.family_expr()
-            self.expect(")")
-            return Split(cut, left, right)
+            return Split(*self.read("(RAT, FAMILY, FAMILY)"))
         if w == "restricted":
-            self.expect("(")
-            base = self.family_expr()
-            self.expect(",")
-            window = self.set_expr()
-            self.expect(")")
-            return Restricted(base, window)
+            return Restricted(*self.read("(FAMILY, SET)"))
         if w == "fan":
-            self.expect("(")
-            side = self.expect_name().text
-            self.expect(",")
-            lo = self.rat()
-            self.expect(",")
-            hi = self.rat()
-            self.expect(")")
+            side, lo, hi = self.read("(down|up, RAT, RAT)")
             return Fan(lo, hi, side)
         if w in self.doc.families:
             return self.doc.families[w]
         raise ParseError(f"unknown identifier {w!r} (expected a family)", t.line, t.col)
 
-    def _index_range(self) -> IndexRange:
-        t = self.expect_name()
-        if t.text == "all":
+    def index_range(self) -> IndexRange:
+        w = self.one_of(("all", "from", "upto", "span"))
+        if w == "all":
             return ALL_INDICES
-        if t.text == "from":
+        if w == "from":
             return IndexRange(self.int_(), None)
-        if t.text == "upto":
+        if w == "upto":
             return IndexRange(None, self.int_())
-        if t.text == "span":
-            a = self.int_()
-            b = self.int_()
-            return IndexRange(a, b)
-        raise ParseError("expected all/from/upto/span", t.line, t.col)
+        return IndexRange(self.int_(), self.int_())
 
     def metric_expr(self) -> QuasiMetric:
         t = self.expect_name()
@@ -492,14 +463,9 @@ class _Parser:
         if w in _METRIC_NAMES:
             return metric(w)
         if w == "conj":
-            self.expect("(")
-            d = self.metric_expr()
-            self.expect(")")
-            return d.conjugate()
+            return self.read("(METRIC)")[0].conjugate()
         if w == "float_paper":
-            self.expect("(")
-            d = self.metric_expr()
-            self.expect(")")
+            d, = self.read("(METRIC)")
             return QuasiMetric(d.name, PhiMode.FLOAT_PAPER, d.conjugated)
         if w in self.doc.metrics:
             return self.doc.metrics[w]
@@ -511,74 +477,38 @@ class _Parser:
         if w in _NAMED_BORNS:
             return _NAMED_BORNS[w]
         if w == "metric_bounded":
-            self.expect("(")
-            d = self.metric_expr()
-            self.expect(")")
-            return metric_bounded(d)
+            return metric_bounded(*self.read("(METRIC)"))
         if w == "schema":
-            self.expect("(")
-            lc = self._bound_flag()
-            lo = self._affine()
-            self.expect(",")
-            hc = self._bound_flag()
-            hi = self._affine()
-            self.expect(")")
-            sc = BaseSchema(lo=lo, hi=hi, lo_closed=lc and lo is not None,
-                            hi_closed=hc and hi is not None)
-            return custom_bornology(sc)
+            lc, lo, hc, hi = self.read("(open|closed AFF, open|closed AFF)")
+            return custom_bornology(BaseSchema(
+                lo=lo, hi=hi, lo_closed=lc == "closed" and lo is not None,
+                hi_closed=hc == "closed" and hi is not None))
         if w in self.doc.bornologies:
             return self.doc.bornologies[w]
         raise ParseError(f"unknown identifier {w!r} (expected a bornology)",
                          t.line, t.col)
 
-    def _affine(self):
-        t = self.peek()
-        if t.kind == "name" and t.text in ("inf", "-inf"):
-            self.next()
+    def affine(self):
+        t = self.next()
+        if t.text in ("inf", "-inf"):
             return None
-        if t.kind == "name" and t.text == "affine":
-            self.next()
-            self.expect("(")
-            a = self.rat()
-            self.expect(",")
-            b = self.rat()
-            self.expect(")")
-            return (a, b)
+        if t.text == "affine":
+            return self.read("(RAT, RAT)")
         if t.kind == "rat":
-            return (self.rat(), Fraction(0))
+            return (_fraction(t), Fraction(0))
         raise ParseError("expected affine(RAT, RAT), RAT or inf", t.line, t.col)
 
     def map_expr(self) -> PiecewiseAffineMap:
         t = self.expect_name()
         w = t.text
         if w == "affine":
-            self.expect("(")
-            a = self.rat()
-            self.expect(",")
-            b = self.rat()
-            self.expect(")")
-            return PiecewiseAffineMap.affine(a, b)
+            return PiecewiseAffineMap.affine(*self.read("(RAT, RAT)"))
         if w == "pieces":
-            self.expect("(")
-            self.expect("breaks")
-            self.expect("(")
-            breaks = [self.rat()]
-            while self.peek().text == ",":
-                self.next()
-                breaks.append(self.rat())
-            self.expect(")")
-            pieces = []
-            while self.peek().text == ",":
-                self.next()
-                self.expect("piece")
-                self.expect("(")
-                s = self.rat()
-                self.expect(",")
-                c = self.rat()
-                self.expect(")")
-                pieces.append((s, c))
-            self.expect(")")
-            return PiecewiseAffineMap(tuple(breaks), tuple(pieces))
+            (head, breaks), *rest = self.list_of(lambda: self.read("breaks|piece(RAT, ...)"))
+            if head != "breaks" or any(h != "piece" or len(p) != 2 for h, p in rest):
+                raise ParseError("expected pieces(breaks(RAT, ...), piece(RAT, RAT), ...)",
+                                 t.line, t.col)
+            return PiecewiseAffineMap(breaks, tuple(p for _, p in rest))
         if w in self.doc.maps:
             return self.doc.maps[w]
         raise ParseError(f"unknown identifier {w!r} (expected a map)", t.line, t.col)
@@ -590,151 +520,193 @@ class _Parser:
                              t.line, t.col)
         try:
             return lines.line(t.text)
-        except Exception:
-            raise ParseError(f"unknown line {t.text!r}", t.line, t.col)
+        except ConstructionError:
+            raise ParseError(f"unknown line {t.text!r}", t.line, t.col) from None
 
-    # -- queries -----------------------------------------------------------
+    def collection_expr(self) -> CovCollection:
+        self.expect("collection")
+        fams = self.list_of(self.family_expr)
+        carrier = REALS
+        if self.at("in"):
+            self.next()
+            carrier = self.set_expr()
+        return CovCollection.from_specs(fams, carrier)
 
-    def query_expr(self):
+    def collection_ref(self) -> CovCollection:
         t = self.expect_name()
-        q = t.text
-        if q in ("normalize", "boundedness"):
-            return (q, (self.set_expr(),))
-        if q in ("subset", "equal"):
-            return (q, (self.set_expr(), self.set_expr()))
-        if q == "contains":
-            return (q, (self.set_expr(), self.rat()))
-        if q == "sample":
-            a = self.set_expr()
-            self.expect("from")
-            lo = self.rat()
-            self.expect("to")
-            hi = self.rat()
-            self.expect("step")
-            return (q, (a, lo, hi, self.rat()))
-        if q in ("closure", "interior"):
-            return (q, (self.set_expr(), self.kind()))
-        if q == "eval":
-            return (q, (self.metric_expr(), self.rat(), self.rat()))
-        if q == "ball":
-            d = self.metric_expr()
-            self.expect("at")
-            x = self.rat()
-            self.expect("radius")
-            return (q, (d, x, self.rat()))
-        if q == "nbhd":
-            d = self.metric_expr()
-            a = self.set_expr()
-            self.expect("delta")
-            return (q, (d, a, self.rat()))
-        if q == "bounded_set":
-            return (q, (self.metric_expr(), self.set_expr()))
-        if q == "topology_of":
-            return (q, (self.metric_expr(),))
-        if q in ("union_of", "members", "ess_finite", "locally_ess_finite"):
-            return (q, (self.family_expr(),))
-        if q == "ess_finite_on":
-            return (q, (self.family_expr(), self.set_expr()))
-        if q == "full_ring":
-            y = self.set_expr()
-            self.expect("of")
-            self.expect("(")
-            gens = []
-            if self.peek().text != ")":
-                gens.append(self.set_expr())
-                while self.peek().text == ",":
-                    self.next()
-                    gens.append(self.set_expr())
-            self.expect(")")
-            return (q, (y, tuple(gens)))
-        if q in ("gen_topology", "gen_topology_member"):
-            self.expect("(")
-            gens = []
-            if self.peek().text != ")":
-                gens.append(self.set_expr())
-                while self.peek().text == ",":
-                    self.next()
-                    gens.append(self.set_expr())
-            self.expect(")")
-            if q == "gen_topology":
-                return (q, (tuple(gens),))
-            return (q, (tuple(gens), self.set_expr()))
-        if q == "ef_member":
-            return (q, (self.family_expr(), self.kind(), self.born_expr()))
-        if q == "member_generated":
-            fam = self.family_expr()
-            t2 = self.expect_name()
-            if t2.text not in self.doc.collections:
-                raise ParseError(f"unknown collection {t2.text!r}", t2.line, t2.col)
-            return (q, (fam, t2.text, self.int_()))
-        if q == "op_member":
-            return (q, (self.line_id(), self.set_expr()))
-        if q == "cov_member":
-            return (q, (self.line_id(), self.family_expr()))
-        if q in ("sm_member", "cb_member", "acb_member"):
-            return (q, (self.line_id(), self.set_expr()))
-        if q == "pt_of":
-            return (q, (self.line_id(),))
-        if q == "bornology_member":
-            return (q, (self.born_expr(), self.set_expr()))
-        if q == "proper_check":
-            return (q, (self.born_expr(), self.kind(), self.kind(), self.int_()))
-        if q == "base_check":
-            return (q, (self.born_expr(), self.kind()))
-        if q == "chain_check":
-            d = self.metric_expr()
-            b = self.born_expr()
-            self.expect("delta")
-            delta = self.rat()
-            self.expect("upto")
-            return (q, (d, b, delta, self.int_()))
-        if q in ("chain_search", "uniform_chain"):
-            d = self.metric_expr()
-            b = self.born_expr()
-            self.expect("upto")
-            return (q, (d, b, self.int_()))
-        if q == "metrizable":
-            return (q, (self.line_id(), self.born_expr(), self.metric_expr()))
-        if q == "strict_cont_refute":
-            f = self.map_expr()
-            src = self.line_id()
-            dst = self.line_id()
-            self.expect("(")
-            fams = [self.family_expr()]
-            while self.peek().text == ",":
-                self.next()
-                fams.append(self.family_expr())
-            self.expect(")")
-            return (q, (f, src, dst, tuple(fams)))
-        if q == "axiom_probe":
-            return (q, (self.line_id(),))
-        if q == "oracle_ess_finite":
-            fam = self.family_expr()
-            self.expect("window")
-            k0 = self.int_()
-            k1 = self.int_()
-            k_set = self.set_expr()
-            self.expect("max")
-            return (q, (fam, k0, k1, k_set, self.int_()))
-        if q == "initial_member":
-            self.expect("maps")
-            self.expect("(")
-            maps = [self.map_expr()]
-            while self.peek().text == ",":
-                self.next()
-                maps.append(self.map_expr())
-            self.expect(")")
-            self.expect("borns")
-            self.expect("(")
-            borns = [self.born_expr()]
-            while self.peek().text == ",":
-                self.next()
-                borns.append(self.born_expr())
-            self.expect(")")
-            return (q, (tuple(maps), tuple(borns), self.set_expr()))
-        raise ParseError(f"unknown query {q!r}", t.line, t.col)
+        if t.text not in self.doc.collections:
+            raise ParseError(f"unknown collection {t.text!r}", t.line, t.col)
+        return self.doc.collections[t.text]
+
+
+def _fraction(t: Token) -> Fraction:
+    try:
+        return Fraction(t.text)
+    except ZeroDivisionError:
+        raise ParseError(f"zero denominator in {t.text!r}", t.line, t.col) from None
 
 
 def parse(text: str) -> QueryDoc:
     """Parse a query document; raises ParseError with line:column context."""
     return _Parser(text).parse()
+
+
+# ---------------------------------------------------------------------------
+# the query table
+# ---------------------------------------------------------------------------
+
+@dataclass(frozen=True)
+class Query:
+    """One query kind: `query NAME <grammar>`, answered by `run(*args)`.
+
+    In the grammar an upper-case word names a parser reader (SET FAMILY
+    METRIC BORN MAP LINE KIND RAT INT COLLECTION), `(X, ...)` is a
+    parenthesised list of one or more X and `([X, ...])` one that may be
+    empty, `a|b` is a choice of keywords, and any other word is a keyword.
+    `run` gets one argument per reader, list or choice, in order."""
+
+    grammar: str
+    run: Callable[..., str]
+
+
+def _fmt(value) -> str:
+    if isinstance(value, bool):
+        return "true" if value else "false"
+    if isinstance(value, (RealSet, Fraction)):
+        return str(value)
+    if isinstance(value, (list, tuple)):
+        return "[" + ", ".join(_fmt(v) for v in value) + "]"
+    return str(value)
+
+
+def _verdict_text(v) -> str:
+    if v.essentially_finite:
+        return f"essentially_finite witness_size={len(v.witness or ())}"
+    return f"not essentially finite: {v.obstruction}"
+
+
+def _chain_text(rep) -> str:
+    extra = f" delta={rep.delta_used}" if rep.delta_used is not None else ""
+    if rep.verdict == "fail_at":
+        return f"fail_at({rep.fail_index}) missing={rep.missing}{extra}"
+    return rep.summary()
+
+
+def _schema_of(b: Bornology):
+    sc = b.base_schema()
+    if sc is None:
+        raise PreconditionError(f"{b} has no indexed base")
+    return sc
+
+
+def _boundedness_text(a) -> str:
+    b = a.boundedness()
+    return (f"bounded={_fmt(b.bounded)} above={_fmt(b.bounded_above)} "
+            f"below={_fmt(b.bounded_below)} finite={_fmt(b.finite)}")
+
+
+def _members_text(fam) -> str:
+    ms = members(fam)
+    return "not finitely enumerable" if ms is None else _fmt(sorted(ms, key=str))
+
+
+def _generated_text(fam, coll, depth) -> str:
+    got = member_generated(fam, coll, depth, GenCaps(depth_cap=max(8, depth)))
+    extra = " truncated" if got.truncated else ""
+    return f"found={_fmt(got.found)} depth={got.depth_used}{extra}"
+
+
+def _proper_text(b, t1, t2, n) -> str:
+    got = proper_check(b, t1, t2, n)
+    if got.proper:
+        return "PROPER"
+    return f"IMPROPER at n={got.witness_index} closure={got.witness_closure}"
+
+
+def _metrizable_text(l, b, d) -> str:
+    got = metrizable_verdict(l, b, d, probe_corpus())
+    if got.consistent:
+        return "CONSISTENT"
+    return f"INCONSISTENT part={got.failing_part}: {got.detail}"
+
+
+def _strict_cont_text(f, src, dst, battery) -> str:
+    got = strict_cont_refute(f, src, dst, list(battery))
+    if got.verdict == "REFUTED":
+        return f"REFUTED witness={got.witness}"
+    return "UNREFUTED" + (f" notes={'; '.join(got.notes)}" if got.notes else "")
+
+
+def _axioms_text(l) -> str:
+    got = axiom_probe(l)
+    if got.passed:
+        return f"all pass ({got.checks} checks)"
+    return "violations: " + "; ".join(got.failures)
+
+
+def _oracle_text(fam, k0, k1, k_set, cap) -> str:
+    if isinstance(fam, Periodic):
+        lo, hi = fam.index_range.lo, fam.index_range.hi
+        lo = k0 if lo is None else max(lo, k0)
+        hi = k1 if hi is None else min(hi, k1)
+        trunc = [fam.member(k) for k in range(lo, hi + 1)]
+    else:
+        trunc = members(fam)
+        if trunc is None:
+            raise oracles.OracleRefusal("family is not finitely enumerable")
+    return _fmt(oracles.oracle_ess_finite(trunc, k_set, cap, full_union=union_of(fam)))
+
+
+QUERIES: dict[str, Query] = {
+    "normalize": Query("SET", str),
+    "boundedness": Query("SET", _boundedness_text),
+    "subset": Query("SET SET", lambda a, b: _fmt(a.is_subset(b))),
+    "equal": Query("SET SET", lambda a, b: _fmt(a == b)),
+    "contains": Query("SET RAT", lambda a, x: _fmt(a.contains_point(x))),
+    "sample": Query("SET from RAT to RAT step RAT", lambda a, lo, hi, step: _fmt(
+        a.sample_points(Interval(lo, hi, True, True), step))),
+    "closure": Query("SET KIND", lambda a, k: str(a.closure(k))),
+    "interior": Query("SET KIND", lambda a, k: str(a.interior(k))),
+    "eval": Query("METRIC RAT RAT", lambda d, x, y: _fmt(d.eval(x, y))),
+    "ball": Query("METRIC at RAT radius RAT", lambda d, x, r: str(d.ball(x, r))),
+    "nbhd": Query("METRIC SET delta RAT", lambda d, a, delta: str(d.nbhd(a, delta))),
+    "bounded_set": Query("METRIC SET", lambda d, a: _fmt(d.is_bounded_set(a))),
+    "topology_of": Query("METRIC", lambda d: d.topology_of().value),
+    "union_of": Query("FAMILY", lambda f: str(union_of(f))),
+    "members": Query("FAMILY", _members_text),
+    "ess_finite": Query("FAMILY", lambda f: _verdict_text(ess_finite(f))),
+    "ess_finite_on": Query("FAMILY SET", lambda f, a: _verdict_text(ess_finite_on(f, a))),
+    "locally_ess_finite": Query("FAMILY", lambda f: _fmt(locally_ess_finite(f))),
+    "full_ring": Query("SET of ([SET, ...])",
+                       lambda y, gens: _fmt(full_ring_closure(list(gens), y))),
+    "gen_topology": Query("([SET, ...])", lambda gens: _fmt(gen_topology(list(gens)))),
+    "gen_topology_member": Query("([SET, ...]) SET", lambda gens, a: _fmt(
+        gen_topology_member(list(gens), a))),
+    "ef_member": Query("FAMILY KIND BORN", lambda f, k, b: _fmt(ef_member(f, k, b))),
+    "member_generated": Query("FAMILY COLLECTION INT", _generated_text),
+    "op_member": Query("LINE SET", lambda l, a: _fmt(op_member(l, a))),
+    "cov_member": Query("LINE FAMILY", lambda l, f: _fmt(cov_member(l, f))),
+    "sm_member": Query("LINE SET", lambda l, a: _fmt(sm_member(l, a))),
+    "cb_member": Query("LINE SET", lambda l, a: _fmt(cb_member(l, a))),
+    "acb_member": Query("LINE SET", lambda l, a: _fmt(acb_member(l, a))),
+    "pt_of": Query("LINE", lambda l: str(pt_of(l))),
+    "bornology_member": Query("BORN SET", lambda b, a: _fmt(b.member(a))),
+    "proper_check": Query("BORN KIND KIND INT", _proper_text),
+    "base_check": Query("BORN KIND", lambda b, k: _fmt(base_check(b, k))),
+    "chain_check": Query("METRIC BORN delta RAT upto INT", lambda d, b, delta, n:
+                         _chain_text(chain_check(d, _schema_of(b), delta, n))),
+    "chain_search": Query("METRIC BORN upto INT", lambda d, b, n:
+                          _chain_text(chain_search(d, _schema_of(b), n))),
+    "uniform_chain": Query("METRIC BORN upto INT", lambda d, b, n:
+                           _chain_text(uniform_chain_check(d, _schema_of(b), n))),
+    "metrizable": Query("LINE BORN METRIC", _metrizable_text),
+    "strict_cont_refute": Query("MAP LINE LINE (FAMILY, ...)", _strict_cont_text),
+    "axiom_probe": Query("LINE", _axioms_text),
+    "initial_member": Query("maps(MAP, ...) borns(BORN, ...) SET", lambda fs, bs, a:
+                            _fmt(initial_bornology_member(list(fs), list(bs), a))),
+    "oracle_ess_finite": Query("FAMILY window INT INT SET max INT", _oracle_text),
+}
+
+GRAMMAR = _DECLARATIONS + """
+QUERIES (answers are printed one per line, in document order):
+""" + "".join(f"  query {name} {q.grammar}\n" for name, q in QUERIES.items())

@@ -11,12 +11,10 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Tuple
 
-from gtsreal import checkers, covers, oracles
 from gtsreal.checkers import (
     axiom_probe,
     base_check,
     chain_check,
-    chain_search,
     metrizable_verdict,
     proper_check,
     uniform_chain_check,
@@ -28,7 +26,6 @@ from gtsreal.covers import (
     ess_finite_on,
     finite_family,
     full_ring_closure,
-    locally_ess_finite,
     member_generated,
     members,
     restrict_family,
@@ -42,16 +39,15 @@ from gtsreal.lines import (
     NAT_BOUNDED,
     UB,
     UF_SMALL,
-    Bornology,
     acb_bornology,
     acb_member,
     admissible_battery,
-    bornology_member,
     cb_bornology,
     cb_member,
     cov_member,
     line,
     op_member,
+    probe_corpus,
     pt_of,
     sm_bornology,
     sm_member,
@@ -60,22 +56,14 @@ from gtsreal.lines import (
     weak_local_small_verdict,
 )
 from gtsreal.qmetric import EquivVerdict, metric, uniform_equiv_refute
+from gtsreal.queries import QUERIES
 from gtsreal.realset import (
-    EMPTY,
-    NEG_INF,
-    POS_INF,
     REALS,
-    Interval,
-    RealSet,
     TopologyKind,
     closed,
     closed_open,
-    interval,
-    open_closed,
     open_iv,
     point,
-    points,
-    with_tails,
 )
 
 SCHEMA_VERSION = "gtsreal-report-v1"
@@ -134,202 +122,6 @@ class Report:
         return "\n".join(out) + "\n"
 
 
-# ---------------------------------------------------------------------------
-# query evaluation
-# ---------------------------------------------------------------------------
-
-def _fmt(value) -> str:
-    if isinstance(value, bool):
-        return "true" if value else "false"
-    if isinstance(value, (RealSet, Fraction)):
-        return str(value)
-    if isinstance(value, (list, tuple)):
-        return "[" + ", ".join(_fmt(v) for v in value) + "]"
-    return str(value)
-
-
-def _eval_query(doc, kind: str, args: tuple, caps: Caps) -> str:
-    if kind == "normalize":
-        return str(args[0])
-    if kind == "boundedness":
-        b = args[0].boundedness()
-        return (f"bounded={_fmt(b.bounded)} above={_fmt(b.bounded_above)} "
-                f"below={_fmt(b.bounded_below)} finite={_fmt(b.finite)}")
-    if kind == "subset":
-        return _fmt(args[0].is_subset(args[1]))
-    if kind == "equal":
-        return _fmt(args[0] == args[1])
-    if kind == "contains":
-        return _fmt(args[0].contains_point(args[1]))
-    if kind == "sample":
-        a, lo, hi, step = args
-        pts = a.sample_points(Interval(lo, hi, True, True), step)
-        return _fmt(pts)
-    if kind == "closure":
-        return str(args[0].closure(args[1]))
-    if kind == "interior":
-        return str(args[0].interior(args[1]))
-    if kind == "eval":
-        return _fmt(args[0].eval(args[1], args[2]))
-    if kind == "ball":
-        return str(args[0].ball(args[1], args[2]))
-    if kind == "nbhd":
-        return str(args[0].nbhd(args[1], args[2]))
-    if kind == "bounded_set":
-        return _fmt(args[0].is_bounded_set(args[1]))
-    if kind == "topology_of":
-        return args[0].topology_of().value
-    if kind == "union_of":
-        return str(union_of(args[0]))
-    if kind == "members":
-        ms = members(args[0])
-        return "not finitely enumerable" if ms is None else _fmt(sorted(ms, key=str))
-    if kind == "ess_finite":
-        v = ess_finite(args[0])
-        return _verdict_text(v)
-    if kind == "ess_finite_on":
-        v = ess_finite_on(args[0], args[1])
-        return _verdict_text(v)
-    if kind == "locally_ess_finite":
-        return _fmt(locally_ess_finite(args[0]))
-    if kind == "full_ring":
-        y, gens = args
-        ring = full_ring_closure(list(gens), y)
-        return _fmt(ring)
-    if kind == "gen_topology":
-        return _fmt(covers.gen_topology(list(args[0])))
-    if kind == "gen_topology_member":
-        return _fmt(covers.gen_topology_member(list(args[0]), args[1]))
-    if kind == "ef_member":
-        return _fmt(covers.ef_member(args[0], args[1], args[2]))
-    if kind == "member_generated":
-        fam, coll_name, depth = args
-        got = member_generated(fam, doc.collections[coll_name], depth,
-                               GenCaps(depth_cap=max(8, depth)))
-        extra = " truncated" if got.truncated else ""
-        return f"found={_fmt(got.found)} depth={got.depth_used}{extra}"
-    if kind == "op_member":
-        return _fmt(op_member(args[0], args[1]))
-    if kind == "cov_member":
-        return _fmt(cov_member(args[0], args[1]))
-    if kind == "sm_member":
-        return _fmt(sm_member(args[0], args[1]))
-    if kind == "cb_member":
-        return _fmt(cb_member(args[0], args[1]))
-    if kind == "acb_member":
-        return _fmt(acb_member(args[0], args[1]))
-    if kind == "pt_of":
-        return str(pt_of(args[0]))
-    if kind == "bornology_member":
-        return _fmt(bornology_member(args[0], args[1]))
-    if kind == "proper_check":
-        b, t1, t2, n = args
-        got = proper_check(b, t1, t2, n)
-        if got.proper:
-            return "PROPER"
-        return f"IMPROPER at n={got.witness_index} closure={got.witness_closure}"
-    if kind == "base_check":
-        return _fmt(base_check(args[0], args[1]))
-    if kind == "chain_check":
-        d, b, delta, n = args
-        return _chain_text(chain_check(d, _schema_of(b), delta, n))
-    if kind == "chain_search":
-        d, b, n = args
-        return _chain_text(chain_search(d, _schema_of(b), n))
-    if kind == "uniform_chain":
-        d, b, n = args
-        return _chain_text(uniform_chain_check(d, _schema_of(b), n))
-    if kind == "metrizable":
-        l, b, d = args
-        got = metrizable_verdict(l, b, d, _default_probes())
-        if got.consistent:
-            return "CONSISTENT"
-        return f"INCONSISTENT part={got.failing_part}: {got.detail}"
-    if kind == "strict_cont_refute":
-        f, src, dst, battery = args
-        got = checkers.strict_cont_refute(f, src, dst, list(battery))
-        if got.verdict == "REFUTED":
-            return f"REFUTED witness={got.witness}"
-        notes = f" notes={'; '.join(got.notes)}" if got.notes else ""
-        return "UNREFUTED" + notes
-    if kind == "axiom_probe":
-        got = axiom_probe(args[0])
-        if got.passed:
-            return f"all pass ({got.checks} checks)"
-        return "violations: " + "; ".join(got.failures)
-    if kind == "initial_member":
-        maps, borns, a = args
-        return _fmt(checkers.initial_bornology_member(list(maps), list(borns), a))
-    if kind == "oracle_ess_finite":
-        fam, k0, k1, k_set, cap = args
-        from gtsreal.covers import Periodic
-        if isinstance(fam, Periodic):
-            lo = fam.index_range.lo
-            hi = fam.index_range.hi
-            lo = k0 if lo is None else max(lo, k0)
-            hi = k1 if hi is None else min(hi, k1)
-            trunc = [fam.member(k) for k in range(lo, hi + 1)]
-        else:
-            mats = members(fam)
-            if mats is None:
-                raise oracles.OracleRefusal("family is not finitely enumerable")
-            trunc = mats
-        got = oracles.oracle_ess_finite(trunc, k_set, cap, full_union=union_of(fam))
-        return _fmt(got)
-    raise ValueError(f"unhandled query kind {kind!r}")
-
-
-def _verdict_text(v) -> str:
-    if v.essentially_finite:
-        return f"essentially_finite witness_size={len(v.witness or ())}"
-    return f"not essentially finite: {v.obstruction}"
-
-
-def _chain_text(rep) -> str:
-    extra = f" delta={rep.delta_used}" if rep.delta_used is not None else ""
-    if rep.verdict == "fail_at":
-        return f"fail_at({rep.fail_index}) missing={rep.missing}{extra}"
-    return rep.summary()
-
-
-def _schema_of(b: Bornology):
-    sc = b.base_schema()
-    if sc is None:
-        raise covers.PreconditionError(f"{b} has no indexed base")
-    return sc
-
-
-_PROBES_CACHE = None
-
-
-def _default_probes() -> list[RealSet]:
-    global _PROBES_CACHE
-    if _PROBES_CACHE is None:
-        half = (Interval(Fraction(0), Fraction(1, 2), True, False),)
-        opat = (Interval(Fraction(0), Fraction(1, 2), False, False),)
-        ppat = (Interval(Fraction(0), Fraction(0), True, True),)
-        _PROBES_CACHE = [
-            EMPTY, point(0), points([0, 1, 2]), points([Fraction(-5), 3, Fraction(7, 2)]),
-            closed(0, 1), open_iv(0, 1), closed_open(0, 1), open_closed(0, 1),
-            closed(-2, 5), interval(NEG_INF, 0), interval(NEG_INF, 0, False, True),
-            interval(0, POS_INF), interval(0, POS_INF, True, False), REALS,
-            interval(NEG_INF, -1).union(open_iv(1, POS_INF)),
-            closed(0, 1).union(closed(2, 3)),
-            closed_open(0, 1).union(closed_open(2, 3)),
-            point(0).union(open_iv(1, 2)),
-            interval(NEG_INF, 0).union(point(1)),
-            with_tails(EMPTY, left=(ppat, Fraction(1), Fraction(0))),
-            with_tails(EMPTY, right=(ppat, Fraction(1), Fraction(1, 2))),
-            with_tails(EMPTY, left=(opat, Fraction(1), Fraction(0))),
-            with_tails(EMPTY, right=(half, Fraction(1), Fraction(0))),
-            with_tails(EMPTY, left=(half, Fraction(1), Fraction(0)),
-                       right=(half, Fraction(1), Fraction(0))),
-            with_tails(closed(-3, -2), right=(opat, Fraction(1), Fraction(0))),
-            with_tails(point(-4), left=(ppat, Fraction(2), Fraction(-5))),
-        ]
-    return _PROBES_CACHE
-
-
 def run(doc, caps: Caps = Caps()) -> Report:
     """Evaluate every query of a document; per-query errors become records,
     never aborts."""
@@ -337,8 +129,7 @@ def run(doc, caps: Caps = Caps()) -> Report:
     for i, (kind, args) in enumerate(doc.queries):
         ident = f"q{i:03d}"
         try:
-            detail = _eval_query(doc, kind, args, caps)
-            records.append(Record(ident, kind, "ok", detail))
+            records.append(Record(ident, kind, "ok", QUERIES[kind].run(*args)))
         except Exception as e:  # noqa: BLE001 - per-query isolation is the contract
             records.append(Record(ident, kind, "error", f"{type(e).__name__}: {e}"))
     return Report(caps, tuple(records))
@@ -620,7 +411,7 @@ def corpus_verify(caps: Caps = Caps(), sm_override=None) -> Report:
     """The flagship battery.  sm_override is a test-only hook mapping line
     names to corrupted Sm bornologies (negative-control fixture)."""
     records: list[Record] = []
-    probes = _default_probes()
+    probes = probe_corpus()
     _section_identities(records, probes, sm_override)
     _section_pt(records, probes)
     _section_subsumption(records, probes)

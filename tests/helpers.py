@@ -5,8 +5,8 @@ from __future__ import annotations
 import random
 from fractions import Fraction
 
+from gtsreal.lines import probe_corpus  # noqa: F401
 from gtsreal.realset import (
-    EMPTY,
     NEG_INF,
     POS_INF,
     Interval,
@@ -18,50 +18,6 @@ from gtsreal.realset import (
 
 GRID_WINDOW = Interval(Fraction(-8), Fraction(8), True, True)
 GRID_STEP = Fraction(1, 16)
-
-
-def probe_corpus():
-    """Fixed battery of >= 24 RealSets spanning the shapes the identity
-    tables discriminate: finite sets, bounded and unbounded intervals of all
-    flag combinations, half-lines, unions, and periodic-tail sets."""
-    from gtsreal.realset import (
-        REALS, closed, closed_open, interval, open_closed, open_iv, point,
-        points,
-    )
-
-    F12 = Fraction(1, 2)
-    half_open_pat = (Interval(Fraction(0), F12, True, False),)
-    open_pat = (Interval(Fraction(0), F12, False, False),)
-    point_pat = (Interval(Fraction(0), Fraction(0), True, True),)
-    return [
-        EMPTY,
-        point(0),
-        points([0, 1, 2]),
-        points([Fraction(-5), 3, Fraction(7, 2)]),
-        closed(0, 1),
-        open_iv(0, 1),
-        closed_open(0, 1),
-        open_closed(0, 1),
-        closed(-2, 5),
-        interval(NEG_INF, 0),
-        interval(NEG_INF, 0, False, True),
-        interval(0, POS_INF),
-        interval(0, POS_INF, True, False),
-        REALS,
-        interval(NEG_INF, -1).union(open_iv(1, POS_INF)),
-        closed(0, 1).union(closed(2, 3)),
-        closed_open(0, 1).union(closed_open(2, 3)),
-        point(0).union(open_iv(1, 2)),
-        interval(NEG_INF, 0).union(point(1)),
-        with_tails(EMPTY, left=(point_pat, Fraction(1), Fraction(0))),
-        with_tails(EMPTY, right=(point_pat, Fraction(1), F12)),
-        with_tails(EMPTY, left=(open_pat, Fraction(1), Fraction(0))),
-        with_tails(EMPTY, right=(half_open_pat, Fraction(1), Fraction(0))),
-        with_tails(EMPTY, left=(half_open_pat, Fraction(1), Fraction(0)),
-                   right=(half_open_pat, Fraction(1), Fraction(0))),
-        with_tails(closed(-3, -2), right=(open_pat, Fraction(1), Fraction(0))),
-        with_tails(point(-4), left=(point_pat, Fraction(2), Fraction(-5))),
-    ]
 
 
 def rand_fraction(rng: random.Random, lo=-6, hi=6, den=8) -> Fraction:

@@ -29,7 +29,6 @@ from gtsreal.lines import (
     UF_SMALL,
     BaseSchema,
     acb_member,
-    bornology_member,
     cb_member,
     cov_member,
     line,

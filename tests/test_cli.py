@@ -5,7 +5,7 @@ import pytest
 
 from gtsreal.cli import main
 from gtsreal.lines import FB
-from gtsreal.queries import GRAMMAR, ParseError, parse
+from gtsreal.queries import GRAMMAR, MAX_NESTING, QUERIES, ParseError, parse
 from gtsreal.report import Caps, corpus_verify, run
 
 
@@ -143,6 +143,21 @@ summary pass=52 fail=0 total=52
 """
 
 
+# Malformed documents that must exit 2 with a parse error, never a traceback.
+MALFORMED = {
+    "ends-inside-list": "set A = union(empty",
+    "ends-inside-breaks": "map M = pieces(breaks(1",
+    "ends-inside-schema": "bornology B = schema(closed ",
+    "reversed-interval": "set A = interval(closed 2, closed 1)",
+    "fan-side": "family F = fan(sideways, 0, 1)",
+    "zero-period": "family F = periodic(point 0, 0, all)",
+    "empty-span": "family F = periodic(point 0, 1, span 3 1)",
+    "zero-denominator": "set A = points(1, 1/0)",
+    "infinite-collection": "collection C = collection(periodic(point 0, 1, all))",
+    "deep-nesting": "set A = " + "complement(" * 3000 + "empty" + ")" * 3000,
+}
+
+
 class TestParse:
     def test_spec_example(self):
         doc = parse("set A = union(interval(closed 0, open 1), point 2); "
@@ -275,7 +290,26 @@ class TestCorpus:
 class TestMain:
     def test_print_grammar(self, capsys):
         assert main(["print-grammar"]) == 0
-        assert "SET:" in capsys.readouterr().out
+        out = capsys.readouterr().out
+        assert "SET:" in out
+        for name, q in QUERIES.items():
+            assert f"  query {name} {q.grammar}\n" in out
+
+    @pytest.mark.parametrize("text", MALFORMED.values(), ids=MALFORMED.keys())
+    def test_malformed_document_is_a_parse_error(self, tmp_path, capsys, text):
+        f = tmp_path / "bad.gts"
+        f.write_text(text, encoding="utf-8")
+        assert main(["eval", str(f)]) == 2
+        assert capsys.readouterr().err.startswith("parse error: ")
+
+    def test_nesting_up_to_the_limit_parses(self):
+        depth = MAX_NESTING - 1     # interval(...) is one more level
+        nest = "complement(" * depth + "interval(open 0, open 1)" + ")" * depth
+        inner = parse("set A = interval(open 0, open 1)").sets["A"]
+        assert parse("set A = " + nest).sets["A"] == \
+            (inner.complement() if depth % 2 else inner)
+        with pytest.raises(ParseError):
+            parse("set A = complement(" + nest + ")")
 
     def test_eval_file(self, tmp_path, capsys):
         f = tmp_path / "doc.gts"
@@ -310,4 +344,4 @@ class TestMain:
                      "eval", str(f)]) == 0
         assert out.read_text(encoding="utf-8") == ALL_KINDS_REPORT
         kinds = {line.split("|")[1] for line in ALL_KINDS_REPORT.splitlines()[2:-1]}
-        assert len(kinds) == 40
+        assert kinds == set(QUERIES)

@@ -72,6 +72,12 @@ class TestUnionOf:
         top = Periodic(interval(NEG_INF, 0), F(1), IndexRange(None, 5))
         assert union_of(top) == interval(NEG_INF, 5)
 
+    @pytest.mark.xfail(strict=True, reason="an open pattern piece exactly one period "
+                       "long is anchored as the full germ (realset._pattern_reduce_cached)")
+    def test_open_unit_translates_miss_the_integers(self):
+        got = union_of(Periodic(open_iv(0, 1), F(1)))
+        assert not any(got.contains_point(F(k)) for k in range(-8, 9))
+
 
 class TestEssFiniteOn:
     def test_periodic_on_bounded_k(self):

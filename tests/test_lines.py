@@ -24,8 +24,6 @@ from gtsreal.lines import (
     LineId,
     acb_member,
     admissible_battery,
-    bornology_base,
-    bornology_member,
     cb_member,
     cov_member,
     custom_bornology,
@@ -130,36 +128,36 @@ class TestCovMember:
 
 class TestBornologies:
     def test_spec_examples(self):
-        assert bornology_member(UB, interval(NEG_INF, 5, False, True))
+        assert UB.member(interval(NEG_INF, 5, False, True))
         tail = with_tails(EMPTY, right=((Interval(F(0), F(1, 2), True, False),),
                                         F(1), F(0)))
-        assert not bornology_member(NAT_BOUNDED, tail)
-        sc = bornology_base(FB)
+        assert not NAT_BOUNDED.member(tail)
+        sc = FB.base_schema()
         assert sc.element(2) == points([-2, -1, 0, 1, 2])
 
     def test_named_bases_monotone_and_inside(self):
         for b in (FB, ALL_SETS, NAT_BOUNDED, UB, LB,
                   metric_bounded(metric("d_n")), metric_bounded(metric("rho_u"))):
-            sc = bornology_base(b)
+            sc = b.base_schema()
             for n in range(0, 6):
                 e_n, e_next = sc.element(n), sc.element(n + 1)
                 assert e_n.is_subset(e_next)
-                assert bornology_member(b, e_n)
+                assert b.member(e_n)
 
     def test_uf_small_has_no_base(self):
-        assert bornology_base(UF_SMALL) is None
-        assert bornology_member(UF_SMALL, points([0, 1, 2]))
+        assert UF_SMALL.base_schema() is None
+        assert UF_SMALL.member(points([0, 1, 2]))
         left_points = with_tails(EMPTY, left=((Interval(F(0), F(0), True, True),),
                                               F(1), F(0)))
-        assert bornology_member(UF_SMALL, left_points)
-        assert not bornology_member(UF_SMALL, closed(0, 1))
-        assert not bornology_member(UF_SMALL, interval(NEG_INF, 0, False, True))
+        assert UF_SMALL.member(left_points)
+        assert not UF_SMALL.member(closed(0, 1))
+        assert not UF_SMALL.member(interval(NEG_INF, 0, False, True))
 
     def test_custom_schema(self):
         sc = BaseSchema(lo=(F(-1), F(-2)), hi=(F(1), F(2)))
         b = custom_bornology(sc)
-        assert bornology_member(b, closed(-100, 100))
-        assert not bornology_member(b, interval(0, POS_INF, True, False))
+        assert b.member(closed(-100, 100))
+        assert not b.member(interval(0, POS_INF, True, False))
         with pytest.raises(ConstructionError):
             BaseSchema(lo=(F(0), F(1)), hi=(F(0), F(1)))  # lower end grows
 
@@ -169,12 +167,12 @@ class TestBornologies:
         for b in borns:
             for a1 in PROBES:
                 for a2 in PROBES[:10]:
-                    if bornology_member(b, a2) and a1.is_subset(a2):
-                        assert bornology_member(b, a1)
-                    if bornology_member(b, a1) and bornology_member(b, a2):
-                        assert bornology_member(b, a1.union(a2))
-            assert bornology_member(b, point(7))
-            assert bornology_member(b, EMPTY)
+                    if b.member(a2) and a1.is_subset(a2):
+                        assert b.member(a1)
+                    if b.member(a1) and b.member(a2):
+                        assert b.member(a1.union(a2))
+            assert b.member(point(7))
+            assert b.member(EMPTY)
 
 
 class TestIdentityTables:
@@ -282,7 +280,7 @@ class TestInducedLineSmallness:
         from gtsreal.covers import ef_member
         l = line("standard/lst")
         for a in PROBES:
-            assert sm_member(l, a) == bornology_member(NAT_BOUNDED, a)
+            assert sm_member(l, a) == NAT_BOUNDED.member(a)
         for f in admissible_battery(l):
             assert ef_member(f, TopologyKind.NAT, NAT_BOUNDED) == cov_member(l, f)
         per = Periodic(open_iv(0, 2), F(1))
