@@ -143,6 +143,256 @@ summary pass=52 fail=0 total=52
 """
 
 
+# Nested family shapes (split of restricted, restricted of split, restricted
+# of restricted, restricted of fan, split of split, periodic families with
+# from/upto/span ranges) through every cover query, and the machine report
+# byte for byte.
+NESTED_FAMILIES_DOC = """\
+family SR = split(0, restricted(periodic(interval(open 0, open 2), 1, all), interval(open -5, open 5)), finite(interval(open -1, open 3), interval(open 2, open 4)))
+family RS = restricted(split(1/2, periodic(interval(open 0, open 3/2), 1, upto 3), periodic(interval(closed 0, open 1/2), 1/2, from -2)), interval(closed -3, closed 4))
+family RR = restricted(restricted(periodic(interval(open 0, open 2), 1, from 0), interval(closed 0, open 10)), interval(open 3, closed 20))
+family RF = restricted(fan(down, 0, 1), interval(open -inf, open 1/2))
+family RU = restricted(fan(up, 0, 1), interval(open 0, open 5))
+family PF = periodic(interval(open 0, open 3), 2, from -1)
+family PU = periodic(interval(open -1, open 1), 3/2, upto 2)
+family PS = periodic(interval(closed 0, open 1), 1, span -3 3)
+family NR = restricted(periodic(interval(open -inf, open 0), 1, all), interval(open -2, open 3))
+family SN = split(1, periodic(interval(open -inf, open 0), 1, upto 4), periodic(interval(open 0, open inf), 1, from -4))
+family RSU = restricted(split(0, periodic(interval(open 0, open 2), 1, all), fan(down, 2, 3)), interval(open -inf, open 5/2))
+family RRU = restricted(restricted(periodic(interval(open 0, open 2), 1, all), interval(open 0, open inf)), interval(open -inf, open 7))
+family SF = split(0, fan(up, -1, 0), finite(interval(open 0, open 1)))
+family SS = split(0, split(-2, finite(interval(open -5, open -1)), PF), RS)
+query union_of SR
+query union_of RS
+query union_of RR
+query union_of RF
+query union_of RU
+query union_of PF
+query union_of PU
+query union_of PS
+query union_of NR
+query union_of SN
+query union_of RSU
+query union_of RRU
+query members SR
+query members RS
+query members RR
+query members RF
+query members PF
+query members PS
+query members NR
+query members SN
+query members RRU
+query members restricted(PU, interval(closed -2, closed 2))
+query members restricted(periodic(interval(open 0, open inf), 1/2, from -3), interval(open -1, closed 1))
+query ess_finite SR
+query ess_finite RS
+query ess_finite RR
+query ess_finite RF
+query ess_finite RU
+query ess_finite PF
+query ess_finite PU
+query ess_finite PS
+query ess_finite NR
+query ess_finite SN
+query ess_finite RSU
+query ess_finite RRU
+query ess_finite_on SR interval(closed -4, closed 4)
+query ess_finite_on RS reals
+query ess_finite_on RR interval(open 2, open 30)
+query ess_finite_on RF interval(closed -1, closed 1/4)
+query ess_finite_on RU interval(closed 1/8, closed 2)
+query ess_finite_on RU interval(open 0, closed 2)
+query ess_finite_on PF interval(closed -10, closed 10)
+query ess_finite_on PU interval(closed -20, closed 20)
+query ess_finite_on PS interval(open -inf, closed 0)
+query ess_finite_on SN interval(closed -7, closed 9)
+query ess_finite_on SN interval(open -inf, closed 0)
+query ess_finite_on RSU interval(closed -3, closed 9/4)
+query ess_finite_on RRU interval(closed 1/2, closed 6)
+query ess_finite_on RRU tail(right, interval(closed 0, open 1/2), 1, 0)
+query locally_ess_finite SR
+query locally_ess_finite RS
+query locally_ess_finite RR
+query locally_ess_finite RF
+query locally_ess_finite RU
+query locally_ess_finite PF
+query locally_ess_finite SN
+query locally_ess_finite RSU
+query locally_ess_finite restricted(RSU, interval(open -inf, closed 2))
+query locally_ess_finite restricted(fan(up, 0, 1), interval(closed 1/2, open inf))
+query ef_member SR nat nat_bounded
+query ef_member RS nat fb
+query ef_member RR nat ub
+query ef_member RF nat nat_bounded
+query ef_member RF nat ub
+query ef_member RU nat nat_bounded
+query ef_member PF nat lb
+query ef_member PU nat ub
+query ef_member PS sorg_r all_sets
+query ef_member NR nat fb
+query ef_member SN nat ub
+query ef_member SN nat lb
+query ef_member RSU nat fb
+query ef_member RRU nat nat_bounded
+query ef_member RRU upper ub
+query ef_member finite(interval(open 0, open inf)) upper ub
+query cov_member standard/ut SR
+query cov_member standard/om RS
+query cov_member sorgenfrey/ut RS
+query cov_member standard/lom RR
+query cov_member standard/st RF
+query cov_member standard/lst RU
+query cov_member standard/l_plus_om PF
+query cov_member standard/l_minus_om PU
+query cov_member sorgenfrey/om PS
+query cov_member standard/rom NR
+query cov_member standard/uu SN
+query cov_member standard/lst RSU
+query cov_member standard/slom RRU
+query cov_member standard/ul restricted(periodic(interval(open 0, open inf), 1, all), interval(open -inf, open 3))
+query cov_member standard/uf restricted(periodic(interval(open 0, open inf), 1, all), interval(open -inf, open 3))
+query cov_member standard/ut restricted(periodic(interval(open 0, open 1), 1/2, all), interval(open 0, open inf))
+query cov_member standard/ut restricted(periodic(interval(open 0, open 1), 1/2, all), interval(closed 1, open inf))
+query cov_member sorgenfrey/ut restricted(periodic(interval(closed 0, open 1), 1/2, all), interval(closed 1, open 8))
+query union_of SF
+query union_of SS
+query members SS
+query members restricted(SF, interval(open 0, open 2))
+query ess_finite SF
+query ess_finite SS
+query ess_finite_on SF interval(closed -1/2, closed 1/2)
+query ess_finite_on SS interval(closed -6, closed 6)
+query locally_ess_finite SF
+query locally_ess_finite restricted(SF, interval(open -1/2, open 1/2))
+query ef_member SF nat nat_bounded
+query ef_member SF nat ub
+query ef_member SS nat nat_bounded
+query cov_member standard/lst SF
+query cov_member standard/lom restricted(SF, interval(open -1/2, open 1/2))
+query cov_member standard/om SS
+query oracle_ess_finite PF window -3 3 interval(closed 0, closed 4) max 8
+query oracle_ess_finite PU window -3 3 interval(closed 0, closed 4) max 8
+"""
+
+NESTED_FAMILIES_REPORT = """\
+gtsreal-report-v1
+caps chain=64 depth=4 oracle=8
+q000|union_of|ok|(-5, 4)
+q001|union_of|ok|[-3, 4]
+q002|union_of|ok|(3, 10)
+q003|union_of|ok|(-inf, 1/2)
+q004|union_of|ok|(0, 5)
+q005|union_of|ok|(-2, +inf)
+q006|union_of|ok|(-inf, 4)
+q007|union_of|ok|[-3, 4)
+q008|union_of|ok|(-2, 3)
+q009|union_of|ok|(-inf, +inf)
+q010|union_of|ok|(-inf, 5/2)
+q011|union_of|ok|(0, 7)
+q012|members|ok|[(-1, 0), (-2, 0), (-3, -1), (-4, -2), (-5, -3), (-5, -4), (2, 4), [0, 3)]
+q013|members|ok|[(-1, 1/2), (-2, -1/2), (-3, -3/2), (0, 1/2), [-3, -5/2), [1, 3/2), [1/2, 1), [2, 5/2), [3, 7/2), [3/2, 2), [5/2, 3), [7/2, 4), {4}]
+q014|members|ok|[(3, 4), (3, 5), (4, 6), (5, 7), (6, 8), (7, 9), (8, 10), (9, 10)]
+q015|members|ok|not finitely enumerable
+q016|members|ok|not finitely enumerable
+q017|members|ok|[[-1, 0), [-2, -1), [-3, -2), [0, 1), [1, 2), [2, 3), [3, 4)]
+q018|members|ok|[(-2, -1), (-2, 0), (-2, 1), (-2, 2), (-2, 3)]
+q019|members|ok|not finitely enumerable
+q020|members|ok|[(0, 1), (0, 2), (1, 3), (2, 4), (3, 5), (4, 6), (5, 7), (6, 7)]
+q021|members|ok|[(-1, 1), (1/2, 2], [-2, -1/2)]
+q022|members|ok|[(-1, 1], (-1/2, 1], (0, 1], (1/2, 1]]
+q023|ess_finite|ok|essentially_finite witness_size=8
+q024|ess_finite|ok|essentially_finite witness_size=13
+q025|ess_finite|ok|essentially_finite witness_size=8
+q026|ess_finite|ok|essentially_finite witness_size=1
+q027|ess_finite|ok|not essentially finite: trace accumulates at 0 but every ray stops short of it
+q028|ess_finite|ok|not essentially finite: trace K n UF is unbounded while every member is bounded
+q029|ess_finite|ok|not essentially finite: trace K n UF is unbounded while every member is bounded
+q030|ess_finite|ok|essentially_finite witness_size=7
+q031|ess_finite|ok|essentially_finite witness_size=1
+q032|ess_finite|ok|essentially_finite witness_size=2
+q033|ess_finite|ok|not essentially finite: trace K n UF is unbounded while every member is bounded
+q034|ess_finite|ok|essentially_finite witness_size=8
+q035|ess_finite_on|ok|essentially_finite witness_size=8
+q036|ess_finite_on|ok|essentially_finite witness_size=13
+q037|ess_finite_on|ok|essentially_finite witness_size=8
+q038|ess_finite_on|ok|essentially_finite witness_size=1
+q039|ess_finite_on|ok|essentially_finite witness_size=1
+q040|ess_finite_on|ok|not essentially finite: trace accumulates at 0 but every ray stops short of it
+q041|ess_finite_on|ok|essentially_finite witness_size=8
+q042|ess_finite_on|ok|essentially_finite witness_size=18
+q043|ess_finite_on|ok|essentially_finite witness_size=7
+q044|ess_finite_on|ok|essentially_finite witness_size=2
+q045|ess_finite_on|ok|essentially_finite witness_size=1
+q046|ess_finite_on|ok|essentially_finite witness_size=7
+q047|ess_finite_on|ok|essentially_finite witness_size=8
+q048|ess_finite_on|ok|essentially_finite witness_size=8
+q049|locally_ess_finite|ok|true
+q050|locally_ess_finite|ok|true
+q051|locally_ess_finite|ok|true
+q052|locally_ess_finite|ok|true
+q053|locally_ess_finite|ok|false
+q054|locally_ess_finite|ok|true
+q055|locally_ess_finite|ok|true
+q056|locally_ess_finite|ok|true
+q057|locally_ess_finite|ok|true
+q058|locally_ess_finite|ok|true
+q059|ef_member|error|PreconditionError: family member [0, 3) is outside L
+q060|ef_member|error|PreconditionError: family member [-3, -5/2) is outside L
+q061|ef_member|ok|true
+q062|ef_member|ok|true
+q063|ef_member|ok|true
+q064|ef_member|ok|false
+q065|ef_member|ok|false
+q066|ef_member|ok|false
+q067|ef_member|ok|true
+q068|ef_member|ok|true
+q069|ef_member|error|PreconditionError: family member [1, +inf) is outside L
+q070|ef_member|error|PreconditionError: family member [1, +inf) is outside L
+q071|ef_member|error|PreconditionError: family member [0, 5/2) is outside L
+q072|ef_member|ok|true
+q073|ef_member|error|PreconditionError: family member (0, 1) is outside L
+q074|ef_member|error|PreconditionError: family member (0, +inf) is outside L
+q075|cov_member|ok|false
+q076|cov_member|ok|false
+q077|cov_member|ok|false
+q078|cov_member|ok|true
+q079|cov_member|ok|true
+q080|cov_member|ok|false
+q081|cov_member|ok|true
+q082|cov_member|ok|true
+q083|cov_member|ok|true
+q084|cov_member|ok|true
+q085|cov_member|ok|false
+q086|cov_member|ok|false
+q087|cov_member|ok|true
+q088|cov_member|ok|false
+q089|cov_member|ok|false
+q090|cov_member|ok|true
+q091|cov_member|ok|false
+q092|cov_member|ok|true
+q093|union_of|ok|(-1, 0) u (0, 1)
+q094|union_of|ok|(-5, -2) u (-2, 4]
+q095|members|ok|[(-2, 0), (-5, -2), (0, 1/2), [0, 1/2), [1, 3/2), [1/2, 1), [2, 5/2), [3, 7/2), [3/2, 2), [5/2, 3), [7/2, 4), {4}]
+q096|members|ok|[(0, 1)]
+q097|ess_finite|ok|not essentially finite: trace accumulates at -1 but every ray stops short of it
+q098|ess_finite|ok|essentially_finite witness_size=12
+q099|ess_finite_on|ok|essentially_finite witness_size=2
+q100|ess_finite_on|ok|essentially_finite witness_size=12
+q101|locally_ess_finite|ok|false
+q102|locally_ess_finite|ok|true
+q103|ef_member|ok|false
+q104|ef_member|ok|false
+q105|ef_member|error|PreconditionError: family member [0, 1/2) is outside L
+q106|cov_member|ok|false
+q107|cov_member|ok|true
+q108|cov_member|ok|false
+q109|oracle_ess_finite|ok|true
+q110|oracle_ess_finite|ok|true
+summary pass=103 fail=8 total=111
+"""
+
+
 # Malformed documents that must exit 2 with a parse error, never a traceback.
 MALFORMED = {
     "ends-inside-list": "set A = union(empty",
@@ -345,3 +595,12 @@ class TestMain:
         assert out.read_text(encoding="utf-8") == ALL_KINDS_REPORT
         kinds = {line.split("|")[1] for line in ALL_KINDS_REPORT.splitlines()[2:-1]}
         assert kinds == set(QUERIES)
+
+    def test_nested_families_golden_report(self, tmp_path):
+        f = tmp_path / "nested.gts"
+        f.write_text(NESTED_FAMILIES_DOC, encoding="utf-8")
+        out = tmp_path / "report.txt"
+        # the ef_member precondition errors make the exit code 1
+        assert main(["--format", "machine", "--report", str(out),
+                     "eval", str(f)]) == 1
+        assert out.read_text(encoding="utf-8") == NESTED_FAMILIES_REPORT
