@@ -2,10 +2,15 @@
 
 A family is Finite, Periodic (translates of a seed), a Split along a cut
 point, a Restricted view of another family, or a dense Fan of rays.
-Periodic seeds are either bounded (all members are translates of one
-bounded set) or a single half-line (the members are nested rays); these
-shapes give exact closed forms for every essential-finiteness question the
-corpus asks.
+Every decision reads a family in one normal form, a tuple of (base, window)
+pieces whose union is the family: the base is a FiniteFamily, Periodic or
+Fan, and every member of the base is clipped to the window (None for an
+unrestricted piece).  A Split gives one piece per side of its cut and nested
+Restricted windows intersect, so each decision handles the three base
+shapes once.  Periodic seeds are either bounded (all members are translates
+of one bounded set) or a single half-line (the members are nested rays);
+these shapes give exact closed forms for every essential-finiteness
+question the corpus asks.
 
 Essential countability needs no operator here: every representable family
 is countable (finitely many members, integer-indexed translates, or
@@ -16,6 +21,7 @@ families is uniformly true and is recorded rather than implemented.
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Iterable, Optional, Sequence, Tuple, Union
@@ -28,6 +34,11 @@ from gtsreal.realset import (
     ConstructionError,
     RealSet,
     TopologyKind,
+    _assemble,
+    _lcm_frac,
+    _pattern_reduce,
+    _periodize,
+    _translate_range,
     interval,
 )
 
@@ -61,6 +72,14 @@ class IndexRange:
         if not self.is_finite:
             raise ConstructionError("cannot enumerate an infinite index range")
         return range(self.lo, self.hi + 1)
+
+    def clamp(self, k_lo: int, k_hi: int) -> range:
+        """The indices of this range between k_lo and k_hi inclusive."""
+        if self.lo is not None:
+            k_lo = max(k_lo, self.lo)
+        if self.hi is not None:
+            k_hi = min(k_hi, self.hi)
+        return range(k_lo, k_hi + 1)
 
     def __str__(self):
         if self.lo is None and self.hi is None:
@@ -163,8 +182,8 @@ class Fan:
         if not self.lo < self.hi:
             raise ConstructionError("fan needs lo < hi")
 
-    def sample_member(self) -> RealSet:
-        q = (self.lo + self.hi) / 2
+    def member(self, q: Fraction) -> RealSet:
+        """The ray ending (side "down") or starting (side "up") at q."""
         if self.side == "down":
             return interval(NEG_INF, q)
         return interval(q, POS_INF)
@@ -195,33 +214,63 @@ class EssFinVerdict:
 
 
 # ---------------------------------------------------------------------------
+# the normal form: (base, window) pieces
+# ---------------------------------------------------------------------------
+
+Piece = Tuple[Union[FiniteFamily, Periodic, Fan], Optional[RealSet]]
+
+
+def _pieces(f: FamilySpec, window: Optional[RealSet] = None) -> Tuple[Piece, ...]:
+    """The normal form of f: (base, window) pieces whose union is f.
+
+    A Split gives one piece per side of its cut, nested Restricted windows
+    intersect, and a piece with window None is unrestricted."""
+    if isinstance(f, Split):
+        lw, rw = f.windows()
+        return _pieces(f.left, _meet(window, lw)) + _pieces(f.right, _meet(window, rw))
+    if isinstance(f, Restricted):
+        return _pieces(f.base, _meet(window, f.window))
+    if isinstance(f, (FiniteFamily, Periodic, Fan)):
+        return ((f, window),)
+    raise TypeError(f)
+
+
+def _meet(window: Optional[RealSet], w: RealSet) -> RealSet:
+    return w if window is None else window.intersect(w)
+
+
+def _clip_all(sets: Iterable[RealSet], w: Optional[RealSet]) -> list[RealSet]:
+    """The nonempty traces of sets on the window w (None: no window)."""
+    if w is not None:
+        sets = (m.intersect(w) for m in sets)
+    return [m for m in sets if not m.is_empty]
+
+
+# ---------------------------------------------------------------------------
 # unions and enumeration
 # ---------------------------------------------------------------------------
 
 def union_of(f: FamilySpec) -> RealSet:
     """Exact union of all members."""
-    if isinstance(f, FiniteFamily):
-        out = EMPTY
-        for m in f.members_tuple:
-            out = out.union(m)
-        return out
-    if isinstance(f, Periodic):
-        return _periodic_union(f)
-    if isinstance(f, Split):
-        lw, rw = f.windows()
-        return union_of(f.left).intersect(lw).union(union_of(f.right).intersect(rw))
-    if isinstance(f, Restricted):
-        return union_of(f.base).intersect(f.window)
-    if isinstance(f, Fan):
-        if f.side == "down":
-            return interval(NEG_INF, f.hi)
-        return interval(f.lo, POS_INF)
-    raise TypeError(f)
+    out = None
+    for base, w in _pieces(f):
+        if isinstance(base, FiniteFamily):
+            u = EMPTY
+            for m in base.members_tuple:
+                u = u.union(m)
+        elif isinstance(base, Periodic):
+            u = _periodic_union(base)
+        elif base.side == "down":
+            u = interval(NEG_INF, base.hi)
+        else:
+            u = interval(base.lo, POS_INF)
+        if w is not None:
+            u = u.intersect(w)
+        out = u if out is None else out.union(u)
+    return out
 
 
 def _periodic_union(f: Periodic) -> RealSet:
-    from gtsreal.realset import _assemble, _pattern_reduce
-
     rng, p = f.index_range, f.period
     kind = f.seed_kind
     if kind == "nested_up":
@@ -243,103 +292,57 @@ def _periodic_union(f: Periodic) -> RealSet:
     if rng.lo is None and rng.hi is None:
         lo_w = lo_v - 2 * p - span - 2
         hi_w = hi_v + 2 * p + span + 2
-        window = _materialize_occurrences(f, lo_w, hi_w)
-        return _assemble(window, germ, germ, lo_w, hi_w)
-    if rng.hi is None:  # from(k0): periodic to the right
+        lgerm = rgerm = germ
+    elif rng.hi is None:  # from(k0): periodic to the right
         lo_w = lo_v + rng.lo * p - 1
         hi_w = lo_w + span + 4 * p + 2
-        window = _materialize_occurrences(f, lo_w, hi_w)
-        return _assemble(window, ("empty",), germ, lo_w, hi_w)
-    hi_w = hi_v + rng.hi * p + 1
-    lo_w = hi_w - span - 4 * p - 2
-    window = _materialize_occurrences(f, lo_w, hi_w)
-    return _assemble(window, germ, ("empty",), lo_w, hi_w)
+        lgerm, rgerm = ("empty",), germ
+    else:
+        hi_w = hi_v + rng.hi * p + 1
+        lo_w = hi_w - span - 4 * p - 2
+        lgerm, rgerm = germ, ("empty",)
+    window = _periodize(f.seed.core, p, lo_w, hi_w, rng.lo, rng.hi)
+    return _assemble(window, lgerm, rgerm, lo_w, hi_w)
 
 
-def _materialize_occurrences(f: Periodic, lo: Fraction, hi: Fraction):
-    from gtsreal.realset import merge_intervals, _clip
-
-    lo_v, hi_v = f.seed.core[0].lo, f.seed.core[-1].hi
-    p = f.period
-    import math
-    k_lo = math.floor((lo - hi_v) / p) - 1
-    k_hi = math.ceil((hi - lo_v) / p) + 1
-    if f.index_range.lo is not None:
-        k_lo = max(k_lo, f.index_range.lo)
-    if f.index_range.hi is not None:
-        k_hi = min(k_hi, f.index_range.hi)
-    out = []
-    for k in range(k_lo, k_hi + 1):
-        for iv in f.seed.core:
-            out.append(iv.shift(k * p))
-    return _clip(merge_intervals(out), lo, hi)
+def _translate_span(f: Periodic, lo: Fraction, hi: Fraction) -> Tuple[int, int]:
+    """(k_lo, k_hi), before clamping to the index range, such that every
+    member k outside it meets [lo, hi] trivially: not at all for a bounded
+    seed, in the whole of [lo, hi] or not at all for nested rays."""
+    if f.seed_kind == "bounded":
+        return _translate_range(f.seed.core, f.period, lo, hi)
+    edge = f.seed.core[0].hi if f.seed_kind == "nested_up" else f.seed.core[0].lo
+    return (math.floor((lo - edge) / f.period) - 2,
+            math.ceil((hi - edge) / f.period) + 2)
 
 
 def members(f: FamilySpec) -> Optional[list[RealSet]]:
     """Distinct nonempty members, or None when not finitely enumerable."""
-    if isinstance(f, Fan):
+    out = []
+    for base, w in _pieces(f):
+        got = _piece_members(base, w)
+        if got is None:
+            return None
+        out += got
+    return _dedupe(out)
+
+
+def _piece_members(base, w: Optional[RealSet]) -> Optional[list[RealSet]]:
+    """Nonempty members of one piece, or None when not finitely enumerable."""
+    if w is not None and w.is_empty:
+        return []
+    if isinstance(base, FiniteFamily):
+        return _clip_all(base.members_tuple, w)
+    if isinstance(base, Fan):
         return None
-    if isinstance(f, FiniteFamily):
-        return _dedupe(m for m in f.members_tuple if not m.is_empty)
-    if isinstance(f, Periodic):
-        if f.index_range.is_finite:
-            return _dedupe(f.member(k) for k in f.index_range.indices())
+    rng = base.index_range
+    if rng.is_finite:
+        ks = rng.indices()
+    elif w is None or not w.boundedness().bounded:
         return None
-    if isinstance(f, Split):
-        lw, rw = f.windows()
-        lm = members(Restricted(f.left, lw))
-        rm = members(Restricted(f.right, rw))
-        if lm is None or rm is None:
-            return None
-        return _dedupe(lm + rm)
-    if isinstance(f, Restricted):
-        base, w = f.base, f.window
-        if w.is_empty:
-            return []
-        if isinstance(base, Fan):
-            return None
-        if isinstance(base, Restricted):
-            return members(Restricted(base.base, base.window.intersect(w)))
-        if isinstance(base, Split):
-            lw, rw = base.windows()
-            lm = members(Restricted(base.left, lw.intersect(w)))
-            rm = members(Restricted(base.right, rw.intersect(w)))
-            if lm is None or rm is None:
-                return None
-            return _dedupe(lm + rm)
-        if isinstance(base, FiniteFamily):
-            return _dedupe(m.intersect(w) for m in base.members_tuple
-                           if not m.intersect(w).is_empty)
-        # Periodic base
-        if base.index_range.is_finite:
-            return _dedupe(m for m in (base.member(k).intersect(w)
-                                       for k in base.index_range.indices())
-                           if not m.is_empty)
-        wb = w.boundedness()
-        if not wb.bounded:
-            return None
-        import math
-        lo_w, hi_w = w.inf_value(), w.sup_value()
-        p = base.period
-        if base.seed_kind == "bounded":
-            lo_v, hi_v = base.seed.core[0].lo, base.seed.core[-1].hi
-            k_lo = math.floor((lo_w - hi_v) / p) - 1
-            k_hi = math.ceil((hi_w - lo_v) / p) + 1
-        else:
-            # nested rays: outside this k-window the restriction saturates to
-            # the empty set or to the full restricted trace, both of which the
-            # window's extreme translates already realize
-            edge = base.seed.core[0].hi if base.seed_kind == "nested_up" \
-                else base.seed.core[0].lo
-            k_lo = math.floor((lo_w - edge) / p) - 2
-            k_hi = math.ceil((hi_w - edge) / p) + 2
-        if base.index_range.lo is not None:
-            k_lo = max(k_lo, base.index_range.lo)
-        if base.index_range.hi is not None:
-            k_hi = min(k_hi, base.index_range.hi)
-        got = [base.member(k).intersect(w) for k in range(k_lo, k_hi + 1)]
-        return _dedupe(g for g in got if not g.is_empty)
-    raise TypeError(f)
+    else:
+        ks = rng.clamp(*_translate_span(base, w.inf_value(), w.sup_value()))
+    return _clip_all((base.member(k) for k in ks), w)
 
 
 def _dedupe(items) -> list[RealSet]:
@@ -368,33 +371,19 @@ def ess_finite_on(f: FamilySpec, k_set: RealSet) -> EssFinVerdict:
 
 
 def _essfin(f: FamilySpec, k_set: RealSet) -> EssFinVerdict:
-    if isinstance(f, FiniteFamily):
-        return EssFinVerdict(True, tuple(f.members_tuple))
-    if isinstance(f, Periodic):
-        return _essfin_periodic(f, k_set)
-    if isinstance(f, Split):
-        lw, rw = f.windows()
-        lv = _essfin(Restricted(f.left, lw), k_set.intersect(lw))
-        if not lv:
-            return lv
-        rv = _essfin(Restricted(f.right, rw), k_set.intersect(rw))
-        if not rv:
-            return rv
-        return EssFinVerdict(True, tuple(lv.witness or ()) + tuple(rv.witness or ()))
-    if isinstance(f, Restricted):
-        return _essfin_restricted(f, k_set)
-    if isinstance(f, Fan):
-        return _essfin_fan(f, k_set)
-    raise TypeError(f)
-
-
-def _essfin_restricted(f: Restricted, k_set: RealSet) -> EssFinVerdict:
-    sub = _essfin(f.base, k_set.intersect(f.window))
-    if not sub:
-        return EssFinVerdict(False, None, sub.obstruction)
-    wit = tuple(m.intersect(f.window) for m in (sub.witness or ()))
-    wit = tuple(m for m in wit if not m.is_empty)
-    return EssFinVerdict(True, wit)
+    """f is essentially finite on k_set iff every piece is essentially finite
+    on k_set n window; the witness is the union of the clipped witnesses."""
+    witness = []
+    for base, w in _pieces(f):
+        if isinstance(base, FiniteFamily):
+            v = EssFinVerdict(True, base.members_tuple)
+        else:
+            k = k_set if w is None else k_set.intersect(w)
+            v = _essfin_periodic(base, k) if isinstance(base, Periodic) else _essfin_fan(base, k)
+            if not v:
+                return v
+        witness += v.witness if w is None else _clip_all(v.witness, w)
+    return EssFinVerdict(True, tuple(witness))
 
 
 def _essfin_periodic(f: Periodic, k_set: RealSet) -> EssFinVerdict:
@@ -412,7 +401,8 @@ def _essfin_periodic(f: Periodic, k_set: RealSet) -> EssFinVerdict:
             return EssFinVerdict(
                 False, None,
                 "trace K n UF is unbounded while every member is bounded")
-        return EssFinVerdict(True, _covering_occurrences(f, trace))
+        ks = rng.clamp(*_translate_span(f, trace.inf_value(), trace.sup_value()))
+        return EssFinVerdict(True, tuple(f.member(k) for k in ks))
     if kind == "nested_up":
         if rng.hi is not None:
             return EssFinVerdict(True, (f.member(rng.hi),))
@@ -431,22 +421,7 @@ def _essfin_periodic(f: Periodic, k_set: RealSet) -> EssFinVerdict:
     return EssFinVerdict(True, (_nested_cover(f, trace, up=False),))
 
 
-def _covering_occurrences(f: Periodic, trace: RealSet) -> Tuple[RealSet, ...]:
-    import math
-    m, mm = trace.inf_value(), trace.sup_value()
-    lo_v, hi_v = f.seed.core[0].lo, f.seed.core[-1].hi
-    p = f.period
-    k_lo = math.floor((m - hi_v) / p) - 1
-    k_hi = math.ceil((mm - lo_v) / p) + 1
-    if f.index_range.lo is not None:
-        k_lo = max(k_lo, f.index_range.lo)
-    if f.index_range.hi is not None:
-        k_hi = min(k_hi, f.index_range.hi)
-    return tuple(f.member(k) for k in range(k_lo, k_hi + 1))
-
-
 def _nested_cover(f: Periodic, trace: RealSet, up: bool) -> RealSet:
-    import math
     p = f.period
     if up:
         edge = f.seed.core[0].hi
@@ -472,15 +447,13 @@ def _essfin_fan(f: Fan, k_set: RealSet) -> EssFinVerdict:
             return EssFinVerdict(
                 False, None,
                 f"trace accumulates at {f.hi} but every ray stops short of it")
-        q = (max(f.lo, s) + f.hi) / 2
-        return EssFinVerdict(True, (interval(NEG_INF, q),))
+        return EssFinVerdict(True, (f.member((max(f.lo, s) + f.hi) / 2),))
     s = trace.inf_value()
     if s <= f.lo:
         return EssFinVerdict(
             False, None,
             f"trace accumulates at {f.lo} but every ray stops short of it")
-    q = (f.lo + min(f.hi, s)) / 2
-    return EssFinVerdict(True, (interval(q, POS_INF),))
+    return EssFinVerdict(True, (f.member((f.lo + min(f.hi, s)) / 2),))
 
 
 def ess_finite(f: FamilySpec) -> EssFinVerdict:
@@ -489,33 +462,16 @@ def ess_finite(f: FamilySpec) -> EssFinVerdict:
 
 def locally_ess_finite(f: FamilySpec) -> bool:
     """Every point has an open-interval neighborhood on which f is
-    essentially finite.  True for every representable family shape: finite
-    families trivially, bounded-seed translates because a bounded window
-    meets finitely many members, nested rays because one member covers any
-    bounded window's trace; Split/Restricted reduce componentwise (the cut
-    point is covered by intersecting the two component neighborhoods)."""
-    if isinstance(f, (FiniteFamily, Periodic)):
-        return True
-    if isinstance(f, Fan):
-        # fails exactly at the accumulation bound
-        return False
-    if isinstance(f, Split):
-        lw, rw = f.windows()
-        return locally_ess_finite(Restricted(f.left, lw)) and \
-            locally_ess_finite(Restricted(f.right, rw))
-    if isinstance(f, Restricted):
-        base, w = f.base, f.window
-        if isinstance(base, (FiniteFamily, Periodic)):
-            return True
-        if isinstance(base, Fan):
-            # non-lef only when the window accumulates at the fan bound
-            return _essfin(f, REALS).essentially_finite
-        if isinstance(base, Split):
-            lw, rw = base.windows()
-            return locally_ess_finite(Restricted(base.left, lw.intersect(w))) and \
-                locally_ess_finite(Restricted(base.right, rw.intersect(w)))
-        return locally_ess_finite(Restricted(base.base, base.window.intersect(w)))
-    raise TypeError(f)
+    essentially finite.  Finite pieces qualify trivially, bounded-seed
+    translates because a bounded window meets finitely many members, nested
+    rays because one member covers any bounded window's trace; the cut of a
+    Split is covered by intersecting the neighborhoods of its two pieces.  A
+    fan fails at its accumulation bound, so a fan piece qualifies only when
+    its window stays away from that bound."""
+    for base, w in _pieces(f):
+        if isinstance(base, Fan) and (w is None or not _essfin_fan(base, w)):
+            return False
+    return True
 
 
 def restrict_family(f: FamilySpec, y: RealSet) -> FamilySpec:
@@ -524,15 +480,7 @@ def restrict_family(f: FamilySpec, y: RealSet) -> FamilySpec:
         return f
     if isinstance(f, FiniteFamily):
         return finite_family(m.intersect(y) for m in f.members_tuple)
-    if isinstance(f, Periodic):
-        return Restricted(f, y)
-    if isinstance(f, Split):
-        return Split(f.cut, restrict_family(f.left, y), restrict_family(f.right, y))
-    if isinstance(f, Restricted):
-        return Restricted(f.base, f.window.intersect(y))
-    if isinstance(f, Fan):
-        return Restricted(f, y)
-    raise TypeError(f)
+    return Restricted(f, y)
 
 
 # ---------------------------------------------------------------------------
@@ -593,52 +541,71 @@ def _as_member_pred(l_pred) -> Callable[[RealSet], bool]:
     return lambda a: a in pool
 
 
-def _family_members_ok(f: FamilySpec, pred) -> Optional[RealSet]:
-    """None when every member satisfies pred; otherwise a violating member.
+def violating_member(f: FamilySpec, pred) -> Optional[RealSet]:
+    """None when every member of f satisfies pred; otherwise a member that
+    does not.
 
-    Infinite periodic families are checked on a window of translates: the
-    member predicates used here are translation-stable, so the seed member
-    decides for all of them.  Fan members all share one shape."""
-    if isinstance(f, Fan):
-        probe = f.sample_member()
-        return None if pred(probe) else probe
-    mats = members(f)
-    if mats is not None:
-        for m in mats:
+    Finitely enumerable pieces are checked member by member.  Otherwise pred
+    must be translation-stable and see only the shape of a set, as the open
+    tests of every line are: then one member decides an unrestricted
+    periodic or fan piece, and a windowed piece is decided by the members
+    listed in `_periodic_probes` and `_fan_probes`."""
+    for base, w in _pieces(f):
+        got = _piece_members(base, w)
+        if got is None:
+            got = _fan_probes(base, w) if isinstance(base, Fan) else _periodic_probes(base, w)
+        for m in got:
             if not pred(m):
                 return m
-        return None
-    if isinstance(f, Periodic):
-        k0 = f.index_range.lo if f.index_range.lo is not None else 0
-        probe = f.member(k0)
-        return None if pred(probe) else probe
-    if isinstance(f, Split):
-        lw, rw = f.windows()
-        return _family_members_ok(Restricted(f.left, lw), pred) or \
-            _family_members_ok(Restricted(f.right, rw), pred)
-    if isinstance(f, Restricted):
-        base, w = f.base, f.window
-        if isinstance(base, Fan):
-            got = base.sample_member().intersect(w)
-            if not got.is_empty and not pred(got):
-                return got
-            return None
-        if isinstance(base, Periodic):
-            k0 = base.index_range.lo if base.index_range.lo is not None else -4
-            k1 = base.index_range.hi if base.index_range.hi is not None else 4
-            for k in range(k0, min(k1, k0 + 9) + 1):
-                got = base.member(k).intersect(w)
-                if not got.is_empty and not pred(got):
-                    return got
-            return None
-        if isinstance(base, Split):
-            lw, rw = base.windows()
-            return _family_members_ok(Restricted(base.left, lw.intersect(w)), pred) or \
-                _family_members_ok(Restricted(base.right, rw.intersect(w)), pred)
-        if isinstance(base, Restricted):
-            return _family_members_ok(Restricted(base.base, base.window.intersect(w)), pred)
-        raise TypeError(f)
-    raise TypeError(f)
+    return None
+
+
+def _periodic_probes(f: Periodic, w: Optional[RealSet]) -> list[RealSet]:
+    """Members of f n w that decide a shape predicate for all of them.
+
+    Without a window all members are translates of each other, so one
+    decides.  Between two consecutive finite endpoints of w (core endpoints
+    and tail cuts) a member that meets neither is a whole translate or empty
+    (bounded seed) or has one shape (nested rays), so the members that meet
+    an endpoint, plus the first in each gap, decide that part.  Past the
+    last endpoint on either side w is empty, full or periodic, and member
+    k + r repeats the shapes of member k, where r * f.period is a common
+    period of f and that side of w; two such runs are probed."""
+    rng = f.index_range
+    if w is None:
+        return [f.member(rng.lo if rng.lo is not None else 0)]
+    pts = w._finite_endpoints() or [Fraction(0)]
+    ks = {k for k in (rng.lo, rng.hi) if k is not None}
+    for e in pts:
+        ks.update(rng.clamp(*_translate_span(f, e, e)))
+
+    def reps(germ) -> int:
+        if germ[0] != "per":
+            return 2
+        return 2 * int(_lcm_frac(f.period, germ[2]) / f.period)
+
+    k_lo = _translate_span(f, min(pts), min(pts))[0]
+    k_hi = _translate_span(f, max(pts), max(pts))[1]
+    last = k_lo - 1 if rng.hi is None else min(k_lo - 1, rng.hi)
+    first = k_hi + 1 if rng.lo is None else max(k_hi + 1, rng.lo)
+    ks.update(rng.clamp(last - reps(w._left_germ()) + 1, last))
+    ks.update(rng.clamp(first, first + reps(w._right_germ()) - 1))
+    return _clip_all((f.member(k) for k in sorted(ks)), w)
+
+
+def _fan_probes(f: Fan, w: Optional[RealSet]) -> list[RealSet]:
+    """Members of f n w that decide a shape predicate for all of them.  The
+    member for q changes shape only where q crosses an endpoint of w, so
+    every endpoint of w inside (lo, hi) is probed, and one q strictly
+    between each two consecutive ones; the middle of (lo, hi) goes first."""
+    mid = (f.lo + f.hi) / 2
+    if w is None:
+        return [f.member(mid)]
+    cuts = sorted({x for iv in w.materialize(f.lo, f.hi) for x in (iv.lo, iv.hi)
+                   if f.lo < x < f.hi})
+    bounds = [f.lo] + cuts + [f.hi]
+    qs = [mid] + cuts + [(a + b) / 2 for a, b in zip(bounds, bounds[1:])]
+    return _clip_all((f.member(q) for q in qs), w)
 
 
 @dataclass(frozen=True)
@@ -649,54 +616,37 @@ class Directions:
 
 def ess_finite_on_all_base(f: FamilySpec, dirs: Directions) -> bool:
     """Is f essentially finite on every base element of a monotone base whose
-    elements all have the given unboundedness directions?  Exact closed form
-    by induction on the family shape."""
-    if isinstance(f, FiniteFamily):
-        return True
-    if isinstance(f, Periodic):
-        u = union_of(f).boundedness()
-        kind = f.seed_kind
-        if kind == "bounded" or f.index_range.is_finite:
-            if f.index_range.is_finite:
-                return True
-            return not (dirs.unbounded_below and not u.bounded_below) and \
-                not (dirs.unbounded_above and not u.bounded_above)
-        if kind == "nested_up":
-            if f.index_range.hi is not None:
-                return True
-            return not (dirs.unbounded_above and not u.bounded_above)
-        if f.index_range.lo is not None:
-            return True
-        return not (dirs.unbounded_below and not u.bounded_below)
-    if isinstance(f, Split):
-        lw, rw = f.windows()
-        dl = Directions(dirs.unbounded_below, False)
-        dr = Directions(False, dirs.unbounded_above)
-        return ess_finite_on_all_base(Restricted(f.left, lw), dl) and \
-            ess_finite_on_all_base(Restricted(f.right, rw), dr)
-    if isinstance(f, Restricted):
-        wb = f.window.boundedness()
-        d2 = Directions(dirs.unbounded_below and not wb.bounded_below,
-                        dirs.unbounded_above and not wb.bounded_above)
-        return ess_finite_on_all_base(f.base, d2)
-    raise TypeError(f)
+    elements all have the given unboundedness directions?  Exact closed form:
+    a piece's window keeps only the directions in which it is unbounded, and
+    a periodic piece fails only in a direction in which its union, but no
+    single member, is unbounded.  Fan pieces have no closed form here."""
+    for base, w in _pieces(f):
+        if isinstance(base, Fan):
+            raise TypeError(f"no closed form for the fan {base}")
+        if isinstance(base, FiniteFamily) or base.index_range.is_finite:
+            continue
+        below, above = dirs.unbounded_below, dirs.unbounded_above
+        if w is not None:
+            wb = w.boundedness()
+            below, above = below and not wb.bounded_below, above and not wb.bounded_above
+        u = union_of(base).boundedness()
+        kind = base.seed_kind
+        if kind != "nested_up" and below and not u.bounded_below:
+            return False
+        if kind != "nested_down" and above and not u.bounded_above:
+            return False
+    return True
 
 
 def _contains_fan(f: FamilySpec) -> bool:
-    if isinstance(f, Fan):
-        return True
-    if isinstance(f, Split):
-        return _contains_fan(f.left) or _contains_fan(f.right)
-    if isinstance(f, Restricted):
-        return _contains_fan(f.base)
-    return False
+    return any(isinstance(base, Fan) for base, _ in _pieces(f))
 
 
 def ef_member(f: FamilySpec, l_pred, bornology, n_max: int = 64) -> bool:
     """Membership in EF(L, B): every member satisfies the L predicate and the
     family is essentially finite on every base element of the bornology."""
     pred = _as_member_pred(l_pred)
-    bad = _family_members_ok(f, pred)
+    bad = violating_member(f, pred)
     if bad is not None:
         raise PreconditionError(f"family member {bad} is outside L")
     schema = bornology.base_schema()

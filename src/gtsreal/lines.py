@@ -27,6 +27,7 @@ from gtsreal.covers import (
     ess_finite_on,
     finite_family,
     locally_ess_finite,
+    violating_member,
 )
 from gtsreal.qmetric import QuasiMetric
 from gtsreal.realset import (
@@ -453,10 +454,7 @@ def is_partially_topological(l: LineId) -> bool:
 def cov_member(l: LineId, f: FamilySpec) -> bool:
     """Admissibility: every member has the line's open shape and the family
     satisfies the line's cover condition."""
-    from gtsreal.covers import _family_members_ok
-
-    bad = _family_members_ok(f, lambda u: op_member(l, u))
-    if bad is not None:
+    if violating_member(f, lambda u: op_member(l, u)) is not None:
         return False
     v = l.variant
     if v == "ut":

@@ -646,10 +646,7 @@ def _axioms_text(l) -> str:
 
 def _oracle_text(fam, k0, k1, k_set, cap) -> str:
     if isinstance(fam, Periodic):
-        lo, hi = fam.index_range.lo, fam.index_range.hi
-        lo = k0 if lo is None else max(lo, k0)
-        hi = k1 if hi is None else min(hi, k1)
-        trunc = [fam.member(k) for k in range(lo, hi + 1)]
+        trunc = [fam.member(k) for k in fam.index_range.clamp(k0, k1)]
     else:
         trunc = members(fam)
         if trunc is None:

@@ -321,21 +321,10 @@ class PeriodicTail:
 
     def occurrences(self, lo: Fraction, hi: Fraction) -> Tuple[Interval, ...]:
         """Pattern translates intersected with [lo, hi] and the cut region."""
-        occ = self._occ_window(lo, hi)
+        occ = _periodize(self.pattern, self.period, lo, hi)
         if self.direction == "left":
             return _clip(occ, NEG_INF, self.cut, False, False)
         return _clip(occ, self.cut, POS_INF, False, False)
-
-    def _occ_window(self, lo: Fraction, hi: Fraction) -> Tuple[Interval, ...]:
-        p = self.period
-        k_lo = math.floor((lo - p) / p) - 1
-        k_hi = math.ceil((hi + p) / p) + 1
-        out = []
-        for k in range(k_lo, k_hi + 1):
-            d = k * p
-            for iv in self.pattern:
-                out.append(iv.shift(d))
-        return _clip(merge_intervals(out), lo, hi)
 
     def contains(self, x: Fraction) -> bool:
         if self.direction == "left" and not x < self.cut:
@@ -391,12 +380,26 @@ def _pattern_reduce_cached(pieces: Tuple[Interval, ...], period: Fraction):
     return ("per", pat, period)
 
 
+def _translate_range(pattern: Sequence[Interval], period: Fraction,
+                     lo: Fraction, hi: Fraction) -> Tuple[int, int]:
+    """(k_lo, k_hi) such that every translate pattern + k*period that meets
+    [lo, hi] has k_lo <= k <= k_hi; pattern pieces must be bounded."""
+    lo_v = min(iv.lo for iv in pattern)
+    hi_v = max(iv.hi for iv in pattern)
+    return math.floor((lo - hi_v) / period) - 1, math.ceil((hi - lo_v) / period) + 1
+
+
 def _periodize(pattern: Sequence[Interval], period: Fraction,
-               lo: Fraction, hi: Fraction) -> Tuple[Interval, ...]:
-    """Trace of the full periodization on [lo, hi]."""
+               lo: Fraction, hi: Fraction,
+               k_min: Optional[int] = None, k_max: Optional[int] = None) -> Tuple[Interval, ...]:
+    """Trace on [lo, hi] of the union of the translates pattern + k*period,
+    over all k or over k_min <= k <= k_max when those bounds are given."""
+    k_lo, k_hi = _translate_range(pattern, period, lo, hi)
+    if k_min is not None:
+        k_lo = max(k_lo, k_min)
+    if k_max is not None:
+        k_hi = min(k_hi, k_max)
     out = []
-    k_lo = math.floor((lo - period) / period) - 1
-    k_hi = math.ceil((hi + period) / period) + 1
     for k in range(k_lo, k_hi + 1):
         d = k * period
         for iv in pattern:
@@ -404,23 +407,32 @@ def _periodize(pattern: Sequence[Interval], period: Fraction,
     return _clip(merge_intervals(out), lo, hi)
 
 
-_TABLE_NAMES = {}
+# A set operation is the set of (in a, in b) cases that belong to its result.
+_OP_UNION = frozenset({(True, True), (True, False), (False, True)})
+_OP_INTER = frozenset({(True, True)})
+_OP_DIFF = frozenset({(True, False)})
 
 
-def _germ_op(ga, gb, table) -> tuple:
-    return _germ_op_cached(ga, gb, _TABLE_NAMES[id(table)])
+def _select_regions(a: Sequence[Interval], b: Sequence[Interval],
+                    full: Tuple[Interval, ...], table) -> Tuple[Interval, ...]:
+    """The part of `full` (which contains a and b) that the table keeps."""
+    pieces: list[Interval] = []
+    if (True, False) in table:
+        pieces += _difference_lists(a, b)
+    if (False, True) in table:
+        pieces += _difference_lists(b, a)
+    if (True, True) in table:
+        pieces += _intersect_lists(a, b)
+    if (False, False) in table:
+        pieces += _difference_lists(full, _union_lists(a, b))
+    return merge_intervals(pieces)
 
 
 @lru_cache(maxsize=16384)
-def _germ_op_cached(ga, gb, table_name: str) -> tuple:
-    table = _TABLES[table_name]
-    return _germ_op_raw(ga, gb, table)
-
-
-def _germ_op_raw(ga, gb, table) -> tuple:
-    """Pointwise boolean op on two germs; table maps (bool, bool) -> bool."""
+def _germ_op_cached(ga, gb, table) -> tuple:
+    """Pointwise set operation `table` on two germs."""
     if ga[0] != "per" and gb[0] != "per":
-        return _FULL_GERM if table[(ga == _FULL_GERM, gb == _FULL_GERM)] else _EMPTY_GERM
+        return _FULL_GERM if (ga == _FULL_GERM, gb == _FULL_GERM) in table else _EMPTY_GERM
     if ga[0] == "per" and gb[0] == "per":
         period = _lcm_frac(ga[2], gb[2])
     else:
@@ -436,31 +448,7 @@ def _germ_op_raw(ga, gb, table) -> tuple:
             return full
         return _intersect_lists(_periodize(g[1], g[2], window[0], window[1]), full)
 
-    a = mat(ga)
-    b = mat(gb)
-    in_a_only = _difference_lists(a, b)
-    in_b_only = _difference_lists(b, a)
-    in_both = _intersect_lists(a, b)
-    in_neither = _difference_lists(full, _union_lists(a, b))
-    pieces: list[Interval] = []
-    if table[(True, False)]:
-        pieces += in_a_only
-    if table[(False, True)]:
-        pieces += in_b_only
-    if table[(True, True)]:
-        pieces += in_both
-    if table[(False, False)]:
-        pieces += in_neither
-    return _pattern_reduce(merge_intervals(pieces), period)
-
-
-_OP_UNION = {(True, True): True, (True, False): True, (False, True): True, (False, False): False}
-_OP_INTER = {(True, True): True, (True, False): False, (False, True): False, (False, False): False}
-_OP_DIFF = {(True, True): False, (True, False): True, (False, True): False, (False, False): False}
-_TABLES = {"union": _OP_UNION, "inter": _OP_INTER, "diff": _OP_DIFF}
-_TABLE_NAMES[id(_OP_UNION)] = "union"
-_TABLE_NAMES[id(_OP_INTER)] = "inter"
-_TABLE_NAMES[id(_OP_DIFF)] = "diff"
+    return _pattern_reduce(_select_regions(mat(ga), mat(gb), full, table), period)
 
 
 # ---------------------------------------------------------------------------
@@ -891,30 +879,17 @@ def _binary(a: RealSet, b: RealSet, table) -> RealSet:
     if b.is_empty:
         return EMPTY if table is _OP_INTER else a
 
-    lg = _germ_op(a._left_germ(), b._left_germ(), table)
-    rg = _germ_op(a._right_germ(), b._right_germ(), table)
+    lg = _germ_op_cached(a._left_germ(), b._left_germ(), table)
+    rg = _germ_op_cached(a._right_germ(), b._right_germ(), table)
 
     pts = a._finite_endpoints() + b._finite_endpoints() or [Fraction(0)]
     inner_lo = min(pts) - 1
     inner_hi = max(pts) + 1
 
-    a_w = a.materialize(inner_lo, inner_hi)
-    b_w = b.materialize(inner_lo, inner_hi)
-    in_a_only = _difference_lists(a_w, b_w)
-    in_b_only = _difference_lists(b_w, a_w)
-    in_both = _intersect_lists(a_w, b_w)
     full = (Interval(inner_lo, inner_hi, True, True),)
-    in_neither = _difference_lists(full, _union_lists(a_w, b_w))
-    pieces: list[Interval] = []
-    if table[(True, False)]:
-        pieces += in_a_only
-    if table[(False, True)]:
-        pieces += in_b_only
-    if table[(True, True)]:
-        pieces += in_both
-    if table[(False, False)]:
-        pieces += in_neither
-    return _assemble(merge_intervals(pieces), lg, rg, inner_lo, inner_hi)
+    window = _select_regions(a.materialize(inner_lo, inner_hi),
+                             b.materialize(inner_lo, inner_hi), full, table)
+    return _assemble(window, lg, rg, inner_lo, inner_hi)
 
 
 def _assemble(window_pieces: Tuple[Interval, ...], lgerm, rgerm,

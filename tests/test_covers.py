@@ -8,6 +8,7 @@ from gtsreal.covers import (
     CovCollection,
     DepthCapError,
     Directions,
+    Fan,
     FiniteFamily,
     GenCaps,
     IndexRange,
@@ -29,7 +30,9 @@ from gtsreal.covers import (
     plus_step,
     restrict_family,
     union_of,
+    violating_member,
 )
+from gtsreal.lines import FB, line, cov_member, op_member
 from gtsreal.oracles import OracleRefusal, oracle_ess_finite
 from gtsreal.realset import (
     EMPTY,
@@ -46,6 +49,8 @@ from gtsreal.realset import (
     point,
     with_tails,
 )
+
+from helpers import rand_fraction, rand_realset
 
 PER_02 = Periodic(open_iv(0, 2), F(1))
 PER_HALF_FROM0 = Periodic(open_iv(0, F(1, 2)), F(1), IndexRange(0, None))
@@ -221,6 +226,95 @@ class TestEfMember:
         assert ef_member(NESTED_UP, TopologyKind.UPPER, ub)
         lb = _FakeBornology(Directions(False, True))
         assert not ef_member(NESTED_UP, TopologyKind.UPPER, lb)
+
+    def test_member_far_inside_an_unbounded_window(self):
+        # member k=199 is [100, 201/2), which is not open
+        f = Restricted(Periodic(open_iv(0, 1), F(1, 2)), interval(100, POS_INF, True, False))
+        with pytest.raises(PreconditionError, match=r"\[100, 201/2\)"):
+            ef_member(f, TopologyKind.NAT, FB)
+
+
+def _rand_family(rng):
+    """A finite family, a fan, or a periodic family with a bounded or
+    half-line seed and any kind of index range."""
+    kind = rng.randrange(4)
+    a = rand_fraction(rng, -3, 3, 2)
+    if kind == 0:
+        return finite_family(rand_realset(rng, allow_tails=False)
+                             for _ in range(rng.randint(1, 3)))
+    if kind == 1:
+        return Fan(a, a + F(rng.randint(1, 4), 2), rng.choice(("down", "up")))
+    if kind == 2:
+        seed = interval(a, a + F(rng.choice((1, 3, 5)), 2), rng.random() < 0.5,
+                        rng.random() < 0.5)
+    else:
+        seed = rng.choice((interval(NEG_INF, a), interval(a, POS_INF)))
+    k = rng.randint(-3, 3)
+    index_range = rng.choice((ALL_INDICES, IndexRange(k, None), IndexRange(None, k),
+                              IndexRange(k - 2, k + 2)))
+    return Periodic(seed, F(rng.choice((1, 2))), index_range)
+
+
+NF_LINES = (line("standard/om"), line("sorgenfrey/lst"))
+
+
+def _observe(f, k_set):
+    v = ess_finite_on(f, k_set)
+    return (union_of(f), members(f), v.essentially_finite, len(v.witness or ()),
+            locally_ess_finite(f)) + tuple(cov_member(l, f) for l in NF_LINES)
+
+
+class TestNormalForm:
+    """A family is the union of its (base, window) pieces."""
+
+    def test_nested_windows_intersect(self):
+        rng = random.Random(83)
+        for _ in range(40):
+            f = _rand_family(rng)
+            a, b, k_set = (rand_realset(rng) for _ in range(3))
+            assert _observe(Restricted(Restricted(f, a), b), k_set) == \
+                _observe(Restricted(f, a.intersect(b)), k_set), (str(f), str(a), str(b))
+
+    def test_split_is_its_two_windowed_pieces(self):
+        rng = random.Random(89)
+        for _ in range(40):
+            c = rand_fraction(rng, -3, 3, 2)
+            left, right = _rand_family(rng), _rand_family(rng)
+            k_set = rand_realset(rng)
+            got = _observe(Split(c, left, right), k_set)
+            lo = _observe(Restricted(left, interval(NEG_INF, c)), k_set)
+            hi = _observe(Restricted(right, interval(c, POS_INF, True, False)), k_set)
+            ms = None if lo[1] is None or hi[1] is None else \
+                lo[1] + [m for m in hi[1] if m not in lo[1]]
+            both_ef = lo[2] and hi[2]
+            want = (lo[0].union(hi[0]), ms, both_ef,
+                    lo[3] + hi[3] if both_ef else (lo[3] if not lo[2] else hi[3]),
+                    lo[4] and hi[4]) + tuple(x and y for x, y in zip(lo[5:], hi[5:]))
+            assert got == want, (str(c), str(left), str(right), str(k_set))
+
+
+class TestViolatingMember:
+    def test_agrees_with_a_wide_sweep_of_members(self):
+        # windows unbounded on at least one side, some with periodic tails:
+        # the probes must find a violation exactly when one of many members
+        # around the window's finite part violates the line's open shape
+        rng = random.Random(97)
+        checked = 0
+        while checked < 60:
+            f, w = _rand_family(rng), rand_realset(rng)
+            if isinstance(f, FiniteFamily) or w.is_empty or w.boundedness().bounded:
+                continue
+            if isinstance(f, Fan):
+                sweep = [f.member(f.lo + (f.hi - f.lo) * F(i, 64)) for i in range(1, 64)]
+            else:
+                sweep = [f.member(k) for k in f.index_range.clamp(-60, 60)]
+            sweep = [m.intersect(w) for m in sweep]
+            l = rng.choice(NF_LINES + (line("standard/ut"), line("standard/uu")))
+            bad = violating_member(Restricted(f, w), lambda u: op_member(l, u))
+            assert (bad is None) == all(m.is_empty or op_member(l, m) for m in sweep), \
+                (str(l), str(f), str(w))
+            assert bad is None or (not bad.is_empty and not op_member(l, bad))
+            checked += 1
 
 
 class TestGeneration:

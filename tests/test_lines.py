@@ -4,8 +4,10 @@ from fractions import Fraction as F
 import pytest
 
 from gtsreal.covers import (
+    Fan,
     IndexRange,
     Periodic,
+    Restricted,
     ess_finite_on,
     finite_family,
     members,
@@ -117,6 +119,17 @@ class TestCovMember:
         assert cov_member(line("standard/ut"), per)
         assert not cov_member(line("standard/ut"),
                               finite_family([closed(0, 1)]))  # not open
+
+    def test_member_far_inside_an_unbounded_window(self):
+        # member k=199 is [100, 201/2), which is not open
+        f = Restricted(Periodic(open_iv(0, 1), F(1, 2)), interval(100, POS_INF, True, False))
+        assert not cov_member(line("standard/ut"), f)
+
+    def test_every_ray_of_a_restricted_fan(self):
+        # (-inf, q) n (-1, 1/2] is (-1, 1/2], which is not open, for q > 1/2
+        f = Restricted(Fan(F(0), F(1)), interval(-1, F(1, 2), False, True))
+        assert not cov_member(line("standard/ut"), f)
+        assert cov_member(line("standard/ut"), Restricted(Fan(F(0), F(1)), open_iv(-1, F(1, 2))))
 
     def test_upper_ef_lines(self):
         nested = Periodic(interval(NEG_INF, 0), F(1))
