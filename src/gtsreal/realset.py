@@ -413,9 +413,9 @@ _OP_INTER = frozenset({(True, True)})
 _OP_DIFF = frozenset({(True, False)})
 
 
-def _select_regions(a: Sequence[Interval], b: Sequence[Interval],
-                    full: Tuple[Interval, ...], table) -> Tuple[Interval, ...]:
-    """The part of `full` (which contains a and b) that the table keeps."""
+def _select_regions(a: Sequence[Interval], b: Sequence[Interval], table) -> Tuple[Interval, ...]:
+    """The points of a u b whose (in a, in b) case the table keeps (no
+    operation keeps the points outside both)."""
     pieces: list[Interval] = []
     if (True, False) in table:
         pieces += _difference_lists(a, b)
@@ -423,8 +423,6 @@ def _select_regions(a: Sequence[Interval], b: Sequence[Interval],
         pieces += _difference_lists(b, a)
     if (True, True) in table:
         pieces += _intersect_lists(a, b)
-    if (False, False) in table:
-        pieces += _difference_lists(full, _union_lists(a, b))
     return merge_intervals(pieces)
 
 
@@ -448,7 +446,7 @@ def _germ_op_cached(ga, gb, table) -> tuple:
             return full
         return _intersect_lists(_periodize(g[1], g[2], window[0], window[1]), full)
 
-    return _pattern_reduce(_select_regions(mat(ga), mat(gb), full, table), period)
+    return _pattern_reduce(_select_regions(mat(ga), mat(gb), table), period)
 
 
 # ---------------------------------------------------------------------------
@@ -886,9 +884,8 @@ def _binary(a: RealSet, b: RealSet, table) -> RealSet:
     inner_lo = min(pts) - 1
     inner_hi = max(pts) + 1
 
-    full = (Interval(inner_lo, inner_hi, True, True),)
     window = _select_regions(a.materialize(inner_lo, inner_hi),
-                             b.materialize(inner_lo, inner_hi), full, table)
+                             b.materialize(inner_lo, inner_hi), table)
     return _assemble(window, lg, rg, inner_lo, inner_hi)
 
 

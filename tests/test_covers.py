@@ -32,7 +32,7 @@ from gtsreal.covers import (
     union_of,
     violating_member,
 )
-from gtsreal.lines import FB, line, cov_member, op_member
+from gtsreal.lines import FB, cov_member, line, op_member
 from gtsreal.oracles import OracleRefusal, oracle_ess_finite
 from gtsreal.realset import (
     EMPTY,
