@@ -37,7 +37,7 @@ from gtsreal.lines import (
     op_member,
     topology_of_line,
 )
-from gtsreal.qmetric import QuasiMetric, UnsupportedCombinationError
+from gtsreal.qmetric import QuasiMetric
 from gtsreal.realset import (
     EMPTY,
     NEG_INF,
@@ -211,10 +211,14 @@ class ChainReport:
         return f"fail_at({self.fail_index})"
 
 
+def _missing(d: QuasiMetric, schema: BaseSchema, delta: Fraction, n: int) -> RealSet:
+    """[B_n]^delta_d minus B_{n+1}: empty exactly when the inclusion holds at n."""
+    return d.nbhd(schema.element(n), delta).difference(schema.element(n + 1))
+
+
 def _inclusion_holds(d: QuasiMetric, schema: BaseSchema, delta: Fraction,
                      n: int) -> bool:
-    nb = d.nbhd(schema.element(n), delta)
-    return nb.is_subset(schema.element(n + 1))
+    return _missing(d, schema, delta, n).is_empty
 
 
 def _stabilization_index(d: QuasiMetric, schema: BaseSchema,
@@ -327,11 +331,9 @@ def chain_check(d: QuasiMetric, schema: BaseSchema, delta, n_max: int = 64) -> C
     dq = rat(delta)
     certs = []
     for n in range(schema.n0, n_max + 1):
-        ok = _inclusion_holds(d, schema, dq, n)
-        certs.append(ChainCertificate(n, dq, ok))
-        if not ok:
-            nb = d.nbhd(schema.element(n), dq)
-            missing = nb.difference(schema.element(n + 1))
+        missing = _missing(d, schema, dq, n)
+        certs.append(ChainCertificate(n, dq, missing.is_empty))
+        if not missing.is_empty:
             return ChainReport("fail_at", False, n, missing, dq, n, tuple(certs))
     n_stab = _stabilization_index(d, schema, dq)
     n1 = max(n_stab, n_max + 1)
@@ -340,16 +342,14 @@ def chain_check(d: QuasiMetric, schema: BaseSchema, delta, n_max: int = 64) -> C
         # the head was checked explicitly, the tail symbolically; require the
         # gap [n_max+1, n1+1] explicitly when the stabilization point is high
         for n in range(n_max + 1, min(n1 + 2, n_max + 66)):
-            if not _inclusion_holds(d, schema, dq, n):
-                nb = d.nbhd(schema.element(n), dq)
-                missing = nb.difference(schema.element(n + 1))
+            missing = _missing(d, schema, dq, n)
+            if not missing.is_empty:
                 return ChainReport("fail_at", False, n, missing, dq, n_max, tuple(certs))
         return ChainReport("pass", True, None, None, dq, n_max, tuple(certs))
     if kind == "onset":
         n_f = _first_failure(d, schema, dq, n_max, onset) if onset > n_max + 1 else onset
-        nb = d.nbhd(schema.element(n_f), dq)
-        missing = nb.difference(schema.element(n_f + 1))
-        return ChainReport("fail_at", False, n_f, missing, dq, n_max, tuple(certs))
+        return ChainReport("fail_at", False, n_f, _missing(d, schema, dq, n_f), dq, n_max,
+                           tuple(certs))
     return ChainReport("truncated", False, None, None, dq, n_max, tuple(certs))
 
 
@@ -364,17 +364,9 @@ def chain_search(d: QuasiMetric, schema: BaseSchema, n_max: int = 64) -> ChainRe
     certs = []
     last_delta = None
     for n in range(schema.n0, n_max + 1):
-        hit = None
-        for dq in _SEARCH_DELTAS:
-            try:
-                if _inclusion_holds(d, schema, dq, n):
-                    hit = dq
-                    break
-            except UnsupportedCombinationError:
-                raise
+        hit = next((dq for dq in _SEARCH_DELTAS if _inclusion_holds(d, schema, dq, n)), None)
         if hit is None:
-            nb = d.nbhd(schema.element(n), _SEARCH_DELTAS[-1])
-            missing = nb.difference(schema.element(n + 1))
+            missing = _missing(d, schema, _SEARCH_DELTAS[-1], n)
             return ChainReport("fail_at", False, n, missing, None, n, tuple(certs))
         certs.append(ChainCertificate(n, hit, True))
         last_delta = hit

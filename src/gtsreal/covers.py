@@ -10,7 +10,8 @@ Restricted windows intersect, so each decision handles the three base
 shapes once.  Periodic seeds are either bounded (all members are translates
 of one bounded set) or a single half-line (the members are nested rays);
 these shapes give exact closed forms for every essential-finiteness
-question the corpus asks.
+question the corpus asks.  EF(L, B) membership (`ef_member`) is one closed
+form for every family shape, fans included: no base element is swept.
 
 Essential countability needs no operator here: every representable family
 is countable (finitely many members, integer-indexed translates, or
@@ -24,7 +25,7 @@ import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, Iterable, Optional, Sequence, Tuple, Union
+from typing import Iterable, Optional, Sequence, Tuple, Union
 
 from gtsreal.realset import (
     EMPTY,
@@ -532,15 +533,6 @@ def is_open_in(a: RealSet, kind: TopologyKind) -> bool:
     return a.interior(kind) == a
 
 
-def _as_member_pred(l_pred) -> Callable[[RealSet], bool]:
-    if isinstance(l_pred, TopologyKind):
-        return lambda a: is_open_in(a, l_pred)
-    if callable(l_pred):
-        return l_pred
-    pool = set(l_pred)
-    return lambda a: a in pool
-
-
 def violating_member(f: FamilySpec, pred) -> Optional[RealSet]:
     """None when every member of f satisfies pred; otherwise a member that
     does not.
@@ -614,15 +606,22 @@ class Directions:
     unbounded_above: bool
 
 
-def ess_finite_on_all_base(f: FamilySpec, dirs: Directions) -> bool:
-    """Is f essentially finite on every base element of a monotone base whose
-    elements all have the given unboundedness directions?  Exact closed form:
-    a piece's window keeps only the directions in which it is unbounded, and
-    a periodic piece fails only in a direction in which its union, but no
-    single member, is unbounded.  Fan pieces have no closed form here."""
+def ess_finite_on_all_base(f: FamilySpec, schema) -> bool:
+    """Is f essentially finite on every element B_n of the monotone base
+    `schema` (a `lines.BaseSchema`)?  Exact closed form.  A periodic piece
+    fails only in a direction in which the B_n, the piece's window and its
+    union, but no single member, are unbounded.  A fan piece fails only when
+    its trace accumulates at the fan's edge; the traces grow with n and, near
+    the edge, stop changing once B_n n [edge - 1, edge + 1] does, so the
+    element at that index decides."""
+    dirs = schema.directions()
     for base, w in _pieces(f):
         if isinstance(base, Fan):
-            raise TypeError(f"no closed form for the fan {base}")
+            edge = base.hi if base.side == "down" else base.lo
+            b_n = schema.element(schema.stable_index(edge - 1, edge + 1))
+            if not _essfin_fan(base, _meet(w, b_n)):
+                return False
+            continue
         if isinstance(base, FiniteFamily) or base.index_range.is_finite:
             continue
         below, above = dirs.unbounded_below, dirs.unbounded_above
@@ -638,28 +637,17 @@ def ess_finite_on_all_base(f: FamilySpec, dirs: Directions) -> bool:
     return True
 
 
-def _contains_fan(f: FamilySpec) -> bool:
-    return any(isinstance(base, Fan) for base, _ in _pieces(f))
-
-
-def ef_member(f: FamilySpec, l_pred, bornology, n_max: int = 64) -> bool:
-    """Membership in EF(L, B): every member satisfies the L predicate and the
-    family is essentially finite on every base element of the bornology."""
-    pred = _as_member_pred(l_pred)
-    bad = violating_member(f, pred)
+def ef_member(f: FamilySpec, l_kind: TopologyKind, bornology) -> bool:
+    """Membership in EF(L, B): every member is open in the topology l_kind
+    and the family is essentially finite on every base element of the
+    bornology."""
+    bad = violating_member(f, lambda a: is_open_in(a, l_kind))
     if bad is not None:
         raise PreconditionError(f"family member {bad} is outside L")
     schema = bornology.base_schema()
     if schema is None:
         raise PreconditionError(f"bornology {bornology} supplies no indexed base")
-    dirs = schema.directions()
-    if dirs is not None and not _contains_fan(f):
-        return ess_finite_on_all_base(f, dirs)
-    for n in range(n_max + 1):
-        b_n = schema.element(n)
-        if not ess_finite_on(restrict_family(f, b_n), b_n):
-            return False
-    return True
+    return ess_finite_on_all_base(f, schema)
 
 
 # ---------------------------------------------------------------------------

@@ -29,7 +29,7 @@ from gtsreal.covers import (
     locally_ess_finite,
     violating_member,
 )
-from gtsreal.qmetric import QuasiMetric
+from gtsreal.qmetric import QuasiMetric, UnsupportedCombinationError
 from gtsreal.realset import (
     EMPTY,
     NEG_INF,
@@ -191,18 +191,36 @@ class BaseSchema:
                         self.lo_closed and self.lo is not None,
                         self.hi_closed and self.hi is not None)
 
-    def directions(self) -> Optional[Directions]:
+    def directions(self) -> Directions:
         """Eventual unboundedness of the base elements (uniform for monotone
         bases: smaller elements inherit essential-finiteness witnesses)."""
         if self.kind == "grid":
             return Directions(False, False)
         if self.kind == "ball":
-            from gtsreal.qmetric import _BOUNDED_KIND, _BOUNDED_KIND_CONJ
-            table = _BOUNDED_KIND_CONJ if self.metric.conjugated else _BOUNDED_KIND
-            k = table[self.metric.name]
-            return {"nat": Directions(False, False), "ub": Directions(True, False),
-                    "lb": Directions(False, True), "all": Directions(True, True)}[k]
+            k = self.metric.bounded_kind
+            return Directions(k in ("ub", "all"), k in ("lb", "all"))
         return Directions(self.lo is None, self.hi is None)
+
+    def stable_index(self, a: Fraction, b: Fraction) -> int:
+        """An index n* >= n0 with B_n n [a, b] = B_{n*} n [a, b] for every
+        n >= n*."""
+        if self.kind == "grid":
+            n = math.ceil(max(abs(a), abs(b)))
+        elif self.kind == "ball":
+            # every ball around 0 is an interval, so on [a, b] the distance
+            # d(0, .) peaks at an endpoint, and B_d(0, n+1) holds all of
+            # [a, b] once n + 1 exceeds that peak
+            if not self.metric.exact:
+                raise UnsupportedCombinationError("balls require exact_surrogate mode")
+            n = math.floor(max(self.metric.eval(0, a), self.metric.eval(0, b)))
+        else:
+            # a moving endpoint alpha + beta*n is strictly outside [a, b]
+            # for every n > (e - alpha) / beta, e the end of [a, b] it passes
+            n = self.n0
+            for end, e in ((self.lo, a), (self.hi, b)):
+                if end is not None and end[1] != 0:
+                    n = max(n, math.floor((e - end[0]) / end[1]) + 1)
+        return max(self.n0, n)
 
 
 _UF_DOC = "reverse-well-ordered (every nonempty subset has a largest element)"
@@ -251,24 +269,10 @@ class Bornology:
         if a.is_empty:
             return True
         sc = self.schema
-        n = sc.n0
-        lo_need, hi_need = a.inf_value(), a.sup_value()
-        if sc.lo is None and sc.hi is None:
-            return a.is_subset(sc.element(sc.n0))
-        for bound, spec_end in ((lo_need, sc.lo), (hi_need, sc.hi)):
-            if spec_end is None:
-                continue
-            alpha, beta = spec_end
-            if not is_finite(bound):
-                return False
-            if beta == 0:
-                continue
-            need = (bound - alpha) / beta
-            n = max(n, math.ceil(need) + 1)
-        for k in (n, n + 1):
-            if a.is_subset(sc.element(k)):
-                return True
-        return False
+        lo, hi = a.inf_value(), a.sup_value()
+        if (sc.lo is not None and not is_finite(lo)) or (sc.hi is not None and not is_finite(hi)):
+            return False
+        return a.is_subset(sc.element(sc.stable_index(lo, hi)))
 
     def base_schema(self) -> Optional[BaseSchema]:
         if self.schema is not None:

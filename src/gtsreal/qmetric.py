@@ -168,6 +168,12 @@ class QuasiMetric:
         """True when distinct points can be at distance 0."""
         return self.name in _PSEUDO
 
+    @property
+    def bounded_kind(self) -> str:
+        """Which boundedness flags the d-bounded sets need: "nat" both, "ub"
+        above, "lb" below, "all" none."""
+        return (_BOUNDED_KIND_CONJ if self.conjugated else _BOUNDED_KIND)[self.name]
+
     def conjugate(self) -> "QuasiMetric":
         return QuasiMetric(self.name, self.phi_mode, not self.conjugated)
 
@@ -343,7 +349,7 @@ class QuasiMetric:
             raise UnsupportedCombinationError("is_bounded_set requires exact mode")
         if a.is_empty:
             return True
-        kind = (_BOUNDED_KIND_CONJ if self.conjugated else _BOUNDED_KIND)[self.name]
+        kind = self.bounded_kind
         b = a.boundedness()
         if kind == "all":
             return True

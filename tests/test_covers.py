@@ -19,6 +19,7 @@ from gtsreal.covers import (
     ef_member,
     ess_finite,
     ess_finite_on,
+    ess_finite_on_all_base,
     finite_family,
     full_ring_closure,
     gen_topology,
@@ -32,8 +33,21 @@ from gtsreal.covers import (
     union_of,
     violating_member,
 )
-from gtsreal.lines import FB, cov_member, line, op_member
+from gtsreal.lines import (
+    ALL_SETS,
+    FB,
+    LB,
+    NAT_BOUNDED,
+    UB,
+    BaseSchema,
+    cov_member,
+    custom_bornology,
+    line,
+    metric_bounded,
+    op_member,
+)
 from gtsreal.oracles import OracleRefusal, oracle_ess_finite
+from gtsreal.qmetric import ALL_METRICS, metric
 from gtsreal.realset import (
     EMPTY,
     NEG_INF,
@@ -232,6 +246,122 @@ class TestEfMember:
         f = Restricted(Periodic(open_iv(0, 1), F(1, 2)), interval(100, POS_INF, True, False))
         with pytest.raises(PreconditionError, match=r"\[100, 201/2\)"):
             ef_member(f, TopologyKind.NAT, FB)
+
+    def test_a_collection_pool_is_no_topology(self):
+        # a pool of sets is not translation-stable: member (1, 2) is not in it
+        with pytest.raises(TypeError):
+            ef_member(Periodic(open_iv(0, 1), F(1)), [open_iv(0, 1)], NAT_BOUNDED)
+
+
+# (fan, bornology, the first base index on which the fan is not essentially
+# finite): each lies past the 64 elements the former sweep checked
+FAR_FAN_FAILURES = (
+    (Fan(F(99), F(100)), NAT_BOUNDED, 100),
+    (Fan(F(0), F(1)), custom_bornology(BaseSchema(lo=(F(0), F(-1, 100)),
+                                                  hi=(F(0), F(1, 100)))), 100),
+    (Fan(F(0), F(70)), metric_bounded(metric("d_n")), 69),
+)
+
+
+class TestEfMemberWithFans:
+    @pytest.mark.parametrize("fan,born,n", FAR_FAN_FAILURES)
+    def test_failure_past_the_first_64_base_elements(self, fan, born, n):
+        schema = born.base_schema()
+        assert ess_finite_on(fan, schema.element(n - 1))
+        assert not ess_finite_on(fan, schema.element(n))
+        assert ef_member(fan, TopologyKind.UPPER, born) is False
+
+    def test_closed_form_returns_a_bool_for_a_fan_piece(self):
+        f = Split(F(0), finite_family([interval(NEG_INF, -1)]), Fan(F(0), F(1)))
+        assert ess_finite_on_all_base(f, NAT_BOUNDED.base_schema()) is False
+        assert ess_finite_on_all_base(f, FB.base_schema()) is True
+
+    def test_a_fan_piece_reads_one_base_element(self):
+        schema = _CountingSchema(Directions(False, False), stable=7)
+        f = Restricted(Fan(F(0), F(1)), interval(F(1, 2), POS_INF))
+        assert ess_finite_on_all_base(f, schema) is False
+        assert schema.read == [7]
+
+    def test_stable_index_fixes_the_trace_on_its_interval(self):
+        rng = random.Random(103)
+        for _ in range(200):
+            schema = _rand_schema(rng)
+            a = rand_fraction(rng, -4, 4, 4)
+            hull = closed(a, a + rand_fraction(rng, 0, 4, 4))
+            n_star = schema.stable_index(hull.inf_value(), hull.sup_value())
+            assert n_star >= schema.n0
+            want = schema.element(n_star).intersect(hull)
+            for n in range(n_star + 1, n_star + 4):
+                assert schema.element(n).intersect(hull) == want, (schema, str(hull), n)
+
+    def test_closed_form_agrees_with_a_sweep(self):
+        rng = random.Random(101)
+        for _ in range(160):
+            f = _rand_fan_family(rng)
+            schema = _rand_schema(rng)
+            n_star = max([schema.stable_index(e - 1, e + 1) for e in _fan_edges(f)]
+                         + [schema.n0])
+            sweep = all(ess_finite_on(f, schema.element(n))
+                        for n in range(schema.n0, n_star + 4))
+            assert ess_finite_on_all_base(f, schema) == sweep, (str(f), schema)
+
+
+class _CountingSchema(_FakeSchema):
+    """A base of symmetric intervals [-n, n] that records which elements are read."""
+
+    def __init__(self, dirs, stable):
+        super().__init__(dirs)
+        self.stable, self.read = stable, []
+
+    def stable_index(self, a, b):
+        return self.stable
+
+    def element(self, n):
+        self.read.append(n)
+        return closed(-n, n)
+
+
+def _fan_edges(f):
+    """The accumulation bound of every fan in the families _rand_fan_family builds."""
+    if isinstance(f, Fan):
+        return [f.hi if f.side == "down" else f.lo]
+    if isinstance(f, Restricted):
+        return _fan_edges(f.base)
+    if isinstance(f, Split):
+        return _fan_edges(f.left) + _fan_edges(f.right)
+    return []
+
+
+def _rand_fan_family(rng):
+    """A fan, a fan restricted to a random window, or a split with a fan on
+    one side and a random family on the other."""
+    a = rand_fraction(rng, -3, 3, 2)
+    f = Fan(a, a + F(rng.randint(1, 4), 2), rng.choice(("down", "up")))
+    kind = rng.randrange(3)
+    if kind == 1:
+        return Restricted(f, rand_realset(rng))
+    if kind == 2:
+        c, other = rand_fraction(rng, -3, 3, 2), _rand_family(rng)
+        return Split(c, f, other) if rng.random() < 0.5 else Split(c, other, f)
+    return f
+
+
+def _rand_schema(rng):
+    """A grid, named interval, slow custom interval or metric-ball base
+    (every exact metric and its conjugate)."""
+    kind = rng.randrange(4)
+    if kind == 0:
+        return FB.base_schema()
+    if kind == 1:
+        return rng.choice((NAT_BOUNDED, ALL_SETS, UB, LB)).base_schema()
+    if kind == 2:
+        a = rand_fraction(rng, -2, 2, 2)
+        ends = [None if rng.random() < 0.25 else (e, F(sign, rng.choice((1, 3, 4, 10))))
+                for e, sign in ((a, -1), (a + F(rng.randint(0, 4), 2), 1))]
+        return BaseSchema(lo=ends[0], hi=ends[1], lo_closed=rng.random() < 0.5,
+                          hi_closed=rng.random() < 0.5, n0=rng.randint(0, 3))
+    d = rng.choice(ALL_METRICS)
+    return metric_bounded(d.conjugate() if rng.random() < 0.5 else d).base_schema()
 
 
 def _rand_family(rng):
