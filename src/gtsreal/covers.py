@@ -611,15 +611,13 @@ def ess_finite_on_all_base(f: FamilySpec, schema) -> bool:
     `schema` (a `lines.BaseSchema`)?  Exact closed form.  A periodic piece
     fails only in a direction in which the B_n, the piece's window and its
     union, but no single member, are unbounded.  A fan piece fails only when
-    its trace accumulates at the fan's edge; the traces grow with n and, near
-    the edge, stop changing once B_n n [edge - 1, edge + 1] does, so the
-    element at that index decides."""
+    its trace accumulates at the fan's edge; the traces grow with n, so the
+    stable trace B_n n [edge - 1, edge + 1] of large n decides."""
     dirs = schema.directions()
     for base, w in _pieces(f):
         if isinstance(base, Fan):
             edge = base.hi if base.side == "down" else base.lo
-            b_n = schema.element(schema.stable_index(edge - 1, edge + 1))
-            if not _essfin_fan(base, _meet(w, b_n)):
+            if not _essfin_fan(base, _meet(w, schema.stable_trace(edge - 1, edge + 1))):
                 return False
             continue
         if isinstance(base, FiniteFamily) or base.index_range.is_finite:
@@ -641,6 +639,8 @@ def ef_member(f: FamilySpec, l_kind: TopologyKind, bornology) -> bool:
     """Membership in EF(L, B): every member is open in the topology l_kind
     and the family is essentially finite on every base element of the
     bornology."""
+    if not isinstance(l_kind, TopologyKind):
+        raise TypeError(f"L must be a TopologyKind, not {type(l_kind).__name__}")
     bad = violating_member(f, lambda a: is_open_in(a, l_kind))
     if bad is not None:
         raise PreconditionError(f"family member {bad} is outside L")

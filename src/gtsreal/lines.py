@@ -36,6 +36,7 @@ from gtsreal.realset import (
     POS_INF,
     REALS,
     ConstructionError,
+    ExtRat,
     Interval,
     RealSet,
     TopologyKind,
@@ -222,6 +223,13 @@ class BaseSchema:
                     n = max(n, math.floor((e - end[0]) / end[1]) + 1)
         return max(self.n0, n)
 
+    def stable_trace(self, a: ExtRat, b: ExtRat) -> RealSet:
+        """B_n n [a, b] for all n >= stable_index(a, b); builds no grid element."""
+        if self.kind == "grid":
+            return points(range(math.ceil(a), math.floor(b) + 1))
+        return self.element(self.stable_index(a, b)).intersect(
+            interval(a, b, is_finite(a), is_finite(b)))
+
 
 _UF_DOC = "reverse-well-ordered (every nonempty subset has a largest element)"
 
@@ -272,7 +280,7 @@ class Bornology:
         lo, hi = a.inf_value(), a.sup_value()
         if (sc.lo is not None and not is_finite(lo)) or (sc.hi is not None and not is_finite(hi)):
             return False
-        return a.is_subset(sc.element(sc.stable_index(lo, hi)))
+        return a.is_subset(sc.stable_trace(lo, hi))
 
     def base_schema(self) -> Optional[BaseSchema]:
         if self.schema is not None:

@@ -61,6 +61,7 @@ from gtsreal.realset import (
     interval,
     open_iv,
     point,
+    points,
     with_tails,
 )
 
@@ -249,7 +250,7 @@ class TestEfMember:
 
     def test_a_collection_pool_is_no_topology(self):
         # a pool of sets is not translation-stable: member (1, 2) is not in it
-        with pytest.raises(TypeError):
+        with pytest.raises(TypeError, match="L must be a TopologyKind, not list"):
             ef_member(Periodic(open_iv(0, 1), F(1)), [open_iv(0, 1)], NAT_BOUNDED)
 
 
@@ -276,11 +277,20 @@ class TestEfMemberWithFans:
         assert ess_finite_on_all_base(f, NAT_BOUNDED.base_schema()) is False
         assert ess_finite_on_all_base(f, FB.base_schema()) is True
 
-    def test_a_fan_piece_reads_one_base_element(self):
-        schema = _CountingSchema(Directions(False, False), stable=7)
+    def test_a_fan_piece_reads_one_stable_trace(self):
+        schema = _CountingSchema(Directions(False, False))
         f = Restricted(Fan(F(0), F(1)), interval(F(1, 2), POS_INF))
         assert ess_finite_on_all_base(f, schema) is False
-        assert schema.read == [7]
+        assert schema.read == [(0, 2)]
+
+    def test_a_far_fan_on_the_grid_reads_only_points_next_to_its_edge(self):
+        # B_n of the grid near the edge 10^9 + 1 would hold 2 * 10^9 points
+        edge = F(10**9 + 1)
+        assert FB.base_schema().stable_trace(edge - 1, edge + 1) == points(
+            [edge - 1, edge, edge + 1])
+        fan = Fan(edge - 1, edge)
+        assert ef_member(fan, TopologyKind.UPPER, FB) is True
+        assert cov_member(line("standard/uf"), fan) is True
 
     def test_stable_index_fixes_the_trace_on_its_interval(self):
         rng = random.Random(103)
@@ -291,6 +301,7 @@ class TestEfMemberWithFans:
             n_star = schema.stable_index(hull.inf_value(), hull.sup_value())
             assert n_star >= schema.n0
             want = schema.element(n_star).intersect(hull)
+            assert schema.stable_trace(hull.inf_value(), hull.sup_value()) == want
             for n in range(n_star + 1, n_star + 4):
                 assert schema.element(n).intersect(hull) == want, (schema, str(hull), n)
 
@@ -307,18 +318,16 @@ class TestEfMemberWithFans:
 
 
 class _CountingSchema(_FakeSchema):
-    """A base of symmetric intervals [-n, n] that records which elements are read."""
+    """A base whose stable traces are the closed intervals themselves; it
+    records which traces are read and builds no element."""
 
-    def __init__(self, dirs, stable):
+    def __init__(self, dirs):
         super().__init__(dirs)
-        self.stable, self.read = stable, []
+        self.read = []
 
-    def stable_index(self, a, b):
-        return self.stable
-
-    def element(self, n):
-        self.read.append(n)
-        return closed(-n, n)
+    def stable_trace(self, a, b):
+        self.read.append((a, b))
+        return closed(a, b)
 
 
 def _fan_edges(f):
