@@ -139,6 +139,12 @@ class ProperReport:
     certificates: Tuple[Tuple[int, int], ...] = ()
 
 
+def _check_index_bound(schema: BaseSchema, n_max: int) -> None:
+    if n_max < schema.n0:
+        raise PreconditionError(
+            f"index bound {n_max} is below the first base index {schema.n0}")
+
+
 def proper_check(b: Bornology, t1: TopologyKind, t2: TopologyKind,
                  n_max: int = 16, margin: int = 8) -> ProperReport:
     """(t1, t2)-properness on base elements: cl_t2(B_n) inside int_t1(B_m).
@@ -148,6 +154,7 @@ def proper_check(b: Bornology, t1: TopologyKind, t2: TopologyKind,
     schema = b.base_schema()
     if schema is None:
         raise PreconditionError(f"{b} has no indexed base to check properness on")
+    _check_index_bound(schema, n_max)
     certs = []
     for n in range(schema.n0, n_max + 1):
         c = schema.element(n).closure(t2)
@@ -361,6 +368,7 @@ def chain_search(d: QuasiMetric, schema: BaseSchema, n_max: int = 64) -> ChainRe
     """Per-index condition: for each n some delta works (delta may vary
     with n).  The search descends dyadically to 2^-24, deep enough for bases
     whose required delta shrinks quadratically."""
+    _check_index_bound(schema, n_max)
     certs = []
     last_delta = None
     for n in range(schema.n0, n_max + 1):

@@ -19,13 +19,24 @@ def _emit(report: Report, fmt: str, path):
         sys.stdout.write(text)
 
 
+def _count(text: str) -> int:
+    """A --caps-* value: a non-negative integer."""
+    try:
+        n = int(text)
+    except ValueError:
+        n = -1
+    if n < 0:
+        raise argparse.ArgumentTypeError(f"not a non-negative integer: {text!r}")
+    return n
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(
         prog="gtsreal",
         description="exact decision procedures for generalized-topology real lines")
-    parser.add_argument("--caps-chain", type=int, default=64, metavar="N",
+    parser.add_argument("--caps-chain", type=_count, default=64, metavar="N",
                         help="chain index bound (default 64)")
-    parser.add_argument("--caps-depth", type=int, default=4, metavar="K",
+    parser.add_argument("--caps-depth", type=_count, default=4, metavar="K",
                         help="generation depth for restriction probes (default 4)")
     parser.add_argument("--report", metavar="PATH", default=None,
                         help="write the report to a file instead of stdout")

@@ -25,7 +25,7 @@ import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Optional, Sequence, Tuple, Union
+from typing import Iterable, Iterator, Optional, Sequence, Tuple, Union
 
 from gtsreal.realset import (
     EMPTY,
@@ -46,10 +46,6 @@ from gtsreal.realset import (
 
 class PreconditionError(ValueError):
     """A stated precondition was violated; carries the witness."""
-
-
-class DepthCapError(ValueError):
-    """Requested generation depth exceeds the configured cap."""
 
 
 # ---------------------------------------------------------------------------
@@ -251,14 +247,19 @@ def _clip_all(sets: Iterable[RealSet], w: Optional[RealSet]) -> list[RealSet]:
 # unions and enumeration
 # ---------------------------------------------------------------------------
 
+def _union(sets: Iterable[RealSet]) -> RealSet:
+    u = EMPTY
+    for m in sets:
+        u = u.union(m)
+    return u
+
+
 def union_of(f: FamilySpec) -> RealSet:
     """Exact union of all members."""
     out = None
     for base, w in _pieces(f):
         if isinstance(base, FiniteFamily):
-            u = EMPTY
-            for m in base.members_tuple:
-                u = u.union(m)
+            u = _union(base.members_tuple)
         elif isinstance(base, Periodic):
             u = _periodic_union(base)
         elif base.side == "down":
@@ -283,10 +284,7 @@ def _periodic_union(f: Periodic) -> RealSet:
             return f.member(rng.lo)
         return REALS
     if rng.is_finite:
-        out = EMPTY
-        for k in rng.indices():
-            out = out.union(f.member(k))
-        return out
+        return _union(f.member(k) for k in rng.indices())
     germ = _pattern_reduce(f.seed.core, p)
     lo_v, hi_v = f.seed.core[0].lo, f.seed.core[-1].hi
     span = hi_v - lo_v
@@ -363,10 +361,7 @@ def ess_finite_on(f: FamilySpec, k_set: RealSet) -> EssFinVerdict:
     verdict = _essfin(f, k_set)
     if verdict.essentially_finite:
         trace = k_set.intersect(union_of(f))
-        cover = EMPTY
-        for w in verdict.witness or ():
-            cover = cover.union(w)
-        if not trace.is_subset(cover):
+        if not trace.is_subset(_union(verdict.witness or ())):
             raise AssertionError("internal: witness fails to cover the trace")
     return verdict
 
@@ -654,12 +649,8 @@ def ef_member(f: FamilySpec, l_kind: TopologyKind, bornology) -> bool:
 # bounded generation engine for <Psi>
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class GenCaps:
-    max_family_size: int = 3
-    max_opens: int = 48
-    max_families: int = 6000
-    depth_cap: int = 8
+MAX_FAMILY_SIZE = 3   # a rule combines at most this many opens into a family
+MAX_FAMILIES = 6000   # a collection with more families is marked truncated
 
 
 @dataclass(frozen=True)
@@ -696,79 +687,57 @@ class CovCollection:
             ops.update(mats)
         return CovCollection(carrier, frozenset(fams), frozenset(ops))
 
-    def sorted_opens(self) -> list[RealSet]:
-        return sorted(self.opens, key=sort_key)
 
-    def sorted_families(self) -> list:
-        return sorted(self.families,
-                      key=lambda f: tuple(sorted(sort_key(m) for m in f)))
-
-    def contains_family(self, fam: Iterable[RealSet]) -> bool:
-        return frozenset(m for m in fam if not m.is_empty) in self.families
+def _by_union(fams: Iterable[Family]) -> dict:
+    """The families grouped by their union, each group in the given order."""
+    out: dict = {}
+    for fam in fams:
+        out.setdefault(_union(fam), []).append(fam)
+    return out
 
 
-def _family_union(fam: Family, cache: dict) -> RealSet:
-    if fam not in cache:
-        u = EMPTY
-        for m in sorted(fam, key=sort_key):
-            u = u.union(m)
-        cache[fam] = u
-    return cache[fam]
+def _open_combos(opens: Iterable[RealSet]):
+    """Every combo of 1 to MAX_FAMILY_SIZE opens, with its union."""
+    for size in range(1, MAX_FAMILY_SIZE + 1):
+        for combo in itertools.combinations(opens, size):
+            yield combo, _union(combo)
 
 
-def plus_step(psi: CovCollection, rule: str, caps: GenCaps = GenCaps()) -> CovCollection:
+def plus_step(psi: CovCollection, rule: str, max_opens: int = 48) -> CovCollection:
     """One bounded application of a single gts-axiom closure rule."""
     fams = set(psi.families)
     ops = set(psi.opens)
     truncated = psi.truncated
-    ucache: dict = {}
-    opens_sorted = psi.sorted_opens()
-    fams_sorted = psi.sorted_families()
 
     if rule == "finiteness":
         # axiom (i): finite unions/intersections of opens are open and every
         # finite family of opens is admissible
-        ops.add(psi.carrier)
-        ops.add(EMPTY)
-        for size in range(1, caps.max_family_size + 1):
-            for combo in itertools.combinations(opens_sorted, size):
-                u = EMPTY
-                inter = combo[0]
-                for m in combo:
-                    u = u.union(m)
-                    inter = inter.intersect(m)
-                ops.add(u)
-                ops.add(inter)
-                fam = frozenset(m for m in combo if not m.is_empty)
-                fams.add(fam)
+        ops.update((psi.carrier, EMPTY))
+        for combo, u in _open_combos(psi.opens):
+            inter = combo[0]
+            for m in combo[1:]:
+                inter = inter.intersect(m)
+            ops.update((u, inter))
+            fams.add(frozenset(m for m in combo if not m.is_empty))
         fams.add(frozenset())
     elif rule == "stability":
         # axiom (ii): intersect an admissible family with an open
-        for fam in fams_sorted:
-            for v in opens_sorted:
-                got = frozenset(x for x in (m.intersect(v) for m in fam)
-                                if not x.is_empty)
-                fams.add(got)
+        for fam in psi.families:
+            for v in psi.opens:
+                fams.add(frozenset(x for x in (m.intersect(v) for m in fam)
+                                   if not x.is_empty))
     elif rule == "transitivity":
-        # axiom (iii): replace each member by an admissible family unioning to it
-        by_union: dict = {}
-        for fam in fams_sorted:
-            by_union.setdefault(_family_union(fam, ucache), []).append(fam)
-        for fam in fams_sorted:
-            choices = []
-            for m in sorted(fam, key=sort_key):
-                cands = by_union.get(m, [])
-                if not cands:
-                    choices = None
-                    break
-                choices.append(cands)
-            if not choices:
+        # axiom (iii): replace each member by an admissible family unioning
+        # to it; past 64 combos only the first candidate of each member is
+        # taken, so the candidates keep a fixed (sorted) order
+        by_union = _by_union(sorted(
+            psi.families, key=lambda f: tuple(sorted(sort_key(m) for m in f))))
+        for fam in psi.families:
+            if not fam or any(m not in by_union for m in fam):
                 continue
-            n_combo = 1
-            for c in choices:
-                n_combo *= len(c)
+            choices = [by_union[m] for m in fam]
             pick = itertools.product(*choices)
-            if n_combo > 64:
+            if math.prod(len(c) for c in choices) > 64:
                 pick = [tuple(c[0] for c in choices)]
                 truncated = True
             for combo in pick:
@@ -776,37 +745,25 @@ def plus_step(psi: CovCollection, rule: str, caps: GenCaps = GenCaps()) -> CovCo
                 fams.add(frozenset(m for m in merged if not m.is_empty))
     elif rule == "saturation":
         # axiom (iv): coarsen a family keeping the union and the refinement
-        for size in range(1, caps.max_family_size + 1):
-            for combo in itertools.combinations(opens_sorted, size):
-                cu = EMPTY
-                for m in combo:
-                    cu = cu.union(m)
-                cand = frozenset(m for m in combo if not m.is_empty)
-                for fam in fams_sorted:
-                    if _family_union(fam, ucache) != cu:
-                        continue
-                    if all(any(v.is_subset(u) for u in combo) for v in fam):
-                        fams.add(cand)
-                        break
+        by_union = _by_union(psi.families)
+        for combo, cu in _open_combos(psi.opens):
+            if any(all(any(v.is_subset(u) for u in combo) for v in fam)
+                   for fam in by_union.get(cu, ())):
+                fams.add(frozenset(m for m in combo if not m.is_empty))
     elif rule == "regularity":
         # axiom (v): glue a set along an admissible family
-        for size in range(1, caps.max_family_size + 1):
-            for combo in itertools.combinations(opens_sorted, size):
-                v = EMPTY
-                for m in combo:
-                    v = v.union(m)
-                if v in ops:
-                    continue
-                for fam in fams_sorted:
-                    if not v.is_subset(_family_union(fam, ucache)):
-                        continue
-                    if all(v.intersect(u) in psi.opens for u in fam):
-                        ops.add(v)
-                        break
+        by_union = _by_union(psi.families)
+        for _, v in _open_combos(psi.opens):
+            if v in ops:
+                continue
+            covering = (fam for fu, group in by_union.items() if v.is_subset(fu)
+                        for fam in group)
+            if any(all(v.intersect(u) in psi.opens for u in fam) for fam in covering):
+                ops.add(v)
     else:
         raise ValueError(f"unknown plus rule {rule!r}")
 
-    if len(ops) > caps.max_opens or len(fams) > caps.max_families:
+    if len(ops) > max_opens or len(fams) > MAX_FAMILIES:
         truncated = True
     return CovCollection(psi.carrier, frozenset(fams), frozenset(ops), truncated)
 
@@ -814,33 +771,28 @@ def plus_step(psi: CovCollection, rule: str, caps: GenCaps = GenCaps()) -> CovCo
 RULES = ("finiteness", "stability", "transitivity", "saturation", "regularity")
 
 
-def generate_upto(psi: CovCollection, k: int, caps: GenCaps = GenCaps()) -> CovCollection:
-    if k > caps.depth_cap:
-        raise DepthCapError(f"depth {k} exceeds the configured cap {caps.depth_cap}")
-    for _ in range(k):
+def generation_levels(psi: CovCollection, max_opens: int = 48) -> Iterator[CovCollection]:
+    """Psi, then Psi after each further round of RULES, without end: level k
+    is the depth-k approximation of <Psi>.  Collections with more than
+    max_opens opens are marked truncated, and the mark carries forward."""
+    while True:
+        yield psi
         for rule in RULES:
-            psi = plus_step(psi, rule, caps)
-            if len(psi.opens) > caps.max_opens:
-                return CovCollection(psi.carrier, psi.families, psi.opens, True)
-    return psi
+            psi = plus_step(psi, rule, max_opens)
 
 
-def member_generated(f: FamilySpec, psi: CovCollection, k: int,
-                     caps: GenCaps = GenCaps()) -> GenerationResult:
-    """Semi-decision: found=True proves f in <Psi>; found=False only means
-    "not found within depth k" (with truncated flagging cap pressure)."""
-    if k > caps.depth_cap:
-        raise DepthCapError(f"depth {k} exceeds the configured cap {caps.depth_cap}")
+def member_generated(f: FamilySpec, levels: Iterable[CovCollection],
+                     k: int) -> GenerationResult:
+    """Semi-decision over the first k + 1 of `levels` (a `generation_levels`
+    chain): found=True proves f in <Psi>; found=False only means "not found
+    within depth k" (with truncated flagging cap pressure)."""
+    if k < 0:
+        raise PreconditionError(f"generation depth {k} is negative")
     mats = members(f)
     if mats is None:
         return GenerationResult(False, True, 0)
     target = frozenset(m for m in mats if not m.is_empty)
-    cur = psi
-    if target in cur.families:
-        return GenerationResult(True, cur.truncated, 0)
-    for depth in range(1, k + 1):
-        for rule in RULES:
-            cur = plus_step(cur, rule, caps)
-        if target in cur.families:
-            return GenerationResult(True, cur.truncated, depth)
-    return GenerationResult(False, cur.truncated, k)
+    for depth, level in enumerate(itertools.islice(levels, k + 1)):
+        if target in level.families:
+            return GenerationResult(True, level.truncated, depth)
+    return GenerationResult(False, level.truncated, k)

@@ -36,9 +36,8 @@ def oracle_ess_finite(truncated_members: Sequence[RealSet], k_set: RealSet,
     if trace.is_empty:
         return True
     # greedy shortcut: a single covering member settles it
-    for m in mats:
-        if trace.is_subset(m):
-            return True
+    if max_subfamily >= 1 and any(trace.is_subset(m) for m in mats):
+        return True
     for size in range(2, max_subfamily + 1):
         for combo in itertools.combinations(mats, size):
             u = EMPTY

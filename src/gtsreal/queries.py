@@ -32,7 +32,6 @@ from gtsreal.covers import (
     ALL_INDICES,
     CovCollection,
     Fan,
-    GenCaps,
     IndexRange,
     Periodic,
     PreconditionError,
@@ -45,6 +44,7 @@ from gtsreal.covers import (
     full_ring_closure,
     gen_topology,
     gen_topology_member,
+    generation_levels,
     locally_ess_finite,
     member_generated,
     members,
@@ -611,7 +611,7 @@ def _members_text(fam) -> str:
 
 
 def _generated_text(fam, coll, depth) -> str:
-    got = member_generated(fam, coll, depth, GenCaps(depth_cap=max(8, depth)))
+    got = member_generated(fam, generation_levels(coll), depth)
     extra = " truncated" if got.truncated else ""
     return f"found={_fmt(got.found)} depth={got.depth_used}{extra}"
 

@@ -361,7 +361,6 @@ def _pattern_reduce_cached(pieces: Tuple[Interval, ...], period: Fraction):
         for k in range(k_lo, k_hi + 1):
             occ.append(iv.shift(k * period))
     pat = _clip(merge_intervals(occ), Fraction(0), period, True, False)
-    pat = _intersect_lists(pat, (Interval(Fraction(0), period, True, False),))
     if not pat:
         return _EMPTY_GERM
     if pat == (Interval(Fraction(0), period, True, False),):
@@ -375,8 +374,7 @@ def _pattern_reduce_cached(pieces: Tuple[Interval, ...], period: Fraction):
             shifted.append(iv.shift(sub - period))
         cand = _clip(merge_intervals(shifted), Fraction(0), period, True, False)
         if cand == pat:
-            inner = _clip(pat, Fraction(0), sub, True, False)
-            return ("per", _intersect_lists(inner, (Interval(Fraction(0), sub, True, False),)), sub)
+            return ("per", _clip(pat, Fraction(0), sub, True, False), sub)
     return ("per", pat, period)
 
 
@@ -988,9 +986,7 @@ def _apply_local(a: RealSet, rule) -> RealSet:
         three = _periodize(pat, p, -p, 2 * p)
         # pieces at the +-p edges are exact: pattern copies tile the window
         out = [r for r in (rule(iv) for iv in three) if r is not None]
-        got = _clip(merge_intervals(out), Fraction(0), p, True, False)
-        got = _intersect_lists(got, (Interval(Fraction(0), p, True, False),))
-        return _pattern_reduce(got, p)
+        return _pattern_reduce(_clip(merge_intervals(out), Fraction(0), p, True, False), p)
 
     lg = germ_rule(a._left_germ())
     rg = germ_rule(a._right_germ())

@@ -6,6 +6,7 @@ local smallness, and the restriction/generation agreement battery."""
 
 from __future__ import annotations
 
+import itertools
 import random
 from dataclasses import dataclass
 from fractions import Fraction
@@ -21,11 +22,11 @@ from gtsreal.checkers import (
 )
 from gtsreal.covers import (
     CovCollection,
-    GenCaps,
     ess_finite,
     ess_finite_on,
     finite_family,
     full_ring_closure,
+    generation_levels,
     member_generated,
     members,
     restrict_family,
@@ -229,7 +230,8 @@ def _section_pt(records, probes):
         finite_family([open_iv(0, 1)]),
         finite_family([open_iv(1, 2)]),
     ])
-    got = member_generated(finite_family([open_iv(0, 1), open_iv(1, 2)]), psi, 1)
+    got = member_generated(finite_family([open_iv(0, 1), open_iv(1, 2)]),
+                           generation_levels(psi), 1)
     _check(records, "pt/generation-probe", "member-generated", got.found,
            f"finiteness closure found at depth {got.depth_used}")
 
@@ -366,7 +368,6 @@ def restriction_generation_battery(n_instances: int = 50, seed: int = 2026,
     windows = [closed(-1, 3), closed(0, 4), closed(-2, 5), open_iv(-1, 4)]
     agreements = truncations = 0
     disagreements = []
-    caps = GenCaps(max_family_size=3, max_opens=56, depth_cap=max(8, depth))
     for _ in range(n_instances):
         gens = rng.sample(pool, rng.randint(1, 2))
         y = rng.choice(windows)
@@ -383,11 +384,13 @@ def restriction_generation_battery(n_instances: int = 50, seed: int = 2026,
             size = rng.randint(1, min(3, len(ring)))
             candidates.append(finite_family(rng.sample(ring, size)))
         candidates.append(finite_family([y.difference(ring[rng.randrange(len(ring))])]))
-        for cand in candidates:
+        # one chain per Psi: each level is computed once for all candidates
+        chains = itertools.tee(generation_levels(psi, 56), len(candidates))
+        for cand, levels in zip(candidates, chains):
             mats = members(cand) or []
             in_ring_side = all(m in ring_set for m in mats) and \
                 bool(ess_finite(cand)) if mats else True
-            got = member_generated(cand, psi, depth, caps)
+            got = member_generated(cand, levels, depth)
             if got.truncated and got.found != in_ring_side:
                 truncations += 1
                 continue

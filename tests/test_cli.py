@@ -1,8 +1,13 @@
+import os
 import random
+import subprocess
+import sys
 from fractions import Fraction as F
+from pathlib import Path
 
 import pytest
 
+import gtsreal
 from gtsreal.cli import main
 from gtsreal.lines import FB
 from gtsreal.queries import GRAMMAR, MAX_NESTING, QUERIES, ParseError, parse
@@ -526,6 +531,21 @@ class TestCorpus:
         b = corpus_verify(Caps(chain_n=8)).machine_text()
         assert a == b
 
+    def test_machine_report_is_independent_of_the_hash_seed(self):
+        # set iteration order changes with PYTHONHASHSEED, so only separate
+        # processes can show an order dependence
+        src = str(Path(gtsreal.__file__).resolve().parents[1])
+
+        def corpus(seed):
+            env = dict(os.environ, PYTHONHASHSEED=seed, PYTHONPATH=src)
+            return subprocess.run(
+                [sys.executable, "-m", "gtsreal.cli", "--format", "machine", "corpus"],
+                env=env, capture_output=True, check=True).stdout
+
+        first = corpus("0")
+        assert first.startswith(b"gtsreal-report-v1")
+        assert corpus("1") == first
+
     def test_negative_control_corrupted_sm_table(self):
         rep = corpus_verify(Caps(chain_n=8),
                             sm_override={"standard/lom": FB})
@@ -585,6 +605,41 @@ class TestMain:
         f.write_text("query frobnicate", encoding="utf-8")
         assert main(["eval", str(f)]) == 2
         assert "parse error" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("flag", ["--caps-chain", "--caps-depth"])
+    def test_negative_caps_are_usage_errors(self, flag, capsys):
+        with pytest.raises(SystemExit) as e:
+            main([flag, "-1", "corpus"])
+        assert e.value.code == 2
+        assert "not a non-negative integer: '-1'" in capsys.readouterr().err
+
+    def test_out_of_range_bounds_give_error_records(self, tmp_path):
+        f = tmp_path / "bounds.gts"
+        f.write_text(
+            "collection PSI = collection(finite(interval(open 0, open 1)))\n"
+            "query member_generated finite(interval(open 0, open 1)) PSI -1\n"
+            "query member_generated finite(interval(open 5, open 6)) PSI -1\n"
+            "query proper_check nat_bounded nat nat -3\n"
+            "query chain_search d_n_plus schema(closed affine(-1, -1), "
+            "closed affine(1, 1)) upto -2\n"
+            "query oracle_ess_finite finite(interval(open 0, open 5)) window 0 0 "
+            "interval(closed 1, closed 2) max 0\n"
+            "query oracle_ess_finite finite(interval(open 0, open 5)) window 0 0 "
+            "interval(closed 1, closed 2) max 1\n",
+            encoding="utf-8")
+        out = tmp_path / "report.txt"
+        assert main(["--format", "machine", "--report", str(out), "eval", str(f)]) == 1
+        assert out.read_text(encoding="utf-8").splitlines()[2:] == [
+            "q000|member_generated|error|PreconditionError: generation depth -1 is negative",
+            "q001|member_generated|error|PreconditionError: generation depth -1 is negative",
+            "q002|proper_check|error|PreconditionError: "
+            "index bound -3 is below the first base index 0",
+            "q003|chain_search|error|PreconditionError: "
+            "index bound -2 is below the first base index 0",
+            "q004|oracle_ess_finite|ok|false",
+            "q005|oracle_ess_finite|ok|true",
+            "summary pass=2 fail=4 total=6",
+        ]
 
     def test_all_kinds_golden_report(self, tmp_path):
         f = tmp_path / "all.gts"

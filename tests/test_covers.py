@@ -1,3 +1,4 @@
+import itertools
 import random
 from fractions import Fraction as F
 
@@ -6,11 +7,9 @@ import pytest
 from gtsreal.covers import (
     ALL_INDICES,
     CovCollection,
-    DepthCapError,
     Directions,
     Fan,
     FiniteFamily,
-    GenCaps,
     IndexRange,
     Periodic,
     PreconditionError,
@@ -24,7 +23,7 @@ from gtsreal.covers import (
     full_ring_closure,
     gen_topology,
     gen_topology_member,
-    generate_upto,
+    generation_levels,
     locally_ess_finite,
     member_generated,
     members,
@@ -459,7 +458,7 @@ class TestViolatingMember:
 class TestGeneration:
     def test_member_at_depth_zero(self):
         psi = CovCollection.from_specs([finite_family([open_iv(0, 1)])])
-        got = member_generated(finite_family([open_iv(0, 1)]), psi, 0)
+        got = member_generated(finite_family([open_iv(0, 1)]), generation_levels(psi), 0)
         assert got.found and got.depth_used == 0
 
     def test_spec_generation_example(self):
@@ -470,26 +469,45 @@ class TestGeneration:
             finite_family([open_iv(1, 2)]),
         ])
         target = finite_family([open_iv(0, 1), open_iv(1, 2)])
-        got = member_generated(target, psi, 1)
+        got = member_generated(target, generation_levels(psi), 1)
         assert got.found
 
     def test_periodic_not_found(self):
         psi = CovCollection.from_specs([
             finite_family([open_iv(0, 2), open_iv(1, 3)])])
-        got = member_generated(PER_02, psi, 3)
+        got = member_generated(PER_02, generation_levels(psi), 3)
         assert not got.found
 
-    def test_depth_cap(self):
+    def test_negative_depth_is_a_precondition_error(self):
         psi = CovCollection.from_specs([finite_family([open_iv(0, 1)])])
-        with pytest.raises(DepthCapError):
-            member_generated(finite_family([open_iv(0, 1)]), psi, 99)
+        for f in (finite_family([open_iv(0, 1)]), finite_family([open_iv(5, 6)])):
+            with pytest.raises(PreconditionError):
+                member_generated(f, generation_levels(psi), -1)
+
+    def test_shared_levels_give_the_fresh_chain_answers(self):
+        # candidates that read one tee'd chain, as the restriction battery's
+        # do, get the answers of a fresh chain each, whatever order they
+        # consume it in; the depth-2 find carries the truncation mark
+        psi = CovCollection.from_specs(
+            [finite_family([open_iv(0, 2)]), finite_family([open_iv(1, 3)])],
+            carrier=closed(-1, 4))
+        cands = [finite_family([open_iv(0, 1)]),
+                 finite_family([open_iv(0, 2), open_iv(1, 3)]),
+                 finite_family([open_iv(0, 2), open_iv(0, 3), open_iv(1, 2), open_iv(1, 3)])]
+        chains = itertools.tee(generation_levels(psi, 56), len(cands))
+        shared = [member_generated(c, lv, 3) for c, lv in zip(cands, chains)]
+        fresh = [member_generated(c, generation_levels(psi, 56), 3) for c in cands]
+        assert shared == fresh
+        assert [(g.found, g.truncated, g.depth_used) for g in shared] == \
+            [(False, True, 3), (True, False, 1), (True, True, 2)]
 
     def test_monotone_and_contains_input(self):
         psi = CovCollection.from_specs([
             finite_family([open_iv(0, 2)]), finite_family([open_iv(1, 3)])])
-        one = generate_upto(psi, 1, GenCaps(max_opens=64))
-        two = generate_upto(psi, 2, GenCaps(max_opens=64))
+        zero, one, two = itertools.islice(generation_levels(psi, 64), 3)
+        assert zero == psi
         assert psi.families <= one.families <= two.families
+        assert psi.opens <= one.opens <= two.opens
         for rule in ("finiteness", "stability", "transitivity", "saturation",
                      "regularity"):
             stepped = plus_step(psi, rule)
