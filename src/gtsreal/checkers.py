@@ -2,11 +2,13 @@
 chain checks, metrizability verdicts, strict-continuity refutation, axiom
 probes, and the initial-bornology membership test.
 
-Chain inclusions [B_n]^delta_d subseteq B_{n+1} are checked explicitly for
-n <= N and extended symbolically: beyond a stabilization index every ball
-endpoint of the corpus metrics is an affine function of n (or constantly
-infinite), so two exact probes decide the whole tail, and a failure onset
-beyond N is located by binary search over exact checks.
+The chain inclusion [B_n]^delta_d subseteq B_{n+1} is decided in closed form
+from the end-gap profile delta*(n): [B_n]^delta reaches only as far as the
+delta-balls at B_n's ends, so the inclusion holds iff delta <= delta*(n),
+the least gap between an end of B_{n+1} and the matching end of B_n.  The
+gap at an end does not decrease until the end crosses 0, and from then on
+it is constant or strictly decreasing to 0, so three landmark indices per
+end, plus doubling and bisection on a falling gap, decide every index.
 """
 
 from __future__ import annotations
@@ -37,13 +39,14 @@ from gtsreal.lines import (
     op_member,
     topology_of_line,
 )
-from gtsreal.qmetric import QuasiMetric
+from gtsreal.qmetric import QuasiMetric, UnsupportedCombinationError
 from gtsreal.realset import (
     EMPTY,
     NEG_INF,
     POS_INF,
     REALS,
     ConstructionError,
+    ExtRat,
     RealSet,
     TopologyKind,
     affine_image,
@@ -198,24 +201,23 @@ class ChainCertificate:
 
 @dataclass(frozen=True)
 class ChainReport:
-    verdict: str                      # "pass" | "truncated" | "fail_at"
+    verdict: str                      # "pass" | "fail_at"
     uniform: bool
     fail_index: Optional[int] = None
     missing: Optional[RealSet] = None
     delta_used: Optional[Fraction] = None
-    checked_upto: int = 0
     certificates: Tuple[ChainCertificate, ...] = ()
 
-    @property
-    def holds_everywhere(self) -> bool:
-        return self.verdict == "pass"
-
     def summary(self) -> str:
-        if self.verdict == "pass":
+        if self.verdict == "fail_at":
+            return f"fail_at({self.fail_index})"
+        if self.uniform:
             return f"pass (uniform, delta={self.delta_used})"
-        if self.verdict == "truncated":
-            return f"truncated({self.checked_upto})"
-        return f"fail_at({self.fail_index})"
+        return "pass (per-index)"
+
+
+#: where a chain that no single delta closes reports its failure
+_PROBE_DELTA = Fraction(1, 2**12)
 
 
 def _missing(d: QuasiMetric, schema: BaseSchema, delta: Fraction, n: int) -> RealSet:
@@ -223,181 +225,152 @@ def _missing(d: QuasiMetric, schema: BaseSchema, delta: Fraction, n: int) -> Rea
     return d.nbhd(schema.element(n), delta).difference(schema.element(n + 1))
 
 
-def _inclusion_holds(d: QuasiMetric, schema: BaseSchema, delta: Fraction,
-                     n: int) -> bool:
-    return _missing(d, schema, delta, n).is_empty
+def _end_gaps(d: QuasiMetric, schema: BaseSchema, n: int) -> Tuple[ExtRat, ExtRat]:
+    """(lower, upper): the largest delta for which [B_n]^delta_d stays inside
+    B_{n+1} on that side, POS_INF where B_{n+1} is unbounded.
 
-
-def _stabilization_index(d: QuasiMetric, schema: BaseSchema,
-                         delta: Fraction) -> int:
-    """Index past which every endpoint sequence of [B_n]^delta and B_n is
-    affine in n or constantly infinite.  Thresholds: the metric's branch
-    points in the center variable; generous supersets are harmless."""
-    if schema.kind == "grid":
-        return schema.n0 + 1
-    one = Fraction(1)
-    thresholds = {Fraction(0), one, -one, Fraction(2), Fraction(-2),
-                  delta, -delta, delta - 1, 1 - delta}
-    if delta != 0:
-        thresholds.update({1 - 1 / delta, 1 / delta - 1})
-    if delta < 1:
-        thresholds.update({1 - 1 / (1 - delta), 1 / (1 - delta) - 1})
-    ends = []
-    if schema.kind == "interval":
-        if schema.lo is not None:
-            ends.append(schema.lo)
-        if schema.hi is not None:
-            ends.append(schema.hi)
-    else:  # ball schema: endpoints of B_d(0, n+1) are affine beyond small n
-        return schema.n0 + 4 + math.ceil(1 / delta if delta < 1 else 1)
-    n_stab = schema.n0 + 1
-    for alpha, beta in ends:
-        if beta == 0:
-            continue
-        for t in thresholds:
-            cross = (t - alpha) / beta
-            n_stab = max(n_stab, math.ceil(cross) + 2)
-    return n_stab
-
-
-def _endpoints(a: RealSet) -> Tuple[Tuple, Tuple]:
-    if a.is_empty:
-        return ((None, None), (None, None))
-    iv0, iv1 = a.core[0], a.core[-1]
-    return ((iv0.lo, iv0.lo_closed), (iv1.hi, iv1.hi_closed))
-
-
-def _tail_analysis(d: QuasiMetric, schema: BaseSchema, delta: Fraction,
-                   n1: int):
-    """Decide the inclusion chain for all n >= n1 from two exact probes.
-
-    Returns ("uniform", None) when it holds from n1 on, ("onset", n_f) for
-    the first failing index >= n1, or ("unknown", None) when the affine
-    structure assumption is violated."""
-    ok1 = _inclusion_holds(d, schema, delta, n1)
-    ok2 = _inclusion_holds(d, schema, delta, n1 + 1)
-
-    def margins(n: int):
-        nb = d.nbhd(schema.element(n), delta)
-        tgt = schema.element(n + 1)
-        (nlo, _), (nhi, _) = _endpoints(nb)
-        (tlo, _), (thi, _) = _endpoints(tgt)
-        lo_m = None
-        if is_finite(nlo) and is_finite(tlo):
-            lo_m = nlo - tlo        # >= 0 needed (up to flags)
-        elif nlo == NEG_INF and tlo != NEG_INF:
-            lo_m = NEG_INF
-        hi_m = None
-        if is_finite(nhi) and is_finite(thi):
-            hi_m = thi - nhi
-        elif nhi == POS_INF and thi != POS_INF:
-            hi_m = NEG_INF
-        return lo_m, hi_m
-
-    if ok1 and ok2:
-        m1, m2 = margins(n1), margins(n1 + 1)
-        slopes_ok = True
-        for a, b in zip(m1, m2):
-            if a is None or b is None:
-                continue
-            if a == NEG_INF or b == NEG_INF:
-                slopes_ok = False
-                break
-            if b < a:
-                # margin shrinks affinely: compute the onset
-                step = a - b
-                k = math.floor(a / step) + 1
-                for cand in range(n1 + k - 1, n1 + k + 3):
-                    if cand > n1 and not _inclusion_holds(d, schema, delta, cand):
-                        return ("onset", _first_failure(d, schema, delta, n1, cand))
-                slopes_ok = False
-                break
-        if slopes_ok:
-            return ("uniform", None)
-        return ("unknown", None)
-    bad = n1 if not ok1 else n1 + 1
-    return ("onset", bad)
-
-
-def _first_failure(d: QuasiMetric, schema: BaseSchema, delta: Fraction,
-                   lo_ok: int, hi_bad: int) -> int:
-    """Binary search for the first failing index in (lo_ok, hi_bad]; the
-    failure predicate is monotone beyond stabilization."""
-    while hi_bad - lo_ok > 1:
-        mid = (lo_ok + hi_bad) // 2
-        if _inclusion_holds(d, schema, delta, mid):
-            lo_ok = mid
+    [B_n]^delta reaches as far as the delta-balls at B_n's ends (finite
+    where B_{n+1}'s are, as B_n is inside B_{n+1}).  An end that moves from
+    x to x' allows delta up to d(x, x').  A fixed end x allows every
+    delta <= 1 if d.ball(x, 1) keeps to B_{n+1}'s side of x and none
+    otherwise: a ball that keeps to one side of its centre does so for
+    every radius up to 1 and no further."""
+    a, b = schema.element(n), schema.element(n + 1)
+    gaps = []
+    for x, y, upper in ((a.inf_value(), b.inf_value(), False),
+                        (a.sup_value(), b.sup_value(), True)):
+        if not is_finite(y):
+            gaps.append(POS_INF)
+        elif x != y:
+            gaps.append(d.eval(x, y))
         else:
-            hi_bad = mid
-    return hi_bad
+            ball = d.ball(x, 1)
+            kept = ball.sup_value() <= x if upper else ball.inf_value() >= x
+            gaps.append(Fraction(int(kept)))
+    return gaps[0], gaps[1]
+
+
+def _delta_star(d: QuasiMetric, schema: BaseSchema, n: int) -> ExtRat:
+    """delta*(n): [B_n]^delta_d lies inside B_{n+1} iff delta <= delta*(n).
+    POS_INF when B_{n+1} is the line; 0 on a grid, which holds no ball."""
+    if schema.kind == "grid":
+        return Fraction(0)
+    return min(_end_gaps(d, schema, n))
+
+
+def _far_start(schema: BaseSchema, end) -> int:
+    """c: the first index from which this end of B_n lies on its far side of
+    0 (a lower end <= 0, an upper end >= 0), 0 being the only breakpoint of
+    phi_q, d_u and the rho metrics.  A fixed end has no side.  Ball ends lie
+    there from the start, as every ball holds its centre 0, and the balls
+    B_d(0, r) with r >= 2, i.e. from n0 + 1 on, share one affine shape."""
+    if schema.kind == "ball":
+        return schema.n0 + 1
+    if end is None or end[1] == 0:
+        return schema.n0
+    return max(schema.n0, math.ceil(-end[0] / end[1]))
+
+
+def _profile(d: QuasiMetric, schema: BaseSchema):
+    """Per end of B_n: its gap at the landmarks n0, c - 1 and c as (n, gap)
+    pairs, and whether the gap falls past c.
+
+    Up to c - 2 the gap at an end does not decrease (the end moves on the
+    near side of 0 there), c - 1 is the step across 0, and from c on
+    the gap is constant (equal at c and c + 1) or strictly decreasing to 0
+    (the Moebius ends of d_n_plus).  So an end's first gap below any delta
+    and its smallest gap are read at its landmarks, unless the gap falls."""
+    if not d.exact:
+        raise UnsupportedCombinationError("nbhd requires exact_surrogate mode")
+    if schema.kind == "grid":
+        return [(((schema.n0, Fraction(0)),), False)]
+    laws = []
+    for side, end in enumerate((schema.lo, schema.hi)):
+        c = _far_start(schema, end)
+        marks = sorted({schema.n0, max(schema.n0, c - 1), c})
+        gap = {n: _end_gaps(d, schema, n)[side] for n in marks + [c + 1]}
+        laws.append((tuple((n, gap[n]) for n in marks), gap[c] != gap[c + 1]))
+    return laws
+
+
+def _first_below(d: QuasiMetric, schema: BaseSchema, side: int, delta: Fraction,
+                 n_ok: int) -> int:
+    """The first n > n_ok with a gap below delta at this end, for a gap that
+    is at least delta at n_ok and strictly decreasing to 0 from there:
+    doubling, then bisection.  A gap that does not fall stops the doubling
+    with an AssertionError rather than a loop without end."""
+    def gap(n: int) -> ExtRat:
+        return _end_gaps(d, schema, n)[side]
+
+    step, last, g = 1, gap(n_ok), gap(n_ok + 1)
+    while g >= delta:
+        if g >= last:
+            raise AssertionError(f"the end gap does not fall at n = {n_ok + step}")
+        n_ok, step, last = n_ok + step, 2 * step, g
+        g = gap(n_ok + step)
+    n_bad = n_ok + step
+    while n_bad - n_ok > 1:
+        mid = (n_ok + n_bad) // 2
+        if gap(mid) < delta:
+            n_bad = mid
+        else:
+            n_ok = mid
+    return n_bad
 
 
 def chain_check(d: QuasiMetric, schema: BaseSchema, delta, n_max: int = 64) -> ChainReport:
-    """[B_n]^delta_d subseteq B_{n+1} for all n: explicit to n_max, then the
-    symbolic tail; failures beyond n_max are still located exactly."""
+    """[B_n]^delta_d subseteq B_{n+1} for all n >= n0: the first failure is
+    the first n with delta*(n) < delta, i.e. the first at either end.
+    n_max bounds only the certificates."""
+    _check_index_bound(schema, n_max)
     dq = rat(delta)
-    certs = []
-    for n in range(schema.n0, n_max + 1):
-        missing = _missing(d, schema, dq, n)
-        certs.append(ChainCertificate(n, dq, missing.is_empty))
-        if not missing.is_empty:
-            return ChainReport("fail_at", False, n, missing, dq, n, tuple(certs))
-    n_stab = _stabilization_index(d, schema, dq)
-    n1 = max(n_stab, n_max + 1)
-    kind, onset = _tail_analysis(d, schema, dq, n1)
-    if kind == "uniform":
-        # the head was checked explicitly, the tail symbolically; require the
-        # gap [n_max+1, n1+1] explicitly when the stabilization point is high
-        for n in range(n_max + 1, min(n1 + 2, n_max + 66)):
-            missing = _missing(d, schema, dq, n)
-            if not missing.is_empty:
-                return ChainReport("fail_at", False, n, missing, dq, n_max, tuple(certs))
-        return ChainReport("pass", True, None, None, dq, n_max, tuple(certs))
-    if kind == "onset":
-        n_f = _first_failure(d, schema, dq, n_max, onset) if onset > n_max + 1 else onset
-        return ChainReport("fail_at", False, n_f, _missing(d, schema, dq, n_f), dq, n_max,
-                           tuple(certs))
-    return ChainReport("truncated", False, None, None, dq, n_max, tuple(certs))
-
-
-DYADIC_DELTAS = tuple(Fraction(1, 2**k) for k in range(0, 13))
-_SEARCH_DELTAS = tuple(Fraction(1, 2**k) for k in range(0, 25))
+    laws = _profile(d, schema)
+    if dq <= 0:
+        raise ConstructionError("delta must be positive")
+    firsts = []
+    for side, (marks, falls) in enumerate(laws):
+        hit = next((n for n, g in marks if g < dq), None)
+        if hit is None and falls:
+            hit = _first_below(d, schema, side, dq, marks[-1][0])
+        if hit is not None:
+            firsts.append(hit)
+    n_f = min(firsts, default=None)
+    last = n_max if n_f is None else min(n_f, n_max)
+    certs = tuple(ChainCertificate(n, dq, _delta_star(d, schema, n) >= dq)
+                  for n in range(schema.n0, last + 1))
+    if n_f is None:
+        return ChainReport("pass", True, None, None, dq, certs)
+    return ChainReport("fail_at", False, n_f, _missing(d, schema, dq, n_f), dq, certs)
 
 
 def chain_search(d: QuasiMetric, schema: BaseSchema, n_max: int = 64) -> ChainReport:
     """Per-index condition: for each n some delta works (delta may vary
-    with n).  The search descends dyadically to 2^-24, deep enough for bases
-    whose required delta shrinks quadratically."""
+    with n), i.e. delta*(n) > 0.  A gap that falls stays positive, so an
+    end's first zero is at a landmark.  When inf delta*(n) > 0, the one
+    delta min(1, inf) serves every index and the uniform report is
+    returned.  n_max bounds only the certificates, each with delta
+    min(1, delta*(n))."""
     _check_index_bound(schema, n_max)
-    certs = []
-    last_delta = None
-    for n in range(schema.n0, n_max + 1):
-        hit = next((dq for dq in _SEARCH_DELTAS if _inclusion_holds(d, schema, dq, n)), None)
-        if hit is None:
-            missing = _missing(d, schema, _SEARCH_DELTAS[-1], n)
-            return ChainReport("fail_at", False, n, missing, None, n, tuple(certs))
-        certs.append(ChainCertificate(n, hit, True))
-        last_delta = hit
-    # try to close the tail with the delta that worked at the far end
-    tail = chain_check(d, schema, last_delta, n_max)
-    if tail.verdict == "pass":
-        return ChainReport("pass", True, None, None, last_delta, n_max, tuple(certs))
-    # per-index deltas exist up to n_max but no single-delta tail proof
-    return ChainReport("truncated", False, None, None, last_delta, n_max, tuple(certs))
+    laws = _profile(d, schema)
+    zero = min((n for marks, _ in laws for n, g in marks if g == 0), default=None)
+    if zero is None and not any(falls for _, falls in laws):
+        low = min(g for marks, _ in laws for _, g in marks)
+        return chain_check(d, schema, min(Fraction(1), low), n_max)
+    last = n_max if zero is None else min(zero - 1, n_max)
+    certs = tuple(ChainCertificate(n, min(Fraction(1), _delta_star(d, schema, n)), True)
+                  for n in range(schema.n0, last + 1))
+    if zero is None:
+        return ChainReport("pass", False, None, None, None, certs)
+    return ChainReport("fail_at", False, zero, _missing(d, schema, _PROBE_DELTA, zero),
+                       _PROBE_DELTA, certs)
 
 
 def uniform_chain_check(d: QuasiMetric, schema: BaseSchema, n_max: int = 64) -> ChainReport:
-    """Single-delta condition: one delta must serve every index (dyadic search)."""
-    best_trunc = None
-    last = None
-    for dq in DYADIC_DELTAS:
-        rep = chain_check(d, schema, dq, n_max)
-        if rep.verdict == "pass":
-            return rep
-        if rep.verdict == "truncated" and best_trunc is None:
-            best_trunc = rep
-        last = rep
-    return best_trunc if best_trunc is not None else last
+    """Single-delta condition: passes iff inf delta*(n) > 0, with delta
+    min(1, inf); otherwise the chain fails for every delta, and the report
+    shows where it fails for delta = 2^-12."""
+    rep = chain_search(d, schema, n_max)
+    return rep if rep.uniform else chain_check(d, schema, _PROBE_DELTA, n_max)
 
 
 # ---------------------------------------------------------------------------

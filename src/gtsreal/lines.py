@@ -459,10 +459,6 @@ def pt_of(l: LineId) -> LineId:
     return LineId(l.family, _PT_TABLE[l.variant])
 
 
-def is_partially_topological(l: LineId) -> bool:
-    return pt_of(l) == l
-
-
 def cov_member(l: LineId, f: FamilySpec) -> bool:
     """Admissibility: every member has the line's open shape and the family
     satisfies the line's cover condition."""

@@ -606,13 +606,6 @@ class RealSet:
                 out.append(tail.cut)
         return out
 
-    def _max_period(self) -> Fraction:
-        p = Fraction(1)
-        for tail in (self.left_tail, self.right_tail):
-            if tail is not None:
-                p = _lcm_frac(p, tail.period)
-        return p
-
     # -- set operations ------------------------------------------------------
 
     def union(self, other: "RealSet") -> "RealSet":

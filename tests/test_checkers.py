@@ -1,3 +1,5 @@
+import random
+import time
 from fractions import Fraction as F
 
 import pytest
@@ -10,6 +12,8 @@ from gtsreal.checkers import (
     ProperReport,
     StrictContReport,
     UnrepresentableError,
+    _delta_star,
+    _missing,
     axiom_probe,
     base_check,
     chain_check,
@@ -32,7 +36,7 @@ from gtsreal.lines import (
     line,
     metric_bounded,
 )
-from gtsreal.qmetric import metric
+from gtsreal.qmetric import ALL_METRICS, metric
 from gtsreal.realset import (
     NEG_INF,
     POS_INF,
@@ -49,6 +53,24 @@ from helpers import probe_corpus
 
 SYM_SCHEMA = BaseSchema(lo=(F(-1), F(-1)), hi=(F(1), F(1)))          # [-(n+1), n+1]
 UB_SCHEMA = BaseSchema(lo=None, hi=(F(0), F(1)), hi_closed=False)    # (-inf, n)
+
+CHAIN_METRICS = ALL_METRICS + tuple(m.conjugate() for m in ALL_METRICS)
+# open, closed, one-sided and fixed (beta = 0) ends, ends that cross 0 late,
+# a later first index, the grid and a ball schema of every metric
+CHAIN_SCHEMAS = (
+    SYM_SCHEMA,
+    BaseSchema(lo=(F(-1), F(-1)), hi=(F(1), F(1)), lo_closed=False, hi_closed=False),
+    UB_SCHEMA,
+    BaseSchema(lo=(F(0), F(-1)), hi=None, lo_closed=False),
+    BaseSchema(lo=(F(0), F(0)), hi=(F(1), F(1))),
+    BaseSchema(lo=(F(0), F(0)), hi=(F(1), F(1)), lo_closed=False),
+    BaseSchema(lo=(F(-2), F(-1, 2)), hi=(F(5, 2), F(0)), hi_closed=False),
+    BaseSchema(lo=(F(-2), F(-1, 2)), hi=(F(5, 2), F(0))),
+    BaseSchema(lo=(F(7, 2), F(-1)), hi=(F(9, 2), F(1, 2)), hi_closed=False),
+    BaseSchema(lo=(F(-9), F(-1)), hi=(F(-6), F(3, 2))),
+    BaseSchema(lo=(F(-3), F(-2)), hi=(F(1), F(1, 3)), n0=2),
+    BaseSchema(kind="grid"),
+) + tuple(BaseSchema(kind="ball", metric=m) for m in CHAIN_METRICS)
 
 
 class TestPiecewiseAffine:
@@ -145,10 +167,12 @@ class TestChainChecks:
         rep = chain_search(metric("d_n"), SYM_SCHEMA, 32)
         assert rep.verdict == "pass"
         # per-index deltas exist for d_n_plus (delta_n ~ n^-2) although no
-        # single delta works: the theorem-style search passes up to N while
-        # the uniform check refutes, reproducing the equivalence/uniformity gap
+        # single delta works: the theorem-style search passes at every index
+        # while the uniform check refutes, reproducing the
+        # equivalence/uniformity gap
         rep = chain_search(metric("d_n_plus"), SYM_SCHEMA, 32)
-        assert rep.verdict == "truncated"
+        assert rep.verdict == "pass" and not rep.uniform
+        assert rep.summary() == "pass (per-index)"
         assert all(c.holds for c in rep.certificates)
         rep = uniform_chain_check(metric("d_n_plus"), SYM_SCHEMA, 32)
         assert rep.verdict == "fail_at"
@@ -160,6 +184,80 @@ class TestChainChecks:
     def test_grid_schema_fails(self):
         rep = chain_check(metric("d_n"), FB.base_schema(), F(1, 2), 8)
         assert rep.verdict == "fail_at" and rep.fail_index == 0
+
+    def test_delta_star_is_the_largest_delta(self):
+        # the inclusion holds at delta*(n) and fails just above it (at 2^-40
+        # when delta*(n) = 0); delta*(n) = inf means every delta holds
+        rng = random.Random(6061)
+        for sc in CHAIN_SCHEMAS:
+            for d in CHAIN_METRICS:
+                self._check_delta_star(d, sc, sc.n0 + rng.randrange(12))
+                self._check_delta_star(d, sc, sc.n0 + rng.randrange(12))
+
+    @staticmethod
+    def _check_delta_star(d, sc, n):
+        star = _delta_star(d, sc, n)
+        case = (d.label(), sc, n, star)
+        if star == 0:
+            assert not _missing(d, sc, F(1, 2**40), n).is_empty, case
+        elif star == POS_INF:
+            assert _missing(d, sc, F(1000), n).is_empty, case
+        else:
+            assert _missing(d, sc, star, n).is_empty, case
+            assert not _missing(d, sc, star * F(1001, 1000), n).is_empty, case
+
+    def test_first_failure_matches_a_scan(self):
+        rng = random.Random(6062)
+        for sc, d in ((sc, rng.choice(CHAIN_METRICS)) for sc in CHAIN_SCHEMAS
+                      for _ in range(3)):
+            delta = rng.choice((F(2), F(1), F(1, 2), F(3, 7), F(1, 8), F(1, 64)))
+            scan = next((n for n in range(sc.n0, 121)
+                         if not _missing(d, sc, delta, n).is_empty), None)
+            rep = chain_check(d, sc, delta, sc.n0 + 4)
+            case = (d.label(), sc, delta, rep.summary(), scan)
+            if scan is None:
+                assert rep.verdict == "pass" or rep.fail_index > 120, case
+            else:
+                assert rep.verdict == "fail_at" and rep.fail_index == scan, case
+                assert rep.missing == _missing(d, sc, delta, scan), case
+
+    def test_search_and_uniform_read_the_profile(self):
+        # chain_search fails at the first delta*(n) = 0; a uniform pass
+        # reports min(1, inf delta*), and every other uniform answer fails
+        rng = random.Random(6063)
+        for sc in CHAIN_SCHEMAS:
+            for d in rng.sample(CHAIN_METRICS, 6):
+                stars = [_delta_star(d, sc, n) for n in range(sc.n0, 121)]
+                zero = next((n for n, g in enumerate(stars, sc.n0) if g == 0), None)
+                case = (d.label(), sc)
+                assert chain_search(d, sc, sc.n0).fail_index == zero, case
+                rep = uniform_chain_check(d, sc, sc.n0)
+                if rep.verdict == "pass":
+                    assert rep.delta_used == min(F(1), min(stars)), case
+                else:
+                    assert zero is not None or stars[-1] < stars[60], case
+
+    def test_per_index_search_on_d_n_plus_at_any_bound(self):
+        # the damped metric needs delta_n ~ n^-2 but some delta works at
+        # every n; an index window no longer decides this
+        for n_max in (3000, 5000):
+            start = time.perf_counter()
+            rep = chain_search(metric("d_n_plus"), SYM_SCHEMA, n_max)
+            assert time.perf_counter() - start < 1
+            assert rep.summary() == "pass (per-index)"
+            assert len(rep.certificates) == n_max + 1
+        rep = chain_check(metric("d_n_plus"), SYM_SCHEMA, F(1, 2**25), 8)
+        assert rep.verdict == "fail_at" and rep.fail_index == 5791
+
+    def test_far_zero_crossing_is_read_not_scanned(self):
+        # the lower end 100000 - n crosses 0 at n = 100000; the damped gap
+        # phi(-k) - phi(-k - 1) drops below 1/2 one step later
+        sc = BaseSchema(lo=(F(100000), F(-1)), hi=(F(200000), F(1)))
+        start = time.perf_counter()
+        rep = chain_check(metric("d_n_plus"), sc, F(1, 2), 8)
+        assert time.perf_counter() - start < 1
+        assert rep.fail_index == 100001 and not rep.missing.is_empty
+        assert chain_check(metric("d_n"), sc, F(1, 2), 8).verdict == "pass"
 
 
 class TestMetrizableVerdict:

@@ -622,6 +622,10 @@ class TestMain:
             "query proper_check nat_bounded nat nat -3\n"
             "query chain_search d_n_plus schema(closed affine(-1, -1), "
             "closed affine(1, 1)) upto -2\n"
+            "query chain_check d_n_plus schema(closed affine(-1, -1), "
+            "closed affine(1, 1)) delta 1/8 upto -2\n"
+            "query uniform_chain d_n_plus schema(closed affine(-1, -1), "
+            "closed affine(1, 1)) upto -2\n"
             "query oracle_ess_finite finite(interval(open 0, open 5)) window 0 0 "
             "interval(closed 1, closed 2) max 0\n"
             "query oracle_ess_finite finite(interval(open 0, open 5)) window 0 0 "
@@ -636,9 +640,13 @@ class TestMain:
             "index bound -3 is below the first base index 0",
             "q003|chain_search|error|PreconditionError: "
             "index bound -2 is below the first base index 0",
-            "q004|oracle_ess_finite|ok|false",
-            "q005|oracle_ess_finite|ok|true",
-            "summary pass=2 fail=4 total=6",
+            "q004|chain_check|error|PreconditionError: "
+            "index bound -2 is below the first base index 0",
+            "q005|uniform_chain|error|PreconditionError: "
+            "index bound -2 is below the first base index 0",
+            "q006|oracle_ess_finite|ok|false",
+            "q007|oracle_ess_finite|ok|true",
+            "summary pass=2 fail=6 total=8",
         ]
 
     def test_all_kinds_golden_report(self, tmp_path):
