@@ -11,10 +11,12 @@ only for ordering).
 from __future__ import annotations
 
 import math
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
 from functools import lru_cache
+from operator import attrgetter
 from typing import Iterable, Optional, Sequence, Tuple, Union
 
 NEG_INF = float("-inf")
@@ -24,6 +26,9 @@ POS_INF = float("inf")
 ExtRat = Union[Fraction, float]
 
 RatLike = Union[Fraction, int, str]
+
+
+MAX_SAMPLE_POINTS = 100_000   # sample_points refuses a window with more grid points
 
 
 class ConstructionError(ValueError):
@@ -276,14 +281,33 @@ def _symdiff_lists(a: Sequence[Interval], b: Sequence[Interval]) -> Tuple[Interv
     return _union_lists(_difference_lists(a, b), _difference_lists(b, a))
 
 
+_START_KEY = attrgetter("_sk")
+_END_KEY = attrgetter("_ek")
+
+
 def _clip(items: Sequence[Interval], lo: ExtRat, hi: ExtRat,
           lo_closed: bool = True, hi_closed: bool = True) -> Tuple[Interval, ...]:
+    """Trace of `items` on the window from lo to hi; an end is closed when its
+    flag says so and it is finite.
+
+    `items` must be sorted and disjoint (a `merge_intervals` output, a
+    canonical core or a tail pattern): the pieces that meet the window are
+    then one run, found by bisection, and only its first and last piece are
+    rebuilt."""
     start = _key(lo, 0 if (lo_closed and is_finite(lo)) else 1)
     end = _key(hi, 0 if (hi_closed and is_finite(hi)) else -1)
-    window = _from_keys(start, end)
-    if window is None:
+    if start > end:
         return ()
-    return _intersect_lists(items, (window,))
+    i = bisect_left(items, start, key=_END_KEY)
+    j = bisect_right(items, end, i, key=_START_KEY)
+    if i >= j:
+        return ()
+    run = list(items[i:j])
+    if run[0].start_key < start:
+        run[0] = _from_keys(start, run[0].end_key)  # type: ignore[assignment]
+    if run[-1].end_key > end:
+        run[-1] = _from_keys(run[-1].start_key, end)  # type: ignore[assignment]
+    return tuple(run)
 
 
 # ---------------------------------------------------------------------------
@@ -433,16 +457,15 @@ def _germ_op_cached(ga, gb, table) -> tuple:
         period = _lcm_frac(ga[2], gb[2])
     else:
         period = ga[2] if ga[0] == "per" else gb[2]
-    window = (Fraction(0), period)
-
-    full = (Interval(window[0], window[1], True, False),)
+    zero = Fraction(0)
+    full = (Interval(zero, period, True, False),)
 
     def mat(g):
         if g == _EMPTY_GERM:
             return ()
         if g == _FULL_GERM:
             return full
-        return _intersect_lists(_periodize(g[1], g[2], window[0], window[1]), full)
+        return _clip(_periodize(g[1], g[2], zero, period), zero, period, True, False)
 
     return _pattern_reduce(_select_regions(mat(ga), mat(gb), table), period)
 
@@ -471,7 +494,9 @@ class RealSet:
 
     def contains_point(self, x: RatLike) -> bool:
         q = rat(x)
-        if any(iv.contains(q) for iv in self.core):
+        k = _key(q, 0)
+        i = bisect_right(self.core, k, key=_START_KEY)
+        if i and self.core[i - 1].end_key >= k:
             return True
         if self.left_tail is not None and self.left_tail.contains(q):
             return True
@@ -480,18 +505,39 @@ class RealSet:
         return False
 
     def sample_points(self, window: Interval, step: RatLike) -> list[Fraction]:
+        """The grid points k*step in `window` that lie in the set, ascending.
+
+        Reads the set's trace on the window and emits each piece's grid
+        points in closed form, so a call costs the trace's pieces plus the
+        points emitted; when the trace would have more pieces than the window
+        has grid points, it tests the grid points one by one instead.  Raises
+        ConstructionError when the window holds more than MAX_SAMPLE_POINTS
+        grid points."""
         s = rat(step)
         if s <= 0:
             raise ConstructionError("step must be positive")
         if not (is_finite(window.lo) and is_finite(window.hi)):
             raise ConstructionError("sampling window must be bounded")
-        k = math.ceil(window.lo / s)
+        k_lo, k_hi = math.ceil(window.lo / s), math.floor(window.hi / s)
+        n_grid = k_hi - k_lo + 1
+        if n_grid > MAX_SAMPLE_POINTS:
+            raise ConstructionError(
+                f"sampling window holds {n_grid} grid points, more than {MAX_SAMPLE_POINTS}")
+        width = window.hi - window.lo
+        translates = sum(len(t.pattern) * (width / t.period + 2)
+                         for t in (self.left_tail, self.right_tail) if t is not None)
+        if translates > n_grid:
+            grid = (k * s for k in range(k_lo, k_hi + 1))
+            return [x for x in grid if window.contains(x) and self.contains_point(x)]
         out = []
-        while k * s <= window.hi:
-            x = k * s
-            if window.contains(x) and self.contains_point(x):
-                out.append(x)
-            k += 1
+        for iv in _clip(self.materialize(window.lo, window.hi),
+                        window.lo, window.hi, window.lo_closed, window.hi_closed):
+            lo, hi = math.ceil(iv.lo / s), math.floor(iv.hi / s)
+            if not iv.lo_closed and lo * s == iv.lo:
+                lo += 1
+            if not iv.hi_closed and hi * s == iv.hi:
+                hi -= 1
+            out.extend(k * s for k in range(lo, hi + 1))
         return out
 
     # -- structure predicates ----------------------------------------------
@@ -555,7 +601,7 @@ class RealSet:
 
     def _materialize_ray_left(self, hi: Fraction) -> Tuple[Interval, ...]:
         """Exact trace on (-inf, hi]; requires no left tail in play below core."""
-        out = [iv for iv in (_intersect_lists(self.core, (Interval(NEG_INF, hi, False, True),)))]
+        out = list(_clip(self.core, NEG_INF, hi))
         lowest = hi
         for iv in out:
             if is_finite(iv.lo):
@@ -567,7 +613,7 @@ class RealSet:
         return merge_intervals(out)
 
     def _materialize_ray_right(self, lo: Fraction) -> Tuple[Interval, ...]:
-        out = [iv for iv in (_intersect_lists(self.core, (Interval(lo, POS_INF, True, False),)))]
+        out = list(_clip(self.core, lo, POS_INF))
         highest = lo
         for iv in out:
             if is_finite(iv.hi):
@@ -729,11 +775,6 @@ def _canonical(core: Tuple[Interval, ...], ltail: Optional[PeriodicTail],
     if core and core[-1].hi == POS_INF:
         rgerm = _FULL_GERM
 
-    periods = [t.period for t in (ltail, rtail) if t is not None]
-    big_p = periods[0]
-    for p in periods[1:]:
-        big_p = _lcm_frac(big_p, p)
-
     pts = raw._finite_endpoints()
     base_lo = min(pts)
     base_hi = max(pts)
@@ -746,17 +787,20 @@ def _canonical(core: Tuple[Interval, ...], ltail: Optional[PeriodicTail],
     inner_hi = w_hi
 
     d_w = raw.materialize(w_lo, w_hi)
-
-    # fully periodic?
+    # each periodic germ's trace on the window, built once when the germs match
+    p_lw = _periodize(lgerm[1], lgerm[2], w_lo, w_hi) if lgerm[0] == "per" else None
     if lgerm[0] == "per" and lgerm == rgerm:
-        p_w = _periodize(lgerm[1], lgerm[2], w_lo, w_hi)
-        if d_w == p_w:
+        p_rw = p_lw
+        # fully periodic?
+        if d_w == p_lw:
             zero = Fraction(0)
             near0 = _periodize(lgerm[1], lgerm[2], -lgerm[2], lgerm[2])
             core0 = _clip(near0, zero, zero)
             return RealSet(core0,
                            PeriodicTail(lgerm[1], lgerm[2], "left", zero),
                            PeriodicTail(lgerm[1], lgerm[2], "right", zero))
+    else:
+        p_rw = _periodize(rgerm[1], rgerm[2], w_lo, w_hi) if rgerm[0] == "per" else None
 
     def germ_window(germ, lo, hi):
         if germ == _EMPTY_GERM:
@@ -766,8 +810,7 @@ def _canonical(core: Tuple[Interval, ...], ltail: Optional[PeriodicTail],
         return _periodize(germ[1], germ[2], lo, hi)
 
     cut_l: Optional[Fraction] = None
-    if lgerm[0] == "per":
-        p_lw = _periodize(lgerm[1], lgerm[2], w_lo, w_hi)
+    if p_lw is not None:
         s = _clip(_symdiff_lists(d_w, p_lw), inner_lo, inner_hi)
         if s:
             v = s[0].lo
@@ -782,8 +825,7 @@ def _canonical(core: Tuple[Interval, ...], ltail: Optional[PeriodicTail],
             cut_l = q[0].lo  # type: ignore[assignment]
 
     cut_r: Optional[Fraction] = None
-    if rgerm[0] == "per":
-        p_rw = _periodize(rgerm[1], rgerm[2], w_lo, w_hi)
+    if p_rw is not None:
         s = _clip(_symdiff_lists(d_w, p_rw), inner_lo, inner_hi)
         if s:
             v = s[-1].hi

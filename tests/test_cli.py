@@ -2,6 +2,7 @@ import os
 import random
 import subprocess
 import sys
+import time
 from fractions import Fraction as F
 from pathlib import Path
 
@@ -647,6 +648,19 @@ class TestMain:
             "q006|oracle_ess_finite|ok|false",
             "q007|oracle_ess_finite|ok|true",
             "summary pass=2 fail=6 total=8",
+        ]
+
+    def test_oversized_sample_grid_is_an_error_record(self, tmp_path):
+        f = tmp_path / "sample.gts"
+        f.write_text("query sample reals from 0 to 1 step 1/100000000\n", encoding="utf-8")
+        out = tmp_path / "report.txt"
+        t0 = time.perf_counter()
+        assert main(["--format", "machine", "--report", str(out), "eval", str(f)]) == 1
+        assert time.perf_counter() - t0 < 1
+        assert out.read_text(encoding="utf-8").splitlines()[2:] == [
+            "q000|sample|error|ConstructionError: "
+            "sampling window holds 100000001 grid points, more than 100000",
+            "summary pass=0 fail=1 total=1",
         ]
 
     def test_all_kinds_golden_report(self, tmp_path):

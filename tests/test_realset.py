@@ -1,3 +1,4 @@
+import math
 import random
 from fractions import Fraction as F
 
@@ -7,6 +8,7 @@ from hypothesis import strategies as st
 
 from gtsreal.realset import (
     EMPTY,
+    MAX_SAMPLE_POINTS,
     NEG_INF,
     POS_INF,
     REALS,
@@ -24,6 +26,12 @@ from gtsreal.realset import (
     point,
     points,
     with_tails,
+    _clip,
+    _from_keys,
+    _intersect_lists,
+    _key,
+    is_finite,
+    merge_intervals,
 )
 
 from helpers import (
@@ -34,6 +42,7 @@ from helpers import (
     rand_realset,
     signature,
 )
+from test_acceptance import _quick_set
 
 
 def tail_set(pattern, period, cut, side):
@@ -262,3 +271,142 @@ class TestAlgebraLaws:
             assert a - b == a & ~b
             assert ~~a == a
             assert (a | b) & a == a
+
+
+# ---------------------------------------------------------------------------
+# differential tests: the bisected kernel paths against their linear forms
+# ---------------------------------------------------------------------------
+
+def contains_linear(a, x):
+    """Membership by a scan of every core piece (the linear form)."""
+    return (any(iv.contains(x) for iv in a.core)
+            or (a.left_tail is not None and a.left_tail.contains(x))
+            or (a.right_tail is not None and a.right_tail.contains(x)))
+
+
+def sample_walk(a, window, step):
+    """The grid points in the window, tested one by one (the pointwise walk)."""
+    k = math.ceil(window.lo / step)
+    out = []
+    while k * step <= window.hi:
+        x = k * step
+        if window.contains(x) and contains_linear(a, x):
+            out.append(x)
+        k += 1
+    return out
+
+
+def clip_by_intersection(items, lo, hi, lo_closed, hi_closed):
+    """The window trace as a general list intersection with the window."""
+    start = _key(lo, 0 if (lo_closed and is_finite(lo)) else 1)
+    end = _key(hi, 0 if (hi_closed and is_finite(hi)) else -1)
+    window = _from_keys(start, end)
+    return () if window is None else _intersect_lists(items, (window,))
+
+
+def differential_pool(rng, n):
+    """Criterion-6 sets (half of them tailed) plus sets whose tails have more
+    translates on a window than it has grid points."""
+    pool = [_quick_set(rng, tail_rate=0.5) for _ in range(n)]
+    pool += [rand_realset(rng) for _ in range(n // 4)]
+    pool += [tail_set((Interval(F(0), F(1, 128), True, False),), F(1, 64), 1, "right"),
+             tail_set((Interval(F(0), F(1, 200), False, True),), F(1, 100), -1, "left"),
+             REALS, EMPTY]
+    return pool
+
+
+SAMPLE_STEPS = (F(1), F(5, 2), F(1, 3), F(1, 7), F(1, 16))
+
+
+def sample_windows(rng):
+    out = [GRID_WINDOW, Interval(F(-8), F(8), False, False),
+           Interval(F(-8), F(8), True, False), Interval(F(-8), F(8), False, True),
+           Interval(F(-7, 3), F(13, 5), True, True), Interval(F(-7, 3), F(13, 5), False, False),
+           Interval(F(0), F(0), True, True), Interval(F(1, 3), F(1, 3), True, True),
+           Interval(F(5, 11), F(5, 11), True, True)]
+    for _ in range(4):
+        lo = F(rng.randint(-80, 80), rng.choice((1, 3, 8, 16)))
+        hi = lo + F(rng.randint(0, 60), rng.choice((2, 7, 16)))
+        closed_ends = (True, True) if lo == hi else (rng.random() < .5, rng.random() < .5)
+        out.append(Interval(lo, hi, *closed_ends))
+    return out
+
+
+class TestKernelDifferential:
+    def test_sample_points_matches_the_pointwise_walk(self):
+        rng = random.Random(7001)
+        cases = tailed = 0
+        for a in differential_pool(rng, 60):
+            for window in sample_windows(rng):
+                for step in SAMPLE_STEPS:
+                    assert a.sample_points(window, step) == sample_walk(a, window, step), (
+                        str(a), str(window), step)
+                    cases += 1
+                    tailed += a.left_tail is not None or a.right_tail is not None
+        assert cases >= 5000 and tailed >= 2000
+
+    def test_sample_points_refuses_an_oversized_grid(self):
+        window = Interval(F(0), F(1), True, True)
+        assert len(REALS.sample_points(window, F(1, MAX_SAMPLE_POINTS - 1))) == MAX_SAMPLE_POINTS
+        with pytest.raises(ConstructionError, match="grid points"):
+            REALS.sample_points(window, F(1, MAX_SAMPLE_POINTS))
+        with pytest.raises(ConstructionError, match="grid points"):
+            EMPTY.sample_points(window, F(1, 100_000_000))
+
+    def test_sample_points_walks_the_grid_when_the_trace_is_larger(self, monkeypatch):
+        # 8 million pattern translates meet the window, but only 8001 grid points
+        fine = tail_set((Interval(F(0), F(1, 2000), True, False),), F(1, 1000), 0, "right")
+
+        def no_trace(*args):
+            raise AssertionError("sample_points built the trace")
+
+        monkeypatch.setattr(RealSet, "materialize", no_trace)
+        got = fine.sample_points(Interval(F(-4000), F(4000), True, True), F(1))
+        assert got == [F(k) for k in range(1, 4001)]
+
+    def test_clip_matches_the_window_intersection(self):
+        rng = random.Random(7002)
+        ends = [NEG_INF, POS_INF] + [F(k, 4) for k in range(-40, 41)]
+        lists = [(), (Interval(F(0), F(1), True, True),),
+                 (Interval(F(0), F(1), False, False), Interval(F(1), F(2), False, True)),
+                 (Interval(NEG_INF, F(-2), False, True), Interval(F(3), F(3), True, True),
+                  Interval(F(5), POS_INF, False, False))]
+        for _ in range(300):
+            soup = []
+            for _ in range(rng.randrange(7)):
+                lo, hi = sorted((rng.choice(ends), rng.choice(ends)))
+                if lo == hi:
+                    if is_finite(lo):
+                        soup.append(Interval(lo, hi, True, True))
+                    continue
+                soup.append(Interval(lo, hi, is_finite(lo) and rng.random() < .5,
+                                     is_finite(hi) and rng.random() < .5))
+            lists.append(merge_intervals(soup))
+        windows = [(NEG_INF, POS_INF, True, True),   # everything
+                   (F(-20), F(-15), True, True),     # before every piece
+                   (F(15), F(20), False, False),     # after every piece
+                   (F(1, 4), F(3, 4), False, True),  # inside one piece: cut at both ends
+                   (F(1), F(1), True, True),         # touches [0, 1] at its end
+                   (F(1), F(2), False, True),        # open start on a closed end
+                   (F(-2), F(3), True, True),        # closed ends on closed ends
+                   (F(-2), F(3), False, False),      # open ends on closed ends
+                   (F(2), F(1), True, True)]         # empty window
+        for _ in range(60):
+            lo, hi = sorted((rng.choice(ends), rng.choice(ends)))
+            windows.append((lo, hi, rng.random() < .5, rng.random() < .5))
+        cases = 0
+        for items in lists:
+            for lo, hi, lo_closed, hi_closed in windows:
+                got = _clip(items, lo, hi, lo_closed, hi_closed)
+                assert got == clip_by_intersection(items, lo, hi, lo_closed, hi_closed), (
+                    [str(iv) for iv in items], lo, hi, lo_closed, hi_closed)
+                assert isinstance(got, tuple)
+                cases += 1
+        assert cases >= 20000
+
+    def test_contains_point_matches_the_linear_scan(self):
+        rng = random.Random(7003)
+        probes = [F(k, 16) for k in range(-160, 161)] + [F(k, 7) for k in range(-70, 71)]
+        for a in differential_pool(rng, 60):
+            for x in probes:
+                assert a.contains_point(x) == contains_linear(a, x), (str(a), x)
