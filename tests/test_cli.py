@@ -547,6 +547,11 @@ class TestCorpus:
         assert first.startswith(b"gtsreal-report-v1")
         assert corpus("1") == first
 
+    def test_golden_report(self):
+        # corpus_report.txt is `gtsreal --format machine corpus` at the default caps
+        golden = (Path(__file__).parent / "corpus_report.txt").read_bytes()
+        assert corpus_verify(Caps()).machine_text().encode("utf-8") == golden
+
     def test_negative_control_corrupted_sm_table(self):
         rep = corpus_verify(Caps(chain_n=8),
                             sm_override={"standard/lom": FB})

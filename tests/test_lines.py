@@ -3,6 +3,7 @@ from fractions import Fraction as F
 
 import pytest
 
+from gtsreal.checkers import default_probe_battery
 from gtsreal.covers import (
     Fan,
     IndexRange,
@@ -254,6 +255,74 @@ class TestRefuters:
                     assert cov_member(l, f), (str(l), str(a), str(f))
                     assert not ess_finite_on(f, a).essentially_finite, \
                         (str(l), str(a), str(f))
+
+
+# Per line, two bit-strings ("1" is true) recorded from the tables each line
+# had before they became one row per line: op_member on the probe corpus
+# followed by default_probe_battery's opens, and cov_member on the seven
+# families admissible_battery tries followed by the smallness refuter of each
+# non-small probe.
+LINE_PINS = {
+    "standard/ut": ("100001000101011000000100001111111", "11111111111111111111111111111"),
+    "standard/om": ("100001000101011000000000001111111", "1100000"),
+    "standard/st": ("100001000101011000000100001111111", "1100000"),
+    "standard/lom": ("100001000101011000000100001111111", "111111011111111111111"),
+    "standard/lst": ("100001000101011000000100001111111", "111111011111111111111"),
+    "standard/slom": ("100001000101011000000100001111111", "1100000"),
+    "standard/l_plus_om": ("100001000101011000000000001111111", "110101011111111"),
+    "standard/l_minus_om": ("100001000101011000000100001111111", "1100100111111111"),
+    "standard/l_plus_st": ("100001000101011000000100001111111", "110101011111111"),
+    "standard/l_minus_st": ("100001000101011000000100001111111", "1100100111111111"),
+    "standard/sl_plus_om": ("100001000101011000000000001111111", "1100000"),
+    "standard/sl_minus_om": ("100001000101011000000100001111111", "1100000"),
+    "standard/rom": ("100001000101011000000000001111111", "1100000"),
+    "standard/uu": ("100000000100010000000000001111", "100001011111111"),
+    "standard/ul": ("100000000100010000000000001111", "1000000"),
+    "standard/uf": ("100000000100010000000000001111", "100001111111111111111111111"),
+    "sorgenfrey/ut": ("100001100101111010000111001111111", "11111111111111111111111111111"),
+    "sorgenfrey/om": ("100000100100110010000000001111111", "1100000"),
+    "sorgenfrey/st": ("100001100101111010000111001111111", "1100000"),
+    "sorgenfrey/lom": ("100000100100110010000011001111111", "111111011111111111111"),
+    "sorgenfrey/lst": ("100001100101111010000111001111111", "111111011111111111111"),
+    "sorgenfrey/slom": ("100000100100110010000011001111111", "1100000"),
+    "sorgenfrey/l_plus_om": ("100000100100110010000010001111111", "110101011111111"),
+    "sorgenfrey/l_minus_om": ("100000100100110010000000001111111", "1100100111111111"),
+    "sorgenfrey/l_plus_st": ("100001100101111010000111001111111", "110101011111111"),
+    "sorgenfrey/l_minus_st": ("100001100101111010000111001111111", "1100100111111111"),
+    "sorgenfrey/sl_plus_om": ("100000100100110010000010001111111", "1100000"),
+    "sorgenfrey/sl_minus_om": ("100000100100110010000000001111111", "1100000"),
+    "sorgenfrey/rom": ("100000100100110010000000001111111", "1100000"),
+}
+
+
+def _battery_candidates(l):
+    """The seven families admissible_battery tries on line l."""
+    sorg = topology_of_line(l) is TopologyKind.SORG_R
+
+    def block(lo, hi):
+        return interval(F(lo), F(hi), sorg, False)
+
+    return [finite_family([REALS]),
+            finite_family([block(k, k + 2) for k in (-3, -1, 0, 2)]),
+            Periodic(block(0, 2), F(1)),
+            Periodic(block(0, 2), F(1), IndexRange(0, None)),
+            Periodic(block(0, 2), F(1), IndexRange(None, 0)),
+            Periodic(interval(NEG_INF, 0), F(1)),
+            Fan(F(0), F(1), "down")]
+
+
+def _bits(xs):
+    return "".join("1" if x else "0" for x in xs)
+
+
+@pytest.mark.parametrize("l", CORPUS, ids=str)
+def test_line_pin(l):
+    opens = PROBES + tuple(default_probe_battery(l)[0])
+    fams = _battery_candidates(l) + [smallness_refuter(l, a)
+                                     for a in PROBES if not sm_member(l, a)]
+    got = (_bits(op_member(l, u) for u in opens), _bits(cov_member(l, f) for f in fams))
+    assert got == LINE_PINS[str(l)]
+    assert admissible_battery(l) == [f for f in _battery_candidates(l) if cov_member(l, f)]
 
 
 class TestWeakLocalSmallness:
