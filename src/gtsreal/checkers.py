@@ -615,15 +615,13 @@ def axiom_probe(l: LineId, opens: Optional[Sequence[RealSet]] = None,
 
 def default_probe_battery(l: LineId):
     """Line-shaped opens plus the admissible families of the corpus battery."""
-    if topology_of_line(l) is TopologyKind.UPPER:
+    t = topology_of_line(l)
+    if t is TopologyKind.UPPER:
         opens = [EMPTY, REALS, interval(NEG_INF, 0), interval(NEG_INF, 3)]
-    elif l.family == "sorgenfrey":
-        opens = [EMPTY, REALS, interval(0, 1, True, False),
-                 interval(1, 2, True, False), interval(0, 2, True, False),
-                 interval(-3, 7, True, False), interval(NEG_INF, 0)]
     else:
-        opens = [EMPTY, REALS, interval(0, 1), interval(1, 2),
-                 interval(0, 2), interval(-3, 7), interval(NEG_INF, 0)]
+        opens = [EMPTY, REALS] + [interval(lo, hi, t is TopologyKind.SORG_R, False)
+                                  for lo, hi in ((0, 1), (1, 2), (0, 2), (-3, 7))] \
+            + [interval(NEG_INF, 0)]
     return opens, admissible_battery(l)
 
 

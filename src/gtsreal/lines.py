@@ -1,11 +1,12 @@
 """The corpus of named real-line generalized topological spaces.
 
-Each line binds a topology kind, an open-membership predicate, an
-admissible-family predicate, closed forms for the small / compact /
-admissibly-compact bornologies, and its partial-topologization image.
-Every closed form in the tables below is exercised against the
-definitional refuter battery in the suite: for each non-member the suite
-exhibits an admissible family with no finite subcover of the trace.
+Each line is one `LineSpec` row of `_LINES`: a topology kind, the shape of
+its opens, its cover condition, closed forms for its small and
+admissibly-compact bornologies, and its partial-topologization image.  The
+compact bornology depends on the topology alone (`_CB`).  Every Sm closed
+form is exercised against the definitional refuter battery in the suite: for
+each non-member the suite exhibits an admissible family with no finite
+subcover of the trace.
 """
 
 from __future__ import annotations
@@ -14,7 +15,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from typing import Optional, Tuple
+from typing import Callable, Optional, Tuple
 
 from gtsreal.covers import (
     Directions,
@@ -51,17 +52,6 @@ from gtsreal.realset import (
     with_tails,
 )
 
-STANDARD_VARIANTS = (
-    "ut", "om", "st", "lom", "lst", "slom",
-    "l_plus_om", "l_minus_om", "l_plus_st", "l_minus_st",
-    "sl_plus_om", "sl_minus_om", "rom", "uu", "ul", "uf",
-)
-SORGENFREY_VARIANTS = (
-    "ut", "om", "st", "lom", "lst", "slom",
-    "l_plus_om", "l_minus_om", "l_plus_st", "l_minus_st",
-    "sl_plus_om", "sl_minus_om", "rom",
-)
-
 
 @dataclass(frozen=True)
 class LineId:
@@ -69,14 +59,12 @@ class LineId:
     variant: str
 
     def __post_init__(self):
-        if self.family == "standard":
-            ok = self.variant in STANDARD_VARIANTS
-        elif self.family == "sorgenfrey":
-            ok = self.variant in SORGENFREY_VARIANTS
-        else:
-            ok = False
-        if not ok:
+        if (self.family, self.variant) not in _LINES:
             raise ConstructionError(f"unknown line {self.family}/{self.variant}")
+
+    @property
+    def spec(self) -> "LineSpec":
+        return _LINES[self.family, self.variant]
 
     def __str__(self):
         return f"{self.family}/{self.variant}"
@@ -85,73 +73,6 @@ class LineId:
 def line(name: str) -> LineId:
     fam, _, var = name.partition("/")
     return LineId(fam, var)
-
-
-CORPUS: Tuple[LineId, ...] = tuple(
-    [LineId("standard", v) for v in STANDARD_VARIANTS]
-    + [LineId("sorgenfrey", v) for v in SORGENFREY_VARIANTS])
-
-
-# ---------------------------------------------------------------------------
-# open-membership shapes
-# ---------------------------------------------------------------------------
-
-def _nat_open(a: RealSet) -> bool:
-    return a.interior(TopologyKind.NAT) == a
-
-
-def _sorg_open(a: RealSet) -> bool:
-    return a.interior(TopologyKind.SORG_R) == a
-
-
-def _upper_open(a: RealSet) -> bool:
-    return a.interior(TopologyKind.UPPER) == a
-
-
-def _half_open_shaped(a: RealSet) -> bool:
-    """Union of right half-open pieces: open right ends, closed finite left ends."""
-    return all(not iv.hi_closed and (iv.lo_closed or iv.lo == NEG_INF)
-               for iv in a.pieces())
-
-
-def _no_tails(a: RealSet) -> bool:
-    return a.left_tail is None and a.right_tail is None
-
-
-def _no_left_tail(a: RealSet) -> bool:
-    return a.left_tail is None
-
-
-def _no_right_tail(a: RealSet) -> bool:
-    return a.right_tail is None
-
-
-def op_member(l: LineId, u: RealSet) -> bool:
-    """Is u an open of the line (the member shape its covers require)?"""
-    if l.family == "standard":
-        if l.variant in ("uu", "ul", "uf"):
-            return _upper_open(u)
-        if not _nat_open(u):
-            return False
-        if l.variant in ("om", "rom"):
-            return _no_tails(u)
-        if l.variant in ("l_plus_om", "sl_plus_om"):
-            return _no_left_tail(u)
-        if l.variant in ("l_minus_om", "sl_minus_om"):
-            return _no_right_tail(u)
-        return True
-    # sorgenfrey
-    if l.variant in ("ut", "st", "lst", "l_plus_st", "l_minus_st"):
-        return _sorg_open(u)
-    if not _half_open_shaped(u):
-        return False
-    if l.variant in ("om", "rom"):
-        return _no_tails(u)
-    if l.variant in ("l_plus_om", "sl_plus_om"):
-        return _no_left_tail(u)
-    if l.variant in ("l_minus_om", "sl_minus_om"):
-        return _no_right_tail(u)
-    return True  # lom, slom
 
 
 # ---------------------------------------------------------------------------
@@ -325,7 +246,7 @@ def custom_bornology(schema: BaseSchema) -> Bornology:
 
 @lru_cache(maxsize=None)
 def probe_corpus() -> Tuple[RealSet, ...]:
-    """Fixed battery of 26 sets spanning the shapes the identity tables
+    """Fixed battery of 26 sets spanning the shapes the line bornologies
     discriminate: finite sets, bounded and unbounded intervals of all flag
     combinations, half-lines, unions, and periodic-tail sets."""
     half = (Interval(Fraction(0), Fraction(1, 2), True, False),)
@@ -353,91 +274,128 @@ def probe_corpus() -> Tuple[RealSet, ...]:
 
 
 # ---------------------------------------------------------------------------
-# line tables
+# the line table
 # ---------------------------------------------------------------------------
 
-# Sm / CB / ACB per variant, resolved through _NAMED below.
-# standard family rationale: on ut every infinite set is refuted by a dense
-# ray fan, so only finite sets are small; on the smallified lines (om, st,
-# slom, rom, sl+-) the admissible families are globally essentially finite,
-# so every set is small; on lom/lst local essential finiteness caps traces
-# at bounded sets; the l+/l- family conditions cap one direction only; the
-# upper EF-lines inherit their bornology from the defining base.
-_STANDARD_TABLE = {
-    "ut": ("fb", "nat_bounded", "nat_bounded"),
-    "om": ("all", "nat_bounded", "all"),
-    "st": ("all", "nat_bounded", "all"),
-    "lom": ("nat_bounded", "nat_bounded", "nat_bounded"),
-    "lst": ("nat_bounded", "nat_bounded", "nat_bounded"),
-    "slom": ("all", "nat_bounded", "all"),
-    "l_plus_om": ("ub", "nat_bounded", "ub"),
-    "l_plus_st": ("ub", "nat_bounded", "ub"),
-    "l_minus_om": ("lb", "nat_bounded", "lb"),
-    "l_minus_st": ("lb", "nat_bounded", "lb"),
-    "sl_plus_om": ("all", "nat_bounded", "all"),
-    "sl_minus_om": ("all", "nat_bounded", "all"),
-    "rom": ("all", "nat_bounded", "all"),
-    "uu": ("ub", "ub", "ub"),
-    "ul": ("all", "ub", "all"),
-    "uf": ("uf_small", "ub", "ub"),
-}
+@dataclass(frozen=True)
+class LineSpec:
+    """One line of the corpus."""
 
-# sorgenfrey family: relatively compact sets of the half-open topology are
-# countable, and the countable representable sets are the finite ones and
-# arithmetic point tails (which are unbounded, hence not compact), so
-# CB = FB throughout; Sm/ACB follow the same per-variant rationale.
-_SORGENFREY_TABLE = {
-    "ut": ("fb", "fb", "fb"),
-    "om": ("all", "fb", "all"),
-    "st": ("all", "fb", "all"),
-    "lom": ("nat_bounded", "fb", "nat_bounded"),
-    "lst": ("nat_bounded", "fb", "nat_bounded"),
-    "slom": ("all", "fb", "all"),
-    "l_plus_om": ("ub", "fb", "ub"),
-    "l_plus_st": ("ub", "fb", "ub"),
-    "l_minus_om": ("lb", "fb", "lb"),
-    "l_minus_st": ("lb", "fb", "lb"),
-    "sl_plus_om": ("all", "fb", "all"),
-    "sl_minus_om": ("all", "fb", "all"),
-    "rom": ("all", "fb", "all"),
-}
+    topology: TopologyKind
+    half_open: bool     # opens are unions of [a, b) and (-inf, b) pieces only
+    left_tail: bool     # an open may have a left periodic tail
+    right_tail: bool    # an open may have a right periodic tail
+    cover: Callable[[FamilySpec], bool]   # on families of opens
+    sm: Bornology
+    acb: Bornology
+    pt: str             # variant of the pt image, in the same family
 
-_NAMED = {"fb": FB, "all": ALL_SETS, "nat_bounded": NAT_BOUNDED,
-          "ub": UB, "lb": LB, "uf_small": UF_SMALL}
 
-_PT_TABLE = {
-    "ut": "ut", "om": "st", "st": "st", "lom": "lst", "lst": "lst",
-    "slom": "st", "sl_plus_om": "st", "sl_minus_om": "st",
-    "l_plus_om": "l_plus_st", "l_plus_st": "l_plus_st",
-    "l_minus_om": "l_minus_st", "l_minus_st": "l_minus_st",
-    "rom": "st", "uu": "uu", "ul": "ul", "uf": "uf",
-}
+def _every_family(f: FamilySpec) -> bool:
+    return True
 
-_EF_BORNOLOGY = {"uu": UB, "ul": LB, "uf": FB}
+
+def _ess_finite(f: FamilySpec) -> bool:
+    return bool(ess_finite(f))
+
+
+def _locally_ess_finite_and_on(window: RealSet) -> Callable[[FamilySpec], bool]:
+    return lambda f: locally_ess_finite(f) and bool(ess_finite_on(f, window))
+
+
+def _ef_upper(b: Bornology) -> Callable[[FamilySpec], bool]:
+    return lambda f: ef_member(f, TopologyKind.UPPER, b)
+
+
+_NAT, _SORG, _UPPER = TopologyKind.NAT, TopologyKind.SORG_R, TopologyKind.UPPER
+_LEF_NEG = _locally_ess_finite_and_on(interval(NEG_INF, 0))
+_LEF_POS = _locally_ess_finite_and_on(interval(0, POS_INF))
+
+# One row per line, in corpus order.  Columns: topology, half_open, left_tail,
+# right_tail, cover, Sm, ACB, pt.  Each comment gives the rationale for the
+# Sm (and ACB) of the rows below it.
+_LINES = {(family, variant): LineSpec(*row) for family, rows in (
+    ("standard", {
+        # a dense ray fan refutes every infinite set, so only finite sets are small
+        "ut": (_NAT, False, True, True, _every_family, FB, NAT_BOUNDED, "ut"),
+        # admissible families are globally essentially finite: every set is small
+        "om": (_NAT, False, False, False, _ess_finite, ALL_SETS, ALL_SETS, "st"),
+        "st": (_NAT, False, True, True, _ess_finite, ALL_SETS, ALL_SETS, "st"),
+        # local essential finiteness caps traces at bounded sets
+        "lom": (_NAT, False, True, True, locally_ess_finite, NAT_BOUNDED, NAT_BOUNDED, "lst"),
+        "lst": (_NAT, False, True, True, locally_ess_finite, NAT_BOUNDED, NAT_BOUNDED, "lst"),
+        # the smallified lines (slom, sl_plus_om, sl_minus_om, rom): as om
+        "slom": (_NAT, False, True, True, _ess_finite, ALL_SETS, ALL_SETS, "st"),
+        # the l+ / l- cover conditions cap one direction only
+        "l_plus_om": (_NAT, False, False, True, _LEF_NEG, UB, UB, "l_plus_st"),
+        "l_minus_om": (_NAT, False, True, False, _LEF_POS, LB, LB, "l_minus_st"),
+        "l_plus_st": (_NAT, False, True, True, _LEF_NEG, UB, UB, "l_plus_st"),
+        "l_minus_st": (_NAT, False, True, True, _LEF_POS, LB, LB, "l_minus_st"),
+        "sl_plus_om": (_NAT, False, False, True, _ess_finite, ALL_SETS, ALL_SETS, "st"),
+        "sl_minus_om": (_NAT, False, True, False, _ess_finite, ALL_SETS, ALL_SETS, "st"),
+        "rom": (_NAT, False, False, False, _ess_finite, ALL_SETS, ALL_SETS, "st"),
+        # the upper EF-lines inherit their bornology from the defining base
+        "uu": (_UPPER, False, True, True, _ef_upper(UB), UB, UB, "uu"),
+        "ul": (_UPPER, False, True, True, _ef_upper(LB), ALL_SETS, ALL_SETS, "ul"),
+        "uf": (_UPPER, False, True, True, _ef_upper(FB), UF_SMALL, UB, "uf"),
+    }),
+    # Sm and ACB follow the same per-variant rationale as the standard family
+    ("sorgenfrey", {
+        "ut": (_SORG, False, True, True, _every_family, FB, FB, "ut"),
+        "om": (_SORG, True, False, False, _ess_finite, ALL_SETS, ALL_SETS, "st"),
+        "st": (_SORG, False, True, True, _ess_finite, ALL_SETS, ALL_SETS, "st"),
+        "lom": (_SORG, True, True, True, locally_ess_finite, NAT_BOUNDED, NAT_BOUNDED, "lst"),
+        "lst": (_SORG, False, True, True, locally_ess_finite, NAT_BOUNDED, NAT_BOUNDED, "lst"),
+        "slom": (_SORG, True, True, True, _ess_finite, ALL_SETS, ALL_SETS, "st"),
+        "l_plus_om": (_SORG, True, False, True, _LEF_NEG, UB, UB, "l_plus_st"),
+        "l_minus_om": (_SORG, True, True, False, _LEF_POS, LB, LB, "l_minus_st"),
+        "l_plus_st": (_SORG, False, True, True, _LEF_NEG, UB, UB, "l_plus_st"),
+        "l_minus_st": (_SORG, False, True, True, _LEF_POS, LB, LB, "l_minus_st"),
+        "sl_plus_om": (_SORG, True, False, True, _ess_finite, ALL_SETS, ALL_SETS, "st"),
+        "sl_minus_om": (_SORG, True, True, False, _ess_finite, ALL_SETS, ALL_SETS, "st"),
+        # pt: the image is recorded as st over the rationalized topology
+        "rom": (_SORG, True, False, False, _ess_finite, ALL_SETS, ALL_SETS, "st"),
+    }),
+) for variant, row in rows.items()}
+
+# CB depends on the topology alone.  Heine-Borel on the natural line.  On the
+# Sorgenfrey line relatively compact sets are countable, and the countable
+# representable sets are the finite ones and arithmetic point tails (which are
+# unbounded, hence not compact), so CB = FB.  On the upper line (-inf, b] is
+# compact, so the sets inside a compact set are those bounded above.
+_CB = {_NAT: NAT_BOUNDED, _SORG: FB, _UPPER: UB}
+
+CORPUS: Tuple[LineId, ...] = tuple(LineId(family, variant) for family, variant in _LINES)
+
+
+def _half_open_shaped(a: RealSet) -> bool:
+    """Union of right half-open pieces: open right ends, closed finite left ends."""
+    return all(not iv.hi_closed and (iv.lo_closed or iv.lo == NEG_INF)
+               for iv in a.pieces())
+
+
+def op_member(l: LineId, u: RealSet) -> bool:
+    """Is u an open of the line (the member shape its covers require)?"""
+    s = l.spec
+    shaped = _half_open_shaped(u) if s.half_open else u.interior(s.topology) == u
+    return shaped and (s.left_tail or u.left_tail is None) and \
+        (s.right_tail or u.right_tail is None)
 
 
 def topology_of_line(l: LineId) -> TopologyKind:
-    if l.family == "sorgenfrey":
-        return TopologyKind.SORG_R
-    if l.variant in ("uu", "ul", "uf"):
-        return TopologyKind.UPPER
-    return TopologyKind.NAT
-
-
-def _table(l: LineId):
-    return (_STANDARD_TABLE if l.family == "standard" else _SORGENFREY_TABLE)[l.variant]
+    return l.spec.topology
 
 
 def sm_bornology(l: LineId) -> Bornology:
-    return _NAMED[_table(l)[0]]
+    return l.spec.sm
 
 
 def cb_bornology(l: LineId) -> Bornology:
-    return _NAMED[_table(l)[1]]
+    return _CB[l.spec.topology]
 
 
 def acb_bornology(l: LineId) -> Bornology:
-    return _NAMED[_table(l)[2]]
+    return l.spec.acb
 
 
 def sm_member(l: LineId, a: RealSet) -> bool:
@@ -453,10 +411,8 @@ def acb_member(l: LineId, a: RealSet) -> bool:
 
 
 def pt_of(l: LineId) -> LineId:
-    """Partial-topologization image.  For sorgenfrey/rom the image is
-    recorded as st over the rationalized topology; the generation-probe
-    identity checks exclude it."""
-    return LineId(l.family, _PT_TABLE[l.variant])
+    """Partial-topologization image, a line of the same family."""
+    return LineId(l.family, l.spec.pt)
 
 
 def cov_member(l: LineId, f: FamilySpec) -> bool:
@@ -464,32 +420,16 @@ def cov_member(l: LineId, f: FamilySpec) -> bool:
     satisfies the line's cover condition."""
     if violating_member(f, lambda u: op_member(l, u)) is not None:
         return False
-    v = l.variant
-    if v == "ut":
-        return True
-    if v in ("om", "st", "slom", "rom", "sl_plus_om", "sl_minus_om"):
-        return bool(ess_finite(f))
-    if v in ("lom", "lst"):
-        return locally_ess_finite(f)
-    if v in ("l_plus_om", "l_plus_st"):
-        return locally_ess_finite(f) and \
-            bool(ess_finite_on(f, interval(NEG_INF, 0)))
-    if v in ("l_minus_om", "l_minus_st"):
-        return locally_ess_finite(f) and \
-            bool(ess_finite_on(f, interval(0, POS_INF)))
-    # uu / ul / uf: EF(upper topology, B); shapes were already checked above
-    return ef_member(f, TopologyKind.UPPER, _EF_BORNOLOGY[v])
+    return l.spec.cover(f)
 
 
 # ---------------------------------------------------------------------------
 # suite support: refuters, probe batteries, weak local smallness
 # ---------------------------------------------------------------------------
 
-def _seed_block(l: LineId, lo: int, hi: int) -> RealSet:
-    """A line-appropriate open block: (lo, hi) or [lo, hi)."""
-    if l.family == "sorgenfrey":
-        return interval(Fraction(lo), Fraction(hi), True, False)
-    return interval(Fraction(lo), Fraction(hi), False, False)
+def _seed_block(l: LineId, lo, hi) -> RealSet:
+    """A line-appropriate open block: (lo, hi), or [lo, hi) on a Sorgenfrey line."""
+    return interval(lo, hi, l.spec.topology is TopologyKind.SORG_R, False)
 
 
 def _accumulation_sup(a: RealSet) -> Fraction:
@@ -512,23 +452,20 @@ def smallness_refuter(l: LineId, a: RealSet) -> Optional[FamilySpec]:
     non-small `a`; None when `a` is small (nothing to refute)."""
     if sm_member(l, a):
         return None
-    kind = _table(l)[0]
+    kind = sm_bornology(l).kind
     b = a.boundedness()
+    if topology_of_line(l) is TopologyKind.UPPER and not b.bounded_above:
+        # the upper line's opens are down-rays
+        return Periodic(interval(NEG_INF, 0), Fraction(1))
     if kind in ("fb", "uf_small"):
         # any family of the line's opens is admissible here
-        if not b.bounded_above:
-            if l.variant == "uf":
-                return Periodic(interval(NEG_INF, 0), Fraction(1))
-            return Periodic(_seed_block(l, 0, 2), Fraction(1))
-        if not b.bounded_below and kind == "fb":
+        if not b.bounded_above or (not b.bounded_below and kind == "fb"):
             return Periodic(_seed_block(l, 0, 2), Fraction(1))
         t = _accumulation_sup(a)
         return Fan(t - 1, t, "down")
     if kind == "nat_bounded":
         return Periodic(_seed_block(l, 0, 2), Fraction(1))
     if kind == "ub":
-        if l.variant == "uu":
-            return Periodic(interval(NEG_INF, 0), Fraction(1))
         return Periodic(_seed_block(l, 0, 2), Fraction(1), IndexRange(0, None))
     if kind == "lb":
         return Periodic(_seed_block(l, 0, 2), Fraction(1), IndexRange(None, 0))
@@ -537,30 +474,22 @@ def smallness_refuter(l: LineId, a: RealSet) -> Optional[FamilySpec]:
 
 def admissible_battery(l: LineId) -> list[FamilySpec]:
     """Line-admissible families used for the definitional smallness checks."""
-    blocks = [_seed_block(l, k, k + 2) for k in (-3, -1, 0, 2)]
-    candidates: list[FamilySpec] = [
+    block = _seed_block(l, 0, 2)
+    return [f for f in (
         finite_family([REALS]),
-        finite_family(blocks),
-        Periodic(_seed_block(l, 0, 2), Fraction(1)),
-        Periodic(_seed_block(l, 0, 2), Fraction(1), IndexRange(0, None)),
-        Periodic(_seed_block(l, 0, 2), Fraction(1), IndexRange(None, 0)),
+        finite_family([_seed_block(l, k, k + 2) for k in (-3, -1, 0, 2)]),
+        Periodic(block, Fraction(1)),
+        Periodic(block, Fraction(1), IndexRange(0, None)),
+        Periodic(block, Fraction(1), IndexRange(None, 0)),
         Periodic(interval(NEG_INF, 0), Fraction(1)),
         Fan(Fraction(0), Fraction(1), "down"),
-    ]
-    out = []
-    for f in candidates:
-        try:
-            if cov_member(l, f):
-                out.append(f)
-        except Exception:
-            continue
-    return out
+    ) if cov_member(l, f)]
 
 
 def weak_local_small_cover(l: LineId) -> Optional[FamilySpec]:
     """A representable collection of small opens covering the line, when one
     exists (definitional weak local smallness; no admissibility needed)."""
-    kind = _table(l)[0]
+    kind = sm_bornology(l).kind
     if kind == "all":
         return finite_family([REALS])
     if kind == "nat_bounded":
@@ -568,9 +497,7 @@ def weak_local_small_cover(l: LineId) -> Optional[FamilySpec]:
     if kind == "ub":
         return Periodic(interval(NEG_INF, 0), Fraction(1))
     if kind == "lb":
-        if l.family == "sorgenfrey":
-            return Periodic(interval(0, POS_INF, True, False), Fraction(1))
-        return Periodic(interval(0, POS_INF), Fraction(1))
+        return Periodic(_seed_block(l, 0, POS_INF), Fraction(1))
     return None  # fb / uf_small: small opens cannot cover the line
 
 

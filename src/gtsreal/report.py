@@ -1,5 +1,5 @@
 """Deterministic evaluation reports and the built-in corpus verification
-battery: identity tables, the pt map with its bornology invariance, the
+battery: the ACB identity, the pt map with its bornology invariance, the
 small/compact subsumption sweep, the metrizability verdict table, chain
 criteria, properness/base anchors, axiom probes, smallness refuters, weak
 local smallness, and the restriction/generation agreement battery."""
@@ -198,21 +198,13 @@ def _metrizability_table():
     return t
 
 
-def _section_identities(records, probes, sm_override=None):
+def _section_identities(records, probes):
+    """ACB = Sm u CB on every probe.  This is a property of the corpus lines,
+    checked on the probes; it is not a theorem of the paper."""
     for l in CORPUS:
-        sb = sm_bornology(l)
-        if sm_override is not None:
-            sb = sm_override.get(str(l), sb)
-        cb = cb_bornology(l)
-        ab = acb_bornology(l)
-        bad = []
-        for a in probes:
-            if sb.member(a) != sm_member(l, a):
-                bad.append(f"sm({a})")
-            if cb.member(a) != cb_member(l, a):
-                bad.append(f"cb({a})")
-            if ab.member(a) != acb_member(l, a):
-                bad.append(f"acb({a})")
+        sb, cb, ab = sm_bornology(l), cb_bornology(l), acb_bornology(l)
+        bad = [f"acb({a})" for a in probes
+               if ab.member(a) != (sb.member(a) or cb.member(a))]
         _check(records, f"identity/{l}", "bornology-identity", not bad,
                f"Sm={sb} CB={cb} ACB={ab} on {len(probes)} probes"
                + (f"; mismatches: {bad[:3]}" if bad else ""))
@@ -410,12 +402,11 @@ def _section_restriction_generation(records, caps):
            f"{len(disagreements)} disagreements")
 
 
-def corpus_verify(caps: Caps = Caps(), sm_override=None) -> Report:
-    """The flagship battery.  sm_override is a test-only hook mapping line
-    names to corrupted Sm bornologies (negative-control fixture)."""
+def corpus_verify(caps: Caps = Caps()) -> Report:
+    """The flagship battery."""
     records: list[Record] = []
     probes = probe_corpus()
-    _section_identities(records, probes, sm_override)
+    _section_identities(records, probes)
     _section_pt(records, probes)
     _section_subsumption(records, probes)
     _section_metrizability(records, probes, caps)

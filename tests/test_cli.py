@@ -3,16 +3,27 @@ import random
 import subprocess
 import sys
 import time
+from dataclasses import replace
 from fractions import Fraction as F
 from pathlib import Path
 
 import pytest
 
 import gtsreal
+from gtsreal import lines
 from gtsreal.cli import main
-from gtsreal.lines import FB
+from gtsreal.lines import ALL_SETS, CORPUS, FB, LB, NAT_BOUNDED, UB, UF_SMALL, probe_corpus
 from gtsreal.queries import GRAMMAR, MAX_NESTING, QUERIES, ParseError, parse
-from gtsreal.report import Caps, corpus_verify, run
+from gtsreal.report import (
+    Caps,
+    _section_identities,
+    _section_pt,
+    _section_refuters,
+    _section_subsumption,
+    _section_wls,
+    corpus_verify,
+    run,
+)
 
 
 # One document with every query kind and every declaration form, and its
@@ -552,15 +563,24 @@ class TestCorpus:
         golden = (Path(__file__).parent / "corpus_report.txt").read_bytes()
         assert corpus_verify(Caps()).machine_text().encode("utf-8") == golden
 
-    def test_negative_control_corrupted_sm_table(self):
-        rep = corpus_verify(Caps(chain_n=8),
-                            sm_override={"standard/lom": FB})
-        bad = [r for r in rep.records if r.status == "fail"]
-        assert bad
-        assert any(r.ident == "identity/standard/lom" for r in bad)
-        # the corruption is localized: other identity entries stay green
-        assert any(r.ident == "identity/standard/lst" and r.status == "pass"
-                   for r in rep.records)
+    @pytest.mark.parametrize("l,cell,b", [
+        pytest.param(l, cell, b, id=f"{l}-{cell}-{b.kind}")
+        for l in CORPUS for cell in ("sm", "acb")
+        for b in (FB, ALL_SETS, NAT_BOUNDED, UB, LB, UF_SMALL)
+        if b != getattr(l.spec, cell)])
+    def test_negative_control_corrupted_row(self, monkeypatch, l, cell, b):
+        # put a wrong named bornology in one Sm or ACB cell of the line table:
+        # the bornology sections must report a failure, and the slower
+        # refuter and weak-local-smallness sections run only when they do not
+        monkeypatch.setitem(lines._LINES, (l.family, l.variant),
+                            replace(l.spec, **{cell: b}))
+        records, probes = [], probe_corpus()
+        for section in (_section_identities, _section_pt, _section_subsumption):
+            section(records, probes)
+        if all(r.status == "pass" for r in records):
+            _section_refuters(records, probes)
+            _section_wls(records)
+        assert any(r.status == "fail" for r in records)
 
 
 class TestMain:
