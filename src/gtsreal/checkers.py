@@ -236,6 +236,8 @@ def _end_gaps(d: QuasiMetric, schema: BaseSchema, n: int) -> Tuple[ExtRat, ExtRa
     otherwise: a ball that keeps to one side of its centre does so for
     every radius up to 1 and no further."""
     a, b = schema.element(n), schema.element(n + 1)
+    if a.is_empty:
+        return POS_INF, POS_INF
     gaps = []
     for x, y, upper in ((a.inf_value(), b.inf_value(), False),
                         (a.sup_value(), b.sup_value(), True)):
@@ -272,11 +274,12 @@ def _far_start(schema: BaseSchema, end) -> int:
 
 
 def _profile(d: QuasiMetric, schema: BaseSchema):
-    """Per end of B_n: its gap at the landmarks n0, c - 1 and c as (n, gap)
-    pairs, and whether the gap falls past c.
+    """Per end of B_n: its gap at the landmarks s, c - 1 and c as (n, gap)
+    pairs, and whether the gap falls past c.  s is the first index with a
+    nonempty B_n; every delta works on the empty ones before it.
 
-    Up to c - 2 the gap at an end does not decrease (the end moves on the
-    near side of 0 there), c - 1 is the step across 0, and from c on
+    From s up to c - 2 the gap at an end does not decrease (the end moves
+    on the near side of 0 there), c - 1 is the step across 0, and from c on
     the gap is constant (equal at c and c + 1) or strictly decreasing to 0
     (the Moebius ends of d_n_plus).  So an end's first gap below any delta
     and its smallest gap are read at its landmarks, unless the gap falls."""
@@ -284,10 +287,13 @@ def _profile(d: QuasiMetric, schema: BaseSchema):
         raise UnsupportedCombinationError("nbhd requires exact_surrogate mode")
     if schema.kind == "grid":
         return [(((schema.n0, Fraction(0)),), False)]
+    start = schema.first_nonempty()
+    if start is None:
+        return [(((schema.n0, POS_INF),), False)]
     laws = []
     for side, end in enumerate((schema.lo, schema.hi)):
-        c = _far_start(schema, end)
-        marks = sorted({schema.n0, max(schema.n0, c - 1), c})
+        c = max(start, _far_start(schema, end))
+        marks = sorted({start, max(start, c - 1), c})
         gap = {n: _end_gaps(d, schema, n)[side] for n in marks + [c + 1]}
         laws.append((tuple((n, gap[n]) for n in marks), gap[c] != gap[c + 1]))
     return laws

@@ -21,9 +21,11 @@ families is uniformly true and is recorded rather than implemented.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
-from dataclasses import dataclass
+import operator
+from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Iterable, Iterator, Optional, Sequence, Tuple, Union
 
@@ -487,27 +489,65 @@ def sort_key(rs: RealSet) -> str:
     return str(rs)
 
 
+class _Atoms:
+    """The atoms of finitely many sets: their nonempty Venn regions.
+
+    Every union and intersection of the sets is a union of atoms, so it is
+    an int bitmask with bit t for atom t: a union is |, an intersection &,
+    v.is_subset(u) is v & ~u == 0 and the empty set is 0 (Birkhoff, "Rings
+    of sets", 1937).  `set` turns a mask back into a RealSet, `key` gives its
+    sort_key and `family` a family of masks as RealSets, each memoized; an
+    algebra serves one ring or one generation chain and goes with it."""
+
+    def __init__(self, sets: Iterable[RealSet]):
+        gens = list(dict.fromkeys(sets))
+        atoms, sigs = [], []   # sigs[t]: bit j set iff atom t lies in gens[j]
+        covered = EMPTY
+        for j, g in enumerate(gens):
+            split = []
+            for t, a in enumerate(atoms):
+                inside = a.intersect(g)
+                if not inside.is_empty:
+                    if inside != a:
+                        atoms[t] = inside
+                        split.append((a.difference(g), sigs[t]))
+                    sigs[t] |= 1 << j
+            for a, sig in split + [(g.difference(covered), 1 << j)]:
+                if not a.is_empty:
+                    atoms.append(a)
+                    sigs.append(sig)
+            covered = covered.union(g)
+        self.atoms = atoms
+        gen_masks = [sum(1 << t for t, sig in enumerate(sigs) if sig >> j & 1)
+                     for j in range(len(gens))]
+        # meets[t]: the smallest intersection of the sets that holds atom t
+        self.meets = [functools.reduce(operator.and_, (g for j, g in enumerate(gen_masks)
+                                                       if sig >> j & 1)) for sig in sigs]
+        self.mask = dict(zip(gens, gen_masks))
+        known = {m: g for g, m in self.mask.items()}
+        to_set = self.set = functools.cache(lambda m: known[m] if m in known else _union(
+            a for t, a in enumerate(atoms) if m >> t & 1))
+        self.key = functools.cache(lambda m: sort_key(to_set(m)))
+        self.family = functools.cache(lambda fam: frozenset(map(to_set, fam)))
+
+
 def full_ring_closure(generators: Sequence[RealSet], y: RealSet) -> list[RealSet]:
     """L_Y[A]: least collection containing A, empty, Y closed under finite
-    unions and intersections; computed as a pairwise fixpoint."""
+    unions and intersections, sorted by sort_key.  The atoms of Y and A
+    partition Y, and an intersection of members of A and Y is the union of
+    the meets of its atoms, so the ring is listed as the OR-closure of the
+    meets, at one RealSet union per ring member."""
     for g in generators:
         if not g.is_subset(y):
             raise PreconditionError(f"generator {g} is not a subset of Y={y}")
-    ring = {EMPTY, y}
-    ring.update(generators)
-    while True:
-        fresh = set()
-        items = sorted(ring, key=sort_key)
-        for a, b in itertools.combinations(items, 2):
-            u = a.union(b)
-            if u not in ring:
-                fresh.add(u)
-            i = a.intersect(b)
-            if i not in ring:
-                fresh.add(i)
-        if not fresh:
-            return sorted(ring, key=sort_key)
-        ring.update(fresh)
+    alg = _Atoms([y, *generators])
+    ring = {0: EMPTY}
+    for m in set(alg.meets):
+        s = alg.set(m)
+        for x, xs in list(ring.items()):
+            if x | m not in ring:
+                ring[x | m] = xs.union(s)
+    return sorted(ring.values(), key=sort_key)
 
 
 def gen_topology(generators: Sequence[RealSet]) -> list[RealSet]:
@@ -517,7 +557,14 @@ def gen_topology(generators: Sequence[RealSet]) -> list[RealSet]:
 
 
 def gen_topology_member(generators: Sequence[RealSet], u: RealSet) -> bool:
-    return u in set(gen_topology(generators))
+    """u in tau(A) without listing it: u is a union of atoms of A and the
+    line, and the meet of every atom inside u lies inside u."""
+    alg = _Atoms([REALS, *generators])
+    inside = [a.intersect(u) for a in alg.atoms]
+    if any(i != a and not i.is_empty for i, a in zip(inside, alg.atoms)):
+        return False
+    m = sum(1 << t for t, i in enumerate(inside) if not i.is_empty)
+    return all(meet & ~m == 0 for t, meet in enumerate(alg.meets) if m >> t & 1)
 
 
 # ---------------------------------------------------------------------------
@@ -660,9 +707,6 @@ class GenerationResult:
     depth_used: int
 
 
-Family = frozenset  # frozenset[RealSet], empty members dropped
-
-
 @dataclass(frozen=True)
 class CovCollection:
     """Materialized finite collection of finite families over a carrier."""
@@ -671,6 +715,9 @@ class CovCollection:
     families: frozenset
     opens: frozenset
     truncated: bool = False
+    # (atoms, families, opens) as masks over the atoms of the chain that
+    # made this collection; not part of its value
+    _masks: Optional[tuple] = field(default=None, compare=False, repr=False)
 
     @staticmethod
     def from_specs(specs: Sequence[FamilySpec], carrier: RealSet = REALS) -> "CovCollection":
@@ -688,51 +735,59 @@ class CovCollection:
         return CovCollection(carrier, frozenset(fams), frozenset(ops))
 
 
-def _by_union(fams: Iterable[Family]) -> dict:
+def _masked(psi: CovCollection) -> tuple:
+    """(atoms, families, opens) of psi as masks.  The rules make every set
+    from the carrier, opens and members of psi by unions and intersections,
+    so their atoms serve every later level."""
+    if psi._masks is not None:
+        return psi._masks
+    alg = _Atoms([psi.carrier, *psi.opens, *itertools.chain(*psi.families)])
+    return (alg, frozenset(frozenset(map(alg.mask.get, f)) for f in psi.families),
+            frozenset(map(alg.mask.get, psi.opens)))
+
+
+def _by_union(fams: Iterable[frozenset]) -> dict:
     """The families grouped by their union, each group in the given order."""
     out: dict = {}
     for fam in fams:
-        out.setdefault(_union(fam), []).append(fam)
+        out.setdefault(functools.reduce(operator.or_, fam, 0), []).append(fam)
     return out
 
 
-def _open_combos(opens: Iterable[RealSet]):
+def _open_combos(opens: Iterable[int]):
     """Every combo of 1 to MAX_FAMILY_SIZE opens, with its union."""
     for size in range(1, MAX_FAMILY_SIZE + 1):
         for combo in itertools.combinations(opens, size):
-            yield combo, _union(combo)
+            yield combo, functools.reduce(operator.or_, combo)
 
 
 def plus_step(psi: CovCollection, rule: str, max_opens: int = 48) -> CovCollection:
-    """One bounded application of a single gts-axiom closure rule."""
-    fams = set(psi.families)
-    ops = set(psi.opens)
+    """One bounded application of a single gts-axiom closure rule, decided
+    on the atom masks of psi (see `_Atoms`)."""
+    alg, old_fams, old_ops = _masked(psi)
+    fams, ops = set(old_fams), set(old_ops)
     truncated = psi.truncated
 
     if rule == "finiteness":
         # axiom (i): finite unions/intersections of opens are open and every
         # finite family of opens is admissible
-        ops.update((psi.carrier, EMPTY))
-        for combo, u in _open_combos(psi.opens):
-            inter = combo[0]
-            for m in combo[1:]:
-                inter = inter.intersect(m)
-            ops.update((u, inter))
-            fams.add(frozenset(m for m in combo if not m.is_empty))
+        ops.update((alg.mask[psi.carrier], 0))
+        for combo, u in _open_combos(old_ops):
+            ops.update((u, functools.reduce(operator.and_, combo)))
+            fams.add(frozenset(m for m in combo if m))
         fams.add(frozenset())
     elif rule == "stability":
         # axiom (ii): intersect an admissible family with an open
-        for fam in psi.families:
-            for v in psi.opens:
-                fams.add(frozenset(x for x in (m.intersect(v) for m in fam)
-                                   if not x.is_empty))
+        for fam in old_fams:
+            for v in old_ops:
+                fams.add(frozenset(x for x in (m & v for m in fam) if x))
     elif rule == "transitivity":
         # axiom (iii): replace each member by an admissible family unioning
         # to it; past 64 combos only the first candidate of each member is
         # taken, so the candidates keep a fixed (sorted) order
         by_union = _by_union(sorted(
-            psi.families, key=lambda f: tuple(sorted(sort_key(m) for m in f))))
-        for fam in psi.families:
+            old_fams, key=lambda f: tuple(sorted(map(alg.key, f)))))
+        for fam in old_fams:
             if not fam or any(m not in by_union for m in fam):
                 continue
             choices = [by_union[m] for m in fam]
@@ -742,30 +797,32 @@ def plus_step(psi: CovCollection, rule: str, max_opens: int = 48) -> CovCollecti
                 truncated = True
             for combo in pick:
                 merged = frozenset().union(*combo)
-                fams.add(frozenset(m for m in merged if not m.is_empty))
+                fams.add(frozenset(m for m in merged if m))
     elif rule == "saturation":
         # axiom (iv): coarsen a family keeping the union and the refinement
-        by_union = _by_union(psi.families)
-        for combo, cu in _open_combos(psi.opens):
-            if any(all(any(v.is_subset(u) for u in combo) for v in fam)
+        by_union = _by_union(old_fams)
+        for combo, cu in _open_combos(old_ops):
+            if any(all(any(v & ~u == 0 for u in combo) for v in fam)
                    for fam in by_union.get(cu, ())):
-                fams.add(frozenset(m for m in combo if not m.is_empty))
+                fams.add(frozenset(m for m in combo if m))
     elif rule == "regularity":
         # axiom (v): glue a set along an admissible family
-        by_union = _by_union(psi.families)
-        for _, v in _open_combos(psi.opens):
+        by_union = _by_union(old_fams)
+        for _, v in _open_combos(old_ops):
             if v in ops:
                 continue
-            covering = (fam for fu, group in by_union.items() if v.is_subset(fu)
+            covering = (fam for fu, group in by_union.items() if v & ~fu == 0
                         for fam in group)
-            if any(all(v.intersect(u) in psi.opens for u in fam) for fam in covering):
+            if any(all((v & u) in old_ops for u in fam) for fam in covering):
                 ops.add(v)
     else:
         raise ValueError(f"unknown plus rule {rule!r}")
 
     if len(ops) > max_opens or len(fams) > MAX_FAMILIES:
         truncated = True
-    return CovCollection(psi.carrier, frozenset(fams), frozenset(ops), truncated)
+    fams, ops = frozenset(fams), frozenset(ops)
+    return CovCollection(psi.carrier, frozenset(map(alg.family, fams)),
+                         frozenset(map(alg.set, ops)), truncated, (alg, fams, ops))
 
 
 RULES = ("finiteness", "stability", "transitivity", "saturation", "regularity")

@@ -109,9 +109,24 @@ class BaseSchema:
             return self.metric.ball(0, Fraction(n + 1))
         lo = NEG_INF if self.lo is None else self.lo[0] + self.lo[1] * n
         hi = POS_INF if self.hi is None else self.hi[0] + self.hi[1] * n
-        return interval(lo, hi,
-                        self.lo_closed and self.lo is not None,
-                        self.hi_closed and self.hi is not None)
+        lo_closed = self.lo_closed and self.lo is not None
+        hi_closed = self.hi_closed and self.hi is not None
+        if lo > hi or (lo == hi and not (lo_closed and hi_closed)):
+            return EMPTY
+        return interval(lo, hi, lo_closed, hi_closed)
+
+    def first_nonempty(self) -> Optional[int]:
+        """The first index with a nonempty element (None when there is none):
+        B_n is nonempty iff width + slope * n > 0 (>= 0 when closed), and
+        every later element is nonempty too."""
+        if self.kind != "interval" or self.lo is None or self.hi is None:
+            return self.n0
+        closed = self.lo_closed and self.hi_closed
+        width, slope = self.hi[0] - self.lo[0], self.hi[1] - self.lo[1]
+        if slope == 0:
+            return self.n0 if width > 0 or (width == 0 and closed) else None
+        root = -width / slope
+        return max(self.n0, math.ceil(root) if closed else math.floor(root) + 1)
 
     def directions(self) -> Directions:
         """Eventual unboundedness of the base elements (uniform for monotone

@@ -37,7 +37,9 @@ from gtsreal.lines import (
     metric_bounded,
 )
 from gtsreal.qmetric import ALL_METRICS, metric
+from gtsreal.queries import parse
 from gtsreal.realset import (
+    EMPTY,
     NEG_INF,
     POS_INF,
     REALS,
@@ -48,6 +50,8 @@ from gtsreal.realset import (
     open_iv,
     point,
 )
+
+from gtsreal.report import run
 
 from helpers import probe_corpus
 
@@ -258,6 +262,49 @@ class TestChainChecks:
         assert time.perf_counter() - start < 1
         assert rep.fail_index == 100001 and not rep.missing.is_empty
         assert chain_check(metric("d_n"), sc, F(1, 2), 8).verdict == "pass"
+
+    def test_schemas_whose_first_elements_are_empty(self):
+        # B_0 = (0, 0) and B_0..B_4 = [5, n] are empty, so those inclusions
+        # hold for every delta; each answer matches a scan of _missing up to
+        # the query's bound and past it
+        cases = (
+            ("chain_check d_n schema(open 0, open affine(0, 1)) delta 1/2 upto 4",
+             BaseSchema(lo=(F(0), F(0)), hi=(F(0), F(1)), lo_closed=False,
+                        hi_closed=False), F(1, 2)),
+            ("chain_search d_n schema(closed 5, closed affine(0, 1)) upto 4",
+             BaseSchema(lo=(F(5), F(0)), hi=(F(0), F(1))), F(1, 2**40)),
+        )
+        rep = run(parse("".join(f"query {q}\n" for q, _, _ in cases)))
+        d = metric("d_n")
+        for rec, (q, sc, delta) in zip(rep.records, cases):
+            assert rec.status == "ok", (q, rec.detail)
+            assert sc.element(0) == EMPTY
+            got = (chain_check(d, sc, delta, 4) if q.startswith("chain_check")
+                   else chain_search(d, sc, 4))
+            assert rec.detail.startswith(got.summary()), q
+            for upto in (4, 40):
+                scan = next((n for n in range(sc.n0, upto + 1)
+                             if not _missing(d, sc, delta, n).is_empty), None)
+                if scan is None:
+                    assert got.verdict == "pass" or got.fail_index > upto, (q, upto)
+                else:
+                    assert got.verdict == "fail_at" and got.fail_index == scan, (q, upto)
+        assert rep.records[0].detail.startswith("fail_at(1)")
+        assert rep.records[1].detail.startswith("fail_at(5)")
+
+    def test_first_nonempty_element(self):
+        rng = random.Random(6064)
+        for _ in range(200):
+            sc = BaseSchema(lo=(F(rng.randint(-4, 8)), F(-rng.randint(0, 2), 2)),
+                            hi=(F(rng.randint(-6, 4)), F(rng.randint(0, 2), 2)),
+                            lo_closed=rng.random() < 0.5, hi_closed=rng.random() < 0.5,
+                            n0=rng.randint(0, 2))
+            start = sc.first_nonempty()
+            for n in range(sc.n0, 24):
+                lo = sc.lo[0] + sc.lo[1] * n
+                hi = sc.hi[0] + sc.hi[1] * n
+                empty = lo > hi or (lo == hi and not (sc.lo_closed and sc.hi_closed))
+                assert sc.element(n).is_empty == empty == (start is None or n < start), (sc, n)
 
 
 class TestMetrizableVerdict:

@@ -1,11 +1,14 @@
 import itertools
+import math
 import random
+import time
 from fractions import Fraction as F
 
 import pytest
 
 from gtsreal.covers import (
     ALL_INDICES,
+    RULES,
     CovCollection,
     Directions,
     Fan,
@@ -46,6 +49,7 @@ from gtsreal.lines import (
     op_member,
 )
 from gtsreal.oracles import OracleRefusal, oracle_ess_finite
+from gtsreal import realset
 from gtsreal.qmetric import ALL_METRICS, metric
 from gtsreal.realset import (
     EMPTY,
@@ -513,6 +517,218 @@ class TestGeneration:
             stepped = plus_step(psi, rule)
             assert psi.families <= stepped.families
             assert psi.opens <= stepped.opens
+
+
+# ---------------------------------------------------------------------------
+# the atom-mask engine and ring against the RealSet code they replaced
+# ---------------------------------------------------------------------------
+
+def _ref_union(sets):
+    u = EMPTY
+    for m in sets:
+        u = u.union(m)
+    return u
+
+
+def _ref_by_union(fams):
+    out = {}
+    for fam in fams:
+        out.setdefault(_ref_union(fam), []).append(fam)
+    return out
+
+
+def _ref_open_combos(opens):
+    for size in range(1, 4):
+        for combo in itertools.combinations(opens, size):
+            yield combo, _ref_union(combo)
+
+
+def reference_plus_step(psi, rule, max_opens=48):
+    """plus_step as it ran on RealSets before the atom masks."""
+    fams = set(psi.families)
+    ops = set(psi.opens)
+    truncated = psi.truncated
+    if rule == "finiteness":
+        ops.update((psi.carrier, EMPTY))
+        for combo, u in _ref_open_combos(psi.opens):
+            inter = combo[0]
+            for m in combo[1:]:
+                inter = inter.intersect(m)
+            ops.update((u, inter))
+            fams.add(frozenset(m for m in combo if not m.is_empty))
+        fams.add(frozenset())
+    elif rule == "stability":
+        for fam in psi.families:
+            for v in psi.opens:
+                fams.add(frozenset(x for x in (m.intersect(v) for m in fam)
+                                   if not x.is_empty))
+    elif rule == "transitivity":
+        by_union = _ref_by_union(sorted(
+            psi.families, key=lambda f: tuple(sorted(str(m) for m in f))))
+        for fam in psi.families:
+            if not fam or any(m not in by_union for m in fam):
+                continue
+            choices = [by_union[m] for m in fam]
+            pick = itertools.product(*choices)
+            if math.prod(len(c) for c in choices) > 64:
+                pick = [tuple(c[0] for c in choices)]
+                truncated = True
+            for combo in pick:
+                merged = frozenset().union(*combo)
+                fams.add(frozenset(m for m in merged if not m.is_empty))
+    elif rule == "saturation":
+        by_union = _ref_by_union(psi.families)
+        for combo, cu in _ref_open_combos(psi.opens):
+            if any(all(any(v.is_subset(u) for u in combo) for v in fam)
+                   for fam in by_union.get(cu, ())):
+                fams.add(frozenset(m for m in combo if not m.is_empty))
+    else:
+        by_union = _ref_by_union(psi.families)
+        for _, v in _ref_open_combos(psi.opens):
+            if v in ops:
+                continue
+            covering = (fam for fu, group in by_union.items() if v.is_subset(fu)
+                        for fam in group)
+            if any(all(v.intersect(u) in psi.opens for u in fam) for fam in covering):
+                ops.add(v)
+    if len(ops) > max_opens or len(fams) > 6000:
+        truncated = True
+    return CovCollection(psi.carrier, frozenset(fams), frozenset(ops), truncated)
+
+
+def reference_ring(generators, y):
+    """L_Y[A] as the pairwise fixpoint over the whole ring."""
+    ring = {EMPTY, y}
+    ring.update(generators)
+    while True:
+        fresh = set()
+        for a, b in itertools.combinations(list(ring), 2):
+            fresh.update((a.union(b), a.intersect(b)))
+        if fresh <= ring:
+            return sorted(ring, key=str)
+        ring |= fresh
+
+
+BATTERY_POOL = (open_iv(0, 2), open_iv(1, 3), open_iv(-2, 1), closed_open(0, 1),
+                open_iv(-1, 4), open_iv(2, 5), point(1).union(open_iv(3, 4)))
+BATTERY_WINDOWS = (closed(-1, 3), closed(0, 4), closed(-2, 5), open_iv(-1, 4))
+# transitivity meets a member with more than 64 candidate combos at level 2
+PSI_PAST_64 = CovCollection.from_specs(
+    [restrict_family(finite_family([g]), closed(-1, 3))
+     for g in (open_iv(0, 2), point(1).union(open_iv(3, 4)), open_iv(-2, 1))],
+    carrier=closed(-1, 3))
+
+
+def _seeded_psis(rng, n):
+    for _ in range(n):
+        y = rng.choice(BATTERY_WINDOWS)
+        specs = [finite_family(rng.sample(BATTERY_POOL, rng.randint(1, 2)))
+                 for _ in range(rng.randint(1, 2))]
+        yield CovCollection.from_specs([restrict_family(f, y) for f in specs], carrier=y)
+
+
+class TestAtomEngine:
+    def _assert_reference_levels(self, psi, max_opens, levels=5):
+        # every rule on psi itself (only there does regularity glue a new
+        # open: on the chain, finiteness has added those unions first) and
+        # every step of the first `levels` levels equals the RealSet step,
+        # on the chain and from a collection that carries no atoms, and the
+        # chain's levels are the stepped ones
+        for rule in RULES:
+            assert plus_step(psi, rule, max_opens) == \
+                reference_plus_step(psi, rule, max_opens), rule
+        ref = got = psi
+        want = [psi]
+        for depth in range(1, levels):
+            for rule in RULES:
+                step = reference_plus_step(ref, rule, max_opens)
+                got = plus_step(got, rule, max_opens)
+                assert got == step, (depth, rule)
+                ref = step
+            want.append(ref)
+            bare = CovCollection(ref.carrier, ref.families, ref.opens, ref.truncated)
+            rule = RULES[depth % len(RULES)]
+            assert plus_step(bare, rule, max_opens) == \
+                reference_plus_step(ref, rule, max_opens), (depth, rule)
+        assert list(itertools.islice(generation_levels(psi, max_opens), levels)) == want
+        return ref
+
+    def test_levels_match_the_realset_engine(self):
+        rng = random.Random(9097)
+        for psi in _seeded_psis(rng, 10):
+            self._assert_reference_levels(psi, rng.choice((8, 24, 56)))
+
+    def test_past_64_transitivity_combos(self):
+        lv1 = reference_plus_step(PSI_PAST_64, "finiteness", 56)
+        for rule in RULES[1:]:
+            lv1 = reference_plus_step(lv1, rule, 56)
+        lv2 = reference_plus_step(reference_plus_step(lv1, "finiteness", 56), "stability", 56)
+        assert not lv2.truncated
+        assert reference_plus_step(lv2, "transitivity", 56).truncated
+        self._assert_reference_levels(PSI_PAST_64, 56, 4)
+
+    def test_max_opens_truncation(self):
+        psi = CovCollection.from_specs([finite_family([open_iv(0, 2)]),
+                                        finite_family([open_iv(1, 3)])])
+        step = reference_plus_step(psi, "finiteness", 4)
+        assert step.truncated and len(step.opens) > 4
+        assert self._assert_reference_levels(psi, 4).truncated
+
+    def test_binary_ops_follow_the_atoms_not_the_rounds(self, monkeypatch):
+        # the atoms are built once per chain and each new set is materialized
+        # once: levels 2-4 add no set, so they cost no RealSet operation
+        calls = []
+        binary = realset._binary
+        monkeypatch.setattr(realset, "_binary",
+                            lambda a, b, table: calls.append(table) or binary(a, b, table))
+        chain = generation_levels(PSI_PAST_64, 56)
+        psi = next(chain)
+        gens = {psi.carrier} | psi.opens | {m for f in psi.families for m in f}
+        counts, sets = [], []
+        for level in itertools.islice(chain, 4):
+            counts.append(len(calls))
+            sets.append(level.opens | {m for f in level.families for m in f})
+        atoms = len(level._masks[0].atoms)
+        assert atoms == 5 and len(gens) == 4
+        # refining by each generator: <= 2 operations per atom plus 2
+        build = len(gens) * (2 * atoms + 2)
+        assert counts[0] <= build + (atoms - 1) * len(sets[0] - gens)
+        assert sets[0] == sets[3] and counts[0] == counts[3] == len(calls)
+        assert len(calls) < 40
+
+
+class TestAtomRing:
+    def test_ring_matches_the_pairwise_fixpoint(self):
+        rng = random.Random(9092)
+        for _ in range(40):
+            y = rng.choice((REALS, closed(-4, 4), open_iv(-5, 3)))
+            gens = [rand_realset(rng).intersect(y) for _ in range(rng.randint(0, 3))]
+            assert full_ring_closure(gens, y) == reference_ring(gens, y)
+
+    def test_membership_matches_the_listed_ring(self):
+        rng = random.Random(9093)
+        for _ in range(25):
+            gens = [rand_realset(rng) for _ in range(rng.randint(0, 3))]
+            ring = reference_ring(gens, REALS)
+            listed = set(ring)
+            cands = [EMPTY, REALS, rand_realset(rng)] + rng.sample(ring, min(3, len(ring)))
+            cands += [c.union(rand_realset(rng)) for c in cands[3:]]
+            cands += [c.difference(rand_realset(rng)) for c in cands[3:6]]
+            for u in cands:
+                assert gen_topology_member(gens, u) == (u in listed), (gens, u)
+
+    def test_many_generators(self):
+        # k intervals (i, i + 5/2 + i/7): the ring's size grows fast, the
+        # membership test does not list it
+        gens = [open_iv(i, i + F(5, 2) + F(i, 7)) for i in range(8)]
+        start = time.perf_counter()
+        ring = gen_topology(gens[:7])
+        assert time.perf_counter() - start < 1
+        assert len(ring) == 446
+        start = time.perf_counter()
+        assert gen_topology_member(gens, gens[0].union(gens[1]).union(gens[6].intersect(gens[7])))
+        assert not gen_topology_member(gens, open_iv(0, 3))
+        assert time.perf_counter() - start < 0.1
 
 
 class TestOracleAgreement:
