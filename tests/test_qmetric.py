@@ -283,3 +283,94 @@ class TestUniformEquivRefuter:
         pairs = [(F(k), F(k) + F(1, 4)) for k in range(-10, 10)]
         got = uniform_equiv_refute(metric("rho_S"), metric("rho_0"), F(1, 2), pairs)
         assert got is EquivVerdict.INCONCLUSIVE
+
+
+# ---------------------------------------------------------------------------
+# behaviour pin: one sha256 per metric over eval, balls, flags and nbhd
+# ---------------------------------------------------------------------------
+
+PIN_GRID = (F(-5), F(-3, 2), F(-1), F(-1, 3), F(0), F(1, 4), F(1, 2), F(1), F(7, 3), F(5))
+PIN_CENTRES = (F(-3, 2), F(-1), F(0), F(1, 2), F(1))
+PIN_RADII = (F(1, 4), F(1), F(3, 2), F(4))
+PIN_DELTAS = (F(1, 8), F(1, 4), F(3, 4), F(1), F(3, 2), F(3))
+PIN_BOUNDED = (closed(-1, 1),
+               closed(-2, -1).union(open_iv(0, F(1, 2))).union(point(2)))
+PIN_TAILED = (
+    with_tails(closed(3, 4), left=((Interval(F(0), F(1, 2), True, False),), F(1), F(0))),
+    with_tails(point(-2), right=((Interval(F(1, 3), F(1), False, True),), F(3, 2), F(1))),
+    with_tails(EMPTY, left=((Interval(F(0), F(1, 4), False, False),), F(1), F(-1)),
+               right=((Interval(F(0), F(1, 2), True, True),), F(2), F(2))),
+)
+
+
+def _pin_metrics():
+    plain = [metric(n) for n in MetricName]
+    floats = [QuasiMetric(n, PhiMode.FLOAT_PAPER)
+              for n in (MetricName.D_N_PLUS, MetricName.D_N_PLUS_1, MetricName.RHO_S_MINUS)]
+    return plain + [d.conjugate() for d in plain] + floats + [d.conjugate() for d in floats]
+
+
+def _pin_call(fn, *args):
+    try:
+        return repr(fn(*args))
+    except (UnsupportedCombinationError, ValueError) as e:
+        return type(e).__name__
+
+
+def _pin_dump(d) -> str:
+    lines = [d.label(), repr(d.bounded_kind), repr(d.topology_of()),
+             repr(d.is_pseudo), repr(d.translation_invariant)]
+    lines += [f"eval {x} {y} {d.eval(x, y)!r}" for x in PIN_GRID for y in PIN_GRID]
+    lines += [f"ball {x} {r} {_pin_call(d.ball, x, r)}"
+              for x in PIN_CENTRES for r in PIN_RADII]
+    lines += [f"nbhd {i} {delta} {_pin_call(d.nbhd, a, delta)}"
+              for i, a in enumerate(PIN_BOUNDED + PIN_TAILED) for delta in PIN_DELTAS]
+    lines += [f"bounded {i} {_pin_call(d.is_bounded_set, a)}"
+              for i, a in enumerate(PIN_BOUNDED + PIN_TAILED)]
+    return "\n".join(lines) + "\n"
+
+
+PIN_SHA256 = {
+    'd_n': '4b7e5e6148422047f2c82a8fb62794bf3955853fd23a22d06cfed161ed0cbad4',
+    'd_n1': '4b17450f4d8d7beaca1ee878f5eacd1bf7af16deea36e118afc680c85cff8abe',
+    'd_n_plus': '5fc72401db22278bd60b938346eff286caa6ad48db864825f04230683c82dac5',
+    'd_n_plus_1': '9b783e04e4cd17984ccd2f4bbf53b3eb1c0c6defd6424c314376807d7d6647ac',
+    'd_u': '8f6b29d1f29e9cee0996de108da65bf5037d115cbdea8bdc743ce4fd82a31cd8',
+    'rho_u': 'b2e74db13f8f4fe06076eef98c661098e603c01a609aa9e23050bbb829524aa3',
+    'rho_u1': '0fd5c46ca898d8e04c889369a3eb89443041b7cf71ddb9b90ad3a097d2fbc942',
+    'rho_S': 'e364a05ad7bbe02a83d594a72e7fc1eaf9203f7b77d2d4cc6a35c7ea773141ad',
+    'rho_S1': 'd5b736cf4c84ddacf057c2bf931055d94b8d0a7afff6a2f80bde3db842557f92',
+    'rho_L': '68693d4de24a38fc44c9c4ab56e5cd1a0b56a545ea3f61921790fb23c8333598',
+    'rho_0': '089bcbb5a3442d3be4ede4e079403325204d314a124d4aad219888726dbf85ed',
+    'rho_0_1': '97f2eb537adae6460d62ffb735a7f8dbd4917a8c88be51468946999ae92b3a72',
+    'rho_S_minus': 'bd0c7347fed13fffd31024dcb74f19506ccd799309b4d7890632deb2478e1041',
+    'conj(d_n)': '8805f9d62387f325585378b8df763a850583fbbe96601bc38c81bbaa55e3cd9f',
+    'conj(d_n1)': 'a3b1a9fdac47ecda8bd00310e834c44fac5108dd784162578277469cbc25dc92',
+    'conj(d_n_plus)': '6d019fa73afe89ea74ff4e40b05d4d9906787fd0e9bbd10d045086bd9b93a1e2',
+    'conj(d_n_plus_1)': '4e9182b4d32ac55c25ec52a2ded2bf4c4f3ffe373e1cf2f36df323cd2113c8f6',
+    'conj(d_u)': '7fc9a53d675cafd571c7a2088c488d70b812239d4ecb3fe099a3579a428d9292',
+    'conj(rho_u)': 'aae3da22403e885e56a3692e11ceba6696aba964f8ad5d47f7c44e1c579f7496',
+    'conj(rho_u1)': '451ddb6fe77841560247f76b3be55b4ddc72ef3b02abaf8c5d81902c78cd3f33',
+    'conj(rho_S)': 'fe4bcf6932a92ed44dd1e74f378cb395d02f219eee09183db3f173ccf1af2fb1',
+    'conj(rho_S1)': 'bbdd2de65401ed6c9e2993675c8b2ab9a003b39bf018dda0e7e9a5f93394cfab',
+    'conj(rho_L)': 'e95cdbd43e1358da6999e6c4308f7d82d040e95ccef5e0b3d3db0445b199c5f8',
+    'conj(rho_0)': 'e2b997bb6fb643610364061de38f4f978c3865243ac8acd8d96289ad4cd1b0d6',
+    'conj(rho_0_1)': '04e7adf30ea1889f491feb715b240e3a70403267c413af35a19f132165652536',
+    'conj(rho_S_minus)': '3ba4db10cc3204a98bdbad2fbfce9defe94cba875c4ed04e0d9dc30e511adfc3',
+    'd_n_plus[float]': '72915a58b0db9613ed8c93a1476f23a161af4035d863df484be7a72a28c2b6a6',
+    'd_n_plus_1[float]': '474bec5c4dfbf2d23c8e980ff710083fbff65389e4703743b99975ef01860906',
+    'rho_S_minus[float]': '484458913a610771a02b7d66b669d0dd5301757217bca75b16e7f15792600878',
+    'conj(d_n_plus[float])': 'b0c178d80aa980f95d2924541af7e56d07ed270ae941ba0da342f2a970838630',
+    'conj(d_n_plus_1[float])': '35e5c47145913612d7b3ed59d28101c858a87fd09d4c72e38e71275574c593a0',
+    'conj(rho_S_minus[float])': 'cdcc08c474163cc4b843c49214cdaf243c6ff158a3bada152be0b56ad21080a9',
+}
+
+
+def test_metric_pin():
+    """Every metric, its conjugate and the float_paper metrics answer as
+    pinned: eval on a grid, balls, the bounded kind, the topology, the
+    pseudo and invariance flags, and nbhd of bounded and tailed sets."""
+    import hashlib
+    got = {d.label(): hashlib.sha256(_pin_dump(d).encode()).hexdigest()
+           for d in _pin_metrics()}
+    assert got == PIN_SHA256
