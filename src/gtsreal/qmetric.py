@@ -1,21 +1,35 @@
 """The named quasi-(pseudo)metrics on the real line.
 
-Each metric carries exact closed forms for evaluation, balls, and
-delta-neighborhoods.  The exponential damping map Phi of the d_n^+ family
-is replaced by the rational surrogate Phi_q(x) = 1/(1-x) for x < 0,
+Each metric is one `MetricSpec` row of `_ROWS`: its distance formula, the
+closed form of its balls, the topology its balls generate, which sets it
+bounds, and whether it is symmetric, translation-invariant, pseudo or built
+on the damping map Phi.  `MetricName` is built from the rows, and a
+`QuasiMetric` finds its row once, when it is made.  The capped metrics
+min(1, d) are derived from the row of d: their balls are d's for radii up
+to 1 and the whole line beyond, and they bound every set.
+
+The conjugate d^-1(x, y) = d(y, x) is derived, not tabled.  A symmetric
+metric is its own conjugate.  A translation-invariant d(x, y) = f(y - x)
+has coballs {y : f(x - y) < r} = -B(-x, r): the mirror image of a ball, so
+"ub" and "lb" swap and the topology is mirrored.  rho_S^-(x, y) =
+rho_S(Phi(-y), Phi(-x)) is neither: it reads rho_S through the decreasing
+map x -> Phi(-x), which no reflection of the line undoes, so its row alone
+carries its own coball and its conjugate bounded kind.
+
+Phi is replaced by the rational surrogate Phi_q(x) = 1/(1-x) for x < 0,
 1 + x for x >= 0: a strictly increasing bijection R -> (0, +inf) sending
 (-inf, 0) onto (0, 1), which preserves every property the constructions
 rely on while keeping endpoints rational.  The float_paper mode evaluates
-with the genuine e^x for numeric cross-checks only.
+the same formulas with the genuine e^x, for numeric cross-checks only.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from enum import Enum
 from fractions import Fraction
-from typing import Iterable, Optional, Sequence, Tuple
+from typing import Callable, Iterable, Optional, Tuple
 
 from gtsreal.realset import (
     EMPTY,
@@ -26,102 +40,20 @@ from gtsreal.realset import (
     Interval,
     RealSet,
     TopologyKind,
+    apply_local,
     interval,
-    merge_intervals,
     normalize,
     rat,
 )
-from gtsreal.realset import _assemble, _clip, _pattern_reduce, _periodize  # noqa: F401
 
 
 class UnsupportedCombinationError(ValueError):
     """Operation not defined for this metric/argument combination."""
 
 
-class MetricName(Enum):
-    D_N = "d_n"
-    D_N1 = "d_n1"
-    D_N_PLUS = "d_n_plus"
-    D_N_PLUS_1 = "d_n_plus_1"
-    D_U = "d_u"
-    RHO_U = "rho_u"
-    RHO_U1 = "rho_u1"
-    RHO_S = "rho_S"
-    RHO_S1 = "rho_S1"
-    RHO_L = "rho_L"
-    RHO_0 = "rho_0"
-    RHO_0_1 = "rho_0_1"
-    RHO_S_MINUS = "rho_S_minus"
-
-
 class PhiMode(Enum):
     EXACT_SURROGATE = "exact_surrogate"
     FLOAT_PAPER = "float_paper"
-
-
-_PHI_BASED = {MetricName.D_N_PLUS, MetricName.D_N_PLUS_1, MetricName.RHO_S_MINUS}
-
-_TRANSLATION_INVARIANT = {
-    MetricName.D_N, MetricName.D_N1, MetricName.RHO_U, MetricName.RHO_U1,
-    MetricName.RHO_S, MetricName.RHO_S1, MetricName.RHO_L, MetricName.RHO_0,
-    MetricName.RHO_0_1,
-}
-
-_PSEUDO = {MetricName.RHO_U, MetricName.RHO_U1}
-
-_BASE_TOPOLOGY = {
-    MetricName.D_N: TopologyKind.NAT,
-    MetricName.D_N1: TopologyKind.NAT,
-    MetricName.D_N_PLUS: TopologyKind.NAT,
-    MetricName.D_N_PLUS_1: TopologyKind.NAT,
-    MetricName.D_U: TopologyKind.NAT,
-    MetricName.RHO_U: TopologyKind.UPPER,
-    MetricName.RHO_U1: TopologyKind.UPPER,
-    MetricName.RHO_S: TopologyKind.SORG_R,
-    MetricName.RHO_S1: TopologyKind.SORG_R,
-    MetricName.RHO_L: TopologyKind.SORG_R,
-    MetricName.RHO_0: TopologyKind.SORG_R,
-    MetricName.RHO_0_1: TopologyKind.SORG_R,
-    # rho_S^- also induces the right half-open topology: its balls are
-    # [x, h) by direct computation (the double orientation flip of
-    # rho_S(Phi(-y), Phi(-x)) cancels)
-    MetricName.RHO_S_MINUS: TopologyKind.SORG_R,
-}
-
-_CONJ_TOPOLOGY = {
-    TopologyKind.NAT: TopologyKind.NAT,
-    TopologyKind.UPPER: TopologyKind.LOWER,
-    TopologyKind.LOWER: TopologyKind.UPPER,
-    TopologyKind.SORG_R: TopologyKind.SORG_L,
-    TopologyKind.SORG_L: TopologyKind.SORG_R,
-}
-
-# d-bounded sets, classified by which boundedness flags they require
-# ("nat" both, "ub" above, "lb" below, "all" none); verified by the
-# ball-subset property tests.
-_BOUNDED_KIND = {
-    MetricName.D_N: "nat",
-    MetricName.D_N1: "all",
-    MetricName.D_N_PLUS: "ub",
-    MetricName.D_N_PLUS_1: "all",
-    MetricName.D_U: "ub",
-    MetricName.RHO_U: "ub",
-    MetricName.RHO_U1: "all",
-    MetricName.RHO_S: "ub",
-    MetricName.RHO_S1: "all",
-    MetricName.RHO_L: "lb",
-    MetricName.RHO_0: "nat",
-    MetricName.RHO_0_1: "all",
-    MetricName.RHO_S_MINUS: "all",
-}
-
-_BOUNDED_KIND_CONJ = dict(_BOUNDED_KIND)
-_BOUNDED_KIND_CONJ.update({
-    MetricName.RHO_U: "lb",
-    MetricName.RHO_S: "lb",
-    MetricName.RHO_L: "ub",
-    MetricName.RHO_S_MINUS: "lb",
-})
 
 
 def phi_q(x: Fraction) -> Fraction:
@@ -143,15 +75,207 @@ def _phi_float(x: float) -> float:
     return math.exp(x) if x < 0 else 1.0 + x
 
 
+_ZERO, _ONE = Fraction(0), Fraction(1)
+
+_CONJ_TOPOLOGY = {
+    TopologyKind.NAT: TopologyKind.NAT,
+    TopologyKind.UPPER: TopologyKind.LOWER,
+    TopologyKind.LOWER: TopologyKind.UPPER,
+    TopologyKind.SORG_R: TopologyKind.SORG_L,
+    TopologyKind.SORG_L: TopologyKind.SORG_R,
+}
+
+_MIRROR_KIND = {"ub": "lb", "lb": "ub", "nat": "nat", "all": "all"}
+
+
+def _mirror(iv: Optional[Interval]) -> Optional[Interval]:
+    """The reflection y -> -y of an interval (None is the whole line)."""
+    if iv is None:
+        return None
+    return Interval(-iv.hi, -iv.lo, iv.hi_closed, iv.lo_closed)
+
+
+@dataclass(frozen=True)
+class MetricSpec:
+    """One named metric.
+
+    `eval(x, y, phi, one)` is the distance formula, with the damping map and
+    the unit of the number type passed in so that exact and float_paper
+    evaluation share it; `ball(x, r)` is the ball B(x, r) = {y : d(x, y) < r}
+    as one Interval, None for the whole line.  `bounded` says which
+    boundedness flags the d-bounded sets need: "nat" both, "ub" above, "lb"
+    below, "all" none.  `coball` and `bounded_conj` are derived for
+    symmetric and translation-invariant rows and must be given otherwise."""
+
+    name: str
+    eval: Callable
+    ball: Callable[[Fraction, Fraction], Optional[Interval]]
+    topology: TopologyKind
+    bounded: str
+    symmetric: bool = False
+    invariant: bool = False
+    pseudo: bool = False
+    phi_based: bool = False
+    coball: Optional[Callable[[Fraction, Fraction], Optional[Interval]]] = None
+    bounded_conj: Optional[str] = None
+
+    def __post_init__(self):
+        if self.symmetric:
+            coball, bounded_conj = self.ball, self.bounded
+        elif self.invariant:
+            ball = self.ball
+            coball, bounded_conj = (lambda x, r: _mirror(ball(-x, r))), _MIRROR_KIND[self.bounded]
+        else:
+            if self.coball is None or self.bounded_conj is None:
+                raise ConstructionError(f"{self.name}: an asymmetric, non-invariant "
+                                        f"metric needs its own coball and bounded_conj")
+            return
+        if self.coball is not None or self.bounded_conj is not None:
+            raise ConstructionError(f"{self.name}: the conjugate of a symmetric or "
+                                    f"translation-invariant metric is derived")
+        object.__setattr__(self, "coball", coball)
+        object.__setattr__(self, "bounded_conj", bounded_conj)
+
+
+def _with_capped(row: MetricSpec, capped_name: str) -> Tuple[MetricSpec, MetricSpec]:
+    """The row and the row of min(1, d): the same balls for radii up to 1,
+    the whole line beyond, so every set is bounded."""
+    base_eval, base_ball = row.eval, row.ball
+    return row, MetricSpec(
+        capped_name,
+        lambda x, y, phi, one: min(one, base_eval(x, y, phi, one)),
+        lambda x, r: None if r > 1 else base_ball(x, r),
+        row.topology, "all", symmetric=row.symmetric, invariant=row.invariant,
+        pseudo=row.pseudo, phi_based=row.phi_based)
+
+
+def _phi_ball(x: Fraction, r: Fraction) -> Interval:
+    """Ball of |Phi(x) - Phi(y)|: Phi_q^-1 of (Phi_q(x) - r, Phi_q(x) + r)."""
+    v = phi_q(x)
+    lo = phi_q_inv(v - r) if v - r > 0 else NEG_INF
+    return Interval(lo, phi_q_inv(v + r), False, False)
+
+
+def _d_u(x, y, phi, one):
+    return min(one, abs(x - y)) + abs(max(y, _ZERO) - max(x, _ZERO))
+
+
+def _ball_d_u(x: Fraction, r: Fraction) -> Optional[Interval]:
+    """Sublevel set of f(y) = min(|y-x|,1) + |max(y,0)-max(x,0)|.
+
+    f is continuous, 0 at x, nonincreasing left of x and nondecreasing right
+    of x, and piecewise affine with breakpoints in {x-1, x, x+1, 0}; walk the
+    segments to locate the strict-sublevel crossing on each side.
+    """
+    def f(y: Fraction) -> Fraction:
+        return _d_u(x, y, phi_q, _ONE)
+
+    # right side: beyond max(x+1, 0) the slope is exactly 1 and f -> +inf
+    breaks_r = sorted({b for b in (x + 1, _ZERO) if b > x})
+    prev, fprev = x, _ZERO
+    hi: Optional[Fraction] = None
+    for b in breaks_r:
+        fb = f(b)
+        if fb >= r:
+            hi = prev + (r - fprev) * (b - prev) / (fb - fprev)
+            break
+        prev, fprev = b, fb
+    if hi is None:
+        hi = prev + (r - fprev)  # slope 1 tail
+    # left side: beyond min(x-1, 0) f is the constant 1 + max(x, 0)
+    breaks_l = sorted({b for b in (x - 1, _ZERO) if b < x}, reverse=True)
+    prev, fprev = x, _ZERO
+    lo: Optional[Fraction] = None
+    for b in breaks_l:
+        fb = f(b)
+        if fb >= r:
+            lo = prev - (r - fprev) * (prev - b) / (fb - fprev)
+            break
+        prev, fprev = b, fb
+    if lo is None:
+        # walk exhausted without reaching r, so the plateau value 1+max(x,0)
+        # (attained at the last breakpoint) is below r
+        return Interval(NEG_INF, hi, False, False)
+    return Interval(lo, hi, False, False)
+
+
+def _rho_s_minus(x, y, phi, one):
+    u, v = phi(-y), phi(-x)
+    return v - u if u <= v else one
+
+
+def _ball_rho_s_minus(x: Fraction, r: Fraction) -> Optional[Interval]:
+    t = phi_q(-x) - r
+    hi = -phi_q_inv(t) if t > 0 else POS_INF
+    if r <= 1:
+        return Interval(x, hi, True, False)
+    if t > 0:
+        return Interval(NEG_INF, hi, False, False)
+    return None
+
+
+def _coball_rho_s_minus(x: Fraction, r: Fraction) -> Interval:
+    lo = -phi_q_inv(phi_q(-x) + r)
+    if r <= 1:
+        return Interval(lo, x, False, True)
+    return Interval(lo, POS_INF, False, False)
+
+
+_NAT, _UPPER, _SORG_R = TopologyKind.NAT, TopologyKind.UPPER, TopologyKind.SORG_R
+
+_ROWS = (
+    *_with_capped(MetricSpec(
+        "d_n", lambda x, y, phi, one: abs(x - y),
+        lambda x, r: Interval(x - r, x + r, False, False),
+        _NAT, "nat", symmetric=True, invariant=True), "d_n1"),
+    *_with_capped(MetricSpec(
+        "d_n_plus", lambda x, y, phi, one: abs(phi(x) - phi(y)), _phi_ball,
+        _NAT, "ub", symmetric=True, phi_based=True), "d_n_plus_1"),
+    MetricSpec("d_u", _d_u, _ball_d_u, _NAT, "ub", symmetric=True),
+    *_with_capped(MetricSpec(
+        "rho_u", lambda x, y, phi, one: max(_ZERO, y - x),
+        lambda x, r: Interval(NEG_INF, x + r, False, False),
+        _UPPER, "ub", invariant=True, pseudo=True), "rho_u1"),
+    *_with_capped(MetricSpec(
+        "rho_S", lambda x, y, phi, one: y - x if x <= y else one,
+        lambda x, r: Interval(x, x + r, True, False) if r <= 1
+        else Interval(NEG_INF, x + r, False, False),
+        _SORG_R, "ub", invariant=True), "rho_S1"),
+    MetricSpec(
+        "rho_L", lambda x, y, phi, one: min(y - x, one) if x <= y else 1 + x - y,
+        lambda x, r: Interval(x, x + r, True, False) if r <= 1
+        else Interval(x - r + 1, POS_INF, False, False),
+        _SORG_R, "lb", invariant=True),
+    *_with_capped(MetricSpec(
+        "rho_0", lambda x, y, phi, one: y - x if x <= y else 1 + x - y,
+        lambda x, r: Interval(x, x + r, True, False) if r <= 1
+        else Interval(x + 1 - r, x + r, False, False),
+        _SORG_R, "nat", invariant=True), "rho_0_1"),
+    # its balls are [x, h) too: the two orientation flips of
+    # rho_S(Phi(-y), Phi(-x)) cancel
+    MetricSpec("rho_S_minus", _rho_s_minus, _ball_rho_s_minus, _SORG_R, "all",
+               phi_based=True, coball=_coball_rho_s_minus, bounded_conj="lb"),
+)
+
+MetricName = Enum("MetricName", [(row.name.upper(), row.name) for row in _ROWS],
+                  module=__name__)
+MetricName.__doc__ = "The named metrics, one member per row of `_ROWS`."
+
+_ROW_OF = {MetricName(row.name): row for row in _ROWS}
+
+
 @dataclass(frozen=True)
 class QuasiMetric:
     name: MetricName
     phi_mode: PhiMode = PhiMode.EXACT_SURROGATE
     conjugated: bool = False
+    _row: MetricSpec = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        if self.phi_mode is PhiMode.FLOAT_PAPER and self.name not in _PHI_BASED:
+        row = _ROW_OF[self.name]
+        if self.phi_mode is PhiMode.FLOAT_PAPER and not row.phi_based:
             raise ConstructionError("float_paper mode only applies to Phi-based metrics")
+        object.__setattr__(self, "_row", row)
 
     # -- basic structure ----------------------------------------------------
 
@@ -161,18 +285,18 @@ class QuasiMetric:
 
     @property
     def translation_invariant(self) -> bool:
-        return self.name in _TRANSLATION_INVARIANT
+        return self._row.invariant
 
     @property
     def is_pseudo(self) -> bool:
         """True when distinct points can be at distance 0."""
-        return self.name in _PSEUDO
+        return self._row.pseudo
 
     @property
     def bounded_kind(self) -> str:
         """Which boundedness flags the d-bounded sets need: "nat" both, "ub"
         above, "lb" below, "all" none."""
-        return (_BOUNDED_KIND_CONJ if self.conjugated else _BOUNDED_KIND)[self.name]
+        return self._row.bounded_conj if self.conjugated else self._row.bounded
 
     def conjugate(self) -> "QuasiMetric":
         return QuasiMetric(self.name, self.phi_mode, not self.conjugated)
@@ -192,50 +316,8 @@ class QuasiMetric:
         if self.conjugated:
             x, y = y, x
         if self.phi_mode is PhiMode.FLOAT_PAPER:
-            return self._eval_float(float(x), float(y))
-        return self._eval_exact(rat(x), rat(y))
-
-    def _eval_exact(self, x: Fraction, y: Fraction) -> Fraction:
-        n = self.name
-        if n is MetricName.D_N:
-            return abs(x - y)
-        if n is MetricName.D_N1:
-            return min(Fraction(1), abs(x - y))
-        if n is MetricName.D_N_PLUS:
-            return abs(phi_q(x) - phi_q(y))
-        if n is MetricName.D_N_PLUS_1:
-            return min(Fraction(1), abs(phi_q(x) - phi_q(y)))
-        if n is MetricName.D_U:
-            return min(Fraction(1), abs(x - y)) + abs(max(y, Fraction(0)) - max(x, Fraction(0)))
-        if n is MetricName.RHO_U:
-            return max(Fraction(0), y - x)
-        if n is MetricName.RHO_U1:
-            return min(Fraction(1), max(Fraction(0), y - x))
-        if n is MetricName.RHO_S:
-            return y - x if x <= y else Fraction(1)
-        if n is MetricName.RHO_S1:
-            return min(Fraction(1), y - x if x <= y else Fraction(1))
-        if n is MetricName.RHO_L:
-            return min(y - x, Fraction(1)) if x <= y else 1 + x - y
-        if n is MetricName.RHO_0:
-            return y - x if x <= y else 1 + x - y
-        if n is MetricName.RHO_0_1:
-            return min(Fraction(1), y - x if x <= y else 1 + x - y)
-        if n is MetricName.RHO_S_MINUS:
-            u, v = phi_q(-y), phi_q(-x)
-            return v - u if u <= v else Fraction(1)
-        raise AssertionError(n)
-
-    def _eval_float(self, x: float, y: float) -> float:
-        n = self.name
-        if n is MetricName.D_N_PLUS:
-            return abs(_phi_float(x) - _phi_float(y))
-        if n is MetricName.D_N_PLUS_1:
-            return min(1.0, abs(_phi_float(x) - _phi_float(y)))
-        if n is MetricName.RHO_S_MINUS:
-            u, v = _phi_float(-y), _phi_float(-x)
-            return v - u if u <= v else 1.0
-        raise AssertionError(n)
+            return self._row.eval(float(x), float(y), _phi_float, 1.0)
+        return self._row.eval(rat(x), rat(y), phi_q, _ONE)
 
     # -- balls ------------------------------------------------------------------
 
@@ -246,10 +328,7 @@ class QuasiMetric:
         xq, rq = rat(x), rat(r)
         if rq <= 0:
             raise ConstructionError("radius must be positive")
-        if self.conjugated:
-            iv = _coball_interval(self.name, xq, rq)
-        else:
-            iv = _ball_interval(self.name, xq, rq)
+        iv = (self._row.coball if self.conjugated else self._row.ball)(xq, rq)
         return normalize([iv]) if iv is not None else REALS
 
     # -- neighborhoods -----------------------------------------------------------
@@ -296,6 +375,7 @@ class QuasiMetric:
         return interval(left[0], right[0], left[1], right[1])
 
     def _nbhd_invariant(self, a: RealSet, d: Fraction) -> RealSet:
+        """[A]^d of a tailed set: A plus the ball shape B(0, d)."""
         shape = self.ball(Fraction(0), d)
         if shape.is_reals:
             return REALS
@@ -312,34 +392,12 @@ class QuasiMetric:
                 return REALS
             attained = s.lo_closed and a.contains_point(m)
             return interval(m + s.lo, POS_INF, attained, False)
-        # bounded shape: germ/window assembly via Minkowski expansion
-        reach = max(abs(s.lo), abs(s.hi))
 
-        def expand_list(items: Sequence[Interval]) -> Tuple[Interval, ...]:
-            out = []
-            for piece in items:
-                got = self._expand_piece(piece, d)
-                out.extend(got.core)
-            return merge_intervals(out)
+        def expand(piece: Interval) -> Interval:
+            return Interval(piece.lo + s.lo, piece.hi + s.hi,
+                            piece.lo_closed and s.lo_closed, piece.hi_closed and s.hi_closed)
 
-        def germ_expand(germ):
-            if germ[0] != "per":
-                return germ
-            pat, p = germ[1], germ[2]
-            span = reach + 2 * p + 1
-            occ = _periodize(pat, p, -span, p + span)
-            got = expand_list(occ)
-            got = _clip(got, Fraction(0), p, True, False)
-            return _pattern_reduce(got, p)
-
-        lg = germ_expand(a._left_germ())
-        rg = germ_expand(a._right_germ())
-        pts = a._finite_endpoints()
-        inner_lo = min(pts) - reach - 1
-        inner_hi = max(pts) + reach + 1
-        outer = a.materialize(inner_lo - reach - 1, inner_hi + reach + 1)
-        window = _clip(expand_list(outer), inner_lo, inner_hi)
-        return _assemble(window, lg, rg, inner_lo, inner_hi)
+        return apply_local(a, expand, max(abs(s.lo), abs(s.hi)))
 
     # -- boundedness ---------------------------------------------------------------
 
@@ -360,149 +418,15 @@ class QuasiMetric:
         return b.bounded
 
     def topology_of(self) -> TopologyKind:
-        base = _BASE_TOPOLOGY[self.name]
+        base = self._row.topology
         return _CONJ_TOPOLOGY[base] if self.conjugated else base
 
 
-# ---------------------------------------------------------------------------
-# ball closed forms (None encodes the whole line)
-# ---------------------------------------------------------------------------
-
-def _ball_interval(n: MetricName, x: Fraction, r: Fraction) -> Optional[Interval]:
-    one = Fraction(1)
-    if n is MetricName.D_N:
-        return Interval(x - r, x + r, False, False)
-    if n is MetricName.D_N1:
-        return None if r > 1 else Interval(x - r, x + r, False, False)
-    if n is MetricName.D_N_PLUS:
-        v = phi_q(x)
-        hi = phi_q_inv(v + r)
-        t = v - r
-        lo = phi_q_inv(t) if t > 0 else NEG_INF
-        return Interval(lo, hi, False, False)
-    if n is MetricName.D_N_PLUS_1:
-        return None if r > 1 else _ball_interval(MetricName.D_N_PLUS, x, r)
-    if n is MetricName.D_U:
-        return _ball_d_u(x, r)
-    if n is MetricName.RHO_U:
-        return Interval(NEG_INF, x + r, False, False)
-    if n is MetricName.RHO_U1:
-        return None if r > 1 else Interval(NEG_INF, x + r, False, False)
-    if n is MetricName.RHO_S:
-        if r <= 1:
-            return Interval(x, x + r, True, False)
-        return Interval(NEG_INF, x + r, False, False)
-    if n is MetricName.RHO_S1:
-        return None if r > 1 else Interval(x, x + r, True, False)
-    if n is MetricName.RHO_L:
-        if r <= 1:
-            return Interval(x, x + r, True, False)
-        return Interval(x - r + 1, POS_INF, False, False)
-    if n is MetricName.RHO_0:
-        if r <= 1:
-            return Interval(x, x + r, True, False)
-        return Interval(x + 1 - r, x + r, False, False)
-    if n is MetricName.RHO_0_1:
-        return None if r > 1 else Interval(x, x + r, True, False)
-    if n is MetricName.RHO_S_MINUS:
-        v = phi_q(-x)
-        t = v - r
-        hi = -phi_q_inv(t) if t > 0 else POS_INF
-        if r <= 1:
-            return Interval(x, hi, True, False)
-        if t > 0:
-            return Interval(NEG_INF, hi, False, False)
-        return None
-    raise AssertionError(n)
-
-
-def _coball_interval(n: MetricName, x: Fraction, r: Fraction) -> Optional[Interval]:
-    """{y : d(y, x) < r} for the conjugated metric."""
-    sym = {MetricName.D_N, MetricName.D_N1, MetricName.D_N_PLUS,
-           MetricName.D_N_PLUS_1, MetricName.D_U}
-    if n in sym:
-        return _ball_interval(n, x, r)
-    if n is MetricName.RHO_U:
-        return Interval(x - r, POS_INF, False, False)
-    if n is MetricName.RHO_U1:
-        return None if r > 1 else Interval(x - r, POS_INF, False, False)
-    if n is MetricName.RHO_S:
-        if r <= 1:
-            return Interval(x - r, x, False, True)
-        return Interval(x - r, POS_INF, False, False)
-    if n is MetricName.RHO_S1:
-        return None if r > 1 else Interval(x - r, x, False, True)
-    if n is MetricName.RHO_L:
-        if r <= 1:
-            return Interval(x - r, x, False, True)
-        return Interval(NEG_INF, x + r - 1, False, False)
-    if n is MetricName.RHO_0:
-        if r <= 1:
-            return Interval(x - r, x, False, True)
-        return Interval(x - r, x + r - 1, False, False)
-    if n is MetricName.RHO_0_1:
-        return None if r > 1 else Interval(x - r, x, False, True)
-    if n is MetricName.RHO_S_MINUS:
-        u = phi_q(-x)
-        lo = -phi_q_inv(u + r)
-        if r <= 1:
-            return Interval(lo, x, False, True)
-        return Interval(lo, POS_INF, False, False)
-    raise AssertionError(n)
-
-
-def _ball_d_u(x: Fraction, r: Fraction) -> Optional[Interval]:
-    """Sublevel set of f(y) = min(|y-x|,1) + |max(y,0)-max(x,0)|.
-
-    f is continuous, 0 at x, nonincreasing left of x and nondecreasing right
-    of x, and piecewise affine with breakpoints in {x-1, x, x+1, 0}; walk the
-    segments to locate the strict-sublevel crossing on each side.
-    """
-    d = QuasiMetric(MetricName.D_U)
-
-    def f(y: Fraction) -> Fraction:
-        return d._eval_exact(x, y)
-
-    # right side: beyond max(x+1, 0) the slope is exactly 1 and f -> +inf
-    breaks_r = sorted({b for b in (x + 1, Fraction(0)) if b > x})
-    prev, fprev = x, Fraction(0)
-    hi: Optional[Fraction] = None
-    for b in breaks_r:
-        fb = f(b)
-        if fb >= r:
-            hi = prev + (r - fprev) * (b - prev) / (fb - fprev)
-            break
-        prev, fprev = b, fb
-    if hi is None:
-        hi = prev + (r - fprev)  # slope 1 tail
-    # left side: beyond min(x-1, 0) f is the constant 1 + max(x, 0)
-    breaks_l = sorted({b for b in (x - 1, Fraction(0)) if b < x}, reverse=True)
-    prev, fprev = x, Fraction(0)
-    lo: Optional[Fraction] = None
-    for b in breaks_l:
-        fb = f(b)
-        if fb >= r:
-            lo = prev - (r - fprev) * (prev - b) / (fb - fprev)
-            break
-        prev, fprev = b, fb
-    if lo is None:
-        # walk exhausted without reaching r, so the plateau value 1+max(x,0)
-        # (attained at the last breakpoint) is below r
-        return Interval(NEG_INF, hi, False, False)
-    return Interval(lo, hi, False, False)
-
-
-# ---------------------------------------------------------------------------
-# metric table and refuter
-# ---------------------------------------------------------------------------
-
 def metric(name, phi_mode: PhiMode = PhiMode.EXACT_SURROGATE,
            conjugated: bool = False) -> QuasiMetric:
-    if isinstance(name, str):
-        name = MetricName(name)
-    if name in _PHI_BASED:
-        return QuasiMetric(name, phi_mode, conjugated)
-    return QuasiMetric(name, PhiMode.EXACT_SURROGATE, conjugated)
+    """The named metric; float_paper mode on a metric not built on Phi
+    raises ConstructionError, as the constructor does."""
+    return QuasiMetric(MetricName(name), phi_mode, conjugated)
 
 
 ALL_METRICS = tuple(metric(n) for n in MetricName)
@@ -516,8 +440,13 @@ class EquivVerdict(Enum):
 def uniform_equiv_refute(d1: QuasiMetric, d2: QuasiMetric, eps,
                          witness_pairs: Iterable[Tuple[Fraction, Fraction]],
                          max_k: int = 20) -> EquivVerdict:
-    """Refute uniform equivalence: for every dyadic delta find a pair
-    with d1 < delta while d2 >= eps.  REFUTED is conclusive; INCONCLUSIVE is not."""
+    """Search for a witness that d2 is not uniformly continuous w.r.t. d1.
+
+    REFUTED means: for each delta = 2^-k with 0 <= k <= max_k, some given
+    pair has d1 < delta while d2 >= eps.  That is evidence, not a proof: a
+    refutation needs such a pair for every delta > 0, and deltas below
+    2^-max_k and pairs outside `witness_pairs` are never looked at.
+    INCONCLUSIVE means some checked delta has no witness among the pairs."""
     e = rat(eps)
     pairs = [(rat(a), rat(b)) for a, b in witness_pairs]
     for k in range(max_k + 1):

@@ -17,7 +17,7 @@ from enum import Enum
 from fractions import Fraction
 from functools import lru_cache
 from operator import attrgetter
-from typing import Iterable, Optional, Sequence, Tuple, Union
+from typing import Callable, Iterable, Optional, Sequence, Tuple, Union
 
 NEG_INF = float("-inf")
 POS_INF = float("inf")
@@ -1009,28 +1009,36 @@ _LOCAL_RULES = {
 }
 
 
-def _apply_local(a: RealSet, rule) -> RealSet:
+def apply_local(a: RealSet, rule: Callable[[Interval], Optional[Interval]],
+                reach: Fraction = Fraction(0)) -> RealSet:
+    """The union of rule(iv) over the pieces iv of `a`; None drops a piece.
+
+    The rule must commute with translation and keep rule(iv) within `reach`
+    of iv, so a tail's image is again periodic with the tail's period: each
+    germ is mapped on its periodization over [-p - reach, 2p + reach] and a
+    window of the finite part widened by reach + 1 on each side; a piece cut
+    at a window edge maps wrongly only within reach of that edge."""
     if a.left_tail is None and a.right_tail is None:
-        out = [r for r in (rule(iv) for iv in a.core) if r is not None]
+        out = [r for r in map(rule, a.core) if r is not None]
         return RealSet(merge_intervals(out))
 
     def germ_rule(germ):
         if germ[0] != "per":
             return germ
         pat, p = germ[1], germ[2]
-        three = _periodize(pat, p, -p, 2 * p)
-        # pieces at the +-p edges are exact: pattern copies tile the window
-        out = [r for r in (rule(iv) for iv in three) if r is not None]
+        occ = _periodize(pat, p, -p - reach, 2 * p + reach)
+        out = [r for r in map(rule, occ) if r is not None]
         return _pattern_reduce(_clip(merge_intervals(out), Fraction(0), p, True, False), p)
 
     lg = germ_rule(a._left_germ())
     rg = germ_rule(a._right_germ())
 
     pts = a._finite_endpoints()
-    inner_lo = min(pts) - 1
-    inner_hi = max(pts) + 1
-    outer = a.materialize(inner_lo - 1, inner_hi + 1)
-    out = [r for r in (rule(iv) for iv in outer) if r is not None]
+    margin = reach + 1
+    inner_lo = min(pts) - margin
+    inner_hi = max(pts) + margin
+    outer = a.materialize(inner_lo - margin, inner_hi + margin)
+    out = [r for r in map(rule, outer) if r is not None]
     window = _clip(merge_intervals(out), inner_lo, inner_hi)
     return _assemble(window, lg, rg, inner_lo, inner_hi)
 
@@ -1052,7 +1060,7 @@ def _closure(a: RealSet, kind: TopologyKind) -> RealSet:
         if m == POS_INF:
             return REALS
         return interval(NEG_INF, m, False, True)
-    return _apply_local(a, _LOCAL_RULES[(kind, "close")])
+    return apply_local(a, _LOCAL_RULES[(kind, "close")])
 
 
 def _interior(a: RealSet, kind: TopologyKind) -> RealSet:
@@ -1070,4 +1078,4 @@ def _interior(a: RealSet, kind: TopologyKind) -> RealSet:
             return REALS
         m = c.sup_value()
         return EMPTY if m == POS_INF else interval(m, POS_INF, False, False)
-    return _apply_local(a, _LOCAL_RULES[(kind, "open")])
+    return apply_local(a, _LOCAL_RULES[(kind, "open")])

@@ -9,6 +9,7 @@ from gtsreal.qmetric import (
     MetricName,
     PhiMode,
     QuasiMetric,
+    MetricSpec,
     UnsupportedCombinationError,
     metric,
     phi_q,
@@ -17,6 +18,7 @@ from gtsreal.qmetric import (
 )
 from gtsreal.realset import (
     EMPTY,
+    ConstructionError,
     NEG_INF,
     POS_INF,
     REALS,
@@ -67,6 +69,17 @@ class TestEval:
     def test_d_n_plus_surrogate(self):
         d = metric("d_n_plus")
         assert d.eval(-1, 0) == F(1, 2)
+
+    def test_float_paper_needs_phi(self):
+        # float_paper only applies to the Phi-based metrics, through metric()
+        # as through the constructor
+        for name in ("d_n", "rho_S", "d_u"):
+            with pytest.raises(ConstructionError):
+                metric(name, PhiMode.FLOAT_PAPER)
+            with pytest.raises(ConstructionError):
+                QuasiMetric(MetricName(name), PhiMode.FLOAT_PAPER)
+        for name in ("d_n_plus", "d_n_plus_1", "rho_S_minus"):
+            assert metric(name, PhiMode.FLOAT_PAPER).label() == f"{name}[float]"
 
     def test_float_paper_mode(self):
         import math
@@ -149,19 +162,84 @@ class TestTopologyOf:
             assert metric(name).topology_of() is kind
 
     def test_balls_generate_claimed_topology(self):
-        # small balls must be basic opens of the claimed topology
+        # small balls must be basic opens of the claimed topology, for each
+        # metric and its conjugate
         probes = [F(0), F(1, 2), F(-3), F(7, 4)]
-        for d in ALL_METRICS:
+        for d in ALL_METRICS + tuple(m.conjugate() for m in ALL_METRICS):
             kind = d.topology_of()
             for x in probes:
                 b = d.ball(x, F(1, 8))
                 iv = b.core[0]
+                assert len(b.core) == 1 and iv.contains(x), d.label()
                 if kind is TopologyKind.NAT:
-                    assert not iv.lo_closed and not iv.hi_closed and iv.contains(x)
+                    assert not iv.lo_closed and not iv.hi_closed, d.label()
                 elif kind is TopologyKind.UPPER:
-                    assert iv.lo == NEG_INF and not iv.hi_closed
+                    assert iv.lo == NEG_INF and not iv.hi_closed, d.label()
+                elif kind is TopologyKind.LOWER:
+                    assert iv.hi == POS_INF and not iv.lo_closed, d.label()
                 elif kind is TopologyKind.SORG_R:
-                    assert iv.lo == x and iv.lo_closed and not iv.hi_closed
+                    assert iv.lo == x and iv.lo_closed and not iv.hi_closed, d.label()
+                else:
+                    assert kind is TopologyKind.SORG_L, d.label()
+                    assert iv.hi == x and iv.hi_closed and not iv.lo_closed, d.label()
+
+
+class TestRows:
+    def test_flags_match_the_formulas(self):
+        # a row's symmetric and invariant flags decide how its conjugate is
+        # derived, so check them against its distance formula
+        rng = random.Random(11)
+        pts = [(rand_q(rng, 4), rand_q(rng, 4), rand_q(rng, 2)) for _ in range(300)]
+        for d in ALL_METRICS:
+            symmetric = all(d.eval(x, y) == d.eval(y, x) for x, y, _ in pts)
+            invariant = all(d.eval(x + t, y + t) == d.eval(x, y) for x, y, t in pts)
+            assert d._row.symmetric == symmetric, d.label()
+            assert d.translation_invariant == invariant, d.label()
+
+    def test_only_rho_s_minus_has_its_own_coball(self):
+        underived = [d.label() for d in ALL_METRICS
+                     if not (d._row.symmetric or d.translation_invariant)]
+        assert underived == ["rho_S_minus"]
+
+    def test_a_row_must_not_contradict_its_derived_conjugate(self):
+        def dist(x, y, phi, one):
+            return abs(x - y)
+
+        def ball(x, r):
+            return Interval(x - r, x + r, False, False)
+
+        nat = TopologyKind.NAT
+        with pytest.raises(ConstructionError):
+            MetricSpec("x", dist, ball, nat, "nat")
+        with pytest.raises(ConstructionError):
+            MetricSpec("x", dist, ball, nat, "nat", symmetric=True, coball=ball)
+        with pytest.raises(ConstructionError):
+            MetricSpec("x", dist, ball, nat, "nat", invariant=True, bounded_conj="nat")
+        row = MetricSpec("x", dist, ball, nat, "ub", invariant=True)
+        assert row.bounded_conj == "lb"
+        assert row.coball(F(1), F(1, 2)) == Interval(F(1, 2), F(3, 2), False, False)
+
+    def test_qmetric_imports_no_private_realset_name(self):
+        # realset's underscore names are its own; qmetric uses its public API
+        import ast
+        import pathlib
+
+        import gtsreal.qmetric as qmetric_module
+        tree = ast.parse(pathlib.Path(qmetric_module.__file__).read_text())
+        aliases, private = set(), []
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ImportFrom) and node.module == "gtsreal.realset":
+                private += [a.name for a in node.names if a.name.startswith("_")]
+            elif isinstance(node, ast.ImportFrom) and node.module == "gtsreal":
+                aliases |= {a.asname or a.name for a in node.names if a.name == "realset"}
+            elif isinstance(node, ast.Import):
+                aliases |= {a.asname or a.name for a in node.names
+                            if a.name == "gtsreal.realset"}
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Attribute) and node.attr.startswith("_") \
+                    and ast.unparse(node.value) in aliases:
+                private.append(ast.unparse(node))
+        assert private == []
 
 
 HALF_PATTERN = (Interval(F(0), F(1, 2), False, False),)
@@ -226,15 +304,23 @@ class TestNbhd:
                         assert ball_ok
 
     def test_nbhd_tail_matches_pointwise(self):
-        a = with_tails(closed(3, 4),
-                       left=((Interval(F(0), F(1, 2), True, False),), F(1), F(0)))
-        for name in ("d_n", "rho_S", "rho_0", "rho_L", "d_n1"):
-            d = metric(name)
-            got = d.nbhd(a, F(1, 4))
-            for k in range(-128, 129):
-                y = F(k, 16)
-                expect = not d.conjugate().ball(y, F(1, 4)).intersect(a).is_empty
-                assert got.contains_point(y) == expect, (name, y)
+        # every translation-invariant metric and its conjugate, on a pattern
+        # inside its period and one that wraps around it
+        sets = [with_tails(closed(3, 4),
+                           left=((Interval(F(0), F(1, 2), True, False),), F(1), F(0))),
+                with_tails(point(0), right=((Interval(F(0), F(1, 4), True, False),
+                                             Interval(F(5, 4), F(3, 2), False, False)),
+                                            F(3, 2), F(1)))]
+        invariant = [d for d in ALL_METRICS if d.translation_invariant]
+        assert len(invariant) == 9
+        for d in invariant + [d.conjugate() for d in invariant]:
+            for a in sets:
+                for delta in (F(1, 4), F(5, 8)):
+                    got = d.nbhd(a, delta)
+                    for k in range(-64, 97):
+                        y = F(k, 16)
+                        expect = not d.conjugate().ball(y, delta).intersect(a).is_empty
+                        assert got.contains_point(y) == expect, (d.label(), str(a), delta, y)
 
 
 class TestBoundedSets:
