@@ -43,6 +43,7 @@ from gtsreal.realset import (
     _periodize,
     _translate_range,
     interval,
+    rat,
 )
 
 
@@ -60,6 +61,8 @@ class IndexRange:
     hi: Optional[int] = None   # None = +infinity
 
     def __post_init__(self):
+        if any(k is not None and type(k) is not int for k in (self.lo, self.hi)):
+            raise ConstructionError(f"index bounds must be ints, not {self.lo!r}, {self.hi!r}")
         if self.lo is not None and self.hi is not None and self.lo > self.hi:
             raise ConstructionError("empty index range")
 
@@ -108,6 +111,7 @@ class Periodic:
     index_range: IndexRange = ALL_INDICES
 
     def __post_init__(self):
+        object.__setattr__(self, "period", rat(self.period))
         if self.period <= 0:
             raise ConstructionError("period must be positive")
         if self.seed.is_empty:
@@ -145,6 +149,9 @@ class Split:
     left: "FamilySpec"
     right: "FamilySpec"
 
+    def __post_init__(self):
+        object.__setattr__(self, "cut", rat(self.cut))
+
     def windows(self) -> Tuple[RealSet, RealSet]:
         return (interval(NEG_INF, self.cut), interval(self.cut, POS_INF, True, False))
 
@@ -176,6 +183,8 @@ class Fan:
     side: str = "down"
 
     def __post_init__(self):
+        object.__setattr__(self, "lo", rat(self.lo))
+        object.__setattr__(self, "hi", rat(self.hi))
         if self.side not in ("down", "up"):
             raise ConstructionError("fan side must be 'down' or 'up'")
         if not self.lo < self.hi:
@@ -256,8 +265,9 @@ def _union(sets: Iterable[RealSet]) -> RealSet:
     return u
 
 
+@functools.lru_cache(maxsize=1024)
 def union_of(f: FamilySpec) -> RealSet:
-    """Exact union of all members."""
+    """Exact union of all members, memoized by value."""
     out = None
     for base, w in _pieces(f):
         if isinstance(base, FiniteFamily):
@@ -358,8 +368,11 @@ def _dedupe(items) -> list[RealSet]:
 # essential finiteness
 # ---------------------------------------------------------------------------
 
+@functools.lru_cache(maxsize=1024)
 def ess_finite_on(f: FamilySpec, k_set: RealSet) -> EssFinVerdict:
-    """Exact essential-finiteness decision on k_set, with a verified witness."""
+    """Exact essential-finiteness decision on k_set, with a verified witness,
+    memoized by value (families and sets are frozen, so equal keys give equal
+    answers; an exception is not cached)."""
     verdict = _essfin(f, k_set)
     if verdict.essentially_finite:
         trace = k_set.intersect(union_of(f))

@@ -259,7 +259,7 @@ def custom_bornology(schema: BaseSchema) -> Bornology:
     return Bornology("custom", schema=schema)
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=1)
 def probe_corpus() -> Tuple[RealSet, ...]:
     """Fixed battery of 26 sets spanning the shapes the line bornologies
     discriminate: finite sets, bounded and unbounded intervals of all flag

@@ -213,7 +213,7 @@ _DECLARATION_READERS = {
 _WORD = re.compile(r"\((\[?)([A-Z]+), \.\.\.\]?\)|[(),]|[^\s(),]+")
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=256)
 def _words(grammar: str) -> tuple:
     """A grammar's words as (word, list item reader or None, list may be empty)."""
     return tuple((m.group(), m.group(2), bool(m.group(1)))

@@ -12,6 +12,7 @@ import pytest
 import gtsreal
 from gtsreal import lines
 from gtsreal.cli import main
+from gtsreal.covers import ess_finite_on, union_of
 from gtsreal.lines import ALL_SETS, CORPUS, FB, LB, NAT_BOUNDED, UB, UF_SMALL, probe_corpus
 from gtsreal.queries import GRAMMAR, MAX_NESTING, QUERIES, ParseError, parse
 from gtsreal.report import (
@@ -557,6 +558,26 @@ class TestCorpus:
         first = corpus("0")
         assert first.startswith(b"gtsreal-report-v1")
         assert corpus("1") == first
+
+    def test_family_caches_are_reused_and_hide_no_corrupted_row(self, monkeypatch):
+        # a second battery in one process asks only questions the first asked
+        union_of.cache_clear()
+        ess_finite_on.cache_clear()
+        first = corpus_verify(Caps()).machine_text()
+        misses = (union_of.cache_info().misses, ess_finite_on.cache_info().misses)
+        assert corpus_verify(Caps()).machine_text() == first
+        assert (union_of.cache_info().misses, ess_finite_on.cache_info().misses) == misses
+        # the caches are keyed on families and sets, not on the line table, so
+        # warm caches still let a corrupted Sm cell make a record fail
+        l = CORPUS[0]
+        monkeypatch.setitem(lines._LINES, (l.family, l.variant),
+                            replace(l.spec, sm=UF_SMALL if l.spec.sm != UF_SMALL else FB))
+        records, probes = [], probe_corpus()
+        for section in (_section_identities, _section_pt, _section_subsumption,
+                        _section_refuters):
+            section(records, probes)
+        _section_wls(records)
+        assert any(r.status == "fail" for r in records)
 
     def test_golden_report(self):
         # corpus_report.txt is `gtsreal --format machine corpus` at the default caps

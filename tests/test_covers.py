@@ -1,11 +1,14 @@
+import importlib
 import itertools
 import math
+import pkgutil
 import random
 import time
 from fractions import Fraction as F
 
 import pytest
 
+import gtsreal
 from gtsreal.covers import (
     ALL_INDICES,
     RULES,
@@ -56,6 +59,7 @@ from gtsreal.realset import (
     NEG_INF,
     POS_INF,
     REALS,
+    ConstructionError,
     Interval,
     RealSet,
     TopologyKind,
@@ -770,3 +774,113 @@ class TestOracleAgreement:
             assert got.essentially_finite == expect, (str(fam), str(k_set))
             agreements += 1
         assert agreements >= 100
+
+
+def _rand_any_family(rng, depth=0):
+    """Any family shape: finite, periodic (bounded or nested seed, every kind
+    of index range), fan, or a split or restriction of such families."""
+    kind = rng.randrange(5) if depth < 2 else 0
+    if kind == 1:
+        return _rand_fan_family(rng)
+    if kind == 2:
+        return Split(rand_fraction(rng, -3, 3, 2), _rand_any_family(rng, depth + 1),
+                     _rand_any_family(rng, depth + 1))
+    if kind == 3:
+        return Restricted(_rand_any_family(rng, depth + 1), rand_realset(rng))
+    return _rand_family(rng)
+
+
+def _rand_probe(rng):
+    """A bounded interval, a half-line, or a random set (tailed 40% of the time)."""
+    a = rand_fraction(rng, -8, 8, 2)
+    kind = rng.randrange(3)
+    if kind == 0:
+        return closed(a, a + F(rng.randint(0, 12), 2))
+    if kind == 1:
+        return rng.choice((interval(NEG_INF, a), interval(a, POS_INF, True, False)))
+    return rand_realset(rng)
+
+
+def _outcome(fn, *args):
+    """fn's result, or its exception's type and message."""
+    try:
+        return fn(*args)
+    except Exception as e:  # noqa: BLE001 - the type is part of the outcome
+        return type(e), str(e)
+
+
+class TestFamilyCache:
+    """union_of and ess_finite_on are memoized by value: a cached answer is
+    the answer of the undecorated function, and exceptions are not cached."""
+
+    def test_cached_answers_match_the_undecorated_functions(self):
+        rng = random.Random(1103)
+        union_of.cache_clear()
+        ess_finite_on.cache_clear()
+        for _ in range(300):
+            f, k_set = _rand_any_family(rng), _rand_probe(rng)
+            want_u = _outcome(union_of.__wrapped__, f)
+            want_v = _outcome(ess_finite_on.__wrapped__, f, k_set)
+            for _ in range(2):   # a miss, then a hit
+                assert _outcome(union_of, f) == want_u, str(f)
+                assert _outcome(ess_finite_on, f, k_set) == want_v, (str(f), str(k_set))
+        assert ess_finite_on.cache_info().hits >= 300
+
+    def test_exceptions_are_not_cached(self):
+        # the open-pattern defect (see test_open_unit_translates_miss_the_integers)
+        # makes this witness check fail; every call must still raise
+        f, k_set = Periodic(open_iv(0, 1), F(1)), closed(5, 9)
+        ess_finite_on.cache_clear()
+        for _ in range(2):
+            with pytest.raises(AssertionError, match="witness fails to cover"):
+                ess_finite_on(f, k_set)
+        info = ess_finite_on.cache_info()
+        assert info.currsize == 0 and info.misses == 2
+
+    @pytest.mark.parametrize("int_built,frac_built", [
+        (Fan(0, 1), Fan(F(0), F(1))),
+        (Fan(-3, 2, "up"), Fan(F(-3), F(2), "up")),
+        (Periodic(closed(0, 1), 2), Periodic(closed(0, 1), F(2))),
+        (Periodic(interval(NEG_INF, 0), 1, IndexRange(None, 3)),
+         Periodic(interval(NEG_INF, 0), F(1), IndexRange(None, 3))),
+        (Split(0, Fan(0, 1), Periodic(open_iv(0, 2), 1)),
+         Split(F(0), Fan(F(0), F(1)), Periodic(open_iv(0, 2), F(1)))),
+    ], ids=str)
+    def test_equal_keys_give_equal_answers(self, int_built, frac_built):
+        assert int_built == frac_built and hash(int_built) == hash(frac_built)
+        probes = (closed(-3, -2), closed(0, 1), open_iv(F(1, 3), 5), interval(0, POS_INF))
+        for first, second in ((int_built, frac_built), (frac_built, int_built)):
+            for k_set in probes:
+                union_of.cache_clear()
+                ess_finite_on.cache_clear()
+                a = (union_of(first), ess_finite_on(first, k_set))
+                b = (union_of(second), ess_finite_on(second, k_set))
+                want = (union_of.__wrapped__(second), ess_finite_on.__wrapped__(second, k_set))
+                assert a == b == want
+                assert str(a) == str(want)
+
+    def test_construction_refuses_floats_and_fractional_indices(self):
+        assert type(Fan(0, 1).lo) is type(Periodic(closed(0, 1), 2).period) is F
+        assert type(Split(1, Fan(0, 1), Fan(0, 1)).cut) is F
+        for build in (lambda: Fan(0, 0.5), lambda: Fan(0.5, 1, "up"),
+                      lambda: Periodic(closed(0, 1), 2.5),
+                      lambda: Split(0.5, Fan(0, 1), Fan(0, 1)),
+                      lambda: IndexRange(F(1, 2), 2), lambda: IndexRange(0, 2.0),
+                      lambda: IndexRange(None, F(3))):
+            with pytest.raises(ConstructionError):
+                build()
+
+    def test_module_caches_are_bounded(self):
+        # every module-level memo of the library holds a bounded number of
+        # entries (the per-algebra maps of _Atoms live and die with one chain)
+        found = {}
+        for mod in pkgutil.iter_modules(gtsreal.__path__):
+            module = importlib.import_module(f"gtsreal.{mod.name}")
+            for name, obj in vars(module).items():
+                if callable(getattr(obj, "cache_info", None)):
+                    found[f"{mod.name}.{name}"] = obj.cache_info().maxsize
+        for name in ("realset._pattern_reduce_cached", "realset._germ_op_cached",
+                     "realset._materialize_cached", "covers.union_of",
+                     "covers.ess_finite_on"):
+            assert name in found
+        assert all(size is not None for size in found.values()), found
