@@ -4,15 +4,25 @@ A RealSet is a finite union of intervals with rational or infinite
 endpoints, optionally extended by an eventually-periodic tail on either
 side.  Values are canonical: two RealSets denote the same set of points
 if and only if they compare equal.  All operations are pure and exact
-(endpoints are `fractions.Fraction`; infinities are float sentinels used
-only for ordering).
+(endpoints are `fractions.Fraction`; infinities are the float sentinels
+NEG_INF and POS_INF).
+
+The interval-list kernels never compare endpoints as Fractions.  Each
+Interval carries order keys (see `_key`): a float that is the endpoint
+rounded to nearest, the exact remainder, and an int for the side.  On the
+dyadic grid the remainder is the int 0, so a comparison of two keys is a
+comparison of floats and small ints.  The keys only order; a kernel builds
+each output piece from the endpoints and flags of the input intervals whose
+keys won, and returns an input interval unchanged when the piece is that
+interval.
 """
 
 from __future__ import annotations
 
 import math
+import sys
 from bisect import bisect_left, bisect_right
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from enum import Enum
 from fractions import Fraction
 from functools import lru_cache
@@ -72,35 +82,56 @@ class TopologyKind(Enum):
     DISCRETE = "discrete"
 
 
-_ZERO = Fraction(0)
+_FLOAT_MAX = sys.float_info.max
 
 
-def _key(v: ExtRat, eps: int) -> Tuple[int, Fraction, int]:
-    """Order key: (rank, value, eps) with rank -1/0/1 for -inf/finite/+inf.
-
-    eps 0 is the point itself, +1 just after, -1 just before; comparing the
-    int rank first keeps Fraction/float comparisons out of the hot loops."""
+def _lead(v: ExtRat) -> Tuple[float, Union[int, Fraction]]:
+    """(f, r): f the float nearest to v and r = v - f exactly, the int 0
+    when f is v (every 1/2^k-grid value of at most 53 significant bits).  A
+    sentinel is its own f.  Past the float range f is clamped to +-max."""
     if isinstance(v, float):
-        return (-1 if v < 0 else 1, _ZERO, eps)
-    return (0, v, eps)
+        return v, 0
+    nd = v.as_integer_ratio()
+    try:
+        f = nd[0] / nd[1]
+    except OverflowError:
+        f = _FLOAT_MAX if nd[0] > 0 else -_FLOAT_MAX
+    if f.as_integer_ratio() == nd:
+        return f, 0
+    return f, v - Fraction(f)
 
 
-def _key_value(k) -> ExtRat:
-    if k[0] < 0:
-        return NEG_INF
-    if k[0] > 0:
-        return POS_INF
-    return k[1]
+def _key(v: ExtRat, eps: int) -> tuple:
+    """Order key (f, r, eps) of the point v (eps 0), of the point just after
+    it (eps +1) or of the point just before it (eps -1).
+
+    f is v = n/d rounded to the nearest float (Python's int / int is
+    correctly rounded, as IEEE 754 division is) and r = v - f is exact.
+    Rounding to nearest is monotone: v < w gives f(v) <= f(w), and when
+    f(v) == f(w) the remainders order v and w.  So the tuples compare exactly as (rank, v, eps) would, and two
+    keys are equal exactly when the points are.  The sentinels are +-inf
+    with r = 0, beyond every finite f; a value past the float range gets
+    f = +-sys.float_info.max and r = v -+ max, so it still sorts by r among
+    the other clamped values and below POS_INF."""
+    f, r = _lead(v)
+    return (f, r, eps)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Interval:
-    """One nonempty interval.  Degenerate points are closed-closed."""
+    """One nonempty interval.  Degenerate points are closed-closed.
+
+    _sk is the start key, _ek the end key and _gk the gap key (the start key
+    of the first point to the right not covered); _ek and _gk share their
+    float and remainder."""
 
     lo: ExtRat
     hi: ExtRat
     lo_closed: bool
     hi_closed: bool
+    _sk: tuple = field(init=False, repr=False, compare=False)
+    _ek: tuple = field(init=False, repr=False, compare=False)
+    _gk: tuple = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if isinstance(self.lo, float) and not math.isinf(self.lo):
@@ -111,28 +142,21 @@ class Interval:
             raise ConstructionError("infinite endpoint cannot be closed")
         if not is_finite(self.hi) and self.hi_closed:
             raise ConstructionError("infinite endpoint cannot be closed")
-        if self.lo > self.hi:
-            raise ConstructionError(f"empty interval: lo={self.lo} > hi={self.hi}")
-        if self.lo == self.hi and not (self.lo_closed and self.hi_closed):
-            raise ConstructionError("degenerate interval must be closed on both sides")
         _cache_keys(self)
+        sk, ek = self._sk, self._ek
+        if sk > ek:
+            if sk[:2] > ek[:2]:
+                raise ConstructionError(f"empty interval: lo={self.lo} > hi={self.hi}")
+            raise ConstructionError("degenerate interval must be closed on both sides")
 
-    @property
-    def start_key(self):
-        return self._sk
-
-    @property
-    def end_key(self):
-        return self._ek
-
-    @property
-    def gap_key(self):
-        """Start key of the first point to the right not covered."""
-        return self._gk
+    def __eq__(self, other):
+        if other.__class__ is not Interval:
+            return NotImplemented
+        return self._sk == other._sk and self._ek == other._ek
 
     @property
     def is_point(self) -> bool:
-        return self.lo == self.hi
+        return self._sk == self._ek
 
     def contains(self, x: ExtRat) -> bool:
         return self._sk <= _key(x, 0) <= self._ek
@@ -161,33 +185,65 @@ class Interval:
             return "{%s}" % self.lo
         l = "[" if self.lo_closed else "("
         r = "]" if self.hi_closed else ")"
-        lo = "-inf" if self.lo == NEG_INF else str(self.lo)
-        hi = "+inf" if self.hi == POS_INF else str(self.hi)
+        lo = "-inf" if self._sk[0] == NEG_INF else str(self.lo)
+        hi = "+inf" if self._ek[0] == POS_INF else str(self.hi)
         return f"{l}{lo}, {hi}{r}"
 
 
+_set = object.__setattr__
+
+
 def _cache_keys(iv: Interval) -> None:
-    object.__setattr__(iv, "_sk", _key(iv.lo, 0 if iv.lo_closed else 1))
-    object.__setattr__(iv, "_ek", _key(iv.hi, 0 if iv.hi_closed else -1))
-    object.__setattr__(iv, "_gk", _key(iv.hi, 1 if iv.hi_closed else 0))
+    lo, hi = iv.lo, iv.hi
+    f, r = _lead(lo)
+    _set(iv, "_sk", (f, r, 0 if iv.lo_closed else 1))
+    if hi is not lo:
+        f, r = _lead(hi)
+    if iv.hi_closed:
+        _set(iv, "_ek", (f, r, 0))
+        _set(iv, "_gk", (f, r, 1))
+    else:
+        _set(iv, "_ek", (f, r, -1))
+        _set(iv, "_gk", (f, r, 0))
 
 
 def _mk(lo: ExtRat, hi: ExtRat, lo_closed: bool, hi_closed: bool) -> Interval:
     """Internal constructor for values already known valid (hot path)."""
     iv = object.__new__(Interval)
-    object.__setattr__(iv, "lo", lo)
-    object.__setattr__(iv, "hi", hi)
-    object.__setattr__(iv, "lo_closed", lo_closed)
-    object.__setattr__(iv, "hi_closed", hi_closed)
+    _set(iv, "lo", lo)
+    _set(iv, "hi", hi)
+    _set(iv, "lo_closed", lo_closed)
+    _set(iv, "hi_closed", hi_closed)
     _cache_keys(iv)
     return iv
 
 
-def _from_keys(start, end) -> Optional[Interval]:
-    """Interval from a (start, end) key pair; None when empty."""
-    if start > end:
-        return None
-    return _mk(_key_value(start), _key_value(end), start[2] == 0, end[2] == 0)
+def _raw(lo: ExtRat, hi: ExtRat, lo_closed: bool, hi_closed: bool,
+         sk: tuple, ek: tuple, gk: tuple) -> Interval:
+    """Internal constructor from endpoints, flags and their keys."""
+    iv = object.__new__(Interval)
+    _set(iv, "lo", lo)
+    _set(iv, "hi", hi)
+    _set(iv, "lo_closed", lo_closed)
+    _set(iv, "hi_closed", hi_closed)
+    _set(iv, "_sk", sk)
+    _set(iv, "_ek", ek)
+    _set(iv, "_gk", gk)
+    return iv
+
+
+def _join(a: Interval, b: Interval) -> Interval:
+    """The interval from a's start to b's end, which must not be empty; a
+    or b itself when it is that interval."""
+    if a._sk == b._sk:
+        return b
+    if a._ek == b._ek:
+        return a
+    return _raw(a.lo, b.hi, a.lo_closed, b.hi_closed, a._sk, b._ek, b._gk)
+
+
+_START_KEY = attrgetter("_sk")
+_END_KEY = attrgetter("_ek")
 
 
 def interval(lo, hi, lo_closed: bool = False, hi_closed: bool = False) -> "RealSet":
@@ -225,13 +281,12 @@ def points(xs: Iterable[RatLike]) -> "RealSet":
 # ---------------------------------------------------------------------------
 
 def merge_intervals(items: Iterable[Interval]) -> Tuple[Interval, ...]:
-    ivs = sorted(items, key=lambda i: i.start_key)
     out: list[Interval] = []
-    for iv in ivs:
-        if out and iv.start_key <= out[-1].gap_key:
+    for iv in sorted(items, key=_START_KEY):
+        if out and iv._sk <= out[-1]._gk:
             prev = out[-1]
-            if iv.end_key > prev.end_key:
-                out[-1] = _from_keys(prev.start_key, iv.end_key)  # type: ignore[assignment]
+            if iv._ek > prev._ek:
+                out[-1] = _join(prev, iv)
         else:
             out.append(iv)
     return tuple(out)
@@ -241,31 +296,38 @@ def _intersect_lists(a: Sequence[Interval], b: Sequence[Interval]) -> Tuple[Inte
     out = []
     i = j = 0
     while i < len(a) and j < len(b):
-        s = max(a[i].start_key, b[j].start_key)
-        e = min(a[i].end_key, b[j].end_key)
-        piece = _from_keys(s, e)
-        if piece is not None:
-            out.append(piece)
-        if a[i].end_key < b[j].end_key:
+        # y is the interval whose end comes first, x the other one
+        x, y = a[i], b[j]
+        if x._ek < y._ek:
+            x, y = y, x
             i += 1
         else:
             j += 1
+        if y._sk >= x._sk:
+            out.append(y)
+        elif x._sk <= y._ek:
+            out.append(_join(x, y))
     return tuple(out)
+
+
+_NEG_GAP = _key(NEG_INF, 1)    # start key of the line's first point
+_POS_END = _key(POS_INF, -1)   # end key of the line's last point
+_POS_GAP = _key(POS_INF, 0)
 
 
 def _complement_list(a: Sequence[Interval]) -> Tuple[Interval, ...]:
     out = []
-    prev_gap = _key(NEG_INF, 1)  # start of the uncovered region
+    # the uncovered region starts at (lo, lo_closed), start key sk
+    lo, lo_closed, sk = NEG_INF, False, _NEG_GAP
     for iv in a:
-        # region [prev_gap, just-before iv.start)
-        end = _key(iv.lo, -1 if iv.lo_closed else 0)
-        piece = _from_keys(prev_gap, end)
-        if piece is not None:
-            out.append(piece)
-        prev_gap = iv.gap_key
-    piece = _from_keys(prev_gap, _key(POS_INF, -1))
-    if piece is not None:
-        out.append(piece)
+        # region [sk, just before iv's start]
+        f, r, eps = iv._sk
+        ek = (f, r, eps - 1)
+        if sk <= ek:
+            out.append(_raw(lo, iv.lo, lo_closed, not iv.lo_closed, sk, ek, iv._sk))
+        lo, lo_closed, sk = iv.hi, not iv.hi_closed, iv._gk
+    if sk <= _POS_END:
+        out.append(_raw(lo, POS_INF, lo_closed, False, sk, _POS_END, _POS_GAP))
     return tuple(out)
 
 
@@ -281,10 +343,6 @@ def _symdiff_lists(a: Sequence[Interval], b: Sequence[Interval]) -> Tuple[Interv
     return _union_lists(_difference_lists(a, b), _difference_lists(b, a))
 
 
-_START_KEY = attrgetter("_sk")
-_END_KEY = attrgetter("_ek")
-
-
 def _clip(items: Sequence[Interval], lo: ExtRat, hi: ExtRat,
           lo_closed: bool = True, hi_closed: bool = True) -> Tuple[Interval, ...]:
     """Trace of `items` on the window from lo to hi; an end is closed when its
@@ -294,8 +352,10 @@ def _clip(items: Sequence[Interval], lo: ExtRat, hi: ExtRat,
     canonical core or a tail pattern): the pieces that meet the window are
     then one run, found by bisection, and only its first and last piece are
     rebuilt."""
-    start = _key(lo, 0 if (lo_closed and is_finite(lo)) else 1)
-    end = _key(hi, 0 if (hi_closed and is_finite(hi)) else -1)
+    lo_closed = lo_closed and is_finite(lo)
+    hi_closed = hi_closed and is_finite(hi)
+    start = _key(lo, 0 if lo_closed else 1)
+    end = _key(hi, 0 if hi_closed else -1)
     if start > end:
         return ()
     i = bisect_left(items, start, key=_END_KEY)
@@ -303,10 +363,13 @@ def _clip(items: Sequence[Interval], lo: ExtRat, hi: ExtRat,
     if i >= j:
         return ()
     run = list(items[i:j])
-    if run[0].start_key < start:
-        run[0] = _from_keys(start, run[0].end_key)  # type: ignore[assignment]
-    if run[-1].end_key > end:
-        run[-1] = _from_keys(run[-1].start_key, end)  # type: ignore[assignment]
+    first = run[0]
+    if first._sk < start:
+        run[0] = _raw(lo, first.hi, lo_closed, first.hi_closed, start, first._ek, first._gk)
+    last = run[-1]
+    if last._ek > end:
+        gap = (end[0], end[1], end[2] + 1)
+        run[-1] = _raw(last.lo, hi, last.lo_closed, hi_closed, last._sk, end, gap)
     return tuple(run)
 
 
@@ -340,7 +403,7 @@ class PeriodicTail:
         for iv in self.pattern:
             if not (is_finite(iv.lo) and is_finite(iv.hi)):
                 raise ConstructionError("pattern pieces must be bounded")
-            if iv.start_key < _key(Fraction(0), 0) or iv.end_key > _key(self.period, -1):
+            if iv._sk < _key(Fraction(0), 0) or iv._ek > _key(self.period, -1):
                 raise ConstructionError("pattern pieces must lie inside [0, period)")
 
     def occurrences(self, lo: Fraction, hi: Fraction) -> Tuple[Interval, ...]:
@@ -406,8 +469,8 @@ def _translate_range(pattern: Sequence[Interval], period: Fraction,
                      lo: Fraction, hi: Fraction) -> Tuple[int, int]:
     """(k_lo, k_hi) such that every translate pattern + k*period that meets
     [lo, hi] has k_lo <= k <= k_hi; pattern pieces must be bounded."""
-    lo_v = min(iv.lo for iv in pattern)
-    hi_v = max(iv.hi for iv in pattern)
+    lo_v = min(pattern, key=_START_KEY).lo
+    hi_v = max(pattern, key=_END_KEY).hi
     return math.floor((lo - hi_v) / period) - 1, math.ceil((hi - lo_v) / period) + 1
 
 
@@ -496,7 +559,7 @@ class RealSet:
         q = rat(x)
         k = _key(q, 0)
         i = bisect_right(self.core, k, key=_START_KEY)
-        if i and self.core[i - 1].end_key >= k:
+        if i and self.core[i - 1]._ek >= k:
             return True
         if self.left_tail is not None and self.left_tail.contains(q):
             return True
@@ -548,7 +611,8 @@ class RealSet:
 
     @property
     def is_reals(self) -> bool:
-        return self.core == (Interval(NEG_INF, POS_INF, False, False),)
+        core = self.core
+        return len(core) == 1 and core[0]._sk[0] == NEG_INF and core[0]._ek[0] == POS_INF
 
     def pieces(self) -> Tuple[Interval, ...]:
         """Core pieces plus one pattern copy per tail (shape inspection)."""
@@ -559,8 +623,8 @@ class RealSet:
         return tuple(out)
 
     def boundedness(self) -> "Bounds":
-        bounded_below = self.left_tail is None and (not self.core or self.core[0].lo != NEG_INF)
-        bounded_above = self.right_tail is None and (not self.core or self.core[-1].hi != POS_INF)
+        bounded_below = self.left_tail is None and (not self.core or self.core[0]._sk[0] != NEG_INF)
+        bounded_above = self.right_tail is None and (not self.core or self.core[-1]._ek[0] != POS_INF)
         finite = (self.left_tail is None and self.right_tail is None
                   and all(iv.is_point for iv in self.core))
         return Bounds(bounded_below and bounded_above, bounded_above, bounded_below, finite)
@@ -627,14 +691,14 @@ class RealSet:
     # -- germs ---------------------------------------------------------------
 
     def _left_germ(self) -> tuple:
-        if self.core and self.core[0].lo == NEG_INF:
+        if self.core and self.core[0]._sk[0] == NEG_INF:
             return _FULL_GERM
         if self.left_tail is not None:
             return ("per", self.left_tail.pattern, self.left_tail.period)
         return _EMPTY_GERM
 
     def _right_germ(self) -> tuple:
-        if self.core and self.core[-1].hi == POS_INF:
+        if self.core and self.core[-1]._ek[0] == POS_INF:
             return _FULL_GERM
         if self.right_tail is not None:
             return ("per", self.right_tail.pattern, self.right_tail.period)
@@ -770,9 +834,9 @@ def _canonical(core: Tuple[Interval, ...], ltail: Optional[PeriodicTail],
     object.__setattr__(raw, "left_tail", ltail)
     object.__setattr__(raw, "right_tail", rtail)
 
-    if core and core[0].lo == NEG_INF:
+    if core and core[0]._sk[0] == NEG_INF:
         lgerm = _FULL_GERM
-    if core and core[-1].hi == POS_INF:
+    if core and core[-1]._ek[0] == POS_INF:
         rgerm = _FULL_GERM
 
     pts = raw._finite_endpoints()
@@ -1050,14 +1114,14 @@ def _closure(a: RealSet, kind: TopologyKind) -> RealSet:
         if a.is_empty:
             return EMPTY
         m = a.inf_value()
-        if m == NEG_INF:
+        if not is_finite(m):
             return REALS
         return interval(m, POS_INF, True, False)
     if kind is TopologyKind.LOWER:
         if a.is_empty:
             return EMPTY
         m = a.sup_value()
-        if m == POS_INF:
+        if not is_finite(m):
             return REALS
         return interval(NEG_INF, m, False, True)
     return apply_local(a, _LOCAL_RULES[(kind, "close")])
@@ -1071,11 +1135,11 @@ def _interior(a: RealSet, kind: TopologyKind) -> RealSet:
         if c.is_empty:
             return REALS
         m = c.inf_value()
-        return EMPTY if m == NEG_INF else interval(NEG_INF, m, False, False)
+        return EMPTY if not is_finite(m) else interval(NEG_INF, m, False, False)
     if kind is TopologyKind.LOWER:
         c = a.complement()
         if c.is_empty:
             return REALS
         m = c.sup_value()
-        return EMPTY if m == POS_INF else interval(m, POS_INF, False, False)
+        return EMPTY if not is_finite(m) else interval(m, POS_INF, False, False)
     return apply_local(a, _LOCAL_RULES[(kind, "open")])

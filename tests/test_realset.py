@@ -1,9 +1,10 @@
 import math
 import random
+import sys
 from fractions import Fraction as F
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from gtsreal.realset import (
@@ -27,7 +28,7 @@ from gtsreal.realset import (
     points,
     with_tails,
     _clip,
-    _from_keys,
+    _complement_list,
     _intersect_lists,
     _key,
     is_finite,
@@ -298,10 +299,11 @@ def sample_walk(a, window, step):
 
 def clip_by_intersection(items, lo, hi, lo_closed, hi_closed):
     """The window trace as a general list intersection with the window."""
-    start = _key(lo, 0 if (lo_closed and is_finite(lo)) else 1)
-    end = _key(hi, 0 if (hi_closed and is_finite(hi)) else -1)
-    window = _from_keys(start, end)
-    return () if window is None else _intersect_lists(items, (window,))
+    try:
+        window = Interval(lo, hi, lo_closed and is_finite(lo), hi_closed and is_finite(hi))
+    except ConstructionError:  # the window is empty
+        return ()
+    return _intersect_lists(items, (window,))
 
 
 def differential_pool(rng, n):
@@ -410,3 +412,189 @@ class TestKernelDifferential:
         for a in differential_pool(rng, 60):
             for x in probes:
                 assert a.contains_point(x) == contains_linear(a, x), (str(a), x)
+
+
+# ---------------------------------------------------------------------------
+# order keys
+# ---------------------------------------------------------------------------
+
+def exact_key(v, eps):
+    """The order a key must reproduce: (rank, exact value, eps)."""
+    if v == NEG_INF:
+        return (-1, F(0), eps)
+    if v == POS_INF:
+        return (1, F(0), eps)
+    return (0, F(v), eps)
+
+
+BEYOND = F(2) ** 1024                  # the first value past the float range
+FMAX = F(sys.float_info.max)           # its half ulp is 2**970
+SUB = F(1, 2 ** 1074)                  # the smallest subnormal
+TINY = F(1, 10 ** 40)
+
+
+def curated_key_values():
+    pos = [F(1), F(1, 3), F(2, 7), F(1, 7), F(1, 8), F(5, 8), F(1, 10), F(0.1), F(0.1) + TINY,
+           F(0.1) - TINY, F(1) + TINY, F(1) - TINY, F(1, 8) + TINY, F(1, 3) + TINY,
+           F(2 ** 53 + 1), F(2 ** 53), F(2 ** 53) + F(1, 2),
+           BEYOND, BEYOND + 1, BEYOND + F(1, 3), 2 * BEYOND, BEYOND ** 2,
+           FMAX, FMAX + TINY, FMAX - TINY, FMAX + 2 ** 969, FMAX + 2 ** 970, FMAX + 2 ** 971,
+           SUB, 2 * SUB, SUB / 2, SUB / 3, 3 * SUB / 2, SUB + TINY ** 9, F(1, 10 ** 320),
+           F(2, 10 ** 320), F(1, 2 ** 1022), F(1, 2 ** 1022) - SUB / 3, F(1, 3 * 2 ** 1060)]
+    return [F(0), NEG_INF, POS_INF] + pos + [-v for v in pos]
+
+
+def key_points():
+    floats = st.floats(allow_nan=False, allow_infinity=False)
+    return st.one_of(
+        st.sampled_from((NEG_INF, POS_INF)),
+        st.fractions(max_denominator=50),                                # 1/3, 1/7, ...
+        floats.map(F),                                                   # every float, subnormals too
+        st.builds(lambda f, k: F(f) + k * TINY, floats, st.integers(-3, 3)),  # rounding ties
+        st.builds(lambda m, q: m * BEYOND + q,                           # beyond 2**1024
+                  st.integers(-4, 4).filter(bool), st.fractions(max_denominator=10)),
+        st.builds(lambda s, k: s * (FMAX + k * 2 ** 968),                # around the largest float
+                  st.sampled_from((-1, 1)), st.integers(-4, 4)),
+        st.builds(lambda k, d: F(k, d) * SUB, st.integers(-9, 9), st.integers(1, 4)),  # subnormal
+    )
+
+
+def kernel_lists(rng, ends, n):
+    """n sorted disjoint interval lists over the given endpoints."""
+    lists = [(), REALS.core]
+    while len(lists) < n:
+        soup = []
+        for _ in range(rng.randrange(7)):
+            lo, hi = sorted((rng.choice(ends), rng.choice(ends)), key=lambda v: exact_key(v, 0))
+            if lo == hi:
+                if is_finite(lo):
+                    soup.append(Interval(lo, hi, True, True))
+                continue
+            soup.append(Interval(lo, hi, is_finite(lo) and rng.random() < .5,
+                                 is_finite(hi) and rng.random() < .5))
+        lists.append(merge_intervals(soup))
+    return lists
+
+
+def run_kernels(lists, windows):
+    """Every kernel on every pair of lists and every window; the outputs."""
+    out = []
+    for a in lists:
+        out.append(_complement_list(a))
+        for lo, hi, lo_closed, hi_closed in windows:
+            out.append(_clip(a, lo, hi, lo_closed, hi_closed))
+        for b in lists:
+            out.append(merge_intervals(a + b))
+            out.append(_intersect_lists(a, b))
+    return out
+
+
+class TestOrderKeys:
+    def test_curated_keys_order_as_the_exact_values(self):
+        points = [(v, eps) for v in curated_key_values() for eps in (-1, 0, 1)]
+        keys = [(_key(v, eps), exact_key(v, eps)) for v, eps in points]
+        for ka, ea in keys:
+            for kb, eb in keys:
+                assert (ka < kb) == (ea < eb) and (ka == kb) == (ea == eb), (ea, eb)
+        assert (sorted(points, key=lambda p: _key(*p))
+                == sorted(points, key=lambda p: exact_key(*p)))
+
+    @settings(max_examples=600, deadline=None)
+    @given(key_points(), st.sampled_from((-1, 0, 1)), key_points(), st.sampled_from((-1, 0, 1)))
+    @example(F(1), 0, F(1) + TINY, 0)                # one float, two values
+    @example(F(1, 3), 1, F(1, 3) + TINY, -1)
+    @example(BEYOND, 0, BEYOND + 1, 0)               # past the float range
+    @example(-BEYOND - F(1, 3), 0, -BEYOND, 0)
+    @example(FMAX + 2 ** 970, 0, POS_INF, -1)
+    @example(SUB / 3, 0, -SUB / 3, 0)                # both round to a zero
+    def test_keys_order_as_the_exact_values(self, v, eps, w, eta):
+        a, b = _key(v, eps), _key(w, eta)
+        ea, eb = exact_key(v, eps), exact_key(w, eta)
+        assert (a < b) == (ea < eb)
+        assert (a == b) == (ea == eb)
+
+    def test_grid_values_have_an_int_remainder(self):
+        for v in [F(k, 8) for k in range(-80, 81)] + [F(3, 2 ** 60), F(2 ** 52 + 1, 2), SUB]:
+            assert _key(v, 0)[1] == 0 and type(_key(v, 0)[1]) is int, v
+        for v in (F(1, 3), F(2 ** 53 + 1, 2), SUB / 2, BEYOND):   # not floats
+            assert type(_key(v, 0)[1]) is F and _key(v, 0)[1] != 0, v
+
+    def test_kernels_compare_no_fractions_on_the_grid(self, monkeypatch):
+        rng = random.Random(7004)
+        ends = [NEG_INF, POS_INF] + [F(k, 8) for k in range(-64, 65)]
+        lists = kernel_lists(rng, ends, 40)
+        windows = [(NEG_INF, POS_INF, True, True), (F(-3, 8), F(17, 8), True, False),
+                   (F(1, 8), F(1, 8), True, True), (NEG_INF, F(5, 4), False, True),
+                   (F(-7, 2), POS_INF, False, False), (F(2), F(1), True, True)]
+        calls = []
+        eq, richcmp = F.__eq__, F._richcmp
+
+        def counted_eq(a, b):
+            calls.append("eq")
+            return eq(a, b)
+
+        def counted_richcmp(a, b, op):
+            calls.append("richcmp")
+            return richcmp(a, b, op)
+
+        monkeypatch.setattr(F, "__eq__", counted_eq)
+        monkeypatch.setattr(F, "_richcmp", counted_richcmp)
+        assert F(1, 3) < F(1, 2) and not F(1, 3) == F(1, 2)
+        assert calls == ["richcmp", "eq"]
+        del calls[:]
+        outputs = run_kernels(lists, windows)
+        assert calls == []
+        assert sum(map(len, outputs)) > 2000
+
+    def test_kernel_pieces_carry_the_keys_of_their_endpoints(self):
+        rng = random.Random(7005)
+        ends = [NEG_INF, POS_INF] + [F(k, 3) for k in range(-9, 10)] + [F(k, 8) for k in range(-24, 25)]
+        windows = [(NEG_INF, POS_INF, True, True), (F(-2, 3), F(5, 8), True, False),
+                   (F(1, 3), F(1, 3), True, True), (F(-1), F(7, 3), False, True)]
+        for out in run_kernels(kernel_lists(rng, ends, 30), windows):
+            for iv in out:
+                fresh = Interval(iv.lo, iv.hi, iv.lo_closed, iv.hi_closed)
+                assert (iv._sk, iv._ek, iv._gk) == (fresh._sk, fresh._ek, fresh._gk), str(iv)
+            assert all(exact_key(x.hi, 0) <= exact_key(y.lo, 0) for x, y in zip(out, out[1:]))
+
+    def test_kernels_return_unchanged_pieces_as_they_are(self):
+        a = (closed(0, 1) | open_iv(2, 3) | point(F(1, 3) + 5)).core
+        assert all(x is y for x, y in zip(_intersect_lists(a, REALS.core), a))
+        assert all(x is y for x, y in zip(_intersect_lists(REALS.core, a), a))
+        assert all(x is y for x, y in zip(merge_intervals(a), a))
+        assert all(x is y for x, y in zip(_clip(a, F(-1), F(9)), a))
+        assert _complement_list(_complement_list(a)) == a
+
+    def test_interval_equality_reads_the_keys_and_agrees_with_the_hash(self):
+        a = Interval(F(1, 3), F(2), False, True)
+        assert a == Interval(F(2, 6), 2, False, True) and hash(a) == hash(Interval(F(2, 6), 2, False, True))
+        assert a != Interval(F(1, 3), F(2), True, True)
+        assert a != Interval(F(1, 3) + TINY, F(2), False, True)
+        assert a != (F(1, 3), F(2), False, True)
+        assert Interval(F(0), F(0), True, True).is_point and not a.is_point
+
+    def test_intervals_have_slots_and_no_dict(self):
+        built = [Interval(F(0), F(1), True, False), Interval(NEG_INF, POS_INF, False, False),
+                 *(open_iv(0, 1) | closed(2, 3)).core, *(~closed(0, 1)).core,
+                 *_clip(closed(0, 5).core, F(1), F(2)), Interval(F(0), F(1), True, True).shift(F(1))]
+        for iv in built:
+            assert not hasattr(iv, "__dict__"), str(iv)
+        with pytest.raises(AttributeError):
+            built[0].lo = F(3)
+
+    def test_construction_errors_are_unchanged(self):
+        with pytest.raises(ConstructionError, match=r"empty interval: lo=1 > hi=1/3"):
+            Interval(F(1), F(1, 3), True, True)
+        with pytest.raises(ConstructionError, match=r"empty interval: lo=inf > hi=0"):
+            Interval(POS_INF, F(0), False, True)
+        with pytest.raises(ConstructionError, match="degenerate"):
+            Interval(F(1, 3), F(1, 3), False, True)
+        with pytest.raises(ConstructionError, match="degenerate"):
+            Interval(POS_INF, POS_INF, False, False)
+        with pytest.raises(ConstructionError, match="inexact lower"):
+            Interval(0.5, F(1), True, True)
+        with pytest.raises(ConstructionError, match="infinite endpoint"):
+            Interval(F(0), POS_INF, True, True)
+        big = Interval(-BEYOND, BEYOND + F(1, 3), True, False)
+        assert big.contains(BEYOND) and not big.contains(BEYOND + F(1, 3))
+        assert not big.contains(POS_INF) and not big.is_point
