@@ -37,13 +37,11 @@ from gtsreal.realset import (
     ConstructionError,
     RealSet,
     TopologyKind,
-    _assemble,
     _lcm_frac,
-    _pattern_reduce,
-    _periodize,
     _translate_range,
     interval,
     rat,
+    union_of_translates,
 )
 
 
@@ -295,25 +293,7 @@ def _periodic_union(f: Periodic) -> RealSet:
         if rng.lo is not None:
             return f.member(rng.lo)
         return REALS
-    if rng.is_finite:
-        return _union(f.member(k) for k in rng.indices())
-    germ = _pattern_reduce(f.seed.core, p)
-    lo_v, hi_v = f.seed.core[0].lo, f.seed.core[-1].hi
-    span = hi_v - lo_v
-    if rng.lo is None and rng.hi is None:
-        lo_w = lo_v - 2 * p - span - 2
-        hi_w = hi_v + 2 * p + span + 2
-        lgerm = rgerm = germ
-    elif rng.hi is None:  # from(k0): periodic to the right
-        lo_w = lo_v + rng.lo * p - 1
-        hi_w = lo_w + span + 4 * p + 2
-        lgerm, rgerm = ("empty",), germ
-    else:
-        hi_w = hi_v + rng.hi * p + 1
-        lo_w = hi_w - span - 4 * p - 2
-        lgerm, rgerm = germ, ("empty",)
-    window = _periodize(f.seed.core, p, lo_w, hi_w, rng.lo, rng.hi)
-    return _assemble(window, lgerm, rgerm, lo_w, hi_w)
+    return union_of_translates(f.seed, p, rng.lo, rng.hi)
 
 
 def _translate_span(f: Periodic, lo: Fraction, hi: Fraction) -> Tuple[int, int]:
@@ -626,17 +606,17 @@ def _periodic_probes(f: Periodic, w: Optional[RealSet]) -> list[RealSet]:
     for e in pts:
         ks.update(rng.clamp(*_translate_span(f, e, e)))
 
-    def reps(germ) -> int:
-        if germ[0] != "per":
+    def reps(tail) -> int:
+        if tail is None:
             return 2
-        return 2 * int(_lcm_frac(f.period, germ[2]) / f.period)
+        return 2 * int(_lcm_frac(f.period, tail.period) / f.period)
 
     k_lo = _translate_span(f, min(pts), min(pts))[0]
     k_hi = _translate_span(f, max(pts), max(pts))[1]
     last = k_lo - 1 if rng.hi is None else min(k_lo - 1, rng.hi)
     first = k_hi + 1 if rng.lo is None else max(k_hi + 1, rng.lo)
-    ks.update(rng.clamp(last - reps(w._left_germ()) + 1, last))
-    ks.update(rng.clamp(first, first + reps(w._right_germ()) - 1))
+    ks.update(rng.clamp(last - reps(w.left_tail) + 1, last))
+    ks.update(rng.clamp(first, first + reps(w.right_tail) - 1))
     return _clip_all((f.member(k) for k in sorted(ks)), w)
 
 

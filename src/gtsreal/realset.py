@@ -15,6 +15,12 @@ comparison of floats and small ints.  The keys only order; a kernel builds
 each output piece from the endpoints and flags of the input intervals whose
 keys won, and returns an input interval unchanged when the piece is that
 interval.
+
+Every tail, germ and periodic family is a pattern's translates laid over a
+window, and `_periodize` is the one place that lays them out.  The germs
+(the behaviour toward -inf or +inf: `_EMPTY_GERM`, `_FULL_GERM` or
+("per", pattern, period)) never leave this module; callers read a set's
+tails, and `union_of_translates` builds the union of a seed's translates.
 """
 
 from __future__ import annotations
@@ -437,31 +443,24 @@ def _pattern_reduce_cached(pieces: Tuple[Interval, ...], period: Fraction):
     minimal period.  Returns a germ tuple ('empty'|'full'|'per', pat, p)."""
     if period <= 0:
         raise ConstructionError("period must be positive")
-    occ = []
     for iv in pieces:
         if not (is_finite(iv.lo) and is_finite(iv.hi)):
             raise ConstructionError("pattern pieces must be bounded")
         if iv.hi - iv.lo >= period:
             return _FULL_GERM
-        k_lo = math.floor(-iv.hi / period) - 1
-        k_hi = math.ceil((period - iv.lo) / period) + 1
-        for k in range(k_lo, k_hi + 1):
-            occ.append(iv.shift(k * period))
-    pat = _clip(merge_intervals(occ), Fraction(0), period, True, False)
+    zero = Fraction(0)
+    pat = _clip(_periodize(pieces, period, zero, period), zero, period, True, False)
     if not pat:
         return _EMPTY_GERM
-    if pat == (Interval(Fraction(0), period, True, False),):
+    if pat == (Interval(zero, period, True, False),):
         return _FULL_GERM
-    # minimal period: largest m such that shifting by period/m is invariant
+    # minimal period: the largest m such that the trace on [0, period/m),
+    # periodized with period period/m, gives back the pattern
     for m in range(len(pat), 1, -1):
         sub = period / m
-        shifted = []
-        for iv in pat:
-            shifted.append(iv.shift(sub))
-            shifted.append(iv.shift(sub - period))
-        cand = _clip(merge_intervals(shifted), Fraction(0), period, True, False)
-        if cand == pat:
-            return ("per", _clip(pat, Fraction(0), sub, True, False), sub)
+        sub_pat = _clip(pat, zero, sub, True, False)
+        if _clip(_periodize(sub_pat, sub, zero, period), zero, period, True, False) == pat:
+            return ("per", sub_pat, sub)
     return ("per", pat, period)
 
 
@@ -478,7 +477,10 @@ def _periodize(pattern: Sequence[Interval], period: Fraction,
                lo: Fraction, hi: Fraction,
                k_min: Optional[int] = None, k_max: Optional[int] = None) -> Tuple[Interval, ...]:
     """Trace on [lo, hi] of the union of the translates pattern + k*period,
-    over all k or over k_min <= k <= k_max when those bounds are given."""
+    over all k or over k_min <= k <= k_max when those bounds are given; ()
+    for an empty pattern."""
+    if not pattern:
+        return ()
     k_lo, k_hi = _translate_range(pattern, period, lo, hi)
     if k_min is not None:
         k_lo = max(k_lo, k_min)
@@ -511,6 +513,13 @@ def _select_regions(a: Sequence[Interval], b: Sequence[Interval], table) -> Tupl
     return merge_intervals(pieces)
 
 
+def _germ_trace(germ, lo: Fraction, hi: Fraction) -> Tuple[Interval, ...]:
+    """Trace on [lo, hi] of the set that the germ repeats."""
+    if germ == _FULL_GERM:
+        return (Interval(lo, hi, True, True),)
+    return _periodize(germ[1], germ[2], lo, hi) if germ[0] == "per" else ()
+
+
 @lru_cache(maxsize=16384)
 def _germ_op_cached(ga, gb, table) -> tuple:
     """Pointwise set operation `table` on two germs."""
@@ -521,16 +530,8 @@ def _germ_op_cached(ga, gb, table) -> tuple:
     else:
         period = ga[2] if ga[0] == "per" else gb[2]
     zero = Fraction(0)
-    full = (Interval(zero, period, True, False),)
-
-    def mat(g):
-        if g == _EMPTY_GERM:
-            return ()
-        if g == _FULL_GERM:
-            return full
-        return _clip(_periodize(g[1], g[2], zero, period), zero, period, True, False)
-
-    return _pattern_reduce(_select_regions(mat(ga), mat(gb), table), period)
+    a, b = (_clip(_germ_trace(g, zero, period), zero, period, True, False) for g in (ga, gb))
+    return _pattern_reduce(_select_regions(a, b, table), period)
 
 
 # ---------------------------------------------------------------------------
@@ -662,31 +663,6 @@ class RealSet:
         if self.left_tail is None and self.right_tail is None:
             return _clip(self.core, l, h)
         return _materialize_cached(self, l, h)
-
-    def _materialize_ray_left(self, hi: Fraction) -> Tuple[Interval, ...]:
-        """Exact trace on (-inf, hi]; requires no left tail in play below core."""
-        out = list(_clip(self.core, NEG_INF, hi))
-        lowest = hi
-        for iv in out:
-            if is_finite(iv.lo):
-                lowest = min(lowest, iv.lo)
-        if self.left_tail is not None:
-            out.extend(self.left_tail.occurrences(min(lowest, self.left_tail.cut) - 2 * self.left_tail.period, hi))
-        if self.right_tail is not None:
-            out.extend(self.right_tail.occurrences(min(lowest, self.right_tail.cut) - 2 * self.right_tail.period, hi))
-        return merge_intervals(out)
-
-    def _materialize_ray_right(self, lo: Fraction) -> Tuple[Interval, ...]:
-        out = list(_clip(self.core, lo, POS_INF))
-        highest = lo
-        for iv in out:
-            if is_finite(iv.hi):
-                highest = max(highest, iv.hi)
-        if self.right_tail is not None:
-            out.extend(self.right_tail.occurrences(lo, max(highest, self.right_tail.cut) + 2 * self.right_tail.period))
-        if self.left_tail is not None:
-            out.extend(self.left_tail.occurrences(lo, max(highest, self.left_tail.cut) + 2 * self.left_tail.period))
-        return merge_intervals(out)
 
     # -- germs ---------------------------------------------------------------
 
@@ -847,8 +823,6 @@ def _canonical(core: Tuple[Interval, ...], ltail: Optional[PeriodicTail],
     # every discrepancy with a germ lies inside [base_lo, base_hi]
     w_lo = base_lo - 1
     w_hi = base_hi + 1
-    inner_lo = w_lo
-    inner_hi = w_hi
 
     d_w = raw.materialize(w_lo, w_hi)
     # each periodic germ's trace on the window, built once when the germs match
@@ -866,56 +840,52 @@ def _canonical(core: Tuple[Interval, ...], ltail: Optional[PeriodicTail],
     else:
         p_rw = _periodize(rgerm[1], rgerm[2], w_lo, w_hi) if rgerm[0] == "per" else None
 
-    def germ_window(germ, lo, hi):
-        if germ == _EMPTY_GERM:
-            return ()
-        if germ == _FULL_GERM:
-            return (Interval(lo, hi, True, True),)
-        return _periodize(germ[1], germ[2], lo, hi)
-
     cut_l: Optional[Fraction] = None
     if p_lw is not None:
-        s = _clip(_symdiff_lists(d_w, p_lw), inner_lo, inner_hi)
+        s = _clip(_symdiff_lists(d_w, p_lw), w_lo, w_hi)
         if s:
             v = s[0].lo
             assert is_finite(v)
             cut_l = v  # first discrepancy
         else:
             span = _lcm_frac(lgerm[2], rgerm[2]) if rgerm[0] == "per" else lgerm[2]
-            a = germ_window(lgerm, inner_hi, inner_hi + 4 * span)
-            b = germ_window(rgerm, inner_hi, inner_hi + 4 * span)
+            a = _germ_trace(lgerm, w_hi, w_hi + 4 * span)
+            b = _germ_trace(rgerm, w_hi, w_hi + 4 * span)
             q = _symdiff_lists(a, b)
             assert q, "left germ must differ somewhere if not fully periodic"
             cut_l = q[0].lo  # type: ignore[assignment]
 
     cut_r: Optional[Fraction] = None
     if p_rw is not None:
-        s = _clip(_symdiff_lists(d_w, p_rw), inner_lo, inner_hi)
+        s = _clip(_symdiff_lists(d_w, p_rw), w_lo, w_hi)
         if s:
             v = s[-1].hi
             assert is_finite(v)
             cut_r = v
         else:
             span = _lcm_frac(rgerm[2], lgerm[2]) if lgerm[0] == "per" else rgerm[2]
-            a = germ_window(rgerm, inner_lo - 4 * span, inner_lo)
-            b = germ_window(lgerm, inner_lo - 4 * span, inner_lo)
+            a = _germ_trace(rgerm, w_lo - 4 * span, w_lo)
+            b = _germ_trace(lgerm, w_lo - 4 * span, w_lo)
             q = _symdiff_lists(a, b)
             assert q, "right germ must differ somewhere if not fully periodic"
             cut_r = q[-1].hi  # type: ignore[assignment]
 
-    # core region
-    if cut_l is not None and cut_r is not None:
-        new_core = raw.materialize(cut_l, cut_r)
-    elif cut_l is not None:
-        new_core = raw._materialize_ray_right(cut_l)
-    elif cut_r is not None:
-        new_core = raw._materialize_ray_left(cut_r)
-    else:  # pragma: no cover - both germs degenerate means no tails survive
-        new_core = core
+    # core region: the raw set's trace from lo to hi.  A side without a cut
+    # has an empty or full germ, and beyond the window the raw set is that
+    # germ; so on such a side the trace runs to the window edge, or on to the
+    # other side's cut where that lies beyond the edge (between the edge and
+    # that cut the two germs agree), and a full germ adds the half-line past it
+    lo = cut_l if cut_l is not None else w_lo if cut_r is None else min(w_lo, cut_r)
+    hi = cut_r if cut_r is not None else w_hi if cut_l is None else max(w_hi, cut_l)
+    new_core = list(raw.materialize(lo, hi))
+    if lgerm == _FULL_GERM:
+        new_core.append(Interval(NEG_INF, lo, False, False))
+    if rgerm == _FULL_GERM:
+        new_core.append(Interval(hi, POS_INF, False, False))
 
     new_l = PeriodicTail(lgerm[1], lgerm[2], "left", cut_l) if cut_l is not None else None
     new_r = PeriodicTail(rgerm[1], rgerm[2], "right", cut_r) if cut_r is not None else None
-    return RealSet(new_core, new_l, new_r)
+    return RealSet(merge_intervals(new_core), new_l, new_r)
 
 
 def normalize(intervals: Iterable[Interval],
@@ -928,7 +898,9 @@ def normalize(intervals: Iterable[Interval],
 def with_tails(core: RealSet,
                left: Optional[Tuple[Sequence[Interval], Fraction, Fraction]] = None,
                right: Optional[Tuple[Sequence[Interval], Fraction, Fraction]] = None) -> RealSet:
-    """Attach raw (pattern, period, cut) tails to a finite set and canonicalize."""
+    """Attach raw (pattern, period, cut) tails to a tail-free set and
+    canonicalize.  The set may reach +-inf, also on a side that gets a tail:
+    the result is the union of the set and the tails' occurrences."""
     lt = PeriodicTail(tuple(left[0]), left[1], "left", left[2]) if left else None
     rt = PeriodicTail(tuple(right[0]), right[1], "right", right[2]) if right else None
     if (lt is not None and core.left_tail is not None) or \
@@ -1000,6 +972,31 @@ def _assemble(window_pieces: Tuple[Interval, ...], lgerm, rgerm,
     elif rgerm[0] == "per":
         rtail = PeriodicTail(rgerm[1], rgerm[2], "right", hi)
     return _canonical(tuple(core), ltail, rtail)
+
+
+def union_of_translates(seed: RealSet, period: Fraction,
+                        k_min: Optional[int] = None, k_max: Optional[int] = None) -> RealSet:
+    """The union of the translates seed + k*period over k_min <= k <= k_max,
+    where a bound of None is unbounded; the seed must be nonempty, bounded
+    and tail-free.  It is the trace on a window that holds the translates
+    k_min and k_max, plus the seed's germ past the window on a side without
+    a bound."""
+    core = seed.core
+    lo_v, hi_v = core[0].lo, core[-1].hi
+    span = hi_v - lo_v
+    # a full germ's half-line starts at the window edge, so these edges are
+    # part of the answers for the patterns that _pattern_reduce_cached's
+    # `>=` test reads as full
+    if k_min is None and k_max is None:
+        lo_w = lo_v - 2 * period - span - 2
+        hi_w = hi_v + 2 * period + span + 2
+    else:
+        lo_w = lo_v + (k_min if k_min is not None else k_max - 4) * period - 1
+        hi_w = hi_v + (k_max if k_max is not None else k_min + 4) * period + 1
+    germ = _pattern_reduce(core, period)
+    window = _periodize(core, period, lo_w, hi_w, k_min, k_max)
+    return _assemble(window, germ if k_min is None else _EMPTY_GERM,
+                     germ if k_max is None else _EMPTY_GERM, lo_w, hi_w)
 
 
 def affine_image(a: RealSet, slope: Fraction, intercept: Fraction) -> RealSet:
