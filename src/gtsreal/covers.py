@@ -10,8 +10,10 @@ Restricted windows intersect, so each decision handles the three base
 shapes once.  Periodic seeds are either bounded (all members are translates
 of one bounded set) or a single half-line (the members are nested rays);
 these shapes give exact closed forms for every essential-finiteness
-question the corpus asks.  EF(L, B) membership (`ef_member`) is one closed
-form for every family shape, fans included: no base element is swept.
+question the corpus asks.  EF(B), essential finiteness on every element of
+a bornology's base (`ess_finite_on_all_base`, behind `ef_member` and every
+line's cover condition), is one closed form for every family shape, fans
+included: no base element is swept.
 
 Essential countability needs no operator here: every representable family
 is countable (finitely many members, integer-indexed translates, or
@@ -451,20 +453,6 @@ def ess_finite(f: FamilySpec) -> EssFinVerdict:
     return ess_finite_on(f, union_of(f))
 
 
-def locally_ess_finite(f: FamilySpec) -> bool:
-    """Every point has an open-interval neighborhood on which f is
-    essentially finite.  Finite pieces qualify trivially, bounded-seed
-    translates because a bounded window meets finitely many members, nested
-    rays because one member covers any bounded window's trace; the cut of a
-    Split is covered by intersecting the neighborhoods of its two pieces.  A
-    fan fails at its accumulation bound, so a fan piece qualifies only when
-    its window stays away from that bound."""
-    for base, w in _pieces(f):
-        if isinstance(base, Fan) and (w is None or not _essfin_fan(base, w)):
-            return False
-    return True
-
-
 def restrict_family(f: FamilySpec, y: RealSet) -> FamilySpec:
     """The family {U n Y : U in f}."""
     if y.is_reals:
@@ -644,10 +632,10 @@ class Directions:
 def ess_finite_on_all_base(f: FamilySpec, schema) -> bool:
     """Is f essentially finite on every element B_n of the monotone base
     `schema` (a `lines.BaseSchema`)?  Exact closed form.  A periodic piece
-    fails only in a direction in which the B_n, the piece's window and its
-    union, but no single member, are unbounded.  A fan piece fails only when
-    its trace accumulates at the fan's edge; the traces grow with n, so the
-    stable trace B_n n [edge - 1, edge + 1] of large n decides."""
+    fails only in a direction in which the B_n and its window n the union of
+    its base, but no single member, are unbounded.  A fan piece fails only
+    when its trace accumulates at the fan's edge; the traces grow with n, so
+    the stable trace B_n n [edge - 1, edge + 1] of large n decides."""
     dirs = schema.directions()
     for base, w in _pieces(f):
         if isinstance(base, Fan):
@@ -655,17 +643,14 @@ def ess_finite_on_all_base(f: FamilySpec, schema) -> bool:
             if not _essfin_fan(base, _meet(w, schema.stable_trace(edge - 1, edge + 1))):
                 return False
             continue
-        if isinstance(base, FiniteFamily) or base.index_range.is_finite:
+        if isinstance(base, FiniteFamily) or base.index_range.is_finite or \
+                not (dirs.unbounded_below or dirs.unbounded_above):
             continue
-        below, above = dirs.unbounded_below, dirs.unbounded_above
-        if w is not None:
-            wb = w.boundedness()
-            below, above = below and not wb.bounded_below, above and not wb.bounded_above
-        u = union_of(base).boundedness()
+        u = union_of(base if w is None else Restricted(base, w)).boundedness()
         kind = base.seed_kind
-        if kind != "nested_up" and below and not u.bounded_below:
+        if kind != "nested_up" and dirs.unbounded_below and not u.bounded_below:
             return False
-        if kind != "nested_down" and above and not u.bounded_above:
+        if kind != "nested_down" and dirs.unbounded_above and not u.bounded_above:
             return False
     return True
 

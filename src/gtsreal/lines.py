@@ -1,9 +1,10 @@
 """The corpus of named real-line generalized topological spaces.
 
 Each line is one `LineSpec` row of `_LINES`: a topology kind, the shape of
-its opens, its cover condition, closed forms for its small and
-admissibly-compact bornologies, and its partial-topologization image.  The
-compact bornology depends on the topology alone (`_CB`).  Every Sm closed
+its opens, its cover bornology B (the admissible families are the EF(B)
+families of opens), closed forms for its small and admissibly-compact
+bornologies, and its partial-topologization image.  The compact bornology
+depends on the topology alone (`_CB`).  Every Sm closed
 form is exercised against the definitional refuter battery in the suite: for
 each non-member the suite exhibits an admissible family with no finite
 subcover of the trace.
@@ -15,7 +16,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from typing import Callable, Optional, Tuple
+from typing import Optional, Tuple
 
 from gtsreal.covers import (
     Directions,
@@ -23,11 +24,8 @@ from gtsreal.covers import (
     Fan,
     IndexRange,
     Periodic,
-    ef_member,
-    ess_finite,
-    ess_finite_on,
+    ess_finite_on_all_base,
     finite_family,
-    locally_ess_finite,
     violating_member,
 )
 from gtsreal.qmetric import QuasiMetric, UnsupportedCombinationError
@@ -300,31 +298,13 @@ class LineSpec:
     half_open: bool     # opens are unions of [a, b) and (-inf, b) pieces only
     left_tail: bool     # an open may have a left periodic tail
     right_tail: bool    # an open may have a right periodic tail
-    cover: Callable[[FamilySpec], bool]   # on families of opens
+    cover: Bornology    # admissible families: the EF(cover) families of opens
     sm: Bornology
     acb: Bornology
     pt: str             # variant of the pt image, in the same family
 
 
-def _every_family(f: FamilySpec) -> bool:
-    return True
-
-
-def _ess_finite(f: FamilySpec) -> bool:
-    return bool(ess_finite(f))
-
-
-def _locally_ess_finite_and_on(window: RealSet) -> Callable[[FamilySpec], bool]:
-    return lambda f: locally_ess_finite(f) and bool(ess_finite_on(f, window))
-
-
-def _ef_upper(b: Bornology) -> Callable[[FamilySpec], bool]:
-    return lambda f: ef_member(f, TopologyKind.UPPER, b)
-
-
 _NAT, _SORG, _UPPER = TopologyKind.NAT, TopologyKind.SORG_R, TopologyKind.UPPER
-_LEF_NEG = _locally_ess_finite_and_on(interval(NEG_INF, 0))
-_LEF_POS = _locally_ess_finite_and_on(interval(0, POS_INF))
 
 # One row per line, in corpus order.  Columns: topology, half_open, left_tail,
 # right_tail, cover, Sm, ACB, pt.  Each comment gives the rationale for the
@@ -332,44 +312,44 @@ _LEF_POS = _locally_ess_finite_and_on(interval(0, POS_INF))
 _LINES = {(family, variant): LineSpec(*row) for family, rows in (
     ("standard", {
         # a dense ray fan refutes every infinite set, so only finite sets are small
-        "ut": (_NAT, False, True, True, _every_family, FB, NAT_BOUNDED, "ut"),
+        "ut": (_NAT, False, True, True, FB, FB, NAT_BOUNDED, "ut"),
         # admissible families are globally essentially finite: every set is small
-        "om": (_NAT, False, False, False, _ess_finite, ALL_SETS, ALL_SETS, "st"),
-        "st": (_NAT, False, True, True, _ess_finite, ALL_SETS, ALL_SETS, "st"),
+        "om": (_NAT, False, False, False, ALL_SETS, ALL_SETS, ALL_SETS, "st"),
+        "st": (_NAT, False, True, True, ALL_SETS, ALL_SETS, ALL_SETS, "st"),
         # local essential finiteness caps traces at bounded sets
-        "lom": (_NAT, False, True, True, locally_ess_finite, NAT_BOUNDED, NAT_BOUNDED, "lst"),
-        "lst": (_NAT, False, True, True, locally_ess_finite, NAT_BOUNDED, NAT_BOUNDED, "lst"),
+        "lom": (_NAT, False, True, True, NAT_BOUNDED, NAT_BOUNDED, NAT_BOUNDED, "lst"),
+        "lst": (_NAT, False, True, True, NAT_BOUNDED, NAT_BOUNDED, NAT_BOUNDED, "lst"),
         # the smallified lines (slom, sl_plus_om, sl_minus_om, rom): as om
-        "slom": (_NAT, False, True, True, _ess_finite, ALL_SETS, ALL_SETS, "st"),
+        "slom": (_NAT, False, True, True, ALL_SETS, ALL_SETS, ALL_SETS, "st"),
         # the l+ / l- cover conditions cap one direction only
-        "l_plus_om": (_NAT, False, False, True, _LEF_NEG, UB, UB, "l_plus_st"),
-        "l_minus_om": (_NAT, False, True, False, _LEF_POS, LB, LB, "l_minus_st"),
-        "l_plus_st": (_NAT, False, True, True, _LEF_NEG, UB, UB, "l_plus_st"),
-        "l_minus_st": (_NAT, False, True, True, _LEF_POS, LB, LB, "l_minus_st"),
-        "sl_plus_om": (_NAT, False, False, True, _ess_finite, ALL_SETS, ALL_SETS, "st"),
-        "sl_minus_om": (_NAT, False, True, False, _ess_finite, ALL_SETS, ALL_SETS, "st"),
-        "rom": (_NAT, False, False, False, _ess_finite, ALL_SETS, ALL_SETS, "st"),
+        "l_plus_om": (_NAT, False, False, True, UB, UB, UB, "l_plus_st"),
+        "l_minus_om": (_NAT, False, True, False, LB, LB, LB, "l_minus_st"),
+        "l_plus_st": (_NAT, False, True, True, UB, UB, UB, "l_plus_st"),
+        "l_minus_st": (_NAT, False, True, True, LB, LB, LB, "l_minus_st"),
+        "sl_plus_om": (_NAT, False, False, True, ALL_SETS, ALL_SETS, ALL_SETS, "st"),
+        "sl_minus_om": (_NAT, False, True, False, ALL_SETS, ALL_SETS, ALL_SETS, "st"),
+        "rom": (_NAT, False, False, False, ALL_SETS, ALL_SETS, ALL_SETS, "st"),
         # the upper EF-lines inherit their bornology from the defining base
-        "uu": (_UPPER, False, True, True, _ef_upper(UB), UB, UB, "uu"),
-        "ul": (_UPPER, False, True, True, _ef_upper(LB), ALL_SETS, ALL_SETS, "ul"),
-        "uf": (_UPPER, False, True, True, _ef_upper(FB), UF_SMALL, UB, "uf"),
+        "uu": (_UPPER, False, True, True, UB, UB, UB, "uu"),
+        "ul": (_UPPER, False, True, True, LB, ALL_SETS, ALL_SETS, "ul"),
+        "uf": (_UPPER, False, True, True, FB, UF_SMALL, UB, "uf"),
     }),
     # Sm and ACB follow the same per-variant rationale as the standard family
     ("sorgenfrey", {
-        "ut": (_SORG, False, True, True, _every_family, FB, FB, "ut"),
-        "om": (_SORG, True, False, False, _ess_finite, ALL_SETS, ALL_SETS, "st"),
-        "st": (_SORG, False, True, True, _ess_finite, ALL_SETS, ALL_SETS, "st"),
-        "lom": (_SORG, True, True, True, locally_ess_finite, NAT_BOUNDED, NAT_BOUNDED, "lst"),
-        "lst": (_SORG, False, True, True, locally_ess_finite, NAT_BOUNDED, NAT_BOUNDED, "lst"),
-        "slom": (_SORG, True, True, True, _ess_finite, ALL_SETS, ALL_SETS, "st"),
-        "l_plus_om": (_SORG, True, False, True, _LEF_NEG, UB, UB, "l_plus_st"),
-        "l_minus_om": (_SORG, True, True, False, _LEF_POS, LB, LB, "l_minus_st"),
-        "l_plus_st": (_SORG, False, True, True, _LEF_NEG, UB, UB, "l_plus_st"),
-        "l_minus_st": (_SORG, False, True, True, _LEF_POS, LB, LB, "l_minus_st"),
-        "sl_plus_om": (_SORG, True, False, True, _ess_finite, ALL_SETS, ALL_SETS, "st"),
-        "sl_minus_om": (_SORG, True, True, False, _ess_finite, ALL_SETS, ALL_SETS, "st"),
+        "ut": (_SORG, False, True, True, FB, FB, FB, "ut"),
+        "om": (_SORG, True, False, False, ALL_SETS, ALL_SETS, ALL_SETS, "st"),
+        "st": (_SORG, False, True, True, ALL_SETS, ALL_SETS, ALL_SETS, "st"),
+        "lom": (_SORG, True, True, True, NAT_BOUNDED, NAT_BOUNDED, NAT_BOUNDED, "lst"),
+        "lst": (_SORG, False, True, True, NAT_BOUNDED, NAT_BOUNDED, NAT_BOUNDED, "lst"),
+        "slom": (_SORG, True, True, True, ALL_SETS, ALL_SETS, ALL_SETS, "st"),
+        "l_plus_om": (_SORG, True, False, True, UB, UB, UB, "l_plus_st"),
+        "l_minus_om": (_SORG, True, True, False, LB, LB, LB, "l_minus_st"),
+        "l_plus_st": (_SORG, False, True, True, UB, UB, UB, "l_plus_st"),
+        "l_minus_st": (_SORG, False, True, True, LB, LB, LB, "l_minus_st"),
+        "sl_plus_om": (_SORG, True, False, True, ALL_SETS, ALL_SETS, ALL_SETS, "st"),
+        "sl_minus_om": (_SORG, True, True, False, ALL_SETS, ALL_SETS, ALL_SETS, "st"),
         # pt: the image is recorded as st over the rationalized topology
-        "rom": (_SORG, True, False, False, _ess_finite, ALL_SETS, ALL_SETS, "st"),
+        "rom": (_SORG, True, False, False, ALL_SETS, ALL_SETS, ALL_SETS, "st"),
     }),
 ) for variant, row in rows.items()}
 
@@ -432,10 +412,16 @@ def pt_of(l: LineId) -> LineId:
 
 def cov_member(l: LineId, f: FamilySpec) -> bool:
     """Admissibility: every member has the line's open shape and the family
-    satisfies the line's cover condition."""
+    is essentially finite on every member of the line's cover bornology."""
     if violating_member(f, lambda u: op_member(l, u)) is not None:
         return False
-    return l.spec.cover(f)
+    return ess_finite_on_all_base(f, l.spec.cover.base_schema())
+
+
+def locally_ess_finite(f: FamilySpec) -> bool:
+    """Every point has a neighborhood on which f is essentially finite; by
+    compactness of [-n, n], that is EF(nat_bounded)."""
+    return ess_finite_on_all_base(f, NAT_BOUNDED.base_schema())
 
 
 # ---------------------------------------------------------------------------

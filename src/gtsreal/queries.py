@@ -45,7 +45,6 @@ from gtsreal.covers import (
     gen_topology,
     gen_topology_member,
     generation_levels,
-    locally_ess_finite,
     member_generated,
     members,
     union_of,
@@ -58,6 +57,7 @@ from gtsreal.lines import (
     cb_member,
     cov_member,
     custom_bornology,
+    locally_ess_finite,
     metric_bounded,
     op_member,
     probe_corpus,

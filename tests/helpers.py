@@ -5,19 +5,42 @@ from __future__ import annotations
 import random
 from fractions import Fraction
 
+from gtsreal.covers import (
+    ALL_INDICES,
+    Fan,
+    FamilySpec,
+    IndexRange,
+    Periodic,
+    Restricted,
+    Split,
+    finite_family,
+)
 from gtsreal.lines import probe_corpus  # noqa: F401
 from gtsreal.realset import (
+    EMPTY,
     NEG_INF,
     POS_INF,
     Interval,
     RealSet,
     TopologyKind,
+    interval,
     normalize,
+    open_iv,
     with_tails,
 )
 
 GRID_WINDOW = Interval(Fraction(-8), Fraction(8), True, True)
 GRID_STEP = Fraction(1, 16)
+
+
+# The translates (2k + 1, 2k + 2) restricted to a window that holds the
+# (2k, 2k + 1): the window and the translates' union are unbounded both ways,
+# the family's union is empty.
+_ODD = (Interval(Fraction(0), Fraction(1), False, False),)
+WINDOW_MISSES_UNION = Restricted(
+    Periodic(open_iv(1, 2), Fraction(2)),
+    with_tails(EMPTY, left=(_ODD, Fraction(2), Fraction(0)),
+               right=(_ODD, Fraction(2), Fraction(0))))
 
 
 def rand_fraction(rng: random.Random, lo=-6, hi=6, den=8) -> Fraction:
@@ -58,6 +81,66 @@ def rand_realset(rng: random.Random, allow_tails=True) -> RealSet:
     left = (pat, period, cut) if side in ("left", "both") else None
     right = (pat, period, cut) if side in ("right", "both") else None
     return with_tails(normalize(core), left=left, right=right)
+
+
+def rand_family(rng: random.Random) -> FamilySpec:
+    """A finite family, a fan, or a periodic family with a bounded or
+    half-line seed and any kind of index range."""
+    kind = rng.randrange(4)
+    a = rand_fraction(rng, -3, 3, 2)
+    if kind == 0:
+        return finite_family(rand_realset(rng, allow_tails=False)
+                             for _ in range(rng.randint(1, 3)))
+    if kind == 1:
+        return Fan(a, a + Fraction(rng.randint(1, 4), 2), rng.choice(("down", "up")))
+    if kind == 2:
+        seed = interval(a, a + Fraction(rng.choice((1, 3, 5)), 2), rng.random() < 0.5,
+                        rng.random() < 0.5)
+    else:
+        seed = rng.choice((interval(NEG_INF, a), interval(a, POS_INF)))
+    k = rng.randint(-3, 3)
+    index_range = rng.choice((ALL_INDICES, IndexRange(k, None), IndexRange(None, k),
+                              IndexRange(k - 2, k + 2)))
+    return Periodic(seed, Fraction(rng.choice((1, 2))), index_range)
+
+
+def rand_fan_family(rng: random.Random) -> FamilySpec:
+    """A fan, a fan restricted to a random window, or a split with a fan on
+    one side and a random family on the other."""
+    a = rand_fraction(rng, -3, 3, 2)
+    f = Fan(a, a + Fraction(rng.randint(1, 4), 2), rng.choice(("down", "up")))
+    kind = rng.randrange(3)
+    if kind == 1:
+        return Restricted(f, rand_realset(rng))
+    if kind == 2:
+        c, other = rand_fraction(rng, -3, 3, 2), rand_family(rng)
+        return Split(c, f, other) if rng.random() < 0.5 else Split(c, other, f)
+    return f
+
+
+def rand_any_family(rng: random.Random, depth=0) -> FamilySpec:
+    """Any family shape: finite, periodic (bounded or nested seed, every kind
+    of index range), fan, or a split or restriction of such families."""
+    kind = rng.randrange(5) if depth < 2 else 0
+    if kind == 1:
+        return rand_fan_family(rng)
+    if kind == 2:
+        return Split(rand_fraction(rng, -3, 3, 2), rand_any_family(rng, depth + 1),
+                     rand_any_family(rng, depth + 1))
+    if kind == 3:
+        return Restricted(rand_any_family(rng, depth + 1), rand_realset(rng))
+    return rand_family(rng)
+
+
+def fan_edges(f: FamilySpec) -> list[Fraction]:
+    """The accumulation bound of every fan in f."""
+    if isinstance(f, Fan):
+        return [f.hi if f.side == "down" else f.lo]
+    if isinstance(f, Restricted):
+        return fan_edges(f.base)
+    if isinstance(f, Split):
+        return fan_edges(f.left) + fan_edges(f.right)
+    return []
 
 
 def signature(a: RealSet, window=GRID_WINDOW, step=GRID_STEP):

@@ -8,22 +8,17 @@ import random
 import time
 from fractions import Fraction as F
 
-import pytest
-
 from gtsreal.checkers import (
     base_check,
     chain_check,
-    chain_search,
     metrizable_verdict,
-    proper_check,
     uniform_chain_check,
 )
-from gtsreal.covers import ALL_INDICES, IndexRange, Periodic, ef_member, ess_finite_on, finite_family, members, union_of
+from gtsreal.covers import IndexRange, Periodic, ef_member, ess_finite_on, finite_family, members, union_of
 from gtsreal.lines import (
     ALL_SETS,
     CORPUS,
     FB,
-    LB,
     NAT_BOUNDED,
     UB,
     UF_SMALL,
@@ -39,18 +34,15 @@ from gtsreal.lines import (
 from gtsreal.oracles import OracleRefusal, oracle_ess_finite
 from gtsreal.qmetric import ALL_METRICS, metric
 from gtsreal.realset import (
-    EMPTY,
     NEG_INF,
     POS_INF,
     REALS,
     Interval,
-    RealSet,
     TopologyKind,
     closed,
     interval,
     normalize,
     open_iv,
-    point,
     with_tails,
 )
 from gtsreal.report import (Caps, corpus_verify, restriction_generation_battery,

@@ -5,13 +5,7 @@ from fractions import Fraction as F
 import pytest
 
 from gtsreal.checkers import (
-    AxiomProbeReport,
-    ChainReport,
-    MetrizabilityReport,
     PiecewiseAffineMap,
-    ProperReport,
-    StrictContReport,
-    UnrepresentableError,
     _delta_star,
     _missing,
     axiom_probe,
@@ -20,12 +14,11 @@ from gtsreal.checkers import (
     chain_search,
     initial_bornology_member,
     metrizable_verdict,
-    preimage_family,
     proper_check,
     strict_cont_refute,
     uniform_chain_check,
 )
-from gtsreal.covers import IndexRange, Periodic, PreconditionError, finite_family
+from gtsreal.covers import Periodic, PreconditionError
 from gtsreal.lines import (
     ALL_SETS,
     FB,
@@ -40,7 +33,6 @@ from gtsreal.qmetric import ALL_METRICS, metric
 from gtsreal.queries import parse
 from gtsreal.realset import (
     EMPTY,
-    NEG_INF,
     POS_INF,
     REALS,
     TopologyKind,

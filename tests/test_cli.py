@@ -4,7 +4,6 @@ import subprocess
 import sys
 import time
 from dataclasses import replace
-from fractions import Fraction as F
 from pathlib import Path
 
 import pytest
@@ -14,7 +13,7 @@ from gtsreal import lines
 from gtsreal.cli import main
 from gtsreal.covers import ess_finite_on, union_of
 from gtsreal.lines import ALL_SETS, CORPUS, FB, LB, NAT_BOUNDED, UB, UF_SMALL, probe_corpus
-from gtsreal.queries import GRAMMAR, MAX_NESTING, QUERIES, ParseError, parse
+from gtsreal.queries import MAX_NESTING, QUERIES, ParseError, parse
 from gtsreal.report import (
     Caps,
     _section_identities,

@@ -30,7 +30,6 @@ from gtsreal.covers import (
     gen_topology,
     gen_topology_member,
     generation_levels,
-    locally_ess_finite,
     member_generated,
     members,
     plus_step,
@@ -48,6 +47,7 @@ from gtsreal.lines import (
     cov_member,
     custom_bornology,
     line,
+    locally_ess_finite,
     metric_bounded,
     op_member,
 )
@@ -61,7 +61,6 @@ from gtsreal.realset import (
     REALS,
     ConstructionError,
     Interval,
-    RealSet,
     TopologyKind,
     closed,
     closed_open,
@@ -72,7 +71,14 @@ from gtsreal.realset import (
     with_tails,
 )
 
-from helpers import rand_fraction, rand_realset
+from helpers import (
+    WINDOW_MISSES_UNION,
+    fan_edges,
+    rand_any_family,
+    rand_family,
+    rand_fraction,
+    rand_realset,
+)
 
 PER_02 = Periodic(open_iv(0, 2), F(1))
 PER_HALF_FROM0 = Periodic(open_iv(0, F(1, 2)), F(1), IndexRange(0, None))
@@ -255,6 +261,13 @@ class TestEfMember:
         with pytest.raises(PreconditionError, match=r"\[100, 201/2\)"):
             ef_member(f, TopologyKind.NAT, FB)
 
+    def test_a_window_that_misses_a_periodic_union(self):
+        f = WINDOW_MISSES_UNION
+        assert union_of(f) == EMPTY and ess_finite(f)
+        for born in (ALL_SETS, UB, LB):
+            assert ef_member(f, TopologyKind.NAT, born) is True
+        assert cov_member(line("standard/om"), f) == bool(ess_finite(f))
+
     def test_a_collection_pool_is_no_topology(self):
         # a pool of sets is not translation-stable: member (1, 2) is not in it
         with pytest.raises(TypeError, match="L must be a TopologyKind, not list"):
@@ -314,10 +327,11 @@ class TestEfMemberWithFans:
 
     def test_closed_form_agrees_with_a_sweep(self):
         rng = random.Random(101)
-        for _ in range(160):
-            f = _rand_fan_family(rng)
-            schema = _rand_schema(rng)
-            n_star = max([schema.stable_index(e - 1, e + 1) for e in _fan_edges(f)]
+        cases = [(WINDOW_MISSES_UNION, b.base_schema())
+                 for b in (ALL_SETS, UB, LB, NAT_BOUNDED)]
+        cases += [(rand_any_family(rng), _rand_schema(rng)) for _ in range(1500)]
+        for f, schema in cases:
+            n_star = max([schema.stable_index(e - 1, e + 1) for e in fan_edges(f)]
                          + [schema.n0])
             sweep = all(ess_finite_on(f, schema.element(n))
                         for n in range(schema.n0, n_star + 4))
@@ -335,31 +349,6 @@ class _CountingSchema(_FakeSchema):
     def stable_trace(self, a, b):
         self.read.append((a, b))
         return closed(a, b)
-
-
-def _fan_edges(f):
-    """The accumulation bound of every fan in the families _rand_fan_family builds."""
-    if isinstance(f, Fan):
-        return [f.hi if f.side == "down" else f.lo]
-    if isinstance(f, Restricted):
-        return _fan_edges(f.base)
-    if isinstance(f, Split):
-        return _fan_edges(f.left) + _fan_edges(f.right)
-    return []
-
-
-def _rand_fan_family(rng):
-    """A fan, a fan restricted to a random window, or a split with a fan on
-    one side and a random family on the other."""
-    a = rand_fraction(rng, -3, 3, 2)
-    f = Fan(a, a + F(rng.randint(1, 4), 2), rng.choice(("down", "up")))
-    kind = rng.randrange(3)
-    if kind == 1:
-        return Restricted(f, rand_realset(rng))
-    if kind == 2:
-        c, other = rand_fraction(rng, -3, 3, 2), _rand_family(rng)
-        return Split(c, f, other) if rng.random() < 0.5 else Split(c, other, f)
-    return f
 
 
 def _rand_schema(rng):
@@ -380,27 +369,6 @@ def _rand_schema(rng):
     return metric_bounded(d.conjugate() if rng.random() < 0.5 else d).base_schema()
 
 
-def _rand_family(rng):
-    """A finite family, a fan, or a periodic family with a bounded or
-    half-line seed and any kind of index range."""
-    kind = rng.randrange(4)
-    a = rand_fraction(rng, -3, 3, 2)
-    if kind == 0:
-        return finite_family(rand_realset(rng, allow_tails=False)
-                             for _ in range(rng.randint(1, 3)))
-    if kind == 1:
-        return Fan(a, a + F(rng.randint(1, 4), 2), rng.choice(("down", "up")))
-    if kind == 2:
-        seed = interval(a, a + F(rng.choice((1, 3, 5)), 2), rng.random() < 0.5,
-                        rng.random() < 0.5)
-    else:
-        seed = rng.choice((interval(NEG_INF, a), interval(a, POS_INF)))
-    k = rng.randint(-3, 3)
-    index_range = rng.choice((ALL_INDICES, IndexRange(k, None), IndexRange(None, k),
-                              IndexRange(k - 2, k + 2)))
-    return Periodic(seed, F(rng.choice((1, 2))), index_range)
-
-
 NF_LINES = (line("standard/om"), line("sorgenfrey/lst"))
 
 
@@ -416,7 +384,7 @@ class TestNormalForm:
     def test_nested_windows_intersect(self):
         rng = random.Random(83)
         for _ in range(40):
-            f = _rand_family(rng)
+            f = rand_family(rng)
             a, b, k_set = (rand_realset(rng) for _ in range(3))
             assert _observe(Restricted(Restricted(f, a), b), k_set) == \
                 _observe(Restricted(f, a.intersect(b)), k_set), (str(f), str(a), str(b))
@@ -425,7 +393,7 @@ class TestNormalForm:
         rng = random.Random(89)
         for _ in range(40):
             c = rand_fraction(rng, -3, 3, 2)
-            left, right = _rand_family(rng), _rand_family(rng)
+            left, right = rand_family(rng), rand_family(rng)
             k_set = rand_realset(rng)
             got = _observe(Split(c, left, right), k_set)
             lo = _observe(Restricted(left, interval(NEG_INF, c)), k_set)
@@ -447,7 +415,7 @@ class TestViolatingMember:
         rng = random.Random(97)
         checked = 0
         while checked < 60:
-            f, w = _rand_family(rng), rand_realset(rng)
+            f, w = rand_family(rng), rand_realset(rng)
             if isinstance(f, FiniteFamily) or w.is_empty or w.boundedness().bounded:
                 continue
             if isinstance(f, Fan):
@@ -776,20 +744,6 @@ class TestOracleAgreement:
         assert agreements >= 100
 
 
-def _rand_any_family(rng, depth=0):
-    """Any family shape: finite, periodic (bounded or nested seed, every kind
-    of index range), fan, or a split or restriction of such families."""
-    kind = rng.randrange(5) if depth < 2 else 0
-    if kind == 1:
-        return _rand_fan_family(rng)
-    if kind == 2:
-        return Split(rand_fraction(rng, -3, 3, 2), _rand_any_family(rng, depth + 1),
-                     _rand_any_family(rng, depth + 1))
-    if kind == 3:
-        return Restricted(_rand_any_family(rng, depth + 1), rand_realset(rng))
-    return _rand_family(rng)
-
-
 def _rand_probe(rng):
     """A bounded interval, a half-line, or a random set (tailed 40% of the time)."""
     a = rand_fraction(rng, -8, 8, 2)
@@ -818,7 +772,7 @@ class TestFamilyCache:
         union_of.cache_clear()
         ess_finite_on.cache_clear()
         for _ in range(300):
-            f, k_set = _rand_any_family(rng), _rand_probe(rng)
+            f, k_set = rand_any_family(rng), _rand_probe(rng)
             want_u = _outcome(union_of.__wrapped__, f)
             want_v = _outcome(ess_finite_on.__wrapped__, f, k_set)
             for _ in range(2):   # a miss, then a hit

@@ -1,3 +1,4 @@
+import math
 import random
 from fractions import Fraction as F
 
@@ -9,7 +10,9 @@ from gtsreal.covers import (
     IndexRange,
     Periodic,
     Restricted,
+    ess_finite,
     ess_finite_on,
+    ess_finite_on_all_base,
     finite_family,
     members,
     union_of,
@@ -23,8 +26,6 @@ from gtsreal.lines import (
     UB,
     UF_SMALL,
     BaseSchema,
-    Bornology,
-    LineId,
     acb_member,
     admissible_battery,
     cb_member,
@@ -58,7 +59,7 @@ from gtsreal.realset import (
     with_tails,
 )
 
-from helpers import probe_corpus
+from helpers import WINDOW_MISSES_UNION, fan_edges, probe_corpus, rand_any_family
 
 PROBES = probe_corpus()
 
@@ -139,6 +140,40 @@ class TestCovMember:
         assert cov_member(line("standard/uf"), nested)
         assert cov_member(line("standard/ul"), finite_family([REALS]))
 
+
+def _locally_ess_finite_by_sweep(f) -> bool:
+    """f is essentially finite on a neighborhood of every point.  Only a fan
+    piece can fail, and only at its edge, so [-n, n] with n past every fan
+    edge decides."""
+    n = math.ceil(max([abs(e) for e in fan_edges(f)] + [0])) + 2
+    return bool(ess_finite_on(f, closed(-n, n)))
+
+
+# Each cover bornology's admissible families by definition, decided by the
+# witness-building `ess_finite_on` rather than the closed form: every family
+# (fb); essentially finite (all sets); locally essentially finite
+# (nat_bounded); and that plus essentially finite on (-inf, 0] (ub) or on
+# [0, +inf) (lb), since [0, n] is compact.
+_COVER_DEFINITIONS = {
+    "fb": lambda f: True,
+    "all": lambda f: bool(ess_finite(f)),
+    "nat_bounded": _locally_ess_finite_by_sweep,
+    "ub": lambda f: _locally_ess_finite_by_sweep(f) and bool(
+        ess_finite_on(f, interval(NEG_INF, 0))),
+    "lb": lambda f: _locally_ess_finite_by_sweep(f) and bool(
+        ess_finite_on(f, interval(0, POS_INF))),
+}
+
+
+class TestCoverBornology:
+    def test_closed_form_matches_each_line_definition(self):
+        rng = random.Random(151)
+        for f in [WINDOW_MISSES_UNION] + [rand_any_family(rng) for _ in range(520)]:
+            want = {kind: define(f) for kind, define in _COVER_DEFINITIONS.items()}
+            for l in CORPUS:
+                cover = l.spec.cover
+                got = ess_finite_on_all_base(f, cover.base_schema())
+                assert got == want[cover.kind], (str(l), str(f))
 
 class TestBornologies:
     def test_spec_examples(self):

@@ -22,7 +22,6 @@ from gtsreal.realset import (
     closed_open,
     interval,
     normalize,
-    open_closed,
     open_iv,
     point,
     points,
@@ -37,7 +36,6 @@ from gtsreal.realset import (
 )
 
 from helpers import (
-    GRID_STEP,
     GRID_WINDOW,
     oracle_closure_member,
     oracle_interior_member,
