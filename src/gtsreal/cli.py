@@ -5,6 +5,7 @@ from __future__ import annotations
 
 import argparse
 import sys
+from functools import lru_cache
 from pathlib import Path
 
 from gtsreal.queries import GRAMMAR, ParseError, parse
@@ -30,7 +31,10 @@ def _count(text: str) -> int:
     return n
 
 
-def main(argv=None) -> int:
+@lru_cache(maxsize=1)
+def _parser() -> argparse.ArgumentParser:
+    """The argument parser, built once per process: parsing leaves no state
+    in it, so every call of `main` shares it."""
     parser = argparse.ArgumentParser(
         prog="gtsreal",
         description="exact decision procedures for generalized-topology real lines")
@@ -47,7 +51,11 @@ def main(argv=None) -> int:
     p_eval.add_argument("file", help="UTF-8 query document")
     sub.add_parser("corpus", help="run the built-in verification battery")
     sub.add_parser("print-grammar", help="print the query grammar")
-    args = parser.parse_args(argv)
+    return parser
+
+
+def main(argv=None) -> int:
+    args = _parser().parse_args(argv)
 
     caps = Caps(chain_n=args.caps_chain, depth=args.caps_depth)
     if args.command == "print-grammar":

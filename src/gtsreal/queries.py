@@ -10,10 +10,11 @@ evaluator, which `report.run` calls.
 from __future__ import annotations
 
 import re
+import sys
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
-from typing import Callable, Optional, Tuple
+from typing import Callable, NamedTuple, Tuple
 
 from gtsreal import lines, oracles, realset
 from gtsreal.checkers import (
@@ -146,40 +147,40 @@ _TOKEN = re.compile(r"""
 """, re.VERBOSE)
 
 
-@dataclass(frozen=True)
-class Token:
+class Token(NamedTuple):
     kind: str
     text: str
     line: int
     col: int
 
 
-def _tokenize(text: str):
+def _tokenize(text: str) -> list:
+    """The tokens of `text`, in one pass of `_TOKEN`, ending with an "end"
+    token at the last token's position.  Newlines and ';' become "sep"
+    tokens; whitespace and comments are dropped."""
     out = []
-    line, col = 1, 1
-    pos = 0
-    while pos < len(text):
-        m = _TOKEN.match(text, pos)
-        if m is None:
-            raise ParseError(f"unexpected character {text[pos]!r}", line, col)
+    line, line_start, pos = 1, 0, 0
+    for m in _TOKEN.finditer(text):
+        start = m.start()
+        if start != pos:
+            break
+        pos = m.end()
         kind = m.lastgroup
-        tok = m.group()
+        if kind == "ws" or kind == "comment":
+            continue
+        col = start - line_start + 1
         if kind == "newline":
             out.append(Token("sep", ";", line, col))
             line += 1
-            col = 1
-        elif kind in ("ws", "comment"):
-            col += len(tok)
-        elif kind == "punct" and tok == ";":
+            line_start = pos
+        elif kind == "punct" and text[start] == ";":
             out.append(Token("sep", ";", line, col))
-            col += 1
-        elif kind == "ninf":
-            out.append(Token("name", "-inf", line, col))
-            col += len(tok)
         else:
-            out.append(Token(kind, tok, line, col))
-            col += len(tok)
-        pos = m.end()
+            out.append(Token("name" if kind == "ninf" else kind, m.group(), line, col))
+    if pos != len(text):
+        raise ParseError(f"unexpected character {text[pos]!r}", line, pos - line_start + 1)
+    last = out[-1] if out else Token("", "", 1, 1)
+    out.append(Token("end", "", last.line, last.col))
     return out
 
 
@@ -225,9 +226,9 @@ class QueryDoc:
     """Parsed document: declaration environments plus the query list.
 
     Equality and printing go through the normalized statement texts, so
-    parse(print(doc)) == doc."""
+    parse(print(doc)) == doc.  The texts are rendered from the document's
+    tokens only when asked for."""
 
-    statements: Tuple[str, ...] = ()
     queries: Tuple[Tuple[str, tuple], ...] = ()
     sets: dict = field(default_factory=dict)
     families: dict = field(default_factory=dict)
@@ -235,12 +236,26 @@ class QueryDoc:
     bornologies: dict = field(default_factory=dict)
     maps: dict = field(default_factory=dict)
     collections: dict = field(default_factory=dict)
+    tokens: list = field(default_factory=list, repr=False)
+    spans: Tuple[Tuple[int, int], ...] = field(default=(), repr=False)
+
+    @property
+    def statements(self) -> Tuple[str, ...]:
+        """Each statement's tokens, one space apart except around '(', ')'
+        and before ','."""
+        return tuple(_render(self.tokens[a:b]) for a, b in self.spans)
 
     def print(self) -> str:
-        return "\n".join(self.statements) + ("\n" if self.statements else "")
+        statements = self.statements
+        return "\n".join(statements) + ("\n" if statements else "")
 
     def __eq__(self, other):
         return isinstance(other, QueryDoc) and self.statements == other.statements
+
+
+def _render(tokens) -> str:
+    s = " ".join(tok.text for tok in tokens)
+    return s.replace(" (", "(").replace("( ", "(").replace(" )", ")").replace(" ,", ",")
 
 
 class _Parser:
@@ -248,21 +263,19 @@ class _Parser:
         self.toks = _tokenize(text)
         self.i = 0
         self.depth = 0
-        self.doc = QueryDoc()
+        self.doc = QueryDoc(tokens=self.toks)
 
     # -- token plumbing ---------------------------------------------------
-
-    def peek(self) -> Optional[Token]:
-        return self.toks[self.i] if self.i < len(self.toks) else None
+    # The token list ends with an "end" token, so reading one past the
+    # current token never leaves it.
 
     def at(self, text: str) -> bool:
-        return self.i < len(self.toks) and self.toks[self.i].text == text
+        return self.toks[self.i].text == text
 
     def next(self) -> Token:
-        t = self.peek()
-        if t is None:
-            last = self.toks[-1] if self.toks else Token("", "", 1, 1)
-            raise ParseError("unexpected end of input", last.line, last.col)
+        t = self.toks[self.i]
+        if t.kind == "end":
+            raise ParseError("unexpected end of input", t.line, t.col)
         self.i += 1
         return t
 
@@ -308,7 +321,7 @@ class _Parser:
         t = self.next()
         if t.kind != "rat" or "/" in t.text:
             raise ParseError(f"expected an integer, found {t.text!r}", t.line, t.col)
-        return int(t.text)
+        return _int(t.text, t)
 
     def list_of(self, read, empty_ok: bool = False) -> tuple:
         """A parenthesised, comma-separated list of what `read` reads."""
@@ -340,11 +353,12 @@ class _Parser:
     # -- statement level ----------------------------------------------------
 
     def parse(self) -> QueryDoc:
-        statements = []
+        spans = []
         queries = []
-        while self.peek() is not None:
-            if self.peek().kind == "sep":
-                self.next()
+        toks = self.toks
+        while toks[self.i].kind != "end":
+            if toks[self.i].kind == "sep":
+                self.i += 1
                 continue
             start = self.i
             t = self.expect_name()
@@ -360,14 +374,14 @@ class _Parser:
                 else:
                     raise ParseError(f"unknown statement {t.text!r}", t.line, t.col)
             except (ConstructionError, PreconditionError) as e:
-                last = self.toks[self.i - 1]
+                last = toks[self.i - 1]
                 raise ParseError(str(e), last.line, last.col) from None
-            statements.append(self._render(start))
-            nxt = self.peek()
-            if nxt is not None and nxt.kind != "sep":
+            spans.append((start, self.i))
+            nxt = toks[self.i]
+            if nxt.kind != "sep" and nxt.kind != "end":
                 raise ParseError(f"expected end of statement, found {nxt.text!r}",
                                  nxt.line, nxt.col)
-        self.doc.statements = tuple(statements)
+        self.doc.spans = tuple(spans)
         self.doc.queries = tuple(queries)
         return self.doc
 
@@ -376,11 +390,6 @@ class _Parser:
         if t.text in env:
             raise ParseError(f"duplicate declaration of {t.text!r}", t.line, t.col)
         return t.text
-
-    def _render(self, start: int) -> str:
-        s = " ".join(tok.text for tok in self.toks[start:self.i])
-        return s.replace(" (", "(").replace("( ", "(") \
-                .replace(" )", ")").replace(" ,", ",")
 
     def query_expr(self):
         t = self.expect_name()
@@ -539,11 +548,23 @@ class _Parser:
         return self.doc.collections[t.text]
 
 
-def _fraction(t: Token) -> Fraction:
+def _int(digits: str, t: Token) -> int:
     try:
-        return Fraction(t.text)
-    except ZeroDivisionError:
-        raise ParseError(f"zero denominator in {t.text!r}", t.line, t.col) from None
+        return int(digits)
+    except ValueError:
+        # only Python's int-string limit fails on a `rat` token's digits
+        raise ParseError(f"literal longer than {sys.get_int_max_str_digits()} digits",
+                         t.line, t.col) from None
+
+
+def _fraction(t: Token) -> Fraction:
+    num, slash, den = t.text.partition("/")
+    if not slash:
+        return Fraction(_int(num, t))
+    d = _int(den, t)
+    if d == 0:
+        raise ParseError(f"zero denominator in {t.text!r}", t.line, t.col)
+    return Fraction(_int(num, t), d)
 
 
 def parse(text: str) -> QueryDoc:

@@ -422,6 +422,43 @@ MALFORMED = {
     "zero-denominator": "set A = points(1, 1/0)",
     "infinite-collection": "collection C = collection(periodic(point 0, 1, all))",
     "deep-nesting": "set A = " + "complement(" * 3000 + "empty" + ")" * 3000,
+    # longer than Python's int-string limit of 4300 digits
+    "long-rational": "set A = point " + "1" * 5000,
+    "long-integer": "query chain_check d_n fb delta 1/2 upto " + "9" * 5000,
+}
+
+# Exact tokenizer and parser diagnostics: (document, ParseError text).
+DIAGNOSTICS = {
+    "after-tab": ("set A =\t\tpoint 1 @", "1:18: unexpected character '@'"),
+    "after-comment-line": ("# heading\nset A = reals  # trailing\nquery subset A $A",
+                           "3:16: unexpected character '$'"),
+    "first-character": ("@", "1:1: unexpected character '@'"),
+    "non-ascii": ("set A = reals\nset B = \u00e9", "2:9: unexpected character '\u00e9'"),
+    "carriage-return": ("set A = reals\r\nquery subset A A",
+                        "1:14: unexpected character '\\r'"),
+    "semicolon-separator": ("set A = reals;set A = empty",
+                            "1:19: duplicate declaration of 'A'"),
+    "newline-separator": ("set A = reals\n  query frobnicate A",
+                          "2:9: unknown query 'frobnicate'"),
+    "empty-statements": ("set A = reals\n;; query subset A B",
+                         "2:19: unknown identifier 'B' (expected a set)"),
+    "statement-run-on": ("set A = reals reals",
+                         "1:15: expected end of statement, found 'reals'"),
+    "ninf-before-punct": ("set A = interval(open -inf,open -inf)",
+                          "1:37: degenerate interval must be closed on both sides"),
+    "ninf-after-punct": ("query eval rho_S -inf,0", "1:18: infinite value not allowed here"),
+    "ninf-glued": ("set A = interval(open -infx, open 0)",
+                   "1:23: unexpected character '-'"),
+    "end-inside-list": ("set A = points(1, 2,", "1:20: unexpected end of input"),
+    "end-inside-list-line-2": ("set A = reals\nset B = union(A,",
+                               "2:16: unexpected end of input"),
+    "newline-inside-list": ("set A = points(1,\n2,\n",
+                            "1:18: expected a rational, found ';'"),
+    "zero-denominator": ("set A = points(1, 1/0)", "1:19: zero denominator in '1/0'"),
+    "negative-zero-denominator": ("query contains reals -3/00",
+                                  "1:22: zero denominator in '-3/00'"),
+    "fraction-for-integer": ("query chain_check d_n fb delta 1/2 upto 1/2",
+                             "1:41: expected an integer, found '1/2'"),
 }
 
 
@@ -481,6 +518,46 @@ query chain_check d_n N delta 1/2 upto 8
                    "query sample S4 from -2 to 2 step 1/2"]
         doc = parse("\n".join(pieces))
         assert parse(doc.print()) == doc
+
+
+    @pytest.mark.parametrize("text,message", DIAGNOSTICS.values(), ids=DIAGNOSTICS.keys())
+    def test_diagnostic_text(self, text, message):
+        with pytest.raises(ParseError) as e:
+            parse(text)
+        assert str(e.value) == message
+
+    @pytest.mark.parametrize("text", [
+        "set A = point " + "1" * 5000,
+        "set A = point 1/" + "3" * 5000,
+        "query chain_check d_n fb delta 1/2 upto " + "9" * 5000,
+    ], ids=["numerator", "denominator", "integer"])
+    def test_overlong_literal_is_located(self, text):
+        with pytest.raises(ParseError) as e:
+            parse("set B = reals\n" + text)
+        col = len(text) - text[::-1].index(" ") + 1
+        assert str(e.value).startswith(f"2:{col}: literal longer than ")
+
+    def test_literal_at_the_digit_limit_parses(self):
+        digits = "7" * sys.get_int_max_str_digits()
+        assert parse(f"set A = point -{digits}/{digits}").sets["A"] == \
+            parse("set A = point -1").sets["A"]
+
+    def test_print_is_a_parse_fixed_point(self):
+        doc = parse(ALL_KINDS_DOC)
+        printed = doc.print()
+        assert parse(printed) == doc
+        assert parse(printed).print() == printed
+        assert printed.count("\n") == ALL_KINDS_DOC.count("\n")
+
+    def test_equality_ignores_layout_only(self):
+        doc = parse(ALL_KINDS_DOC)
+        spaced = ALL_KINDS_DOC.replace(", ", " ,\t").replace("(", "( ") \
+            .replace("\nquery", "  # note\n\n;query")
+        assert spaced != ALL_KINDS_DOC
+        assert parse(spaced) == doc
+        assert parse(ALL_KINDS_DOC.replace("point 2,", "point 3,")) != doc
+        assert parse(ALL_KINDS_DOC.replace("query normalize A\n", "")) != doc
+        assert doc != ALL_KINDS_DOC
 
 
 class TestRun:
@@ -658,6 +735,28 @@ class TestMain:
             main([flag, "-1", "corpus"])
         assert e.value.code == 2
         assert "not a non-negative integer: '-1'" in capsys.readouterr().err
+
+    def test_shared_argument_parser_keeps_no_state(self, tmp_path, capsys):
+        f = tmp_path / "doc.gts"
+        f.write_text("query eval rho_S 0 1/2\nquery chain_check d_n fb delta 1/2 upto 4\n",
+                     encoding="utf-8")
+        out, fresh = tmp_path / "report.txt", tmp_path / "fresh.txt"
+        assert main(["--caps-chain", "2", "--format", "human", "eval", str(f)]) == 0
+        assert main(["--format", "machine", "--report", str(out), "eval", str(f)]) == 0
+        assert out.read_text(encoding="utf-8").splitlines()[1] == \
+            "caps chain=64 depth=4 oracle=8"
+        with pytest.raises(SystemExit) as e:
+            main(["--caps-chain", "-1", "eval", str(f)])
+        assert e.value.code == 2
+        out.unlink()
+        assert main(["--format", "machine", "--report", str(out), "eval", str(f)]) == 0
+        src = str(Path(gtsreal.__file__).resolve().parents[1])
+        proc = subprocess.run(
+            [sys.executable, "-m", "gtsreal.cli", "--format", "machine",
+             "--report", str(fresh), "eval", str(f)],
+            env=dict(os.environ, PYTHONPATH=src), capture_output=True)
+        assert proc.returncode == 0
+        assert out.read_bytes() == fresh.read_bytes()
 
     def test_out_of_range_bounds_give_error_records(self, tmp_path):
         f = tmp_path / "bounds.gts"
