@@ -20,11 +20,7 @@ from typing import Optional, Sequence, Tuple
 
 from gtsreal.covers import (
     FamilySpec,
-    Fan,
-    Periodic,
     PreconditionError,
-    Restricted,
-    Split,
     finite_family,
     members,
     restrict_family,
@@ -460,21 +456,7 @@ def preimage_family(f: PiecewiseAffineMap, fam: FamilySpec) -> FamilySpec:
     if not f.is_increasing_affine:
         raise UnrepresentableError(
             "preimage of an infinite family under a non-monotone piecewise map")
-    s, c = f.pieces[0]
-
-    def back(x: Fraction) -> Fraction:
-        return (x - c) / s
-
-    if isinstance(fam, Periodic):
-        return Periodic(f.preimage(fam.seed), fam.period / s, fam.index_range)
-    if isinstance(fam, Fan):
-        return Fan(back(fam.lo), back(fam.hi), fam.side)
-    if isinstance(fam, Split):
-        return Split(back(fam.cut), preimage_family(f, fam.left),
-                     preimage_family(f, fam.right))
-    if isinstance(fam, Restricted):
-        return Restricted(preimage_family(f, fam.base), f.preimage(fam.window))
-    raise UnrepresentableError(f"cannot pull back {fam}")
+    return fam.pullback(*f.pieces[0])
 
 
 def strict_cont_refute(f: PiecewiseAffineMap, src: LineId, dst: LineId,

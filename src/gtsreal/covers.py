@@ -2,16 +2,23 @@
 
 A family is Finite, Periodic (translates of a seed), a Split along a cut
 point, a Restricted view of another family, or a dense Fan of rays.
-Every decision reads a family in one normal form, a tuple of (base, window)
+Every decision is a loop over one normal form, a tuple of (base, window)
 pieces whose union is the family: the base is a FiniteFamily, Periodic or
 Fan, and every member of the base is clipped to the window (None for an
 unrestricted piece).  A Split gives one piece per side of its cut and nested
-Restricted windows intersect, so each decision handles the three base
-shapes once.  Periodic seeds are either bounded (all members are translates
-of one bounded set) or a single half-line (the members are nested rays);
-these shapes give exact closed forms for every essential-finiteness
-question the corpus asks.  EF(B), essential finiteness on every element of
-a bornology's base (`ess_finite_on_all_base`, behind `ef_member` and every
+Restricted windows intersect; `_pieces` is the only code that tells the
+shapes apart.  Each base shape answers one protocol on a piece's window w:
+`union()`, `members_on(w)`, `probes(w)`, `essfin(k)` and
+`fails_on_base(schema, w)`; every shape has `pullback(s, c)`.
+
+Periodic seeds are either bounded (all members are translates of one bounded
+set) or a single half-line (the members are nested rays); these shapes give
+exact closed forms for every essential-finiteness question the corpus asks.
+The union and essential finiteness of nested rays and fans are written for
+rays down: a shape with rays up is decided through its mirror image under
+x -> -x (member k of a periodic family becomes member -k), which its
+constructor builds.  EF(B), essential finiteness on every element of a
+bornology's base (`ess_finite_on_all_base`, behind `ef_member` and every
 line's cover condition), is one closed form for every family shape, fans
 included: no base element is swept.
 
@@ -41,6 +48,7 @@ from gtsreal.realset import (
     TopologyKind,
     _lcm_frac,
     _translate_range,
+    affine_image,
     interval,
     rat,
     union_of_translates,
@@ -49,6 +57,16 @@ from gtsreal.realset import (
 
 class PreconditionError(ValueError):
     """A stated precondition was violated; carries the witness."""
+
+
+def _mirror(a: RealSet) -> RealSet:
+    """The image of a under the mirror x -> -x."""
+    return affine_image(a, -1, 0)
+
+
+def _pull(a: RealSet, s: Fraction, c: Fraction) -> RealSet:
+    """The preimage of a under x -> s*x + c (s > 0)."""
+    return affine_image(a, 1 / s, -c / s)
 
 
 # ---------------------------------------------------------------------------
@@ -83,6 +101,11 @@ class IndexRange:
             k_hi = min(k_hi, self.hi)
         return range(k_lo, k_hi + 1)
 
+    def mirrored(self) -> "IndexRange":
+        """The indices -k for k in this range."""
+        return IndexRange(None if self.hi is None else -self.hi,
+                          None if self.lo is None else -self.lo)
+
     def __str__(self):
         if self.lo is None and self.hi is None:
             return "all"
@@ -96,16 +119,71 @@ class IndexRange:
 ALL_INDICES = IndexRange()
 
 
+class _Family:
+    """What a family of any shape answers by itself.  Each shape also has
+    pullback(s, c), the family of preimages under x -> s*x + c (s > 0)."""
+
+    def restrict(self, y: RealSet) -> "FamilySpec":
+        return Restricted(self, y)
+
+    def truncated(self, k0: int, k1: int) -> Optional[list[RealSet]]:
+        """Members k0..k1 of a periodic family, else every member (or None)."""
+        return members(self)
+
+
+class _Sided(_Family):
+    """A periodic family or a fan.  Its union and essential finiteness are
+    written for rays down (or a bounded seed) as `_union_down` and
+    `_essfin_down`; a shape with rays up reads both off `_image`, its mirror
+    image, mirrored back (an obstruction still names the shape's own side).
+    Its members, probes and base test need no side."""
+
+    _image = None
+
+    def union(self) -> RealSet:
+        if self._image is None:
+            return self._union_down()
+        return _mirror(self._image._union_down())
+
+    def essfin(self, k: RealSet) -> EssFinVerdict:
+        if self._image is None:
+            return self._essfin_down(k)
+        v = self._image._essfin_down(_mirror(k))
+        if not v:
+            return EssFinVerdict(False, None, self.obstruction)
+        return EssFinVerdict(True, tuple(map(_mirror, reversed(v.witness))))
+
+
 @dataclass(frozen=True)
-class FiniteFamily:
+class FiniteFamily(_Family):
     members_tuple: Tuple[RealSet, ...]
+
+    def union(self) -> RealSet:
+        return _union(self.members_tuple)
+
+    def members_on(self, w: Optional[RealSet]) -> list[RealSet]:
+        return _clip_all(self.members_tuple, w)
+
+    probes = members_on   # every member is listed, so every member is probed
+
+    def essfin(self, k: RealSet) -> EssFinVerdict:
+        return EssFinVerdict(True, self.members_tuple)
+
+    def fails_on_base(self, schema, w: Optional[RealSet]) -> bool:
+        return False
+
+    def restrict(self, y: RealSet) -> "FiniteFamily":
+        return finite_family(m.intersect(y) for m in self.members_tuple)
+
+    def pullback(self, s: Fraction, c: Fraction) -> "FiniteFamily":
+        return finite_family(_pull(m, s, c) for m in self.members_tuple)
 
     def __str__(self):
         return "finite{%s}" % ", ".join(sorted(str(m) for m in self.members_tuple))
 
 
 @dataclass(frozen=True)
-class Periodic:
+class Periodic(_Sided):
     seed: RealSet
     period: Fraction
     index_range: IndexRange = ALL_INDICES
@@ -118,31 +196,132 @@ class Periodic:
             raise ConstructionError("seed must be nonempty")
         if self.seed.left_tail is not None or self.seed.right_tail is not None:
             raise ConstructionError("seed must be tail-free")
-        if self.seed_kind is None:
+        b = self.seed.boundedness()
+        if not b.bounded and (len(self.seed.core) != 1
+                              or not (b.bounded_below or b.bounded_above)):
             raise ConstructionError(
                 "seed must be bounded or a single half-line (nested family)")
-
-    @property
-    def seed_kind(self) -> Optional[str]:
-        b = self.seed.boundedness()
-        if b.bounded:
-            return "bounded"
-        core = self.seed.core
-        if len(core) == 1 and core[0].lo == NEG_INF and core[0].hi != POS_INF:
-            return "nested_up"
-        if len(core) == 1 and core[0].hi == POS_INF and core[0].lo != NEG_INF:
-            return "nested_down"
-        return None
+        if not b.bounded_above:
+            object.__setattr__(self, "_image", Periodic(
+                _mirror(self.seed), self.period, self.index_range.mirrored()))
 
     def member(self, k: int) -> RealSet:
         return self.seed.shift(k * self.period)
+
+    def _union_down(self) -> RealSet:
+        rng = self.index_range
+        if self.seed.boundedness().bounded:
+            return union_of_translates(self.seed, self.period, rng.lo, rng.hi)
+        return REALS if rng.hi is None else self.member(rng.hi)
+
+    def _span(self, lo: Fraction, hi: Fraction) -> Tuple[int, int]:
+        """(k_lo, k_hi), before clamping to the index range, such that every
+        member k outside it meets [lo, hi] trivially: not at all for a bounded
+        seed, in the whole of [lo, hi] or not at all for nested rays."""
+        if self.seed.boundedness().bounded:
+            return _translate_range(self.seed.core, self.period, lo, hi)
+        edge, = self.seed._finite_endpoints()
+        return (math.floor((lo - edge) / self.period) - 2,
+                math.ceil((hi - edge) / self.period) + 2)
+
+    def members_on(self, w: Optional[RealSet]) -> Optional[list[RealSet]]:
+        rng = self.index_range
+        if rng.is_finite:
+            ks = rng.indices()
+        elif w is None or not w.boundedness().bounded:
+            return None
+        else:
+            ks = rng.clamp(*self._span(w.inf_value(), w.sup_value()))
+        return _clip_all(map(self.member, ks), w)
+
+    def probes(self, w: Optional[RealSet]) -> list[RealSet]:
+        """Members on w that decide a shape predicate for all of them.
+
+        An enumerable piece lists every member.  Without a window all members
+        are translates of each other, so one decides.  Between two
+        consecutive finite endpoints of w (core endpoints and tail cuts) a
+        member that meets neither is a whole translate or empty (bounded
+        seed) or has one shape (nested rays), so the members that meet an
+        endpoint, plus the first in each gap, decide that part.  Past the last
+        endpoint on either side w is empty, full or periodic, and member k + r
+        repeats the shapes of member k, where r * period is a common period of
+        the family and that side of w; two such runs are probed."""
+        got = self.members_on(w)
+        if got is not None:
+            return got
+        rng = self.index_range
+        if w is None:
+            return [self.member(rng.lo if rng.lo is not None else 0)]
+        pts = w._finite_endpoints() or [Fraction(0)]
+        ks = {k for k in (rng.lo, rng.hi) if k is not None}
+        for e in pts:
+            ks.update(rng.clamp(*self._span(e, e)))
+
+        def reps(tail) -> int:
+            if tail is None:
+                return 2
+            return 2 * int(_lcm_frac(self.period, tail.period) / self.period)
+
+        k_lo = self._span(min(pts), min(pts))[0]
+        k_hi = self._span(max(pts), max(pts))[1]
+        last = k_lo - 1 if rng.hi is None else min(k_lo - 1, rng.hi)
+        first = k_hi + 1 if rng.lo is None else max(k_hi + 1, rng.lo)
+        ks.update(rng.clamp(last - reps(w.left_tail) + 1, last))
+        ks.update(rng.clamp(first, first + reps(w.right_tail) - 1))
+        return _clip_all(map(self.member, sorted(ks)), w)
+
+    def _essfin_down(self, k_set: RealSet) -> EssFinVerdict:
+        rng = self.index_range
+        trace = k_set.intersect(union_of(self))
+        if trace.is_empty:
+            return EssFinVerdict(True, ())
+        if rng.is_finite:
+            return EssFinVerdict(True, tuple(map(self.member, rng.indices())))
+        b = trace.boundedness()
+        if self.seed.boundedness().bounded:
+            if not b.bounded:
+                return EssFinVerdict(False, None, self.obstruction)
+            ks = rng.clamp(*self._span(trace.inf_value(), trace.sup_value()))
+            return EssFinVerdict(True, tuple(map(self.member, ks)))
+        if rng.hi is None and not b.bounded_above:
+            return EssFinVerdict(False, None, self.obstruction)
+        # the last member, or else a ray that ends a period past sup(trace)
+        k = rng.hi if rng.hi is not None else \
+            math.ceil((trace.sup_value() - self.seed.core[0].hi) / self.period) + 1
+        return EssFinVerdict(True, (self.member(k),))
+
+    @property
+    def obstruction(self) -> str:
+        """Why a trace defeats essential finiteness."""
+        b = self.seed.boundedness()
+        if b.bounded:
+            return "trace K n UF is unbounded while every member is bounded"
+        side = "above" if b.bounded_above else "below"
+        return f"trace unbounded {side} while the nested members are all bounded {side}"
+
+    def fails_on_base(self, schema, w: Optional[RealSet]) -> bool:
+        """A periodic piece fails only in a direction in which the B_n and
+        its window n union, but no member, are unbounded."""
+        dirs = schema.directions()
+        if not (dirs.unbounded_below or dirs.unbounded_above):
+            return False
+        u = union_of(self if w is None else Restricted(self, w)).boundedness()
+        s = self.seed.boundedness()
+        return (dirs.unbounded_below and s.bounded_below and not u.bounded_below) or \
+            (dirs.unbounded_above and s.bounded_above and not u.bounded_above)
+
+    def truncated(self, k0: int, k1: int) -> list[RealSet]:
+        return [self.member(k) for k in self.index_range.clamp(k0, k1)]
+
+    def pullback(self, s: Fraction, c: Fraction) -> "Periodic":
+        return Periodic(_pull(self.seed, s, c), self.period / s, self.index_range)
 
     def __str__(self):
         return f"periodic(seed={self.seed}, p={self.period}, {self.index_range})"
 
 
 @dataclass(frozen=True)
-class Split:
+class Split(_Family):
     """Members of `left` clipped to (-inf, cut), of `right` to [cut, +inf)."""
 
     cut: Fraction
@@ -152,24 +331,27 @@ class Split:
     def __post_init__(self):
         object.__setattr__(self, "cut", rat(self.cut))
 
-    def windows(self) -> Tuple[RealSet, RealSet]:
-        return (interval(NEG_INF, self.cut), interval(self.cut, POS_INF, True, False))
+    def pullback(self, s: Fraction, c: Fraction) -> "Split":
+        return Split((self.cut - c) / s, self.left.pullback(s, c), self.right.pullback(s, c))
 
     def __str__(self):
         return f"split({self.cut}; {self.left}; {self.right})"
 
 
 @dataclass(frozen=True)
-class Restricted:
+class Restricted(_Family):
     base: "FamilySpec"
     window: RealSet
+
+    def pullback(self, s: Fraction, c: Fraction) -> "Restricted":
+        return Restricted(self.base.pullback(s, c), _pull(self.window, s, c))
 
     def __str__(self):
         return f"restricted({self.base}; {self.window})"
 
 
 @dataclass(frozen=True)
-class Fan:
+class Fan(_Sided):
     """Dense nested fan of rays: {(-inf, q) : q rational, lo < q < hi} when
     side is "down", {(q, +inf) : ...} when side is "up".
 
@@ -189,12 +371,61 @@ class Fan:
             raise ConstructionError("fan side must be 'down' or 'up'")
         if not self.lo < self.hi:
             raise ConstructionError("fan needs lo < hi")
+        if self.side == "up":
+            object.__setattr__(self, "_image", Fan(-self.hi, -self.lo))
 
     def member(self, q: Fraction) -> RealSet:
-        """The ray ending (side "down") or starting (side "up") at q."""
-        if self.side == "down":
-            return interval(NEG_INF, q)
-        return interval(q, POS_INF)
+        """The ray ending (side "down") or starting (side "up") at q: the
+        union of the rays, moved from the edge to q."""
+        return self.union().shift(q - self.edge)
+
+    @property
+    def edge(self) -> Fraction:
+        """The accumulation bound, where the union of the rays ends."""
+        return union_of(self)._finite_endpoints()[0]
+
+    def _union_down(self) -> RealSet:
+        return interval(NEG_INF, self.hi)
+
+    def members_on(self, w: Optional[RealSet]) -> None:
+        return None
+
+    def probes(self, w: Optional[RealSet]) -> list[RealSet]:
+        """Members on w that decide a shape predicate for all of them.  The
+        member for q changes shape only where q crosses an endpoint of w, so
+        every endpoint of w inside (lo, hi) is probed, and one q strictly
+        between each two consecutive ones; the middle of (lo, hi) goes first."""
+        mid = (self.lo + self.hi) / 2
+        if w is None:
+            return [self.member(mid)]
+        cuts = sorted({x for iv in w.materialize(self.lo, self.hi) for x in (iv.lo, iv.hi)
+                       if self.lo < x < self.hi})
+        bounds = [self.lo] + cuts + [self.hi]
+        qs = [mid] + cuts + [(a + b) / 2 for a, b in zip(bounds, bounds[1:])]
+        return _clip_all(map(self.member, qs), w)
+
+    def _essfin_down(self, k_set: RealSet) -> EssFinVerdict:
+        trace = k_set.intersect(union_of(self))
+        if trace.is_empty:
+            return EssFinVerdict(True, ())
+        s = trace.sup_value()
+        if s >= self.hi:
+            return EssFinVerdict(False, None, self.obstruction)
+        return EssFinVerdict(True, (self.member((max(self.lo, s) + self.hi) / 2),))
+
+    @property
+    def obstruction(self) -> str:
+        return f"trace accumulates at {self.edge} but every ray stops short of it"
+
+    def fails_on_base(self, schema, w: Optional[RealSet]) -> bool:
+        """A fan piece fails only when its trace accumulates at the edge; the
+        traces grow with n, so the stable trace B_n n [edge - 1, edge + 1] of
+        large n decides."""
+        e = self.edge
+        return not self.essfin(_meet(w, schema.stable_trace(e - 1, e + 1)))
+
+    def pullback(self, s: Fraction, c: Fraction) -> "Fan":
+        return Fan((self.lo - c) / s, (self.hi - c) / s, self.side)
 
     def __str__(self):
         return f"fan({self.side}; {self.lo}, {self.hi})"
@@ -204,11 +435,7 @@ FamilySpec = Union[FiniteFamily, Periodic, Split, Restricted, Fan]
 
 
 def finite_family(members: Iterable[RealSet]) -> FiniteFamily:
-    seen = []
-    for m in members:
-        if m not in seen:
-            seen.append(m)
-    return FiniteFamily(tuple(seen))
+    return FiniteFamily(tuple(_dedupe(members)))
 
 
 @dataclass(frozen=True)
@@ -232,14 +459,15 @@ def _pieces(f: FamilySpec, window: Optional[RealSet] = None) -> Tuple[Piece, ...
     """The normal form of f: (base, window) pieces whose union is f.
 
     A Split gives one piece per side of its cut, nested Restricted windows
-    intersect, and a piece with window None is unrestricted."""
+    intersect, window None leaves a piece unrestricted, and an empty window
+    leaves it out (it holds nothing)."""
     if isinstance(f, Split):
-        lw, rw = f.windows()
+        lw, rw = interval(NEG_INF, f.cut), interval(f.cut, POS_INF, True, False)
         return _pieces(f.left, _meet(window, lw)) + _pieces(f.right, _meet(window, rw))
     if isinstance(f, Restricted):
         return _pieces(f.base, _meet(window, f.window))
     if isinstance(f, (FiniteFamily, Periodic, Fan)):
-        return ((f, window),)
+        return () if window is not None and window.is_empty else ((f, window),)
     raise TypeError(f)
 
 
@@ -254,91 +482,12 @@ def _clip_all(sets: Iterable[RealSet], w: Optional[RealSet]) -> list[RealSet]:
     return [m for m in sets if not m.is_empty]
 
 
-# ---------------------------------------------------------------------------
-# unions and enumeration
-# ---------------------------------------------------------------------------
-
 def _union(sets: Iterable[RealSet]) -> RealSet:
-    u = EMPTY
-    for m in sets:
-        u = u.union(m)
-    return u
+    return functools.reduce(RealSet.union, sets, EMPTY)
 
 
-@functools.lru_cache(maxsize=1024)
-def union_of(f: FamilySpec) -> RealSet:
-    """Exact union of all members, memoized by value."""
-    out = None
-    for base, w in _pieces(f):
-        if isinstance(base, FiniteFamily):
-            u = _union(base.members_tuple)
-        elif isinstance(base, Periodic):
-            u = _periodic_union(base)
-        elif base.side == "down":
-            u = interval(NEG_INF, base.hi)
-        else:
-            u = interval(base.lo, POS_INF)
-        if w is not None:
-            u = u.intersect(w)
-        out = u if out is None else out.union(u)
-    return out
-
-
-def _periodic_union(f: Periodic) -> RealSet:
-    rng, p = f.index_range, f.period
-    kind = f.seed_kind
-    if kind == "nested_up":
-        if rng.hi is not None:
-            return f.member(rng.hi)
-        return REALS
-    if kind == "nested_down":
-        if rng.lo is not None:
-            return f.member(rng.lo)
-        return REALS
-    return union_of_translates(f.seed, p, rng.lo, rng.hi)
-
-
-def _translate_span(f: Periodic, lo: Fraction, hi: Fraction) -> Tuple[int, int]:
-    """(k_lo, k_hi), before clamping to the index range, such that every
-    member k outside it meets [lo, hi] trivially: not at all for a bounded
-    seed, in the whole of [lo, hi] or not at all for nested rays."""
-    if f.seed_kind == "bounded":
-        return _translate_range(f.seed.core, f.period, lo, hi)
-    edge = f.seed.core[0].hi if f.seed_kind == "nested_up" else f.seed.core[0].lo
-    return (math.floor((lo - edge) / f.period) - 2,
-            math.ceil((hi - edge) / f.period) + 2)
-
-
-def members(f: FamilySpec) -> Optional[list[RealSet]]:
-    """Distinct nonempty members, or None when not finitely enumerable."""
-    out = []
-    for base, w in _pieces(f):
-        got = _piece_members(base, w)
-        if got is None:
-            return None
-        out += got
-    return _dedupe(out)
-
-
-def _piece_members(base, w: Optional[RealSet]) -> Optional[list[RealSet]]:
-    """Nonempty members of one piece, or None when not finitely enumerable."""
-    if w is not None and w.is_empty:
-        return []
-    if isinstance(base, FiniteFamily):
-        return _clip_all(base.members_tuple, w)
-    if isinstance(base, Fan):
-        return None
-    rng = base.index_range
-    if rng.is_finite:
-        ks = rng.indices()
-    elif w is None or not w.boundedness().bounded:
-        return None
-    else:
-        ks = rng.clamp(*_translate_span(base, w.inf_value(), w.sup_value()))
-    return _clip_all((base.member(k) for k in ks), w)
-
-
-def _dedupe(items) -> list[RealSet]:
+def _dedupe(items: Iterable[RealSet]) -> list[RealSet]:
+    """The items without repeats, in order (equality is cheaper than hashing)."""
     out = []
     for m in items:
         if m not in out:
@@ -347,8 +496,25 @@ def _dedupe(items) -> list[RealSet]:
 
 
 # ---------------------------------------------------------------------------
-# essential finiteness
+# decisions: loops over the pieces
 # ---------------------------------------------------------------------------
+
+@functools.lru_cache(maxsize=1024)
+def union_of(f: FamilySpec) -> RealSet:
+    """Exact union of all members, memoized by value."""
+    return _union(_meet(w, base.union()) for base, w in _pieces(f))
+
+
+def members(f: FamilySpec) -> Optional[list[RealSet]]:
+    """Distinct nonempty members, or None when not finitely enumerable."""
+    out = []
+    for base, w in _pieces(f):
+        got = base.members_on(w)
+        if got is None:
+            return None
+        out += got
+    return _dedupe(out)
+
 
 @functools.lru_cache(maxsize=1024)
 def ess_finite_on(f: FamilySpec, k_set: RealSet) -> EssFinVerdict:
@@ -368,85 +534,11 @@ def _essfin(f: FamilySpec, k_set: RealSet) -> EssFinVerdict:
     on k_set n window; the witness is the union of the clipped witnesses."""
     witness = []
     for base, w in _pieces(f):
-        if isinstance(base, FiniteFamily):
-            v = EssFinVerdict(True, base.members_tuple)
-        else:
-            k = k_set if w is None else k_set.intersect(w)
-            v = _essfin_periodic(base, k) if isinstance(base, Periodic) else _essfin_fan(base, k)
-            if not v:
-                return v
+        v = base.essfin(_meet(w, k_set))
+        if not v:
+            return v
         witness += v.witness if w is None else _clip_all(v.witness, w)
     return EssFinVerdict(True, tuple(witness))
-
-
-def _essfin_periodic(f: Periodic, k_set: RealSet) -> EssFinVerdict:
-    rng = f.index_range
-    kind = f.seed_kind
-    u = union_of(f)
-    trace = k_set.intersect(u)
-    if trace.is_empty:
-        return EssFinVerdict(True, ())
-    if rng.is_finite:
-        return EssFinVerdict(True, tuple(f.member(k) for k in rng.indices()))
-    b = trace.boundedness()
-    if kind == "bounded":
-        if not b.bounded:
-            return EssFinVerdict(
-                False, None,
-                "trace K n UF is unbounded while every member is bounded")
-        ks = rng.clamp(*_translate_span(f, trace.inf_value(), trace.sup_value()))
-        return EssFinVerdict(True, tuple(f.member(k) for k in ks))
-    if kind == "nested_up":
-        if rng.hi is not None:
-            return EssFinVerdict(True, (f.member(rng.hi),))
-        if not b.bounded_above:
-            return EssFinVerdict(
-                False, None,
-                "trace unbounded above while the nested members are all bounded above")
-        return EssFinVerdict(True, (_nested_cover(f, trace, up=True),))
-    # nested_down
-    if rng.lo is not None:
-        return EssFinVerdict(True, (f.member(rng.lo),))
-    if not b.bounded_below:
-        return EssFinVerdict(
-            False, None,
-            "trace unbounded below while the nested members are all bounded below")
-    return EssFinVerdict(True, (_nested_cover(f, trace, up=False),))
-
-
-def _nested_cover(f: Periodic, trace: RealSet, up: bool) -> RealSet:
-    p = f.period
-    if up:
-        edge = f.seed.core[0].hi
-        k = math.ceil((trace.sup_value() - edge) / p) + 1
-    else:
-        edge = f.seed.core[0].lo
-        k = math.floor((trace.inf_value() - edge) / p) - 1
-    for _ in range(4):
-        m = f.member(k)
-        if trace.is_subset(m):
-            return m
-        k = k + 1 if up else k - 1
-    raise AssertionError("internal: nested cover search failed")
-
-
-def _essfin_fan(f: Fan, k_set: RealSet) -> EssFinVerdict:
-    trace = k_set.intersect(union_of(f))
-    if trace.is_empty:
-        return EssFinVerdict(True, ())
-    if f.side == "down":
-        s = trace.sup_value()
-        if s >= f.hi:
-            return EssFinVerdict(
-                False, None,
-                f"trace accumulates at {f.hi} but every ray stops short of it")
-        return EssFinVerdict(True, (f.member((max(f.lo, s) + f.hi) / 2),))
-    s = trace.inf_value()
-    if s <= f.lo:
-        return EssFinVerdict(
-            False, None,
-            f"trace accumulates at {f.lo} but every ray stops short of it")
-    return EssFinVerdict(True, (f.member((f.lo + min(f.hi, s)) / 2),))
 
 
 def ess_finite(f: FamilySpec) -> EssFinVerdict:
@@ -455,11 +547,9 @@ def ess_finite(f: FamilySpec) -> EssFinVerdict:
 
 def restrict_family(f: FamilySpec, y: RealSet) -> FamilySpec:
     """The family {U n Y : U in f}."""
-    if y.is_reals:
-        return f
-    if isinstance(f, FiniteFamily):
-        return finite_family(m.intersect(y) for m in f.members_tuple)
-    return Restricted(f, y)
+    return f if y.is_reals else f.restrict(y)
+
+
 
 
 # ---------------------------------------------------------------------------
@@ -557,70 +647,15 @@ def is_open_in(a: RealSet, kind: TopologyKind) -> bool:
 
 
 def violating_member(f: FamilySpec, pred) -> Optional[RealSet]:
-    """None when every member of f satisfies pred; otherwise a member that
-    does not.
-
-    Finitely enumerable pieces are checked member by member.  Otherwise pred
-    must be translation-stable and see only the shape of a set, as the open
-    tests of every line are: then one member decides an unrestricted
-    periodic or fan piece, and a windowed piece is decided by the members
-    listed in `_periodic_probes` and `_fan_probes`."""
+    """None when every member of f satisfies pred; otherwise the first of
+    each piece's `probes` that does not.  Unless f is finitely enumerable,
+    pred must be translation-stable and see only the shape of a set, as the
+    open tests of every line are."""
     for base, w in _pieces(f):
-        got = _piece_members(base, w)
-        if got is None:
-            got = _fan_probes(base, w) if isinstance(base, Fan) else _periodic_probes(base, w)
-        for m in got:
+        for m in base.probes(w):
             if not pred(m):
                 return m
     return None
-
-
-def _periodic_probes(f: Periodic, w: Optional[RealSet]) -> list[RealSet]:
-    """Members of f n w that decide a shape predicate for all of them.
-
-    Without a window all members are translates of each other, so one
-    decides.  Between two consecutive finite endpoints of w (core endpoints
-    and tail cuts) a member that meets neither is a whole translate or empty
-    (bounded seed) or has one shape (nested rays), so the members that meet
-    an endpoint, plus the first in each gap, decide that part.  Past the
-    last endpoint on either side w is empty, full or periodic, and member
-    k + r repeats the shapes of member k, where r * f.period is a common
-    period of f and that side of w; two such runs are probed."""
-    rng = f.index_range
-    if w is None:
-        return [f.member(rng.lo if rng.lo is not None else 0)]
-    pts = w._finite_endpoints() or [Fraction(0)]
-    ks = {k for k in (rng.lo, rng.hi) if k is not None}
-    for e in pts:
-        ks.update(rng.clamp(*_translate_span(f, e, e)))
-
-    def reps(tail) -> int:
-        if tail is None:
-            return 2
-        return 2 * int(_lcm_frac(f.period, tail.period) / f.period)
-
-    k_lo = _translate_span(f, min(pts), min(pts))[0]
-    k_hi = _translate_span(f, max(pts), max(pts))[1]
-    last = k_lo - 1 if rng.hi is None else min(k_lo - 1, rng.hi)
-    first = k_hi + 1 if rng.lo is None else max(k_hi + 1, rng.lo)
-    ks.update(rng.clamp(last - reps(w.left_tail) + 1, last))
-    ks.update(rng.clamp(first, first + reps(w.right_tail) - 1))
-    return _clip_all((f.member(k) for k in sorted(ks)), w)
-
-
-def _fan_probes(f: Fan, w: Optional[RealSet]) -> list[RealSet]:
-    """Members of f n w that decide a shape predicate for all of them.  The
-    member for q changes shape only where q crosses an endpoint of w, so
-    every endpoint of w inside (lo, hi) is probed, and one q strictly
-    between each two consecutive ones; the middle of (lo, hi) goes first."""
-    mid = (f.lo + f.hi) / 2
-    if w is None:
-        return [f.member(mid)]
-    cuts = sorted({x for iv in w.materialize(f.lo, f.hi) for x in (iv.lo, iv.hi)
-                   if f.lo < x < f.hi})
-    bounds = [f.lo] + cuts + [f.hi]
-    qs = [mid] + cuts + [(a + b) / 2 for a, b in zip(bounds, bounds[1:])]
-    return _clip_all((f.member(q) for q in qs), w)
 
 
 @dataclass(frozen=True)
@@ -631,28 +666,8 @@ class Directions:
 
 def ess_finite_on_all_base(f: FamilySpec, schema) -> bool:
     """Is f essentially finite on every element B_n of the monotone base
-    `schema` (a `lines.BaseSchema`)?  Exact closed form.  A periodic piece
-    fails only in a direction in which the B_n and its window n the union of
-    its base, but no single member, are unbounded.  A fan piece fails only
-    when its trace accumulates at the fan's edge; the traces grow with n, so
-    the stable trace B_n n [edge - 1, edge + 1] of large n decides."""
-    dirs = schema.directions()
-    for base, w in _pieces(f):
-        if isinstance(base, Fan):
-            edge = base.hi if base.side == "down" else base.lo
-            if not _essfin_fan(base, _meet(w, schema.stable_trace(edge - 1, edge + 1))):
-                return False
-            continue
-        if isinstance(base, FiniteFamily) or base.index_range.is_finite or \
-                not (dirs.unbounded_below or dirs.unbounded_above):
-            continue
-        u = union_of(base if w is None else Restricted(base, w)).boundedness()
-        kind = base.seed_kind
-        if kind != "nested_up" and dirs.unbounded_below and not u.bounded_below:
-            return False
-        if kind != "nested_down" and dirs.unbounded_above and not u.bounded_above:
-            return False
-    return True
+    `schema` (a `lines.BaseSchema`)?  Exactly when no piece `fails_on_base`."""
+    return not any(base.fails_on_base(schema, w) for base, w in _pieces(f))
 
 
 def ef_member(f: FamilySpec, l_kind: TopologyKind, bornology) -> bool:

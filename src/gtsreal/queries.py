@@ -666,12 +666,9 @@ def _axioms_text(l) -> str:
 
 
 def _oracle_text(fam, k0, k1, k_set, cap) -> str:
-    if isinstance(fam, Periodic):
-        trunc = [fam.member(k) for k in fam.index_range.clamp(k0, k1)]
-    else:
-        trunc = members(fam)
-        if trunc is None:
-            raise oracles.OracleRefusal("family is not finitely enumerable")
+    trunc = fam.truncated(k0, k1)
+    if trunc is None:
+        raise oracles.OracleRefusal("family is not finitely enumerable")
     return _fmt(oracles.oracle_ess_finite(trunc, k_set, cap, full_union=union_of(fam)))
 
 

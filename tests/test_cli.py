@@ -589,6 +589,18 @@ query chain_check d_n_plus UBS delta 1/2 upto 64
         assert "UnsupportedCombination" in rep.records[0].detail
         assert rep.records[1].status == "ok"
 
+    def test_an_answer_too_long_to_print_names_the_limit(self):
+        # both literals parse, and the eval answer's numbers pass the limit
+        limit = sys.get_int_max_str_digits()
+        doc = parse(f"query eval rho_S 1/{'9' * limit} 1/{'7' * limit}\n"
+                    "query eval d_n 1 2\n")
+        assert run(doc).machine_text().splitlines()[2:] == [
+            f"q000|eval|error|ValueError: answer has a number longer than {limit} "
+            "digits, the most a report prints",
+            "q001|eval|ok|1",
+            "summary pass=1 fail=1 total=2",
+        ]
+
     def test_more_queries(self):
         text = """
 set A = tail(left, interval(open 0, open 1/2), 1, 0)

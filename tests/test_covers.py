@@ -781,12 +781,12 @@ class TestFamilyCache:
         assert ess_finite_on.cache_info().hits >= 300
 
     def test_exceptions_are_not_cached(self):
-        # the open-pattern defect (see test_open_unit_translates_miss_the_integers)
-        # makes this witness check fail; every call must still raise
-        f, k_set = Periodic(open_iv(0, 1), F(1)), closed(5, 9)
+        # the right side of this split is no family, which _pieces refuses
+        # inside the cached body; every call must still raise
+        f, k_set = Split(0, Fan(0, 1), "not a family"), closed(-1, 1)
         ess_finite_on.cache_clear()
         for _ in range(2):
-            with pytest.raises(AssertionError, match="witness fails to cover"):
+            with pytest.raises(TypeError, match="not a family"):
                 ess_finite_on(f, k_set)
         info = ess_finite_on.cache_info()
         assert info.currsize == 0 and info.misses == 2

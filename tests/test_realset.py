@@ -349,6 +349,15 @@ class TestRawTailCanonical:
         assert str(b) == "x>-7/2|((0, 1/2) mod 2)~>"
         assert (~point(F(3, 8))) & (~b) == ~(point(F(3, 8)) | b)
 
+    @pytest.mark.xfail(strict=True, reason="the complement's germ (0, 1/2) mod 1/2 is read "
+                       "as full, the defect of test_open_unit_translates_miss_the_integers")
+    def test_double_complement_of_a_tail_of_single_points(self):
+        # {1/2, 1, 3/2, ...}: no strategy here draws a tail of points, so this
+        # pins the defect on every run; today ~~a is {1/2}
+        a = normalize((), None, PeriodicTail((Interval(F(0), F(0), True, True),),
+                                             F(1, 2), "right", F(0)))
+        assert ~~a == a
+
 
 @st.composite
 def finite_realsets(draw):
