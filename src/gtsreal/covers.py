@@ -35,6 +35,7 @@ import itertools
 import math
 import operator
 from dataclasses import dataclass, field
+from enum import Enum
 from fractions import Fraction
 from typing import Iterable, Iterator, Optional, Sequence, Tuple, Union
 
@@ -127,8 +128,9 @@ class _Family:
         return Restricted(self, y)
 
     def truncated(self, k0: int, k1: int) -> Optional[list[RealSet]]:
-        """Members k0..k1 of a periodic family, else every member (or None)."""
-        return members(self)
+        """Members k0..k1 of each periodic piece and every member of the
+        other pieces, or None when one of those is not enumerable."""
+        return members(self, (k0, k1))
 
 
 class _Sided(_Family):
@@ -161,7 +163,7 @@ class FiniteFamily(_Family):
     def union(self) -> RealSet:
         return _union(self.members_tuple)
 
-    def members_on(self, w: Optional[RealSet]) -> list[RealSet]:
+    def members_on(self, w: Optional[RealSet], span=None) -> list[RealSet]:
         return _clip_all(self.members_tuple, w)
 
     probes = members_on   # every member is listed, so every member is probed
@@ -224,9 +226,13 @@ class Periodic(_Sided):
         return (math.floor((lo - edge) / self.period) - 2,
                 math.ceil((hi - edge) / self.period) + 2)
 
-    def members_on(self, w: Optional[RealSet]) -> Optional[list[RealSet]]:
+    def members_on(self, w: Optional[RealSet],
+                   span: Optional[Tuple[int, int]] = None) -> Optional[list[RealSet]]:
+        """The members on w, or only members k0..k1 for span (k0, k1)."""
         rng = self.index_range
-        if rng.is_finite:
+        if span is not None:
+            ks = rng.clamp(*span)
+        elif rng.is_finite:
             ks = rng.indices()
         elif w is None or not w.boundedness().bounded:
             return None
@@ -251,7 +257,8 @@ class Periodic(_Sided):
             return got
         rng = self.index_range
         if w is None:
-            return [self.member(rng.lo if rng.lo is not None else 0)]
+            k = rng.hi if rng.lo is None else rng.lo
+            return [self.member(0 if k is None else k)]
         pts = w._finite_endpoints() or [Fraction(0)]
         ks = {k for k in (rng.lo, rng.hi) if k is not None}
         for e in pts:
@@ -300,18 +307,16 @@ class Periodic(_Sided):
         return f"trace unbounded {side} while the nested members are all bounded {side}"
 
     def fails_on_base(self, schema, w: Optional[RealSet]) -> bool:
-        """A periodic piece fails only in a direction in which the B_n and
-        its window n union, but no member, are unbounded."""
-        dirs = schema.directions()
-        if not (dirs.unbounded_below or dirs.unbounded_above):
+        """A periodic piece fails only on a side on which the base is free
+        (the B_n are unbounded there) and its window n union, but no member,
+        is unbounded."""
+        free_below, free_above = (e is End.FREE for e in schema.ends)
+        if not (free_below or free_above):
             return False
         u = union_of(self if w is None else Restricted(self, w)).boundedness()
         s = self.seed.boundedness()
-        return (dirs.unbounded_below and s.bounded_below and not u.bounded_below) or \
-            (dirs.unbounded_above and s.bounded_above and not u.bounded_above)
-
-    def truncated(self, k0: int, k1: int) -> list[RealSet]:
-        return [self.member(k) for k in self.index_range.clamp(k0, k1)]
+        return (free_below and s.bounded_below and not u.bounded_below) or \
+            (free_above and s.bounded_above and not u.bounded_above)
 
     def pullback(self, s: Fraction, c: Fraction) -> "Periodic":
         return Periodic(_pull(self.seed, s, c), self.period / s, self.index_range)
@@ -387,7 +392,7 @@ class Fan(_Sided):
     def _union_down(self) -> RealSet:
         return interval(NEG_INF, self.hi)
 
-    def members_on(self, w: Optional[RealSet]) -> None:
+    def members_on(self, w: Optional[RealSet], span=None) -> None:
         return None
 
     def probes(self, w: Optional[RealSet]) -> list[RealSet]:
@@ -505,11 +510,12 @@ def union_of(f: FamilySpec) -> RealSet:
     return _union(_meet(w, base.union()) for base, w in _pieces(f))
 
 
-def members(f: FamilySpec) -> Optional[list[RealSet]]:
-    """Distinct nonempty members, or None when not finitely enumerable."""
+def members(f: FamilySpec, span: Optional[Tuple[int, int]] = None) -> Optional[list[RealSet]]:
+    """Distinct nonempty members, or None when not finitely enumerable; with
+    span (k0, k1) a periodic piece gives only its members k0..k1."""
     out = []
     for base, w in _pieces(f):
-        got = base.members_on(w)
+        got = base.members_on(w, span)
         if got is None:
             return None
         out += got
@@ -658,15 +664,22 @@ def violating_member(f: FamilySpec, pred) -> Optional[RealSet]:
     return None
 
 
-@dataclass(frozen=True)
-class Directions:
-    unbounded_below: bool
-    unbounded_above: bool
+class End(Enum):
+    """How one side of a monotone base B_n ends as n grows; a schema's
+    `ends` give it for the lower and the upper side."""
+
+    FREE = "free"      # B_n is unbounded on that side
+    MOVING = "moving"  # the end moves out without bound (alpha + beta * n with
+                       # beta != 0, or a metric ball's end): a member is
+                       # bounded on that side
+    FIXED = "fixed"    # a constant c with its closed flag: a member lies
+                       # inside B_n, read off its stable trace
 
 
 def ess_finite_on_all_base(f: FamilySpec, schema) -> bool:
     """Is f essentially finite on every element B_n of the monotone base
-    `schema` (a `lines.BaseSchema`)?  Exactly when no piece `fails_on_base`."""
+    `schema` (a `lines.BaseSchema`: its `ends` and `stable_trace`)?  Exactly
+    when no piece `fails_on_base`."""
     return not any(base.fails_on_base(schema, w) for base, w in _pieces(f))
 
 

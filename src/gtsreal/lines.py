@@ -16,10 +16,10 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from typing import Optional, Tuple
+from typing import Callable, Optional, Tuple
 
 from gtsreal.covers import (
-    Directions,
+    End,
     FamilySpec,
     Fan,
     IndexRange,
@@ -34,6 +34,7 @@ from gtsreal.realset import (
     NEG_INF,
     POS_INF,
     REALS,
+    Bounds,
     ConstructionError,
     ExtRat,
     Interval,
@@ -81,7 +82,8 @@ def line(name: str) -> LineId:
 class BaseSchema:
     """Monotone indexed base B_n.  Interval templates have affine endpoints
     alpha + beta * n (None encodes an infinite endpoint); the grid kind is
-    the symmetric integer grid {-n..n}; the ball kind is B_d(0, n+1)."""
+    the symmetric integer grid {-n..n}; the ball kind is B_d(0, n+1).  Only
+    interval templates have `lo` and `hi`."""
 
     kind: str = "interval"            # "interval" | "grid" | "ball"
     lo: Optional[Tuple[Fraction, Fraction]] = None
@@ -92,11 +94,10 @@ class BaseSchema:
     metric: Optional[QuasiMetric] = None
 
     def __post_init__(self):
-        if self.kind == "interval":
-            if self.lo is not None and self.lo[1] > 0:
-                raise ConstructionError("schema not monotone: lower end grows")
-            if self.hi is not None and self.hi[1] < 0:
-                raise ConstructionError("schema not monotone: upper end shrinks")
+        if self.lo is not None and self.lo[1] > 0:
+            raise ConstructionError("schema not monotone: lower end grows")
+        if self.hi is not None and self.hi[1] < 0:
+            raise ConstructionError("schema not monotone: upper end shrinks")
 
     def element(self, n: int) -> RealSet:
         if n < self.n0:
@@ -117,7 +118,7 @@ class BaseSchema:
         """The first index with a nonempty element (None when there is none):
         B_n is nonempty iff width + slope * n > 0 (>= 0 when closed), and
         every later element is nonempty too."""
-        if self.kind != "interval" or self.lo is None or self.hi is None:
+        if self.lo is None or self.hi is None:
             return self.n0
         closed = self.lo_closed and self.hi_closed
         width, slope = self.hi[0] - self.lo[0], self.hi[1] - self.lo[1]
@@ -126,15 +127,17 @@ class BaseSchema:
         root = -width / slope
         return max(self.n0, math.ceil(root) if closed else math.floor(root) + 1)
 
-    def directions(self) -> Directions:
-        """Eventual unboundedness of the base elements (uniform for monotone
-        bases: smaller elements inherit essential-finiteness witnesses)."""
+    @property
+    def ends(self) -> Tuple[End, End]:
+        """How B_n ends below and above as n grows: the grid's ends move, a
+        ball's move on the sides its metric bounds, and an interval end is
+        free (infinite), moving (beta != 0) or fixed."""
         if self.kind == "grid":
-            return Directions(False, False)
-        if self.kind == "ball":
-            k = self.metric.bounded_kind
-            return Directions(k in ("ub", "all"), k in ("lb", "all"))
-        return Directions(self.lo is None, self.hi is None)
+            return End.MOVING, End.MOVING
+        if self.metric is not None:
+            return tuple(End.MOVING if s else End.FREE for s in self.metric.bounded_sides)
+        return tuple(End.FREE if e is None else End.MOVING if e[1] else End.FIXED
+                     for e in (self.lo, self.hi))
 
     def stable_index(self, a: Fraction, b: Fraction) -> int:
         """An index n* >= n0 with B_n n [a, b] = B_{n*} n [a, b] for every
@@ -165,96 +168,79 @@ class BaseSchema:
             interval(a, b, is_finite(a), is_finite(b)))
 
 
-_UF_DOC = "reverse-well-ordered (every nonempty subset has a largest element)"
-
-
-def _is_reverse_well_ordered(a: RealSet) -> bool:
-    """Exact on RealSets: only isolated points, never extending up forever."""
-    if a.is_empty:
-        return True
-    if not a.boundedness().bounded_above:
-        return False
-    if any(not iv.is_point for iv in a.pieces()):
-        return False
-    return True
+def _isolated_points(a: RealSet) -> bool:
+    """Is every piece of a (core and tail patterns) a single point?"""
+    return all(iv.is_point for iv in a.pieces())
 
 
 @dataclass(frozen=True)
 class Bornology:
-    """A named ideal of subsets with an indexed monotone base (when one
-    exists; the reverse-well-ordered ideal of the uf line has none)."""
+    """An ideal of subsets in one normal form: per side (lower, upper) the
+    `End` of its base, and whether a member must be made of isolated points.
+
+    A member is bounded on each side whose end is not free; a fixed end also
+    needs the subset test a <= B_n, read off the schema's stable trace.
+    `kind` names the bornology and `label`, when given, is what it prints
+    as.  fb (the finite sets) has the grid's moving ends and isolated
+    points; uf_small, the reverse-well-ordered sets, has a moving upper end
+    and isolated points, and no countable base."""
 
     kind: str                          # fb | all | nat_bounded | ub | lb |
                                        # metric | uf_small | custom
-    metric: Optional[QuasiMetric] = None
     schema: Optional[BaseSchema] = None
+    ends: Optional[Tuple[End, End]] = None   # None: the schema's ends
+    pointwise: Optional[Callable[[RealSet], bool]] = None
+    label: Optional[str] = None
+
+    def __post_init__(self):
+        if self.ends is None:
+            object.__setattr__(self, "ends", self.schema.ends)
+
+    def ends_hold(self, b: Bounds) -> bool:
+        """Do the boundedness flags b bound each side whose end is not free?"""
+        lo, hi = self.ends
+        return (lo is End.FREE or b.bounded_below) and (hi is End.FREE or b.bounded_above)
 
     def member(self, a: RealSet) -> bool:
-        b = a.boundedness()
-        if self.kind == "fb":
-            return b.finite
-        if self.kind == "all":
-            return True
-        if self.kind == "nat_bounded":
-            return b.bounded
-        if self.kind == "ub":
-            return b.bounded_above
-        if self.kind == "lb":
-            return b.bounded_below
-        if self.kind == "metric":
-            return self.metric.is_bounded_set(a)
-        if self.kind == "uf_small":
-            return _is_reverse_well_ordered(a)
-        return self._custom_member(a)
-
-    def _custom_member(self, a: RealSet) -> bool:
-        if a.is_empty:
-            return True
-        sc = self.schema
-        lo, hi = a.inf_value(), a.sup_value()
-        if (sc.lo is not None and not is_finite(lo)) or (sc.hi is not None and not is_finite(hi)):
+        if self.pointwise is not None and not self.pointwise(a):
             return False
-        return a.is_subset(sc.stable_trace(lo, hi))
+        if not self.ends_hold(a.boundedness()):
+            return False
+        return End.FIXED not in self.ends or a.is_empty or \
+            a.is_subset(self.schema.stable_trace(a.inf_value(), a.sup_value()))
 
     def base_schema(self) -> Optional[BaseSchema]:
-        if self.schema is not None:
-            return self.schema
-        if self.kind == "fb":
-            return BaseSchema(kind="grid")
-        if self.kind == "all":
-            return BaseSchema(lo=None, hi=None, lo_closed=False, hi_closed=False)
-        if self.kind == "nat_bounded":
-            return BaseSchema(lo=(Fraction(0), Fraction(-1)), hi=(Fraction(0), Fraction(1)))
-        if self.kind == "ub":
-            return BaseSchema(lo=None, hi=(Fraction(0), Fraction(1)), hi_closed=False)
-        if self.kind == "lb":
-            return BaseSchema(lo=(Fraction(0), Fraction(-1)), hi=None, lo_closed=False)
-        if self.kind == "metric":
-            return BaseSchema(kind="ball", metric=self.metric)
-        return None  # uf_small: no countable base exists
+        return self.schema
 
     def __str__(self):
-        if self.kind == "metric":
-            return f"B({self.metric.label()})"
-        if self.kind == "uf_small":
-            return f"uf_small[{_UF_DOC}]"
-        return self.kind
+        return self.label or self.kind
 
 
-FB = Bornology("fb")
-ALL_SETS = Bornology("all")
-NAT_BOUNDED = Bornology("nat_bounded")
-UB = Bornology("ub")
-LB = Bornology("lb")
-UF_SMALL = Bornology("uf_small")
+FB = Bornology("fb", BaseSchema(kind="grid"), pointwise=_isolated_points)
+ALL_SETS = Bornology("all", BaseSchema(lo=None, hi=None, lo_closed=False, hi_closed=False))
+NAT_BOUNDED = Bornology("nat_bounded", BaseSchema(lo=(Fraction(0), Fraction(-1)),
+                                                  hi=(Fraction(0), Fraction(1))))
+UB = Bornology("ub", BaseSchema(lo=None, hi=(Fraction(0), Fraction(1)), hi_closed=False))
+LB = Bornology("lb", BaseSchema(lo=(Fraction(0), Fraction(-1)), hi=None, lo_closed=False))
+UF_SMALL = Bornology(
+    "uf_small", ends=(End.FREE, End.MOVING), pointwise=_isolated_points,
+    label="uf_small[reverse-well-ordered (every nonempty subset has a largest element)]")
 
 
 def metric_bounded(d: QuasiMetric) -> Bornology:
-    return Bornology("metric", metric=d)
+    """The d-bounded sets, with the balls B_d(0, n + 1) as base.  A
+    float_paper metric bounds no set exactly, so its members raise as
+    `is_bounded_set` does."""
+    return Bornology("metric", BaseSchema(kind="ball", metric=d), label=f"B({d.label()})",
+                     pointwise=None if d.exact else d.is_bounded_set)
 
 
 def custom_bornology(schema: BaseSchema) -> Bornology:
-    return Bornology("custom", schema=schema)
+    """The sets inside some B_n of an interval or ball schema (the grid is
+    only fb's stand-in base: its B_n hold integers alone)."""
+    if schema.kind == "grid":
+        raise ConstructionError("a custom bornology needs an interval or ball schema")
+    return Bornology("custom", schema)
 
 
 @lru_cache(maxsize=1)
@@ -453,24 +439,19 @@ def smallness_refuter(l: LineId, a: RealSet) -> Optional[FamilySpec]:
     non-small `a`; None when `a` is small (nothing to refute)."""
     if sm_member(l, a):
         return None
-    kind = sm_bornology(l).kind
+    sm = sm_bornology(l)
     b = a.boundedness()
     if topology_of_line(l) is TopologyKind.UPPER and not b.bounded_above:
         # the upper line's opens are down-rays
         return Periodic(interval(NEG_INF, 0), Fraction(1))
-    if kind in ("fb", "uf_small"):
-        # any family of the line's opens is admissible here
-        if not b.bounded_above or (not b.bounded_below and kind == "fb"):
-            return Periodic(_seed_block(l, 0, 2), Fraction(1))
+    if sm.ends_hold(b):
+        # a is bounded where Sm bounds, so it fails Sm's isolated points
+        # (fb, uf_small; any family of the line's opens is admissible there)
         t = _accumulation_sup(a)
         return Fan(t - 1, t, "down")
-    if kind == "nat_bounded":
-        return Periodic(_seed_block(l, 0, 2), Fraction(1))
-    if kind == "ub":
-        return Periodic(_seed_block(l, 0, 2), Fraction(1), IndexRange(0, None))
-    if kind == "lb":
-        return Periodic(_seed_block(l, 0, 2), Fraction(1), IndexRange(None, 0))
-    raise AssertionError(f"line {l} has only small sets")
+    # translates of a block, from 0 on toward each side that Sm leaves free
+    lo, hi = (0 if e is End.FREE else None for e in sm.ends)
+    return Periodic(_seed_block(l, 0, 2), Fraction(1), IndexRange(lo, hi))
 
 
 def admissible_battery(l: LineId) -> list[FamilySpec]:
@@ -490,16 +471,15 @@ def admissible_battery(l: LineId) -> list[FamilySpec]:
 def weak_local_small_cover(l: LineId) -> Optional[FamilySpec]:
     """A representable collection of small opens covering the line, when one
     exists (definitional weak local smallness; no admissibility needed)."""
-    kind = sm_bornology(l).kind
-    if kind == "all":
+    sm = sm_bornology(l)
+    if sm.pointwise is not None:
+        return None  # fb / uf_small: small opens cannot cover the line
+    free_below, free_above = (e is End.FREE for e in sm.ends)
+    if free_below and free_above:
         return finite_family([REALS])
-    if kind == "nat_bounded":
-        return Periodic(_seed_block(l, 0, 2), Fraction(1))
-    if kind == "ub":
+    if free_below:
         return Periodic(interval(NEG_INF, 0), Fraction(1))
-    if kind == "lb":
-        return Periodic(_seed_block(l, 0, POS_INF), Fraction(1))
-    return None  # fb / uf_small: small opens cannot cover the line
+    return Periodic(_seed_block(l, 0, POS_INF if free_above else 2), Fraction(1))
 
 
 def weak_local_small_verdict(l: LineId) -> bool:

@@ -86,6 +86,8 @@ _CONJ_TOPOLOGY = {
 }
 
 _MIRROR_KIND = {"ub": "lb", "lb": "ub", "nat": "nat", "all": "all"}
+# per bounded kind, the sides (below, above) on which a d-bounded set is bounded
+_SIDES = {"nat": (True, True), "ub": (False, True), "lb": (True, False), "all": (False, False)}
 
 
 def _mirror(iv: Optional[Interval]) -> Optional[Interval]:
@@ -298,6 +300,11 @@ class QuasiMetric:
         above, "lb" below, "all" none."""
         return self._row.bounded_conj if self.conjugated else self._row.bounded
 
+    @property
+    def bounded_sides(self) -> Tuple[bool, bool]:
+        """(below, above): the sides on which every d-bounded set is bounded."""
+        return _SIDES[self.bounded_kind]
+
     def conjugate(self) -> "QuasiMetric":
         return QuasiMetric(self.name, self.phi_mode, not self.conjugated)
 
@@ -405,17 +412,9 @@ class QuasiMetric:
         """A subset of some ball?  Decided by the metric's ball family shape."""
         if not self.exact:
             raise UnsupportedCombinationError("is_bounded_set requires exact mode")
-        if a.is_empty:
-            return True
-        kind = self.bounded_kind
+        below, above = self.bounded_sides
         b = a.boundedness()
-        if kind == "all":
-            return True
-        if kind == "ub":
-            return b.bounded_above
-        if kind == "lb":
-            return b.bounded_below
-        return b.bounded
+        return (b.bounded_below or not below) and (b.bounded_above or not above)
 
     def topology_of(self) -> TopologyKind:
         base = self._row.topology

@@ -15,7 +15,9 @@ from gtsreal.covers import (
     Split,
     finite_family,
 )
+from gtsreal.lines import ALL_SETS, FB, LB, NAT_BOUNDED, UB, BaseSchema, metric_bounded
 from gtsreal.lines import probe_corpus  # noqa: F401
+from gtsreal.qmetric import ALL_METRICS
 from gtsreal.realset import (
     EMPTY,
     NEG_INF,
@@ -81,6 +83,30 @@ def rand_realset(rng: random.Random, allow_tails=True) -> RealSet:
     left = (pat, period, cut) if side in ("left", "both") else None
     right = (pat, period, cut) if side in ("right", "both") else None
     return with_tails(normalize(core), left=left, right=right)
+
+
+def rand_schema(rng: random.Random) -> BaseSchema:
+    """A grid, named interval, custom interval (each end free, fixed or
+    moving, n0 up to 3) or metric-ball base (every exact metric and its
+    conjugate)."""
+    kind = rng.randrange(4)
+    if kind == 0:
+        return FB.base_schema()
+    if kind == 1:
+        return rng.choice((NAT_BOUNDED, ALL_SETS, UB, LB)).base_schema()
+    if kind == 2:
+        def end(alpha, sign):
+            r = rng.random()
+            if r < 0.25:
+                return None
+            return alpha, Fraction(0) if r < 0.45 else Fraction(sign, rng.choice((1, 3, 4, 10)))
+
+        a = rand_fraction(rng, -2, 2, 2)
+        lo, hi = end(a, -1), end(a + Fraction(rng.randint(0, 4), 2), 1)
+        return BaseSchema(lo=lo, hi=hi, lo_closed=rng.random() < 0.5,
+                          hi_closed=rng.random() < 0.5, n0=rng.randint(0, 3))
+    d = rng.choice(ALL_METRICS)
+    return metric_bounded(d.conjugate() if rng.random() < 0.5 else d).base_schema()
 
 
 def rand_family(rng: random.Random) -> FamilySpec:

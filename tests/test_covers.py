@@ -13,7 +13,7 @@ from gtsreal.covers import (
     ALL_INDICES,
     RULES,
     CovCollection,
-    Directions,
+    End,
     Fan,
     FiniteFamily,
     IndexRange,
@@ -52,8 +52,10 @@ from gtsreal.lines import (
     op_member,
 )
 from gtsreal.oracles import OracleRefusal, oracle_ess_finite
+from gtsreal.queries import parse
+from gtsreal.report import run as run_doc
 from gtsreal import realset
-from gtsreal.qmetric import ALL_METRICS, metric
+from gtsreal.qmetric import metric
 from gtsreal.realset import (
     EMPTY,
     NEG_INF,
@@ -78,6 +80,7 @@ from helpers import (
     rand_family,
     rand_fraction,
     rand_realset,
+    rand_schema,
 )
 
 PER_02 = Periodic(open_iv(0, 2), F(1))
@@ -210,20 +213,22 @@ class TestFullRing:
         assert gen_topology_member([open_iv(0, 2), open_iv(1, 3)], open_iv(0, 3))
 
 
-class _FakeSchema:
-    def __init__(self, dirs):
-        self._dirs = dirs
+FREE, MOVING = End.FREE, End.MOVING
 
-    def directions(self):
-        return self._dirs
+
+class _FakeSchema:
+    """A base that gives only its ends (lower, upper)."""
+
+    def __init__(self, *ends):
+        self.ends = ends
 
     def element(self, n):
         raise AssertionError("closed form should not enumerate")
 
 
 class _FakeBornology:
-    def __init__(self, dirs):
-        self._schema = _FakeSchema(dirs)
+    def __init__(self, *ends):
+        self._schema = _FakeSchema(*ends)
 
     def base_schema(self):
         return self._schema
@@ -232,27 +237,27 @@ class _FakeBornology:
 class TestEfMember:
     def test_upper_family_on_ub(self):
         fam = finite_family([interval(NEG_INF, n) for n in range(0, 6)])
-        ub = _FakeBornology(Directions(True, False))
+        ub = _FakeBornology(FREE, MOVING)
         assert ef_member(fam, TopologyKind.UPPER, ub)
 
     def test_periodic_on_nat_bounded(self):
-        nat = _FakeBornology(Directions(False, False))
+        nat = _FakeBornology(MOVING, MOVING)
         assert ef_member(PER_02, TopologyKind.NAT, nat)
 
     def test_periodic_on_all_sets(self):
-        all_b = _FakeBornology(Directions(True, True))
+        all_b = _FakeBornology(FREE, FREE)
         assert not ef_member(PER_02, TopologyKind.NAT, all_b)
 
     def test_member_outside_l(self):
         fam = finite_family([closed(0, 1)])
-        nat = _FakeBornology(Directions(False, False))
+        nat = _FakeBornology(MOVING, MOVING)
         with pytest.raises(PreconditionError):
             ef_member(fam, TopologyKind.NAT, nat)
 
     def test_nested_on_ub(self):
-        ub = _FakeBornology(Directions(True, False))
+        ub = _FakeBornology(FREE, MOVING)
         assert ef_member(NESTED_UP, TopologyKind.UPPER, ub)
-        lb = _FakeBornology(Directions(False, True))
+        lb = _FakeBornology(MOVING, FREE)
         assert not ef_member(NESTED_UP, TopologyKind.UPPER, lb)
 
     def test_member_far_inside_an_unbounded_window(self):
@@ -267,6 +272,17 @@ class TestEfMember:
         for born in (ALL_SETS, UB, LB):
             assert ef_member(f, TopologyKind.NAT, born) is True
         assert cov_member(line("standard/om"), f) == bool(ess_finite(f))
+
+    @pytest.mark.parametrize("index_range,named", [
+        (IndexRange(None, -3), r"\[-3, -2\]"),
+        (IndexRange(5, None), r"\[5, 6\]"),
+        (IndexRange(-7, -4), r"\[-7, -6\]"),
+    ])
+    def test_an_unwindowed_periodic_probe_is_a_member(self, index_range, named):
+        # member 0 is not in the family unless the index range holds 0
+        f = Periodic(closed(0, 1), F(1), index_range)
+        with pytest.raises(PreconditionError, match=named):
+            ef_member(f, TopologyKind.NAT, FB)
 
     def test_a_collection_pool_is_no_topology(self):
         # a pool of sets is not translation-stable: member (1, 2) is not in it
@@ -298,7 +314,7 @@ class TestEfMemberWithFans:
         assert ess_finite_on_all_base(f, FB.base_schema()) is True
 
     def test_a_fan_piece_reads_one_stable_trace(self):
-        schema = _CountingSchema(Directions(False, False))
+        schema = _CountingSchema(MOVING, MOVING)
         f = Restricted(Fan(F(0), F(1)), interval(F(1, 2), POS_INF))
         assert ess_finite_on_all_base(f, schema) is False
         assert schema.read == [(0, 2)]
@@ -315,7 +331,7 @@ class TestEfMemberWithFans:
     def test_stable_index_fixes_the_trace_on_its_interval(self):
         rng = random.Random(103)
         for _ in range(200):
-            schema = _rand_schema(rng)
+            schema = rand_schema(rng)
             a = rand_fraction(rng, -4, 4, 4)
             hull = closed(a, a + rand_fraction(rng, 0, 4, 4))
             n_star = schema.stable_index(hull.inf_value(), hull.sup_value())
@@ -329,7 +345,7 @@ class TestEfMemberWithFans:
         rng = random.Random(101)
         cases = [(WINDOW_MISSES_UNION, b.base_schema())
                  for b in (ALL_SETS, UB, LB, NAT_BOUNDED)]
-        cases += [(rand_any_family(rng), _rand_schema(rng)) for _ in range(1500)]
+        cases += [(rand_any_family(rng), rand_schema(rng)) for _ in range(1500)]
         for f, schema in cases:
             n_star = max([schema.stable_index(e - 1, e + 1) for e in fan_edges(f)]
                          + [schema.n0])
@@ -342,31 +358,13 @@ class _CountingSchema(_FakeSchema):
     """A base whose stable traces are the closed intervals themselves; it
     records which traces are read and builds no element."""
 
-    def __init__(self, dirs):
-        super().__init__(dirs)
+    def __init__(self, *ends):
+        super().__init__(*ends)
         self.read = []
 
     def stable_trace(self, a, b):
         self.read.append((a, b))
         return closed(a, b)
-
-
-def _rand_schema(rng):
-    """A grid, named interval, slow custom interval or metric-ball base
-    (every exact metric and its conjugate)."""
-    kind = rng.randrange(4)
-    if kind == 0:
-        return FB.base_schema()
-    if kind == 1:
-        return rng.choice((NAT_BOUNDED, ALL_SETS, UB, LB)).base_schema()
-    if kind == 2:
-        a = rand_fraction(rng, -2, 2, 2)
-        ends = [None if rng.random() < 0.25 else (e, F(sign, rng.choice((1, 3, 4, 10))))
-                for e, sign in ((a, -1), (a + F(rng.randint(0, 4), 2), 1))]
-        return BaseSchema(lo=ends[0], hi=ends[1], lo_closed=rng.random() < 0.5,
-                          hi_closed=rng.random() < 0.5, n0=rng.randint(0, 3))
-    d = rng.choice(ALL_METRICS)
-    return metric_bounded(d.conjugate() if rng.random() < 0.5 else d).base_schema()
 
 
 NF_LINES = (line("standard/om"), line("sorgenfrey/lst"))
@@ -742,6 +740,42 @@ class TestOracleAgreement:
             assert got.essentially_finite == expect, (str(fam), str(k_set))
             agreements += 1
         assert agreements >= 100
+
+
+# (family, K): nested families with periodic pieces, whose truncation keeps
+# members 0..3 of each periodic piece, clipped to the piece's window
+TRUNCATED_CASES = (
+    ("restricted(periodic(interval(open 0, open 2), 1, all), interval(open 0, open inf))",
+     "interval(closed 1, closed 2)"),
+    ("split(0, periodic(interval(open 0, open 2), 1, all), "
+     "periodic(interval(open 0, open 1), 1/2, from 0))", "interval(closed 1/4, closed 5/4)"),
+    ("split(1, finite(interval(open -1, open 1)), "
+     "restricted(periodic(interval(open 0, open 3), 1, all), interval(open 0, open 4)))",
+     "interval(closed 0, closed 3)"),
+)
+
+
+class TestTruncated:
+    @pytest.mark.parametrize("fam,k_set", TRUNCATED_CASES)
+    def test_the_oracle_answers_nested_periodic_families(self, fam, k_set):
+        doc = parse(f"family F = {fam}\nset K = {k_set}\n"
+                    "query oracle_ess_finite F window 0 3 K max 4\n"
+                    "query ess_finite_on F K\n")
+        oracle, decided = run_doc(doc).records
+        f, k = doc.families["F"], doc.sets["K"]
+        assert oracle.status == "ok"
+        assert oracle.detail == str(ess_finite_on(f, k).essentially_finite).lower()
+        assert decided.detail.startswith("essentially_finite")
+
+    def test_each_periodic_piece_gives_members_in_the_span_on_its_window(self):
+        per = Periodic(open_iv(0, 2), F(1))
+        got = Split(F(1), finite_family([open_iv(-1, 1)]),
+                    Restricted(per, open_iv(0, 4))).truncated(0, 3)
+        assert got == [open_iv(-1, 1), closed_open(1, 2), open_iv(1, 3),
+                       open_iv(2, 4), open_iv(3, 4)]
+        assert Restricted(per, interval(3, POS_INF)).truncated(0, 3) == [
+            open_iv(3, 4), open_iv(3, 5)]
+        assert Split(F(0), per, Fan(F(0), F(1))).truncated(0, 3) is None
 
 
 def _rand_probe(rng):
