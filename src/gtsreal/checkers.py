@@ -16,6 +16,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 from typing import Optional, Sequence, Tuple
 
 from gtsreal.covers import (
@@ -221,9 +222,12 @@ def _missing(d: QuasiMetric, schema: BaseSchema, delta: Fraction, n: int) -> Rea
     return d.nbhd(schema.element(n), delta).difference(schema.element(n + 1))
 
 
+@lru_cache(maxsize=1024)
 def _end_gaps(d: QuasiMetric, schema: BaseSchema, n: int) -> Tuple[ExtRat, ExtRat]:
     """(lower, upper): the largest delta for which [B_n]^delta_d stays inside
-    B_{n+1} on that side, POS_INF where B_{n+1} is unbounded.
+    B_{n+1} on that side, POS_INF where B_{n+1} is unbounded.  Memoized by
+    value: the profile, the certificates and the bisection of a falling gap
+    ask for the same indices again.
 
     [B_n]^delta reaches as far as the delta-balls at B_n's ends (finite
     where B_{n+1}'s are, as B_n is inside B_{n+1}).  An end that moves from

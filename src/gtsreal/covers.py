@@ -658,10 +658,17 @@ def violating_member(f: FamilySpec, pred) -> Optional[RealSet]:
     pred must be translation-stable and see only the shape of a set, as the
     open tests of every line are."""
     for base, w in _pieces(f):
-        for m in base.probes(w):
+        for m in _probes(base, w):
             if not pred(m):
                 return m
     return None
+
+
+@functools.lru_cache(maxsize=1024)
+def _probes(base, w: Optional[RealSet]) -> Tuple[RealSet, ...]:
+    """The probes of one piece, memoized by value like `union_of`: the
+    battery tests the same families against many lines."""
+    return tuple(base.probes(w))
 
 
 class End(Enum):
@@ -679,7 +686,10 @@ class End(Enum):
 def ess_finite_on_all_base(f: FamilySpec, schema) -> bool:
     """Is f essentially finite on every element B_n of the monotone base
     `schema` (a `lines.BaseSchema`: its `ends` and `stable_trace`)?  Exactly
-    when no piece `fails_on_base`."""
+    when no piece `fails_on_base`.  The ends are read first, so a base that
+    cannot tell them (the balls of a float_paper metric) refuses for every
+    family, as its members do."""
+    schema.ends
     return not any(base.fails_on_base(schema, w) for base, w in _pieces(f))
 
 

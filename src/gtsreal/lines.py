@@ -15,7 +15,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from typing import Callable, Optional, Tuple
 
 from gtsreal.covers import (
@@ -100,19 +100,7 @@ class BaseSchema:
             raise ConstructionError("schema not monotone: upper end shrinks")
 
     def element(self, n: int) -> RealSet:
-        if n < self.n0:
-            raise ConstructionError(f"index below schema start {self.n0}")
-        if self.kind == "grid":
-            return points(range(-n, n + 1))
-        if self.kind == "ball":
-            return self.metric.ball(0, Fraction(n + 1))
-        lo = NEG_INF if self.lo is None else self.lo[0] + self.lo[1] * n
-        hi = POS_INF if self.hi is None else self.hi[0] + self.hi[1] * n
-        lo_closed = self.lo_closed and self.lo is not None
-        hi_closed = self.hi_closed and self.hi is not None
-        if lo > hi or (lo == hi and not (lo_closed and hi_closed)):
-            return EMPTY
-        return interval(lo, hi, lo_closed, hi_closed)
+        return _element(self, n)
 
     def first_nonempty(self) -> Optional[int]:
         """The first index with a nonempty element (None when there is none):
@@ -168,6 +156,25 @@ class BaseSchema:
             interval(a, b, is_finite(a), is_finite(b)))
 
 
+@lru_cache(maxsize=1024)
+def _element(schema: BaseSchema, n: int) -> RealSet:
+    """B_n of the schema, memoized by value: the battery asks for the same
+    few elements thousands of times (an exception is not cached)."""
+    if n < schema.n0:
+        raise ConstructionError(f"index below schema start {schema.n0}")
+    if schema.kind == "grid":
+        return points(range(-n, n + 1))
+    if schema.kind == "ball":
+        return schema.metric.ball(0, Fraction(n + 1))
+    lo = NEG_INF if schema.lo is None else schema.lo[0] + schema.lo[1] * n
+    hi = POS_INF if schema.hi is None else schema.hi[0] + schema.hi[1] * n
+    lo_closed = schema.lo_closed and schema.lo is not None
+    hi_closed = schema.hi_closed and schema.hi is not None
+    if lo > hi or (lo == hi and not (lo_closed and hi_closed)):
+        return EMPTY
+    return interval(lo, hi, lo_closed, hi_closed)
+
+
 def _isolated_points(a: RealSet) -> bool:
     """Is every piece of a (core and tail patterns) a single point?"""
     return all(iv.is_point for iv in a.pieces())
@@ -188,13 +195,15 @@ class Bornology:
     kind: str                          # fb | all | nat_bounded | ub | lb |
                                        # metric | uf_small | custom
     schema: Optional[BaseSchema] = None
-    ends: Optional[Tuple[End, End]] = None   # None: the schema's ends
+    own_ends: Optional[Tuple[End, End]] = None   # None: the schema's ends
     pointwise: Optional[Callable[[RealSet], bool]] = None
     label: Optional[str] = None
 
-    def __post_init__(self):
-        if self.ends is None:
-            object.__setattr__(self, "ends", self.schema.ends)
+    @cached_property
+    def ends(self) -> Tuple[End, End]:
+        """Read when first asked: a float_paper metric's balls have no ends
+        to tell, and its bornology refuses there rather than when built."""
+        return self.schema.ends if self.own_ends is None else self.own_ends
 
     def ends_hold(self, b: Bounds) -> bool:
         """Do the boundedness flags b bound each side whose end is not free?"""
@@ -223,16 +232,15 @@ NAT_BOUNDED = Bornology("nat_bounded", BaseSchema(lo=(Fraction(0), Fraction(-1))
 UB = Bornology("ub", BaseSchema(lo=None, hi=(Fraction(0), Fraction(1)), hi_closed=False))
 LB = Bornology("lb", BaseSchema(lo=(Fraction(0), Fraction(-1)), hi=None, lo_closed=False))
 UF_SMALL = Bornology(
-    "uf_small", ends=(End.FREE, End.MOVING), pointwise=_isolated_points,
+    "uf_small", own_ends=(End.FREE, End.MOVING), pointwise=_isolated_points,
     label="uf_small[reverse-well-ordered (every nonempty subset has a largest element)]")
 
 
 def metric_bounded(d: QuasiMetric) -> Bornology:
     """The d-bounded sets, with the balls B_d(0, n + 1) as base.  A
-    float_paper metric bounds no set exactly, so its members raise as
-    `is_bounded_set` does."""
-    return Bornology("metric", BaseSchema(kind="ball", metric=d), label=f"B({d.label()})",
-                     pointwise=None if d.exact else d.is_bounded_set)
+    float_paper metric bounds no set exactly: its base's ends, and so its
+    members and EF decisions, raise as `is_bounded_set` does."""
+    return Bornology("metric", BaseSchema(kind="ball", metric=d), label=f"B({d.label()})")
 
 
 def custom_bornology(schema: BaseSchema) -> Bornology:

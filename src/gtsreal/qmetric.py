@@ -302,7 +302,11 @@ class QuasiMetric:
 
     @property
     def bounded_sides(self) -> Tuple[bool, bool]:
-        """(below, above): the sides on which every d-bounded set is bounded."""
+        """(below, above): the sides on which every d-bounded set is bounded.
+        A float_paper metric bounds no set exactly, so it refuses, and so does
+        everything read off its balls: membership and the EF decisions."""
+        if not self.exact:
+            raise UnsupportedCombinationError("d-boundedness requires exact mode")
         return _SIDES[self.bounded_kind]
 
     def conjugate(self) -> "QuasiMetric":
@@ -410,8 +414,6 @@ class QuasiMetric:
 
     def is_bounded_set(self, a: RealSet) -> bool:
         """A subset of some ball?  Decided by the metric's ball family shape."""
-        if not self.exact:
-            raise UnsupportedCombinationError("is_bounded_set requires exact mode")
         below, above = self.bounded_sides
         b = a.boundedness()
         return (b.bounded_below or not below) and (b.bounded_above or not above)

@@ -1003,6 +1003,9 @@ def affine_image(a: RealSet, slope: Fraction, intercept: Fraction) -> RealSet:
     """Image of the set under x -> slope*x + intercept (slope may be 0)."""
     if slope == 0:
         return EMPTY if a.is_empty else point(intercept)
+    if a.left_tail is None and a.right_tail is None:
+        return a if slope == 1 and intercept == 0 else \
+            RealSet(_affine_core(a.core, slope, intercept))
     core = tuple(iv.scale(slope).shift(intercept) for iv in a.core)
     ltail = a.left_tail
     rtail = a.right_tail
@@ -1024,6 +1027,27 @@ def affine_image(a: RealSet, slope: Fraction, intercept: Fraction) -> RealSet:
         else:
             new_r = t
     return _canonical(core, new_l, new_r)
+
+
+def _affine_core(core: Tuple[Interval, ...], slope: Fraction,
+                 intercept: Fraction) -> Tuple[Interval, ...]:
+    """The image of a canonical core under x -> slope*x + intercept (slope
+    != 0), piece by piece.  A bijection keeps the pieces apart and their
+    flags, so the image is canonical as it stands: in order for slope > 0,
+    in reverse order with each piece's ends swapped for slope < 0."""
+    if slope == 1:
+        def f(v):
+            return v + intercept
+    elif slope == -1:
+        def f(v):
+            return intercept - v
+    else:
+        def f(v):
+            return v * slope + intercept
+    if slope > 0:
+        return tuple(_mk(f(iv.lo), f(iv.hi), iv.lo_closed, iv.hi_closed) for iv in core)
+    return tuple(_mk(f(iv.hi), f(iv.lo), iv.hi_closed, iv.lo_closed)
+                 for iv in reversed(core))
 
 
 # ---------------------------------------------------------------------------

@@ -589,6 +589,22 @@ query chain_check d_n_plus UBS delta 1/2 upto 64
         assert "UnsupportedCombination" in rep.records[0].detail
         assert rep.records[1].status == "ok"
 
+    def test_a_float_paper_ball_base_refuses_every_decision(self):
+        # a float_paper metric bounds no set exactly: the EF decision on its
+        # balls used to answer from the metric's sides while membership
+        # refused; now all three refuse alike, whatever the family's shape
+        doc = parse("bornology MB = metric_bounded(float_paper(d_n_plus))\n"
+                    "query ef_member periodic(interval(open 0, open 1), 1, all) nat MB\n"
+                    "query ef_member finite(interval(open 0, open 1)) nat MB\n"
+                    "query bornology_member MB interval(closed 0, closed 1)\n")
+        assert run(doc).machine_text().splitlines()[2:] == [
+            "q000|ef_member|error|UnsupportedCombinationError: d-boundedness requires exact mode",
+            "q001|ef_member|error|UnsupportedCombinationError: d-boundedness requires exact mode",
+            "q002|bornology_member|error|UnsupportedCombinationError: "
+            "d-boundedness requires exact mode",
+            "summary pass=0 fail=3 total=3",
+        ]
+
     def test_an_answer_too_long_to_print_names_the_limit(self):
         # both literals parse, and the eval answer's numbers pass the limit
         limit = sys.get_int_max_str_digits()

@@ -869,6 +869,7 @@ class TestFamilyCache:
                     found[f"{mod.name}.{name}"] = obj.cache_info().maxsize
         for name in ("realset._pattern_reduce_cached", "realset._germ_op_cached",
                      "realset._materialize_cached", "covers.union_of",
-                     "covers.ess_finite_on"):
+                     "covers.ess_finite_on", "covers._probes", "lines._element",
+                     "checkers._end_gaps"):
             assert name in found
         assert all(size is not None for size in found.values()), found

@@ -31,6 +31,7 @@ from gtsreal.realset import (
     _intersect_lists,
     _key,
     _periodize,
+    affine_image,
     is_finite,
     merge_intervals,
 )
@@ -734,3 +735,36 @@ class TestOrderKeys:
         big = Interval(-BEYOND, BEYOND + F(1, 3), True, False)
         assert big.contains(BEYOND) and not big.contains(BEYOND + F(1, 3))
         assert not big.contains(POS_INF) and not big.is_point
+
+
+class TestAffineImage:
+    """A tail-free set is mapped piece by piece, without canonicalizing: the
+    image must be the set the canonical route builds, to the keys."""
+
+    MAPS = [(1, 0), (F(1), F(3, 2)), (-1, 0), (F(-1), F(2)), (F(2), F(-1, 3)),
+            (F(-3, 2), F(5)), (F(1, 3), 0)]
+
+    @staticmethod
+    def _canonical_route(a, slope, intercept):
+        return normalize(iv.scale(F(slope)).shift(F(intercept)) for iv in a.core)
+
+    def test_tail_free_images_match_the_canonical_route(self):
+        rng = random.Random(1905)
+        sets = [closed(0, 1) | open_iv(2, POS_INF), interval(NEG_INF, 0) | point(3), REALS,
+                EMPTY] + [rand_realset(rng, allow_tails=False) for _ in range(400)]
+        for a in sets:
+            for slope, intercept in self.MAPS:
+                got = affine_image(a, slope, intercept)
+                want = self._canonical_route(a, slope, intercept)
+                assert got == want and hash(got) == hash(want), (str(a), slope, intercept)
+                assert [(iv._sk, iv._ek, iv._gk) for iv in got.core] == \
+                    [(iv._sk, iv._ek, iv._gk) for iv in want.core]
+                assert all(isinstance(v, (F, float)) for iv in got.core for v in (iv.lo, iv.hi))
+
+    def test_shift_mirror_and_a_tailed_image(self):
+        a = closed_open(0, 1) | point(F(5, 2))
+        assert a.shift(0) is a
+        assert str(a.shift(F(-1, 2))) == "[-1/2, 1/2) u {2}"
+        assert str(affine_image(a, -1, 0)) == "{-5/2} u (-1, 0]"
+        assert affine_image(with_tails(a, right=((Interval(F(0), F(1, 2), True, False),),
+                                                  F(1), F(3))), -1, 0).left_tail is not None
