@@ -9,7 +9,7 @@ unrestricted piece).  A Split gives one piece per side of its cut and nested
 Restricted windows intersect; `_pieces` is the only code that tells the
 shapes apart.  Each base shape answers one protocol on a piece's window w:
 `union()`, `members_on(w)`, `probes(w)`, `essfin(k)` and
-`fails_on_base(schema, w)`; every shape has `pullback(s, c)`.
+`fails_on_base(schema, ends, w)`; every shape has `pullback(s, c)`.
 
 Periodic seeds are either bounded (all members are translates of one bounded
 set) or a single half-line (the members are nested rays); these shapes give
@@ -171,7 +171,7 @@ class FiniteFamily(_Family):
     def essfin(self, k: RealSet) -> EssFinVerdict:
         return EssFinVerdict(True, self.members_tuple)
 
-    def fails_on_base(self, schema, w: Optional[RealSet]) -> bool:
+    def fails_on_base(self, schema, ends, w: Optional[RealSet]) -> bool:
         return False
 
     def restrict(self, y: RealSet) -> "FiniteFamily":
@@ -306,11 +306,11 @@ class Periodic(_Sided):
         side = "above" if b.bounded_above else "below"
         return f"trace unbounded {side} while the nested members are all bounded {side}"
 
-    def fails_on_base(self, schema, w: Optional[RealSet]) -> bool:
+    def fails_on_base(self, schema, ends, w: Optional[RealSet]) -> bool:
         """A periodic piece fails only on a side on which the base is free
         (the B_n are unbounded there) and its window n union, but no member,
         is unbounded."""
-        free_below, free_above = (e is End.FREE for e in schema.ends)
+        free_below, free_above = (e is End.FREE for e in ends)
         if not (free_below or free_above):
             return False
         u = union_of(self if w is None else Restricted(self, w)).boundedness()
@@ -422,7 +422,7 @@ class Fan(_Sided):
     def obstruction(self) -> str:
         return f"trace accumulates at {self.edge} but every ray stops short of it"
 
-    def fails_on_base(self, schema, w: Optional[RealSet]) -> bool:
+    def fails_on_base(self, schema, ends, w: Optional[RealSet]) -> bool:
         """A fan piece fails only when its trace accumulates at the edge; the
         traces grow with n, so the stable trace B_n n [edge - 1, edge + 1] of
         large n decides."""
@@ -686,11 +686,11 @@ class End(Enum):
 def ess_finite_on_all_base(f: FamilySpec, schema) -> bool:
     """Is f essentially finite on every element B_n of the monotone base
     `schema` (a `lines.BaseSchema`: its `ends` and `stable_trace`)?  Exactly
-    when no piece `fails_on_base`.  The ends are read first, so a base that
-    cannot tell them (the balls of a float_paper metric) refuses for every
-    family, as its members do."""
-    schema.ends
-    return not any(base.fails_on_base(schema, w) for base, w in _pieces(f))
+    when no piece `fails_on_base`.  The ends are read once, before any piece,
+    and handed to every piece: a base that cannot tell them (the balls of a
+    float_paper metric) raises here for every family, as its members do."""
+    ends = schema.ends
+    return not any(base.fails_on_base(schema, ends, w) for base, w in _pieces(f))
 
 
 def ef_member(f: FamilySpec, l_kind: TopologyKind, bornology) -> bool:

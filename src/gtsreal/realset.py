@@ -1006,7 +1006,7 @@ def affine_image(a: RealSet, slope: Fraction, intercept: Fraction) -> RealSet:
     if a.left_tail is None and a.right_tail is None:
         return a if slope == 1 and intercept == 0 else \
             RealSet(_affine_core(a.core, slope, intercept))
-    core = tuple(iv.scale(slope).shift(intercept) for iv in a.core)
+    core = _affine_core(a.core, slope, intercept)
     ltail = a.left_tail
     rtail = a.right_tail
     new_l = new_r = None
@@ -1014,7 +1014,7 @@ def affine_image(a: RealSet, slope: Fraction, intercept: Fraction) -> RealSet:
         if tail is None:
             continue
         new_period = abs(slope) * tail.period
-        pieces = tuple(iv.scale(slope).shift(intercept) for iv in tail.pattern)
+        pieces = _affine_core(tail.pattern, slope, intercept)
         new_cut = slope * tail.cut + intercept
         flips = (slope < 0)
         new_side = side if not flips else ("right" if side == "left" else "left")
@@ -1029,25 +1029,24 @@ def affine_image(a: RealSet, slope: Fraction, intercept: Fraction) -> RealSet:
     return _canonical(core, new_l, new_r)
 
 
-def _affine_core(core: Tuple[Interval, ...], slope: Fraction,
+def _affine_core(pieces: Tuple[Interval, ...], slope: Fraction,
                  intercept: Fraction) -> Tuple[Interval, ...]:
-    """The image of a canonical core under x -> slope*x + intercept (slope
-    != 0), piece by piece.  A bijection keeps the pieces apart and their
-    flags, so the image is canonical as it stands: in order for slope > 0,
-    in reverse order with each piece's ends swapped for slope < 0."""
-    if slope == 1:
-        def f(v):
-            return v + intercept
-    elif slope == -1:
-        def f(v):
-            return intercept - v
-    else:
-        def f(v):
-            return v * slope + intercept
-    if slope > 0:
-        return tuple(_mk(f(iv.lo), f(iv.hi), iv.lo_closed, iv.hi_closed) for iv in core)
+    """The image of disjoint, ordered pieces under x -> slope*x + intercept
+    (slope != 0), piece by piece.  A bijection keeps the pieces apart and
+    their flags, so a canonical core maps to a canonical core: in order for
+    slope > 0, in reverse order with each piece's ends swapped for slope < 0.
+    An infinite end stays infinite (its sign flips with the slope) and is
+    never mixed with a Fraction, which would go through float()."""
+    up, unit = slope > 0, slope == 1
+
+    def f(v):
+        if not is_finite(v):
+            return v if up else -v
+        return v + intercept if unit else v * slope + intercept
+    if up:
+        return tuple(_mk(f(iv.lo), f(iv.hi), iv.lo_closed, iv.hi_closed) for iv in pieces)
     return tuple(_mk(f(iv.hi), f(iv.lo), iv.hi_closed, iv.lo_closed)
-                 for iv in reversed(core))
+                 for iv in reversed(pieces))
 
 
 # ---------------------------------------------------------------------------

@@ -742,7 +742,11 @@ class TestAffineImage:
     image must be the set the canonical route builds, to the keys."""
 
     MAPS = [(1, 0), (F(1), F(3, 2)), (-1, 0), (F(-1), F(2)), (F(2), F(-1, 3)),
-            (F(-3, 2), F(5)), (F(1, 3), 0)]
+            (F(-3, 2), F(5)), (F(1, 3), 0),
+            # an infinite end must stay infinite: a Fraction past the float
+            # range, or below the smallest subnormal, mixed with it overflows
+            # or rounds to 0.0 and gives nan
+            (1, BEYOND), (F(1, 2 ** 1100), 0), (F(-1, 2 ** 1100), -BEYOND)]
 
     @staticmethod
     def _canonical_route(a, slope, intercept):
@@ -768,3 +772,21 @@ class TestAffineImage:
         assert str(affine_image(a, -1, 0)) == "{-5/2} u (-1, 0]"
         assert affine_image(with_tails(a, right=((Interval(F(0), F(1, 2), True, False),),
                                                   F(1), F(3))), -1, 0).left_tail is not None
+
+    def test_tailed_images_round_trip(self):
+        """A tailed set's core and patterns are mapped by the same piecewise
+        map, then canonicalized; mapping back gives the set again.  The
+        slopes of 2^-1100 are left out for tailed sets: canonicalizing pads
+        its window by absolute constants, so a period of 2^-1100 would
+        materialize about 2^1100 translates (a known fault of `_canonical`,
+        not of the map)."""
+        rng = random.Random(1906)
+        for _ in range(300):
+            a = rand_realset(rng)
+            for slope, intercept in self.MAPS:
+                slope, intercept = F(slope), F(intercept)
+                if abs(slope) < TINY and (a.left_tail or a.right_tail):
+                    continue
+                b = affine_image(a, slope, intercept)
+                assert affine_image(b, 1 / slope, -intercept / slope) == a, \
+                    (str(a), slope, intercept)
