@@ -14,12 +14,14 @@ end, plus doubling and bisection on a falling gap, decide every index.
 from __future__ import annotations
 
 import math
+from bisect import bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from typing import Optional, Sequence, Tuple
 
 from gtsreal.covers import (
+    End,
     FamilySpec,
     PreconditionError,
     finite_family,
@@ -33,7 +35,9 @@ from gtsreal.lines import (
     LineId,
     admissible_battery,
     cov_member,
+    metric_bounded,
     op_member,
+    probe_corpus,
     topology_of_line,
 )
 from gtsreal.qmetric import QuasiMetric, UnsupportedCombinationError
@@ -49,6 +53,7 @@ from gtsreal.realset import (
     affine_image,
     interval,
     is_finite,
+    point,
     rat,
 )
 
@@ -72,8 +77,7 @@ class PiecewiseAffineMap:
     def __post_init__(self):
         if len(self.pieces) != len(self.breakpoints) + 1:
             raise ConstructionError("need exactly one piece per domain cell")
-        if any(self.breakpoints[i] >= self.breakpoints[i + 1]
-               for i in range(len(self.breakpoints) - 1)):
+        if any(a >= b for a, b in zip(self.breakpoints, self.breakpoints[1:])):
             raise ConstructionError("breakpoints must be strictly ascending")
 
     @staticmethod
@@ -85,22 +89,12 @@ class PiecewiseAffineMap:
         return PiecewiseAffineMap.affine(1, 0)
 
     def windows(self) -> Tuple[RealSet, ...]:
-        cells = []
-        prev = NEG_INF
-        for b in self.breakpoints:
-            cells.append(interval(prev, b, is_finite(prev), False))
-            prev = b
-        cells.append(interval(prev, POS_INF, is_finite(prev), False))
-        return tuple(cells)
+        ends = (NEG_INF, *self.breakpoints, POS_INF)
+        return tuple(interval(a, b, is_finite(a), False) for a, b in zip(ends, ends[1:]))
 
     def __call__(self, x) -> Fraction:
         q = rat(x)
-        idx = 0
-        for b in self.breakpoints:
-            if q < b:
-                break
-            idx += 1
-        s, c = self.pieces[idx]
+        s, c = self.pieces[bisect_right(self.breakpoints, q)]
         return s * q + c
 
     def image(self, a: RealSet) -> RealSet:
@@ -145,44 +139,53 @@ def _check_index_bound(schema: BaseSchema, n_max: int) -> None:
             f"index bound {n_max} is below the first base index {schema.n0}")
 
 
-def proper_check(b: Bornology, t1: TopologyKind, t2: TopologyKind,
-                 n_max: int = 16, margin: int = 8) -> ProperReport:
-    """(t1, t2)-properness on base elements: cl_t2(B_n) inside int_t1(B_m).
+def _fit(schema: BaseSchema, t2: TopologyKind, n: int) -> Tuple[RealSet, int]:
+    """cl_t2(B_n) and the m that decides whether it fits inside some
+    int_t1(B_m): from m on, B_m is unchanged within 1 of the closure's finite
+    ends, and a free end, which alone holds an unbounded closure, stays free."""
+    c = schema.element(n).closure(t2)
+    ends = [e for e in (c.inf_value(), c.sup_value()) if is_finite(e)] or [Fraction(0)]
+    return c, max(n, schema.stable_index(min(ends) - 1, max(ends) + 1)) + 1
 
-    Checking the base suffices: cl/int are monotone and every member sits
-    inside a base element."""
+
+def _first_improper(schema: BaseSchema, t1: TopologyKind,
+                    t2: TopologyKind) -> Optional[Tuple[int, RealSet]]:
+    """The first n whose cl_t2(B_n) fits in no int_t1(B_m), with its closure.
+    The n that fit are an initial segment, holding the empty B_n before the
+    first nonempty index s.  From s + 1 on, B_n keeps one shape (an interval
+    with the same ends and flags, the grid {-n..n}, a ball of radius >= 2),
+    and whether its closure fits is decided end by end by that shape, so
+    s + 1 decides every later n; s comes first to name the first failure."""
+    s = schema.first_nonempty()
+    for n in () if s is None else (s, s + 1):
+        c, m = _fit(schema, t2, n)
+        if not c.is_subset(schema.element(m).interior(t1)):
+            return n, c
+    return None
+
+
+def proper_check(b: Bornology, t1: TopologyKind, t2: TopologyKind,
+                 n_max: int = 16) -> ProperReport:
+    """(t1, t2)-properness on base elements (`_first_improper`): the base
+    suffices, as cl/int are monotone and every member sits inside a base
+    element.  n_max bounds only the certificates (n, m)."""
     schema = b.base_schema()
     if schema is None:
         raise PreconditionError(f"{b} has no indexed base to check properness on")
     _check_index_bound(schema, n_max)
-    certs = []
-    for n in range(schema.n0, n_max + 1):
-        c = schema.element(n).closure(t2)
-        hit = None
-        for m in range(n, n_max + margin + 1):
-            if c.is_subset(schema.element(m).interior(t1)):
-                hit = m
-                break
-        if hit is None:
-            return ProperReport(False, n, c, tuple(certs))
-        certs.append((n, hit))
-    return ProperReport(True, None, None, tuple(certs))
+    bad = _first_improper(schema, t1, t2)
+    last = n_max if bad is None else min(bad[0] - 1, n_max)
+    certs = tuple((n, _fit(schema, t2, n)[1]) for n in range(schema.n0, last + 1))
+    return ProperReport(bad is None, *(bad or (None, None)), certs)
 
 
-def base_check(b: Bornology, t: TopologyKind, n_max: int = 16,
-               margin: int = 8) -> bool:
-    """Is tau(t) n B a base for B?  True iff every base element fits inside
-    the t-interior of a later base element (interiors of members are t-open
-    members, and any open member embeds in some base element)."""
+def base_check(b: Bornology, t: TopologyKind) -> bool:
+    """Is tau(t) n B a base for B, i.e. does every B_n fit inside the
+    t-interior of a later one?  That is (t, discrete)-properness."""
     schema = b.base_schema()
     if schema is None:
         raise PreconditionError(f"{b} has no indexed base")
-    for n in range(schema.n0, n_max + 1):
-        e = schema.element(n)
-        if not any(e.is_subset(schema.element(m).interior(t))
-                   for m in range(n, n_max + margin + 1)):
-            return False
-    return True
+    return _first_improper(schema, t, TopologyKind.DISCRETE) is None
 
 
 # ---------------------------------------------------------------------------
@@ -349,16 +352,20 @@ def chain_check(d: QuasiMetric, schema: BaseSchema, delta, n_max: int = 64) -> C
     return ChainReport("fail_at", False, n_f, _missing(d, schema, dq, n_f), dq, certs)
 
 
+def _first_zero(laws) -> Optional[int]:
+    """The first n with delta*(n) = 0: a falling gap stays positive, so it is a landmark."""
+    return min((n for marks, _ in laws for n, g in marks if g == 0), default=None)
+
+
 def chain_search(d: QuasiMetric, schema: BaseSchema, n_max: int = 64) -> ChainReport:
     """Per-index condition: for each n some delta works (delta may vary
-    with n), i.e. delta*(n) > 0.  A gap that falls stays positive, so an
-    end's first zero is at a landmark.  When inf delta*(n) > 0, the one
-    delta min(1, inf) serves every index and the uniform report is
+    with n), i.e. delta*(n) > 0 (`_first_zero`).  When inf delta*(n) > 0,
+    the one delta min(1, inf) serves every index and the uniform report is
     returned.  n_max bounds only the certificates, each with delta
     min(1, delta*(n))."""
     _check_index_bound(schema, n_max)
     laws = _profile(d, schema)
-    zero = min((n for marks, _ in laws for n, g in marks if g == 0), default=None)
+    zero = _first_zero(laws)
     if zero is None and not any(falls for _, falls in laws):
         low = min(g for marks, _ in laws for _, g in marks)
         return chain_check(d, schema, min(Fraction(1), low), n_max)
@@ -388,55 +395,61 @@ class MetrizabilityReport:
     verdict: str                      # "CONSISTENT" | "INCONSISTENT"
     failing_part: Optional[str]       # "topology" | "bornology" | "base" | "chain"
     detail: str
-    chain: Optional[ChainReport] = None
 
     @property
     def consistent(self) -> bool:
         return self.verdict == "CONSISTENT"
 
 
-def metrizable_verdict(l: LineId, b: Bornology, d: QuasiMetric,
-                       probes: Sequence[RealSet], n_max: int = 16) -> MetrizabilityReport:
+def _separating_set(b: Bornology, d: QuasiMetric) -> Optional[Tuple[str, RealSet]]:
+    """None when b is exactly the d-bounded sets, else ("probe" | "set", a)
+    with a in one of them only: b is them iff it has d's ends (free or moving)
+    and no isolated-points condition, which leaves out [0, 1].  a is the first
+    probe that tells them apart, else built at the first end that differs: a
+    point past b's fixed end, a ray on b's moving side (d's is free), or
+    B_(s+1), unbounded on b's free side (a ball of radius 1 may not be)."""
+    ends = metric_bounded(d).ends
+    if b.pointwise is None and b.ends == ends:
+        return None
+    a = next((a for a in probe_corpus() if b.member(a) != d.is_bounded_set(a)), None)
+    if a is not None:
+        return "probe", a
+    side = next(i for i in (0, 1) if b.ends[i] != ends[i])
+    schema = b.base_schema()
+    if b.ends[side] is End.FIXED:
+        return "set", point((schema.lo, schema.hi)[side][0] + (1 if side else -1))
+    if b.ends[side] is End.MOVING:
+        return "set", interval(0, POS_INF) if side else interval(NEG_INF, 0)
+    return "set", schema.element(schema.first_nonempty() + 1)
+
+
+def metrizable_verdict(l: LineId, b: Bornology, d: QuasiMetric) -> MetrizabilityReport:
     """Three-part consistency check of "the line is quasi-metrizable with
-    respect to b by d": topology match, bornology match (probes plus two-way
-    base inclusion), and the per-index chain condition on b's base."""
+    respect to b by d", each part in closed form: the topologies match, b is
+    the d-bounded sets (`_separating_set`), and no B_n has delta*(n) = 0."""
     want = topology_of_line(l)
     got = d.topology_of()
     if got is not want:
         return MetrizabilityReport(
             "INCONSISTENT", "topology",
             f"tau(d)={got.value} but the line carries {want.value}")
-    for a in probes:
-        bm = b.member(a)
-        dm = d.is_bounded_set(a)
-        if bm != dm:
-            side = "bornology-member but not d-bounded" if bm else \
-                "d-bounded but outside the bornology"
-            return MetrizabilityReport(
-                "INCONSISTENT", "bornology", f"probe {a}: {side}")
+    split = _separating_set(b, d)
+    if split is not None:
+        word, a = split
+        side = "bornology-member but not d-bounded" if b.member(a) else \
+            "d-bounded but outside the bornology"
+        return MetrizabilityReport("INCONSISTENT", "bornology", f"{word} {a}: {side}")
     schema = b.base_schema()
     if schema is None:
         return MetrizabilityReport(
             "INCONSISTENT", "base",
             f"{b} has no countable indexed base to satisfy the chain condition")
-    for n in range(schema.n0, n_max + 1):
-        if not d.is_bounded_set(schema.element(n)):
-            return MetrizabilityReport(
-                "INCONSISTENT", "bornology",
-                f"base element B_{n} is not d-bounded")
-    for k in range(0, 9):
-        ball = d.ball(0, Fraction(2) ** k)
-        if not b.member(ball):
-            return MetrizabilityReport(
-                "INCONSISTENT", "bornology",
-                f"ball B_d(0, 2^{k}) escapes the bornology")
-    chain = chain_search(d, schema, n_max)
-    if chain.verdict == "fail_at":
+    zero = _first_zero(_profile(d, schema))
+    if zero is not None:
         return MetrizabilityReport(
             "INCONSISTENT", "chain",
-            f"no delta closes [B_n]^delta inside B_(n+1) at n={chain.fail_index}",
-            chain)
-    return MetrizabilityReport("CONSISTENT", None, "all parts agree", chain)
+            f"no delta closes [B_n]^delta inside B_(n+1) at n={zero}")
+    return MetrizabilityReport("CONSISTENT", None, "all parts agree")
 
 
 # ---------------------------------------------------------------------------
@@ -517,8 +530,7 @@ def _split_open(l: LineId, u: RealSet) -> Optional[Tuple[RealSet, RealSet]]:
 
 
 def axiom_probe(l: LineId, opens: Optional[Sequence[RealSet]] = None,
-                families: Optional[Sequence[FamilySpec]] = None,
-                depth: int = 1) -> AxiomProbeReport:
+                families: Optional[Sequence[FamilySpec]] = None) -> AxiomProbeReport:
     """Instance-level verification of the five gts axioms on sampled data."""
     if opens is None or families is None:
         default_opens, default_fams = default_probe_battery(l)
@@ -556,35 +568,26 @@ def axiom_probe(l: LineId, opens: Optional[Sequence[RealSet]] = None,
             if not cov_member(l, restrict_family(fam, v)):
                 failures.append(f"(ii): {fam} n {v} not admissible")
 
+    enumerable = [(fam, mats) for fam in families if (mats := members(fam))]
+
     # (iii) transitivity: refine each member of a finite admissible family
-    for fam in families:
-        mats = members(fam)
-        if mats is None or not mats:
-            continue
+    for fam, mats in enumerable:
         composed = []
-        refinable = True
         for u in mats:
             halves = _split_open(l, u)
-            if halves is None:
-                composed.append(u)
-            else:
-                va, vb = halves
+            if halves is not None:
                 checks += 1
-                if not cov_member(l, finite_family([va, vb])):
+                if not cov_member(l, finite_family(halves)):
                     failures.append(f"(iii): refinement of {u} not admissible")
-                    refinable = False
                     break
-                composed.extend([va, vb])
-        if refinable:
+            composed.extend(halves or [u])
+        else:
             checks += 1
             if not cov_member(l, finite_family(composed)):
                 failures.append(f"(iii): composed refinement of {fam} not admissible")
 
     # (iv) saturation: coarsen a finite admissible family to its union
-    for fam in families:
-        mats = members(fam)
-        if mats is None or not mats:
-            continue
+    for fam, _ in enumerable:
         u = union_of(fam)
         if op_member(l, u):
             checks += 1
@@ -592,16 +595,12 @@ def axiom_probe(l: LineId, opens: Optional[Sequence[RealSet]] = None,
                 failures.append(f"(iv): coarsening {{{u}}} of {fam} not admissible")
 
     # (v) regularity: glue an open trace along an admissible family
-    for fam in families:
-        mats = members(fam)
-        if mats is None or not mats:
-            continue
+    for fam, mats in enumerable:
         for w in opens:
             v = w.intersect(union_of(fam))
             checks += 1
-            if all(op_member(l, v.intersect(u)) for u in mats):
-                if not op_member(l, v):
-                    failures.append(f"(v): glued set {v} not open")
+            if all(op_member(l, v.intersect(u)) for u in mats) and not op_member(l, v):
+                failures.append(f"(v): glued set {v} not open")
     return AxiomProbeReport(not failures, checks, tuple(failures))
 
 

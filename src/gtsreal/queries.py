@@ -61,7 +61,6 @@ from gtsreal.lines import (
     locally_ess_finite,
     metric_bounded,
     op_member,
-    probe_corpus,
     pt_of,
     sm_member,
 )
@@ -645,7 +644,7 @@ def _proper_text(b, t1, t2, n) -> str:
 
 
 def _metrizable_text(l, b, d) -> str:
-    got = metrizable_verdict(l, b, d, probe_corpus())
+    got = metrizable_verdict(l, b, d)
     if got.consistent:
         return "CONSISTENT"
     return f"INCONSISTENT part={got.failing_part}: {got.detail}"

@@ -245,9 +245,9 @@ def _section_subsumption(records, probes):
            + (f"; violations: {bad[:3]}" if bad else ""))
 
 
-def _section_metrizability(records, probes, caps):
+def _section_metrizability(records):
     for l, b, d, expect, anchor, part in _metrizability_table():
-        got = metrizable_verdict(l, b, d, probes, n_max=min(caps.chain_n, 16))
+        got = metrizable_verdict(l, b, d)
         ok = got.verdict == expect and (part is None or got.failing_part == part)
         want = expect if part is None else f"{expect}@{part}"
         _check(records, f"metrizable/{l}/{b}/{d.label()}", "metrizability", ok,
@@ -413,7 +413,7 @@ def corpus_verify(caps: Caps = Caps()) -> Report:
     _section_identities(records, probes)
     _section_pt(records, probes)
     _section_subsumption(records, probes)
-    _section_metrizability(records, probes, caps)
+    _section_metrizability(records)
     _section_chains(records, caps)
     _section_axioms(records)
     _section_refuters(records, probes)

@@ -157,11 +157,10 @@ def test_criterion_1_identity_table():
 # ---------------------------------------------------------------------------
 
 def test_criterion_2_metrizability_sweep():
-    probes = probe_corpus()
     mism = []
     n_cons = n_incons = 0
     for l, b, d, expect, anchor, part in _metrizability_table():
-        got = metrizable_verdict(l, b, d, probes)
+        got = metrizable_verdict(l, b, d)
         if got.verdict != expect or (part is not None and got.failing_part != part):
             mism.append(f"{l}/{b}/{d.label()}: got {got.verdict}@{got.failing_part}, "
                         f"want {expect}@{part} ({anchor})")

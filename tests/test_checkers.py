@@ -45,7 +45,6 @@ from gtsreal.realset import (
 
 from gtsreal.report import run
 
-from helpers import probe_corpus
 
 SYM_SCHEMA = BaseSchema(lo=(F(-1), F(-1)), hi=(F(1), F(1)))          # [-(n+1), n+1]
 UB_SCHEMA = BaseSchema(lo=None, hi=(F(0), F(1)), hi_closed=False)    # (-inf, n)
@@ -300,25 +299,20 @@ class TestChainChecks:
 
 
 class TestMetrizableVerdict:
-    PROBES = probe_corpus()
-
     def test_consistent_spec_examples(self):
-        got = metrizable_verdict(line("standard/lst"), NAT_BOUNDED, metric("d_n"),
-                                 self.PROBES)
+        got = metrizable_verdict(line("standard/lst"), NAT_BOUNDED, metric("d_n"))
         assert got.consistent
         got = metrizable_verdict(line("sorgenfrey/lst"),
-                                 metric_bounded(metric("rho_0")), metric("rho_0"),
-                                 self.PROBES)
+                                 metric_bounded(metric("rho_0")), metric("rho_0"))
         assert got.consistent
 
     def test_inconsistent_spec_example(self):
-        got = metrizable_verdict(line("standard/ut"), FB, metric("d_n"), self.PROBES)
+        got = metrizable_verdict(line("standard/ut"), FB, metric("d_n"))
         assert not got.consistent
         assert got.failing_part == "bornology"
 
     def test_topology_mismatch(self):
-        got = metrizable_verdict(line("standard/ut"), NAT_BOUNDED, metric("rho_u"),
-                                 self.PROBES)
+        got = metrizable_verdict(line("standard/ut"), NAT_BOUNDED, metric("rho_u"))
         assert got.failing_part == "topology"
 
 
@@ -385,13 +379,11 @@ class TestCoherenceInvariants:
         # whenever the verdict is CONSISTENT with metric d, the bornology is
         # (tau(d), tau(d^-1))-proper
         from gtsreal.report import _metrizability_table
-        from helpers import probe_corpus
-        probes = probe_corpus()
         seen = 0
         for l, b, d, expect, anchor, part in _metrizability_table():
             if expect != "CONSISTENT":
                 continue
-            got = metrizable_verdict(l, b, d, probes)
+            got = metrizable_verdict(l, b, d)
             assert got.consistent, (str(l), str(b), d.label())
             pr = proper_check(b, d.topology_of(), d.conjugate().topology_of(), 16)
             assert pr.proper, (str(l), str(b), d.label())

@@ -853,3 +853,30 @@ class TestMain:
         assert main(["--format", "machine", "--report", str(out),
                      "eval", str(f)]) == 1
         assert out.read_text(encoding="utf-8") == NESTED_FAMILIES_REPORT
+
+    def test_exact_bornology_and_properness_answers(self, tmp_path):
+        # FAR has a fixed end past every probe and LATE's first element comes
+        # at n = 1000: index and probe sweeps answered CONSISTENT, PROPER and
+        # true here; the closed forms answer for every index
+        f = tmp_path / "exact.gts"
+        f.write_text(
+            "bornology FAR = schema(closed -1000, closed affine(0, 1))\n"
+            "bornology LATE = schema(closed 0, closed affine(-1000, 1))\n"
+            "query metrizable sorgenfrey/lst FAR rho_0\n"
+            "query bornology_member FAR point -1001\n"
+            "query bounded_set rho_0 point -1001\n"
+            "query proper_check LATE nat nat 16\n"
+            "query base_check LATE nat\n",
+            encoding="utf-8")
+        out = tmp_path / "report.txt"
+        assert main(["--format", "machine", "--report", str(out), "eval", str(f)]) == 0
+        lines = out.read_text(encoding="utf-8").splitlines()[2:]
+        assert lines == [
+            "q000|metrizable|ok|INCONSISTENT part=bornology: "
+            "set {-1001}: d-bounded but outside the bornology",
+            "q001|bornology_member|ok|false",
+            "q002|bounded_set|ok|true",
+            "q003|proper_check|ok|IMPROPER at n=1000 closure={0}",
+            "q004|base_check|ok|false",
+            "summary pass=5 fail=0 total=5",
+        ]
