@@ -529,13 +529,10 @@ def _split_open(l: LineId, u: RealSet) -> Optional[Tuple[RealSet, RealSet]]:
     return None
 
 
-def axiom_probe(l: LineId, opens: Optional[Sequence[RealSet]] = None,
-                families: Optional[Sequence[FamilySpec]] = None) -> AxiomProbeReport:
-    """Instance-level verification of the five gts axioms on sampled data."""
-    if opens is None or families is None:
-        default_opens, default_fams = default_probe_battery(l)
-        opens = opens if opens is not None else default_opens
-        families = families if families is not None else default_fams
+def axiom_probe(l: LineId) -> AxiomProbeReport:
+    """Instance-level verification of the five gts axioms on the line's
+    `default_probe_battery`."""
+    opens, families = default_probe_battery(l)
     failures = []
     checks = 0
 

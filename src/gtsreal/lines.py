@@ -26,6 +26,7 @@ from gtsreal.covers import (
     Periodic,
     ess_finite_on_all_base,
     finite_family,
+    is_open_in,
     violating_member,
 )
 from gtsreal.qmetric import QuasiMetric, UnsupportedCombinationError
@@ -366,7 +367,7 @@ def _half_open_shaped(a: RealSet) -> bool:
 def op_member(l: LineId, u: RealSet) -> bool:
     """Is u an open of the line (the member shape its covers require)?"""
     s = l.spec
-    shaped = _half_open_shaped(u) if s.half_open else u.interior(s.topology) == u
+    shaped = _half_open_shaped(u) if s.half_open else is_open_in(u, s.topology)
     return shaped and (s.left_tail or u.left_tail is None) and \
         (s.right_tail or u.right_tail is None)
 

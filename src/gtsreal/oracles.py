@@ -9,19 +9,21 @@ from typing import Optional, Sequence
 from gtsreal.realset import EMPTY, RealSet
 
 
+MAX_CHECKS = 200_000   # candidate subfamilies the oracle may enumerate
+
+
 class OracleRefusal(RuntimeError):
     """The oracle cannot answer within its stated search budget."""
 
 
 def oracle_ess_finite(truncated_members: Sequence[RealSet], k_set: RealSet,
                       max_subfamily: int = 8,
-                      full_union: Optional[RealSet] = None,
-                      max_checks: int = 200_000) -> bool:
+                      full_union: Optional[RealSet] = None) -> bool:
     """Brute-force essential finiteness on k_set for a truncated family.
 
     Searches every subfamily of at most max_subfamily members for one whose
     union covers K n UF.  Refuses (never guesses) when the truncation window
-    does not contain the full trace or the subset count exceeds the budget.
+    does not contain the full trace or the subset count exceeds MAX_CHECKS.
     """
     mats = [m for m in truncated_members if not m.is_empty]
     avail = EMPTY
@@ -31,7 +33,7 @@ def oracle_ess_finite(truncated_members: Sequence[RealSet], k_set: RealSet,
     if not trace.is_subset(avail):
         raise OracleRefusal("window does not cover K n UF")
     total = sum(comb(len(mats), s) for s in range(0, max_subfamily + 1))
-    if total > max_checks:
+    if total > MAX_CHECKS:
         raise OracleRefusal(f"{total} candidate subfamilies exceed the budget")
     if trace.is_empty:
         return True

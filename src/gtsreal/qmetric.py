@@ -438,19 +438,21 @@ class EquivVerdict(Enum):
     INCONCLUSIVE = "INCONCLUSIVE"
 
 
+EQUIV_MAX_K = 20   # uniform_equiv_refute checks delta = 2^-k for k <= this
+
+
 def uniform_equiv_refute(d1: QuasiMetric, d2: QuasiMetric, eps,
-                         witness_pairs: Iterable[Tuple[Fraction, Fraction]],
-                         max_k: int = 20) -> EquivVerdict:
+                         witness_pairs: Iterable[Tuple[Fraction, Fraction]]) -> EquivVerdict:
     """Search for a witness that d2 is not uniformly continuous w.r.t. d1.
 
-    REFUTED means: for each delta = 2^-k with 0 <= k <= max_k, some given
+    REFUTED means: for each delta = 2^-k with 0 <= k <= EQUIV_MAX_K, some given
     pair has d1 < delta while d2 >= eps.  That is evidence, not a proof: a
     refutation needs such a pair for every delta > 0, and deltas below
-    2^-max_k and pairs outside `witness_pairs` are never looked at.
+    2^-EQUIV_MAX_K and pairs outside `witness_pairs` are never looked at.
     INCONCLUSIVE means some checked delta has no witness among the pairs."""
     e = rat(eps)
     pairs = [(rat(a), rat(b)) for a, b in witness_pairs]
-    for k in range(max_k + 1):
+    for k in range(EQUIV_MAX_K + 1):
         delta = Fraction(1, 2**k)
         if not any(d1.eval(a, b) < delta and d2.eval(a, b) >= e for a, b in pairs):
             return EquivVerdict.INCONCLUSIVE

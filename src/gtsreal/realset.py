@@ -160,6 +160,11 @@ class Interval:
             return NotImplemented
         return self._sk == other._sk and self._ek == other._ek
 
+    def __hash__(self):
+        # the keys __eq__ compares; a grid value's remainder is the int 0,
+        # so no Fraction is hashed
+        return hash((self._sk, self._ek))
+
     @property
     def is_point(self) -> bool:
         return self._sk == self._ek

@@ -352,13 +352,13 @@ def _section_wls(records):
                "small opens cannot cover the line")
 
 
-def restriction_generation_battery(n_instances: int = 50, seed: int = 2026,
-                      depth: int = 4) -> Tuple[int, int, list]:
+def restriction_generation_battery(n_instances: int = 50,
+                                   depth: int = 4) -> Tuple[int, int, list]:
     """Randomized restriction/generation agreement: membership in
     EssFin(L_Y[U(Psi n2 Y)]) must match bounded generation over Y.
 
     Returns (agreements, truncations, disagreements)."""
-    rng = random.Random(seed)
+    rng = random.Random(2026)
     pool = [open_iv(0, 2), open_iv(1, 3), open_iv(-2, 1), closed_open(0, 1),
             open_iv(-1, 4), open_iv(2, 5), point(1).union(open_iv(3, 4))]
     windows = [closed(-1, 3), closed(0, 4), closed(-2, 5), open_iv(-1, 4)]

@@ -30,6 +30,7 @@ from gtsreal.covers import (
     gen_topology,
     gen_topology_member,
     generation_levels,
+    is_open_in,
     member_generated,
     members,
     plus_step,
@@ -39,6 +40,7 @@ from gtsreal.covers import (
 )
 from gtsreal.lines import (
     ALL_SETS,
+    CORPUS,
     FB,
     LB,
     NAT_BOUNDED,
@@ -50,7 +52,9 @@ from gtsreal.lines import (
     locally_ess_finite,
     metric_bounded,
     op_member,
+    probe_corpus,
 )
+from gtsreal.checkers import default_probe_battery
 from gtsreal.oracles import OracleRefusal, oracle_ess_finite
 from gtsreal.queries import parse
 from gtsreal.report import run as run_doc
@@ -637,6 +641,45 @@ class TestAtomEngine:
         assert reference_plus_step(lv2, "transitivity", 56).truncated
         self._assert_reference_levels(PSI_PAST_64, 56, 4)
 
+    @staticmethod
+    def _psi_with_choices(n1, n2, extra=()):
+        """A collection whose family {(0, 4), (10, 14)} has n1 * n2 transitivity
+        combos: n1 families union to (0, 4) and n2 to (10, 14)."""
+        def unioning_to(lo, hi, n):
+            fams = [frozenset({open_iv(lo, hi)})]
+            cuts = [lo + F(k, 4) for k in range(1, 16)]
+            fams += [frozenset({open_iv(lo, a), open_iv(b, hi)})
+                     for b, a in itertools.combinations(cuts, 2)][::-1]
+            return fams[:n]
+        fams = {frozenset({open_iv(0, 4), open_iv(10, 14)}), *extra,
+                *unioning_to(0, 4, n1), *unioning_to(10, 14, n2)}
+        assert len(fams) == n1 + n2 + 1 + len(extra)
+        ops = frozenset(m for f in fams for m in f)
+        return CovCollection(open_iv(-1, 15), frozenset(fams), ops)
+
+    @pytest.mark.parametrize("n1, n2, cut", [(8, 8, False), (5, 13, True), (1, 64, False),
+                                             (1, 65, True)])
+    def test_transitivity_at_the_64_combo_cut(self, n1, n2, cut):
+        psi = self._psi_with_choices(n1, n2)
+        got = plus_step(psi, "transitivity", 200)
+        assert got == reference_plus_step(psi, "transitivity", 200)
+        assert got.truncated is cut
+        # every pick is new but {(0, 4)} + {(10, 14)}; past the cut only the
+        # first choice of each member is taken
+        new = got.families - psi.families
+        assert len(new) <= 1 if cut else len(new) == n1 * n2 - 1
+
+    @pytest.mark.parametrize("extra", [
+        (frozenset({EMPTY, open_iv(0, 4)}),),                       # no family unions to {}
+        (frozenset({EMPTY, open_iv(0, 4)}), frozenset()),
+        (frozenset({EMPTY, open_iv(10, 14)}), frozenset({EMPTY}), frozenset()),
+    ], ids=["unrefinable", "empty-family", "empty-member-family"])
+    def test_transitivity_with_an_empty_member(self, extra):
+        psi = self._psi_with_choices(3, 2, extra)
+        got = plus_step(psi, "transitivity", 200)
+        assert got == reference_plus_step(psi, "transitivity", 200)
+        assert all(not m.is_empty for f in got.families - psi.families for m in f)
+
     def test_max_opens_truncation(self):
         psi = CovCollection.from_specs([finite_family([open_iv(0, 2)]),
                                         finite_family([open_iv(1, 3)])])
@@ -847,6 +890,20 @@ class TestFamilyCache:
                 assert a == b == want
                 assert str(a) == str(want)
 
+    def test_open_test_memo_is_the_interior_test(self):
+        # every (set, topology) pair the battery asks: the probe corpus and
+        # the axiom probe's opens, against all six topologies; a miss, then a hit
+        sets = set(probe_corpus()) | {u for l in CORPUS for u in default_probe_battery(l)[0]}
+        is_open_in.cache_clear()
+        for _ in range(2):
+            for a in sets:
+                for kind in TopologyKind:
+                    assert is_open_in(a, kind) == (a.interior(kind) == a), (str(a), kind)
+        info = is_open_in.cache_info()
+        assert info.misses == len(sets) * len(TopologyKind) <= info.hits
+        assert any(is_open_in(a, k) for a in sets for k in TopologyKind)
+        assert not all(is_open_in(a, k) for a in sets for k in TopologyKind)
+
     def test_construction_refuses_floats_and_fractional_indices(self):
         assert type(Fan(0, 1).lo) is type(Periodic(closed(0, 1), 2).period) is F
         assert type(Split(1, Fan(0, 1), Fan(0, 1)).cut) is F
@@ -869,7 +926,8 @@ class TestFamilyCache:
                     found[f"{mod.name}.{name}"] = obj.cache_info().maxsize
         for name in ("realset._pattern_reduce_cached", "realset._germ_op_cached",
                      "realset._materialize_cached", "covers.union_of",
-                     "covers.ess_finite_on", "covers._probes", "lines._element",
+                     "covers.ess_finite_on", "covers._probes", "covers.is_open_in",
+                     "lines._element",
                      "checkers._end_gaps"):
             assert name in found
         assert all(size is not None for size in found.values()), found

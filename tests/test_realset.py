@@ -30,6 +30,7 @@ from gtsreal.realset import (
     _complement_list,
     _intersect_lists,
     _key,
+    _mk,
     _periodize,
     affine_image,
     is_finite,
@@ -735,6 +736,98 @@ class TestOrderKeys:
         big = Interval(-BEYOND, BEYOND + F(1, 3), True, False)
         assert big.contains(BEYOND) and not big.contains(BEYOND + F(1, 3))
         assert not big.contains(POS_INF) and not big.is_point
+
+
+def _same_value(v):
+    """v built another way: an int when it is one, else a Fraction of a
+    non-reduced ratio."""
+    if not is_finite(v):
+        return v
+    return v.numerator if v.denominator == 1 else F(7 * v.numerator, 7 * v.denominator)
+
+
+@st.composite
+def interval_args(draw):
+    """(lo, hi, lo_closed, hi_closed) of a valid interval on `key_points`."""
+    v, w = sorted((draw(key_points()), draw(key_points())), key=lambda x: exact_key(x, 0))
+    assume(v != w or is_finite(v))
+    if v == w:
+        return v, w, True, True
+    return v, w, draw(st.booleans()) and is_finite(v), draw(st.booleans()) and is_finite(w)
+
+
+class TestIntervalHash:
+    """An interval hashes by the order keys its equality compares."""
+
+    @settings(max_examples=400, deadline=None)
+    @given(interval_args())
+    def test_equal_intervals_hash_equal(self, args):
+        v, w, lc, hc = args
+        a = Interval(v, w, lc, hc)
+        b = _mk(_same_value(v), _same_value(w), lc, hc)
+        c = a.shift(F(1, 3)).shift(F(-1, 3))
+        assert a == b == c and hash(a) == hash(b) == hash(c)
+
+    @pytest.mark.parametrize("a, b", [
+        (Interval(0, 1, True, False), Interval(F(0), F(1), True, False)),
+        (Interval(-2, 0, False, True), Interval(F(-4, 2), F(0), False, True)),
+        (Interval(F(1, 7), F(1, 3), False, True), Interval(F(2, 14), F(3, 9), False, True)),
+        (Interval(F(1, 3), F(1, 3), True, True), Interval(F(1, 7) * F(7, 3), F(1, 3), True, True)),
+        (Interval(BEYOND, BEYOND + 1, True, True), Interval(2 ** 1024, 2 ** 1024 + 1, True, True)),
+        (Interval(-BEYOND - F(1, 3), FMAX + 2 ** 970, False, False),
+         Interval(F(-3 * 2 ** 1024 - 1, 3), F(FMAX) + 2 ** 970, False, False)),
+        (Interval(NEG_INF, POS_INF, False, False), REALS.core[0]),
+        (Interval(NEG_INF, 0, False, True), Interval(-math.inf, F(0), False, True)),
+        (Interval(F(1, 8), POS_INF, True, False), (~interval(NEG_INF, F(1, 8))).core[0]),
+    ], ids=str)
+    def test_pinned_equal_intervals_hash_equal(self, a, b):
+        assert a == b and hash(a) == hash(b)
+
+    def test_distinct_ends_hash_apart(self):
+        flags = [(lc, hc) for lc in (True, False) for hc in (True, False)]
+        for lo, hi in ((0, 1), (F(1, 3), F(1, 7) + 1), (BEYOND, 2 * BEYOND)):
+            built = [(Interval(lo, hi, lc, hc), Interval(F(lo), F(hi), lc, hc)) for lc, hc in flags]
+            assert all(a == b and hash(a) == hash(b) for a, b in built)
+            assert len({hash(a) for a, _ in built}) == 4
+        # a hash of the start alone would put these in one bucket
+        assert len({hash(closed(0, F(k, 8)).core[0]) for k in range(1, 65)}) == 64
+
+    def test_equal_realsets_built_apart_hash_equal(self):
+        pairs = [
+            (closed(0, 1) | closed(1, 2), closed(F(0), F(2))),
+            (closed_open(0, 1) | open_iv(F(1, 3), 3) | point(3), closed(0, 3)),
+            (~~open_iv(F(1, 3), F(8, 7)), open_iv(F(2, 6), F(16, 14))),
+            (points([1, F(1, 3)]), point(F(1, 3)) | point(F(3, 3))),
+            (closed(0, 5).shift(F(1, 3)), closed(F(1, 3), F(16, 3))),
+            (normalize([Interval(BEYOND, BEYOND + 2, True, False), Interval(BEYOND + 1, BEYOND + 3,
+                                                                            True, True)]),
+             closed(2 ** 1024, 2 ** 1024 + 3)),
+            (interval(NEG_INF, 0) | interval(0, POS_INF, False, False), ~point(0)),
+            (tail_set(HALF_OPEN_PATTERN, 1, 2, "right") | EMPTY,
+             tail_set(HALF_OPEN_PATTERN, F(1), F(2), "right")),
+            (LEFT_HALF.shift(1).shift(-1), LEFT_HALF),
+        ]
+        for a, b in pairs:
+            assert a == b and hash(a) == hash(b), (str(a), str(b))
+        assert len({a for a, _ in pairs} | {b for _, b in pairs}) == len(pairs)
+
+    def test_hashing_grid_intervals_hashes_no_fraction(self, monkeypatch):
+        rng = random.Random(7006)
+        ends = [NEG_INF, POS_INF] + [F(k, 8) for k in range(-64, 65)]
+        ivs = []
+        for _ in range(400):
+            v, w = sorted(rng.sample(ends, 2), key=lambda x: exact_key(x, 0))
+            ivs.append(Interval(v, w, is_finite(v) and rng.random() < 0.5,
+                                is_finite(w) and rng.random() < 0.5))
+        sets = [normalize(rng.sample(ivs, 3)) for _ in range(100)]
+        calls = []
+        fraction_hash = F.__hash__
+        monkeypatch.setattr(F, "__hash__", lambda x: calls.append(x) or fraction_hash(x))
+        assert hash(F(1, 3)) == fraction_hash(F(1, 3)) and len(calls) == 1
+        del calls[:]
+        seen = {*ivs, *sets}
+        assert len(seen) > 300 and all(iv in seen for iv in ivs)
+        assert calls == []
 
 
 class TestAffineImage:
