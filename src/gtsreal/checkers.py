@@ -55,6 +55,7 @@ from gtsreal.realset import (
     is_finite,
     point,
     rat,
+    union_all,
 )
 
 
@@ -98,23 +99,15 @@ class PiecewiseAffineMap:
         return s * q + c
 
     def image(self, a: RealSet) -> RealSet:
-        out = EMPTY
-        for cell, (s, c) in zip(self.windows(), self.pieces):
-            part = a.intersect(cell)
-            if part.is_empty:
-                continue
-            out = out.union(affine_image(part, s, c))
-        return out
+        parts = (a.intersect(cell) for cell in self.windows())
+        return union_all(affine_image(part, s, c)
+                         for part, (s, c) in zip(parts, self.pieces) if not part.is_empty)
 
     def preimage(self, u: RealSet) -> RealSet:
-        out = EMPTY
-        for cell, (s, c) in zip(self.windows(), self.pieces):
-            if s == 0:
-                got = cell if u.contains_point(c) else EMPTY
-            else:
-                got = affine_image(u, Fraction(1) / s, -c / s).intersect(cell)
-            out = out.union(got)
-        return out
+        return union_all(
+            (cell if u.contains_point(c) else EMPTY) if s == 0
+            else affine_image(u, Fraction(1) / s, -c / s).intersect(cell)
+            for cell, (s, c) in zip(self.windows(), self.pieces))
 
     @property
     def is_increasing_affine(self) -> bool:

@@ -44,6 +44,7 @@ from gtsreal.realset import (
     interval,
     normalize,
     rat,
+    union_all,
 )
 
 
@@ -354,10 +355,7 @@ class QuasiMetric:
         if a.is_empty:
             return EMPTY
         if a.left_tail is None and a.right_tail is None:
-            out = EMPTY
-            for piece in a.core:
-                out = out.union(self._expand_piece(piece, d))
-            return out
+            return union_all(self._expand_piece(piece, d) for piece in a.core)
         if not self.translation_invariant:
             raise UnsupportedCombinationError(
                 f"nbhd of a periodic-tail set under non-translation-invariant "

@@ -414,10 +414,12 @@ class _Parser:
             lc, lo, hc, hi = self.read("(open|closed EXT, open|closed EXT)")
             return realset.interval(lo, hi, lc == "closed" and lo != NEG_INF,
                                     hc == "closed" and hi != POS_INF)
-        if w in ("union", "intersect"):
+        if w == "union":
+            return realset.union_all(self.list_of(self.set_expr))
+        if w == "intersect":
             out, *rest = self.list_of(self.set_expr)
             for a in rest:
-                out = out.union(a) if w == "union" else out.intersect(a)
+                out = out.intersect(a)
             return out
         if w == "complement":
             return self.read("(SET)")[0].complement()

@@ -20,7 +20,8 @@ Every tail, germ and periodic family is a pattern's translates laid over a
 window, and `_periodize` is the one place that lays them out.  The germs
 (the behaviour toward -inf or +inf: `_EMPTY_GERM`, `_FULL_GERM` or
 ("per", pattern, period)) never leave this module; callers read a set's
-tails, and `union_of_translates` builds the union of a seed's translates.
+tails, `union_of_translates` builds the union of a seed's translates, and
+`union_all` the union of n sets.
 """
 
 from __future__ import annotations
@@ -979,26 +980,76 @@ def _assemble(window_pieces: Tuple[Interval, ...], lgerm, rgerm,
     return _canonical(tuple(core), ltail, rtail)
 
 
+def _misread(pattern: Sequence[Interval], period: Fraction) -> bool:
+    """True when `_pattern_reduce_cached`'s `>=` test reads the pattern as
+    the full germ without computing its trace (ROADMAP item 1)."""
+    return any(iv.hi - iv.lo >= period for iv in pattern)
+
+
+def union_all(sets: Iterable[RealSet]) -> RealSet:
+    """The union of the sets: the RealSet that folding RealSet.union over
+    them gives.  Tail-free operands take one merge of all their pieces, and
+    operands with at most one tail on each side one canonicalization of all
+    their cores and those tails.  Two tails on one side, or a tail whose
+    pattern `_misread` flags, take the pairwise fold: its answer combines
+    the germs, and for a flagged pattern it differs from the one-pass
+    answer."""
+    sets = [s for s in sets if not s.is_empty]
+    if len(sets) == 1:
+        return sets[0]
+    ltails = [s.left_tail for s in sets if s.left_tail is not None]
+    rtails = [s.right_tail for s in sets if s.right_tail is not None]
+    cores = tuple(iv for s in sets for iv in s.core)
+    if not ltails and not rtails:
+        return RealSet(merge_intervals(cores))
+    if len(ltails) > 1 or len(rtails) > 1 or \
+            any(_misread(t.pattern, t.period) for t in ltails + rtails):
+        out = EMPTY
+        for s in sets:
+            out = out.union(s)
+        return out
+    return _canonical(cores, ltails[0] if ltails else None, rtails[0] if rtails else None)
+
+
 def union_of_translates(seed: RealSet, period: Fraction,
                         k_min: Optional[int] = None, k_max: Optional[int] = None) -> RealSet:
     """The union of the translates seed + k*period over k_min <= k <= k_max,
     where a bound of None is unbounded; the seed must be nonempty, bounded
-    and tail-free.  It is the trace on a window that holds the translates
-    k_min and k_max, plus the seed's germ past the window on a side without
-    a bound."""
+    and tail-free.
+
+    Over all indices the union is periodic: REALS when the seed's
+    translates fill [0, period), else the one tail pair cut at 0 that
+    `_canonical` gives a fully periodic set.  Otherwise it is the trace on a
+    window that holds the translates k_min and k_max, plus the seed's germ
+    past the window on a side without a bound.
+
+    Over all indices, the patterns that `_misread` flags keep the window:
+    their answers hold the window's edges, the defect of ROADMAP item 1.
+    That all-index window is to be deleted when item 1 is mended."""
     core = seed.core
+    germ = _pattern_reduce(core, period)
+    zero = Fraction(0)
+    if k_min is None and k_max is None:
+        if germ[0] == "per" and not _misread(germ[1], germ[2]):
+            pat, p = germ[1], germ[2]
+            core0 = _clip(_periodize(pat, p, -p, p), zero, zero)
+            return RealSet(core0, PeriodicTail(pat, p, "left", zero),
+                           PeriodicTail(pat, p, "right", zero))
+        if germ == _FULL_GERM:
+            trace = _clip(_periodize(core, period, zero, period), zero, period, True, False)
+            if trace == (Interval(zero, period, True, False),):
+                return REALS
     lo_v, hi_v = core[0].lo, core[-1].hi
     span = hi_v - lo_v
     # a full germ's half-line starts at the window edge, so these edges are
     # part of the answers for the patterns that _pattern_reduce_cached's
-    # `>=` test reads as full
+    # `>=` test misreads as full
     if k_min is None and k_max is None:
         lo_w = lo_v - 2 * period - span - 2
         hi_w = hi_v + 2 * period + span + 2
     else:
         lo_w = lo_v + (k_min if k_min is not None else k_max - 4) * period - 1
         hi_w = hi_v + (k_max if k_max is not None else k_min + 4) * period + 1
-    germ = _pattern_reduce(core, period)
     window = _periodize(core, period, lo_w, hi_w, k_min, k_max)
     return _assemble(window, germ if k_min is None else _EMPTY_GERM,
                      germ if k_max is None else _EMPTY_GERM, lo_w, hi_w)

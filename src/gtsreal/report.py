@@ -352,8 +352,10 @@ def _section_wls(records):
                "small opens cannot cover the line")
 
 
-def restriction_generation_battery(n_instances: int = 50,
-                                   depth: int = 4) -> Tuple[int, int, list]:
+RESTRICTION_INSTANCES = 50   # random (Psi, Y) instances of the battery
+
+
+def restriction_generation_battery(depth: int = 4) -> Tuple[int, int, list]:
     """Randomized restriction/generation agreement: membership in
     EssFin(L_Y[U(Psi n2 Y)]) must match bounded generation over Y.
 
@@ -364,7 +366,7 @@ def restriction_generation_battery(n_instances: int = 50,
     windows = [closed(-1, 3), closed(0, 4), closed(-2, 5), open_iv(-1, 4)]
     agreements = truncations = 0
     disagreements = []
-    for _ in range(n_instances):
+    for _ in range(RESTRICTION_INSTANCES):
         gens = rng.sample(pool, rng.randint(1, 2))
         y = rng.choice(windows)
         psi_specs = [finite_family([g]) for g in gens]

@@ -2,8 +2,11 @@
 
 from __future__ import annotations
 
+import itertools
 import random
 from fractions import Fraction
+from math import comb
+from typing import Optional, Sequence
 
 from gtsreal.covers import (
     ALL_INDICES,
@@ -17,14 +20,19 @@ from gtsreal.covers import (
 )
 from gtsreal.lines import ALL_SETS, FB, LB, NAT_BOUNDED, UB, BaseSchema, metric_bounded
 from gtsreal.lines import probe_corpus  # noqa: F401
+from gtsreal.oracles import MAX_CHECKS, OracleRefusal
 from gtsreal.qmetric import ALL_METRICS
 from gtsreal.realset import (
+    _EMPTY_GERM,
     EMPTY,
     NEG_INF,
     POS_INF,
     Interval,
     RealSet,
     TopologyKind,
+    _assemble,
+    _pattern_reduce,
+    _periodize,
     interval,
     normalize,
     open_iv,
@@ -202,3 +210,59 @@ def oracle_interior_member(a: RealSet, x: Fraction, kind: TopologyKind, depth=20
         return a.contains_point(x)
     nb = _basic_nbhd(x, Fraction(1, 2**depth), kind)
     return nb.is_subset(a)
+
+
+# ---------------------------------------------------------------------------
+# references for the pruned and closed-form paths
+# ---------------------------------------------------------------------------
+
+def reference_oracle(truncated_members: Sequence[RealSet], k_set: RealSet,
+                     max_subfamily: int = 8,
+                     full_union: Optional[RealSet] = None) -> bool:
+    """oracles.oracle_ess_finite as a plain enumeration: every subfamily of
+    at most max_subfamily nonempty members, by size, is tried as a cover of
+    the trace, with the same refusals."""
+    mats = [m for m in truncated_members if not m.is_empty]
+    avail = EMPTY
+    for m in mats:
+        avail = avail.union(m)
+    trace = k_set.intersect(full_union if full_union is not None else avail)
+    if not trace.is_subset(avail):
+        raise OracleRefusal("window does not cover K n UF")
+    total = sum(comb(len(mats), s) for s in range(0, max_subfamily + 1))
+    if total > MAX_CHECKS:
+        raise OracleRefusal(f"{total} candidate subfamilies exceed the budget")
+    if trace.is_empty:
+        return True
+    if max_subfamily >= 1 and any(trace.is_subset(m) for m in mats):
+        return True
+    for size in range(2, max_subfamily + 1):
+        for combo in itertools.combinations(mats, size):
+            u = EMPTY
+            for m in combo:
+                u = u.union(m)
+            if trace.is_subset(u):
+                return True
+    return False
+
+
+def reference_union_of_translates(seed: RealSet, period: Fraction,
+                                  k_min: Optional[int] = None,
+                                  k_max: Optional[int] = None) -> RealSet:
+    """realset.union_of_translates as the window trace for every index
+    range: the translates laid out on a window that holds the translates
+    k_min and k_max (for all indices, one two periods and the seed's span
+    wider than the seed on each side), plus the seed's germ past it."""
+    core = seed.core
+    lo_v, hi_v = core[0].lo, core[-1].hi
+    span = hi_v - lo_v
+    if k_min is None and k_max is None:
+        lo_w = lo_v - 2 * period - span - 2
+        hi_w = hi_v + 2 * period + span + 2
+    else:
+        lo_w = lo_v + (k_min if k_min is not None else k_max - 4) * period - 1
+        hi_w = hi_v + (k_max if k_max is not None else k_min + 4) * period + 1
+    germ = _pattern_reduce(core, period)
+    window = _periodize(core, period, lo_w, hi_w, k_min, k_max)
+    return _assemble(window, germ if k_min is None else _EMPTY_GERM,
+                     germ if k_max is None else _EMPTY_GERM, lo_w, hi_w)

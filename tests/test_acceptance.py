@@ -415,7 +415,7 @@ def test_criterion_7_metric_axioms_and_balls():
 # ---------------------------------------------------------------------------
 
 def test_criterion_8_restriction_generation():
-    agreements, truncations, disagreements = restriction_generation_battery(n_instances=50)
+    agreements, truncations, disagreements = restriction_generation_battery()
     assert not disagreements, disagreements[:3]
     assert agreements >= 50
     announce(8, "restriction/generation battery",
