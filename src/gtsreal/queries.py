@@ -72,6 +72,7 @@ from gtsreal.realset import (
     REALS,
     ConstructionError,
     Interval,
+    PeriodicTail,
     RealSet,
     TopologyKind,
 )
@@ -135,14 +136,21 @@ class ParseError(ValueError):
         self.col = col
 
 
+# One match per token: the blanks and the comment before a token are part of
+# its match.  "bad" takes any other character and "end" the end of input, so
+# the matches of `finditer` are contiguous and the last one ends the text.
 _TOKEN = re.compile(r"""
-    (?P<ws>[ \t]+)
-  | (?P<comment>\#[^\n]*)
-  | (?P<newline>\n)
-  | (?P<ninf>-inf\b)
-  | (?P<rat>-?\d+(?:/\d+)?)
-  | (?P<name>[A-Za-z_][A-Za-z0-9_]*(?:/[A-Za-z_][A-Za-z0-9_]*)?)
-  | (?P<punct>[(),=;])
+    [ \t]*(?:\#[^\n]*)?
+    (?:
+        (?P<newline>\n)
+      | (?P<ninf>-inf\b)
+      | (?P<rat>-?\d+(?:/\d+)?)
+      | (?P<name>[A-Za-z_][A-Za-z0-9_]*(?:/[A-Za-z_][A-Za-z0-9_]*)?)
+      | (?P<sep>;)
+      | (?P<punct>[(),=])
+      | (?P<bad>.)
+      | (?P<end>\Z)
+    )
 """, re.VERBOSE)
 
 
@@ -154,30 +162,31 @@ class Token(NamedTuple):
 
 
 def _tokenize(text: str) -> list:
-    """The tokens of `text`, in one pass of `_TOKEN`, ending with an "end"
+    """The tokens of `text`, one `_TOKEN` match each, ending with an "end"
     token at the last token's position.  Newlines and ';' become "sep"
     tokens; whitespace and comments are dropped."""
     out = []
-    line, line_start, pos = 1, 0, 0
+    # tuple.__new__ builds a Token without the Python-level call of its
+    # NamedTuple constructor: a document has about a hundred tokens
+    new = tuple.__new__
+    line, line_start = 1, 0
     for m in _TOKEN.finditer(text):
-        start = m.start()
-        if start != pos:
-            break
-        pos = m.end()
         kind = m.lastgroup
-        if kind == "ws" or kind == "comment":
-            continue
-        col = start - line_start + 1
-        if kind == "newline":
-            out.append(Token("sep", ";", line, col))
-            line += 1
-            line_start = pos
-        elif kind == "punct" and text[start] == ";":
-            out.append(Token("sep", ";", line, col))
+        start = m.start(kind)
+        if kind == "name" or kind == "punct" or kind == "rat":
+            out.append(new(Token, (kind, m.group(kind), line, start - line_start + 1)))
+        elif kind == "newline" or kind == "sep":
+            out.append(new(Token, ("sep", ";", line, start - line_start + 1)))
+            if kind == "newline":
+                line += 1
+                line_start = start + 1
+        elif kind == "ninf":
+            out.append(new(Token, ("name", "-inf", line, start - line_start + 1)))
+        elif kind == "end":
+            break
         else:
-            out.append(Token("name" if kind == "ninf" else kind, m.group(), line, col))
-    if pos != len(text):
-        raise ParseError(f"unexpected character {text[pos]!r}", line, pos - line_start + 1)
+            raise ParseError(f"unexpected character {text[start]!r}", line,
+                             start - line_start + 1)
     last = out[-1] if out else Token("", "", 1, 1)
     out.append(Token("end", "", last.line, last.col))
     return out
@@ -415,7 +424,7 @@ class _Parser:
             return realset.interval(lo, hi, lc == "closed" and lo != NEG_INF,
                                     hc == "closed" and hi != POS_INF)
         if w == "union":
-            return realset.union_all(self.list_of(self.set_expr))
+            return self.union_expr()
         if w == "intersect":
             out, *rest = self.list_of(self.set_expr)
             for a in rest:
@@ -430,11 +439,44 @@ class _Parser:
             a, k = self.read("(SET, KIND)")
             return a.closure(k) if w == "closure" else a.interior(k)
         if w == "tail":
-            side, pattern, period, cut = self.read("(left|right, SET, RAT, RAT)")
-            return realset.with_tails(EMPTY, **{side: (tuple(pattern.core), period, cut)})
+            return _tail_set(self.raw_tail())
         if w in self.doc.sets:
             return self.doc.sets[w]
         raise ParseError(f"unknown identifier {w!r} (expected a set)", t.line, t.col)
+
+    def raw_tail(self) -> PeriodicTail:
+        """The parts of tail(...), after its keyword, as a raw tail: its
+        pattern is the core of the SET read, not yet reduced."""
+        side, pattern, period, cut = self.read("(left|right, SET, RAT, RAT)")
+        return PeriodicTail(pattern.core, period, side, cut)
+
+    def union_operand(self):
+        """A SET, or a raw tail when the operand is tail(...)."""
+        if self.at("tail"):
+            self.next()
+            return self.raw_tail()
+        return self.set_expr()
+
+    def union_expr(self) -> RealSet:
+        """union(SET, ...).  Its tail(...) operands are read raw and
+        canonicalized once, with the other operands' pieces, unless an other
+        operand has a tail, two raw tails share a side or `misread_tail`
+        flags one.  Then each raw tail is canonicalized alone and
+        `union_all` takes the operands, in order: for a flagged tail its
+        pairwise fold answers differently (ROADMAP item 1)."""
+        operands = self.list_of(self.union_operand)
+        tails = [x for x in operands if isinstance(x, PeriodicTail)]
+        if not tails:
+            return realset.union_all(operands)
+        sets = [x for x in operands if isinstance(x, RealSet)]
+        sides = {t.direction: t for t in tails}
+        if len(sides) == len(tails) and \
+                all(s.left_tail is None and s.right_tail is None for s in sets) and \
+                not any(realset.misread_tail(t) for t in tails):
+            return realset.normalize([iv for s in sets for iv in s.core],
+                                     sides.get("left"), sides.get("right"))
+        return realset.union_all([_tail_set(x) if isinstance(x, PeriodicTail) else x
+                                  for x in operands])
 
     def kind(self) -> TopologyKind:
         return _KINDS[self.one_of(_KINDS)]
@@ -547,6 +589,11 @@ class _Parser:
         if t.text not in self.doc.collections:
             raise ParseError(f"unknown collection {t.text!r}", t.line, t.col)
         return self.doc.collections[t.text]
+
+
+def _tail_set(t: PeriodicTail) -> RealSet:
+    """The canonical set of one raw tail."""
+    return realset.normalize((), *((t, None) if t.direction == "left" else (None, t)))
 
 
 def _int(digits: str, t: Token) -> int:

@@ -986,6 +986,13 @@ def _misread(pattern: Sequence[Interval], period: Fraction) -> bool:
     return any(iv.hi - iv.lo >= period for iv in pattern)
 
 
+def misread_tail(tail: PeriodicTail) -> bool:
+    """True when `_misread` flags the germ that a raw tail's pattern reduces
+    to; `union_all` folds a union with that tail pairwise."""
+    germ = _pattern_reduce(tail.pattern, tail.period)
+    return germ[0] == "per" and _misread(germ[1], germ[2])
+
+
 def union_all(sets: Iterable[RealSet]) -> RealSet:
     """The union of the sets: the RealSet that folding RealSet.union over
     them gives.  Tail-free operands take one merge of all their pieces, and
@@ -1015,31 +1022,61 @@ def union_of_translates(seed: RealSet, period: Fraction,
                         k_min: Optional[int] = None, k_max: Optional[int] = None) -> RealSet:
     """The union of the translates seed + k*period over k_min <= k <= k_max,
     where a bound of None is unbounded; the seed must be nonempty, bounded
-    and tail-free.
+    and tail-free.  Every range has a closed form:
 
-    Over all indices the union is periodic: REALS when the seed's
-    translates fill [0, period), else the one tail pair cut at 0 that
-    `_canonical` gives a fully periodic set.  Otherwise it is the trace on a
-    window that holds the translates k_min and k_max, plus the seed's germ
-    past the window on a side without a bound.
+    - a finite range is the merge of its translates;
+    - over all indices the union is periodic: `REALS` when the seed's
+      translates fill [0, period), else the one tail pair cut at 0 that
+      `_canonical` gives a fully periodic set;
+    - over k >= k_min the union U agrees with the seed's germ G past
+      hi + (k_min - 1)*period, where hi is the seed's sup, and G - U meets
+      [a - period, a) for a = lo + k_min*period; so the canonical cut is the
+      end of the last piece of G - U on [a - 2*period, hi + k_min*period],
+      and U is its trace below the cut plus G (a tail or, for a full germ, a
+      half-line) above it.  k <= k_max is the mirror image.
 
-    Over all indices, the patterns that `_misread` flags keep the window:
-    their answers hold the window's edges, the defect of ROADMAP item 1.
-    That all-index window is to be deleted when item 1 is mended."""
+    For a range with an unbounded side, the patterns that `_misread` flags
+    are laid out on a window instead: their answers hold the window's
+    edges, the defect of ROADMAP item 1.  That window is to be deleted when
+    item 1 is mended."""
     core = seed.core
+    lo_v, hi_v = core[0].lo, core[-1].hi
+    if k_min is not None and k_max is not None:
+        return RealSet(merge_intervals(iv.shift(k * period)
+                                       for k in range(k_min, k_max + 1) for iv in core))
     germ = _pattern_reduce(core, period)
     zero = Fraction(0)
-    if k_min is None and k_max is None:
-        if germ[0] == "per" and not _misread(germ[1], germ[2]):
+    if germ[0] == "per":
+        closed_form = not _misread(germ[1], germ[2])
+    else:
+        trace = _clip(_periodize(core, period, zero, period), zero, period, True, False)
+        closed_form = trace == (Interval(zero, period, True, False),)
+    if closed_form:
+        full = germ == _FULL_GERM
+        if k_min is None and k_max is None:
+            if full:
+                return REALS
             pat, p = germ[1], germ[2]
             core0 = _clip(_periodize(pat, p, -p, p), zero, zero)
             return RealSet(core0, PeriodicTail(pat, p, "left", zero),
                            PeriodicTail(pat, p, "right", zero))
-        if germ == _FULL_GERM:
-            trace = _clip(_periodize(core, period, zero, period), zero, period, True, False)
-            if trace == (Interval(zero, period, True, False),):
-                return REALS
-    lo_v, hi_v = core[0].lo, core[-1].hi
+        if k_max is None:
+            w_lo, w_hi = lo_v + (k_min - 2) * period, hi_v + k_min * period
+        else:
+            w_lo, w_hi = lo_v + k_max * period, hi_v + (k_max + 2) * period
+        window = _periodize(core, period, w_lo, w_hi, k_min, k_max)
+        diff = _symdiff_lists(_germ_trace(germ, w_lo, w_hi), window)
+        if k_max is None:
+            cut = diff[-1].hi
+            part = _clip(window, w_lo, cut)
+            if full:
+                return RealSet(merge_intervals(part + (Interval(cut, POS_INF, False, False),)))
+            return RealSet(part, None, PeriodicTail(germ[1], germ[2], "right", cut))
+        cut = diff[0].lo
+        part = _clip(window, cut, w_hi)
+        if full:
+            return RealSet(merge_intervals((Interval(NEG_INF, cut, False, False),) + part))
+        return RealSet(part, PeriodicTail(germ[1], germ[2], "left", cut), None)
     span = hi_v - lo_v
     # a full germ's half-line starts at the window edge, so these edges are
     # part of the answers for the patterns that _pattern_reduce_cached's

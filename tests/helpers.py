@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import itertools
 import random
+import re
 from fractions import Fraction
 from math import comb
 from typing import Optional, Sequence
@@ -22,6 +23,7 @@ from gtsreal.lines import ALL_SETS, FB, LB, NAT_BOUNDED, UB, BaseSchema, metric_
 from gtsreal.lines import probe_corpus  # noqa: F401
 from gtsreal.oracles import MAX_CHECKS, OracleRefusal
 from gtsreal.qmetric import ALL_METRICS
+from gtsreal.queries import ParseError, Token, _Parser
 from gtsreal.realset import (
     _EMPTY_GERM,
     EMPTY,
@@ -36,6 +38,7 @@ from gtsreal.realset import (
     interval,
     normalize,
     open_iv,
+    union_all,
     with_tails,
 )
 
@@ -266,3 +269,62 @@ def reference_union_of_translates(seed: RealSet, period: Fraction,
     window = _periodize(core, period, lo_w, hi_w, k_min, k_max)
     return _assemble(window, germ if k_min is None else _EMPTY_GERM,
                      germ if k_max is None else _EMPTY_GERM, lo_w, hi_w)
+
+
+# ---------------------------------------------------------------------------
+# references for the query front end
+# ---------------------------------------------------------------------------
+
+_REFERENCE_TOKEN = re.compile(r"""
+    (?P<ws>[ \t]+)
+  | (?P<comment>\#[^\n]*)
+  | (?P<newline>\n)
+  | (?P<ninf>-inf\b)
+  | (?P<rat>-?\d+(?:/\d+)?)
+  | (?P<name>[A-Za-z_][A-Za-z0-9_]*(?:/[A-Za-z_][A-Za-z0-9_]*)?)
+  | (?P<punct>[(),=;])
+""", re.VERBOSE)
+
+
+def reference_tokenize(text: str) -> list:
+    """queries._tokenize with whitespace and comments as matches of their
+    own: one pass of finditer that stops at the first gap between matches."""
+    out = []
+    line, line_start, pos = 1, 0, 0
+    for m in _REFERENCE_TOKEN.finditer(text):
+        start = m.start()
+        if start != pos:
+            break
+        pos = m.end()
+        kind = m.lastgroup
+        if kind == "ws" or kind == "comment":
+            continue
+        col = start - line_start + 1
+        if kind == "newline":
+            out.append(Token("sep", ";", line, col))
+            line += 1
+            line_start = pos
+        elif kind == "punct" and text[start] == ";":
+            out.append(Token("sep", ";", line, col))
+        else:
+            out.append(Token("name" if kind == "ninf" else kind, m.group(), line, col))
+    if pos != len(text):
+        raise ParseError(f"unexpected character {text[pos]!r}", line, pos - line_start + 1)
+    last = out[-1] if out else Token("", "", 1, 1)
+    out.append(Token("end", "", last.line, last.col))
+    return out
+
+
+class ReferenceParser(_Parser):
+    """The query parser with every tail(...) canonicalized alone, by
+    `with_tails`, and union(...) as `union_all` of its canonical operands."""
+
+    def set_expr(self) -> RealSet:
+        if self.at("tail"):
+            self.next()
+            side, pattern, period, cut = self.read("(left|right, SET, RAT, RAT)")
+            return with_tails(EMPTY, **{side: (tuple(pattern.core), period, cut)})
+        return super().set_expr()
+
+    def union_expr(self) -> RealSet:
+        return union_all(self.list_of(self.set_expr))

@@ -139,14 +139,30 @@ class TestClosedFormTranslates:
         assert got == want
         assert str(got) == str(want)
 
-    @settings(max_examples=100, deadline=None)
+    @settings(max_examples=300, deadline=None)
     @given(seeds(), PERIODS, st.integers(-3, 3), st.integers(0, 3),
            st.sampled_from(("up", "down", "both")))
+    # per range shape: germs the kernel misreads (as full, and as an open
+    # piece one reduced period long), full germs, and a periodic germ whose
+    # translates overlap
+    @example(open_iv(0, 1), F(1), 2, 0, "up")
+    @example(open_iv(0, 1), F(1), -2, 0, "down")
+    @example(open_iv(0, 1), F(1), -1, 3, "both")
+    @example(open_iv(0, 1) | open_iv(1, 2), F(2), 1, 0, "up")
+    @example(open_iv(0, 1) | open_iv(1, 2), F(2), 1, 0, "down")
+    @example(open_iv(0, 1) | open_iv(1, 2), F(2), 1, 2, "both")
+    @example(closed(0, 1), F(1), -3, 0, "up")
+    @example(closed(0, 1), F(1), 3, 0, "down")
+    @example(open_iv(0, 2), F(1), 0, 3, "both")
+    @example(closed(0, F(1, 4)) | closed(1, F(5, 4)), F(1, 2), 1, 0, "up")
+    @example(closed(0, F(1, 4)) | closed(1, F(5, 4)), F(1, 2), 1, 0, "down")
     def test_one_sided_and_finite_ranges_match_the_window(self, seed, period, k, n, shape):
         k_min = None if shape == "down" else k
         k_max = None if shape == "up" else k + n
-        assert union_of_translates(seed, period, k_min, k_max) == \
-            reference_union_of_translates(seed, period, k_min, k_max)
+        got = union_of_translates(seed, period, k_min, k_max)
+        want = reference_union_of_translates(seed, period, k_min, k_max)
+        assert got == want
+        assert str(got) == str(want)
 
     def test_closed_forms(self):
         assert union_of_translates(closed(0, 1), F(1)) == REALS
