@@ -4,7 +4,9 @@ procedures over them.  `gtsreal print-grammar` documents the surface.
 
 `QUERIES` is the one list of query kinds.  Each row holds the argument
 grammar, which the parser reads and `print-grammar` prints, and the
-evaluator, which `report.run` calls.
+evaluator, which `report.run` calls.  `EXPRESSIONS` holds the same kind of
+rows for the constructors of sets, families, index ranges, metrics,
+bornologies and maps: one reader, `_Parser.expr`, reads them all.
 """
 
 from __future__ import annotations
@@ -13,7 +15,7 @@ import re
 import sys
 from dataclasses import dataclass, field
 from fractions import Fraction
-from functools import lru_cache
+from functools import lru_cache, reduce
 from typing import Callable, NamedTuple, Tuple
 
 from gtsreal import lines, oracles, realset
@@ -88,41 +90,19 @@ Statements are separated by ';' or newlines; '#' starts a comment.
   map NAME = MAP              collection NAME = collection(FAMILY, ...) [in SET]
   query ...
 
-Rationals are exact: 3, -7/2, inf, -inf.  KIND is one of nat, upper, lower,
-sorg_r, sorg_l, discrete.  LINE is e.g. standard/lst or sorgenfrey/om.
-COLLECTION is the NAME of a collection declared above.  (X, ...) is a list
-of one or more X; ([X, ...]) may also be empty.
+A declared NAME may not be a built-in word of its kind, such as empty, point
+or d_n.  RAT is an exact rational: 3, -7/2.  EXT is a RAT, inf or -inf.  INT
+is an integer.  KIND is one of nat, upper, lower, sorg_r, sorg_l, discrete.
+LINE is e.g. standard/lst or sorgenfrey/om.  COLLECTION is the NAME of a
+collection declared above.  (X, ...) is a list of one or more X; ([X, ...])
+may also be empty.  a|b is a choice of words.
 
-SET:
-  empty | reals | point RAT | points(RAT, ...)
-  interval(open|closed RAT, open|closed RAT)
-  union(SET, ...) | intersect(SET, ...) | complement(SET)
-  difference(SET, SET) | closure(SET, KIND) | interior(SET, KIND)
-  tail(left|right, SET, RAT, RAT)        # pattern inside [0, period), period, cut
-  NAME
-
-FAMILY:
-  finite([SET, ...])
-  periodic(SET, RAT, all | from INT | upto INT | span INT INT)
-  split(RAT, FAMILY, FAMILY)
-  restricted(FAMILY, SET)
-  fan(down|up, RAT, RAT)
-  NAME
-
-METRIC:
-  d_n d_n1 d_n_plus d_n_plus_1 d_u rho_u rho_u1 rho_S rho_S1 rho_L rho_0
-  rho_0_1 rho_S_minus | conj(METRIC) | float_paper(METRIC) | NAME
-
-BORN:
-  fb | all_sets | nat_bounded | ub | lb | uf_small
-  metric_bounded(METRIC)
-  schema(open|closed AFF, open|closed AFF)   AFF: affine(RAT, RAT) | inf | -inf
-  NAME
-
-MAP:
-  affine(RAT, RAT)                            # slope, intercept
-  pieces(breaks(RAT, ...), piece(RAT, RAT), ...)
-  NAME
+tail(side, pattern, period, cut) repeats a tail-free pattern inside
+[0, period) beyond the cut.  An OPERAND is a SET; union(...) canonicalizes
+its tail(...) operands together with the others.  A MAP affine(slope,
+intercept) is x -> slope * x + intercept.  A schema end AFF is
+affine(RAT, RAT) | RAT | inf | -inf: affine(alpha, beta) is the end
+alpha + beta * n of B_n, a RAT the constant end, and inf or -inf no end.
 """
 
 # Parenthesis depth a document may nest to; deeper input is a parse error.
@@ -202,31 +182,42 @@ _NAMED_BORNS = {"fb": lines.FB, "all_sets": lines.ALL_SETS,
                 "nat_bounded": lines.NAT_BOUNDED, "ub": lines.UB,
                 "lb": lines.LB, "uf_small": lines.UF_SMALL}
 
-_METRIC_NAMES = {m.value for m in MetricName}
 
-# Upper-case grammar words: the _Parser method that reads each.
-_READERS = {
-    "SET": "set_expr", "FAMILY": "family_expr", "METRIC": "metric_expr",
-    "BORN": "born_expr", "MAP": "map_expr", "LINE": "line_id", "KIND": "kind",
-    "RAT": "rat", "INT": "int_", "COLLECTION": "collection_ref",
-    "EXT": "ext", "RANGE": "index_range", "AFF": "affine",
-}
+@dataclass(frozen=True)
+class Query:
+    """One row of a grammar table: a query kind, `query NAME <grammar>`,
+    answered by `run(*args)`, or an expression constructor, `NAME<grammar>`,
+    built by `run(*args)` right after its last token.
 
-# Declaration keyword -> (QueryDoc environment, _Parser method).
-_DECLARATION_READERS = {
-    "set": ("sets", "set_expr"), "family": ("families", "family_expr"),
-    "metric": ("metrics", "metric_expr"), "bornology": ("bornologies", "born_expr"),
-    "map": ("maps", "map_expr"), "collection": ("collections", "collection_expr"),
-}
+    In the grammar an upper-case word names a parser reader (see
+    `_READERS`), `(X, ...)` is a parenthesised list of one or more X and
+    `([X, ...])` one that may be empty, `X, ...)` ends an open list with one
+    or more X, where X may also be a keyword with its grammar, `a|b` is a
+    choice of keywords, and any other word is a keyword.  `run` gets one
+    argument per reader, list or choice, in order."""
 
-_WORD = re.compile(r"\((\[?)([A-Z]+), \.\.\.\]?\)|[(),]|[^\s(),]+")
+    grammar: str
+    run: Callable
+
+
+class Expr(NamedTuple):
+    """An expression kind: its constructor rows by keyword, the QueryDoc
+    environment of its declared names ("" for none) and its noun."""
+
+    rows: dict
+    env: str
+    noun: str
+
+
+_WORD = re.compile(r"(\((\[)?)?([A-Z]+|[a-z_]+\([^()]*\)), \.\.\.\]?\)|[(),]|[^\s(),]+")
 
 
 @lru_cache(maxsize=256)
 def _words(grammar: str) -> tuple:
-    """A grammar's words as (word, list item reader or None, list may be empty)."""
-    return tuple((m.group(), m.group(2), bool(m.group(1)))
-                 for m in _WORD.finditer(grammar))
+    """A grammar's words as (word, reader or None, list item or None, list
+    opens with '(', list may be empty)."""
+    return tuple((m.group(), _READERS.get(m.group()), m.group(3), bool(m.group(1)),
+                  bool(m.group(2))) for m in _WORD.finditer(grammar))
 
 
 @dataclass
@@ -331,15 +322,22 @@ class _Parser:
             raise ParseError(f"expected an integer, found {t.text!r}", t.line, t.col)
         return _int(t.text, t)
 
-    def list_of(self, read, empty_ok: bool = False) -> tuple:
-        """A parenthesised, comma-separated list of what `read` reads."""
-        self.expect("(")
+    def list_of(self, item: str, opens: bool, empty_ok: bool) -> tuple:
+        """A comma-separated list of `item`s up to its ')', after a '(' when
+        `opens`.  An item is a reader word or a keyword with its grammar."""
+        if opens:
+            self.expect("(")
+        if item in _READERS:
+            method, args = _READERS[item]
+            read = getattr(self, method)
+        else:
+            read, args = self.read, (item,)
         out = []
         if not (empty_ok and self.at(")")):
-            out.append(read())
+            out.append(read(*args))
             while self.at(","):
                 self.next()
-                out.append(read())
+                out.append(read(*args))
         self.expect(")")
         return tuple(out)
 
@@ -347,11 +345,11 @@ class _Parser:
         """Read the input `grammar` describes (see `Query`); return the values
         of its readers, lists and keyword choices, in order."""
         out = []
-        for word, item, empty_ok in _words(grammar):
+        for word, reader, item, opens, empty_ok in _words(grammar):
             if item is not None:
-                out.append(self.list_of(getattr(self, _READERS[item]), empty_ok))
-            elif word in _READERS:
-                out.append(getattr(self, _READERS[word])())
+                out.append(self.list_of(item, opens, empty_ok))
+            elif reader is not None:
+                out.append(getattr(self, reader[0])(*reader[1]))
             elif "|" in word:
                 out.append(self.one_of(word.split("|")))
             else:
@@ -374,11 +372,12 @@ class _Parser:
                 if t.text == "query":
                     queries.append(self.query_expr())
                 elif t.text in _DECLARATION_READERS:
-                    env_name, reader = _DECLARATION_READERS[t.text]
-                    env = getattr(self.doc, env_name)
-                    name = self._decl_name(env)
+                    kind = _DECLARATION_READERS[t.text]
+                    env = getattr(self.doc, kind.env)
+                    name = self._decl_name(env, kind)
                     self.expect("=")
-                    env[name] = getattr(self, reader)()
+                    env[name] = self.collection_expr() if kind is _COLLECTIONS \
+                        else self.expr(kind)
                 else:
                     raise ParseError(f"unknown statement {t.text!r}", t.line, t.col)
             except (ConstructionError, PreconditionError) as e:
@@ -393,8 +392,11 @@ class _Parser:
         self.doc.queries = tuple(queries)
         return self.doc
 
-    def _decl_name(self, env: dict) -> str:
+    def _decl_name(self, env: dict, kind: Expr) -> str:
         t = self.expect_name()
+        if t.text in kind.rows:
+            raise ParseError(f"cannot declare {t.text!r}: it is a built-in {kind.noun} word",
+                             t.line, t.col)
         if t.text in env:
             raise ParseError(f"duplicate declaration of {t.text!r}", t.line, t.col)
         return t.text
@@ -408,162 +410,36 @@ class _Parser:
 
     # -- expressions ---------------------------------------------------------
 
-    def set_expr(self) -> RealSet:
+    def expr(self, kind: Expr):
+        """One expression of `kind`: a row keyword and what the row's grammar
+        reads, built by the row, or a name declared in the kind's
+        environment."""
         t = self.expect_name()
-        w = t.text
-        if w == "empty":
-            return EMPTY
-        if w == "reals":
-            return REALS
-        if w == "point":
-            return realset.point(self.rat())
-        if w == "points":
-            return realset.points(self.list_of(self.rat))
-        if w == "interval":
-            lc, lo, hc, hi = self.read("(open|closed EXT, open|closed EXT)")
-            return realset.interval(lo, hi, lc == "closed" and lo != NEG_INF,
-                                    hc == "closed" and hi != POS_INF)
-        if w == "union":
-            return self.union_expr()
-        if w == "intersect":
-            out, *rest = self.list_of(self.set_expr)
-            for a in rest:
-                out = out.intersect(a)
-            return out
-        if w == "complement":
-            return self.read("(SET)")[0].complement()
-        if w == "difference":
-            a, b = self.read("(SET, SET)")
-            return a.difference(b)
-        if w in ("closure", "interior"):
-            a, k = self.read("(SET, KIND)")
-            return a.closure(k) if w == "closure" else a.interior(k)
-        if w == "tail":
-            return _tail_set(self.raw_tail())
-        if w in self.doc.sets:
-            return self.doc.sets[w]
-        raise ParseError(f"unknown identifier {w!r} (expected a set)", t.line, t.col)
-
-    def raw_tail(self) -> PeriodicTail:
-        """The parts of tail(...), after its keyword, as a raw tail: its
-        pattern is the core of the SET read, not yet reduced."""
-        side, pattern, period, cut = self.read("(left|right, SET, RAT, RAT)")
-        return PeriodicTail(pattern.core, period, side, cut)
-
-    def union_operand(self):
-        """A SET, or a raw tail when the operand is tail(...)."""
-        if self.at("tail"):
-            self.next()
-            return self.raw_tail()
-        return self.set_expr()
-
-    def union_expr(self) -> RealSet:
-        """union(SET, ...).  Its tail(...) operands are read raw and
-        canonicalized once, with the other operands' pieces, unless an other
-        operand has a tail, two raw tails share a side or `misread_tail`
-        flags one.  Then each raw tail is canonicalized alone and
-        `union_all` takes the operands, in order: for a flagged tail its
-        pairwise fold answers differently (ROADMAP item 1)."""
-        operands = self.list_of(self.union_operand)
-        tails = [x for x in operands if isinstance(x, PeriodicTail)]
-        if not tails:
-            return realset.union_all(operands)
-        sets = [x for x in operands if isinstance(x, RealSet)]
-        sides = {t.direction: t for t in tails}
-        if len(sides) == len(tails) and \
-                all(s.left_tail is None and s.right_tail is None for s in sets) and \
-                not any(realset.misread_tail(t) for t in tails):
-            return realset.normalize([iv for s in sets for iv in s.core],
-                                     sides.get("left"), sides.get("right"))
-        return realset.union_all([_tail_set(x) if isinstance(x, PeriodicTail) else x
-                                  for x in operands])
+        row = kind.rows.get(t.text)
+        if row is not None:
+            return row.run(*self.read(row.grammar)) if row.grammar else row.run()
+        if not kind.env:
+            raise ParseError(f"expected {' or '.join(kind.rows)}, found {t.text!r}",
+                             t.line, t.col)
+        env = getattr(self.doc, kind.env)
+        if t.text in env:
+            return env[t.text]
+        raise ParseError(f"unknown identifier {t.text!r} (expected a {kind.noun})",
+                         t.line, t.col)
 
     def kind(self) -> TopologyKind:
         return _KINDS[self.one_of(_KINDS)]
 
-    def family_expr(self):
-        t = self.expect_name()
-        w = t.text
-        if w == "finite":
-            return finite_family(self.list_of(self.set_expr, empty_ok=True))
-        if w == "periodic":
-            return Periodic(*self.read("(SET, RAT, RANGE)"))
-        if w == "split":
-            return Split(*self.read("(RAT, FAMILY, FAMILY)"))
-        if w == "restricted":
-            return Restricted(*self.read("(FAMILY, SET)"))
-        if w == "fan":
-            side, lo, hi = self.read("(down|up, RAT, RAT)")
-            return Fan(lo, hi, side)
-        if w in self.doc.families:
-            return self.doc.families[w]
-        raise ParseError(f"unknown identifier {w!r} (expected a family)", t.line, t.col)
-
-    def index_range(self) -> IndexRange:
-        w = self.one_of(("all", "from", "upto", "span"))
-        if w == "all":
-            return ALL_INDICES
-        if w == "from":
-            return IndexRange(self.int_(), None)
-        if w == "upto":
-            return IndexRange(None, self.int_())
-        return IndexRange(self.int_(), self.int_())
-
-    def metric_expr(self) -> QuasiMetric:
-        t = self.expect_name()
-        w = t.text
-        if w in _METRIC_NAMES:
-            return metric(w)
-        if w == "conj":
-            return self.read("(METRIC)")[0].conjugate()
-        if w == "float_paper":
-            d, = self.read("(METRIC)")
-            return QuasiMetric(d.name, PhiMode.FLOAT_PAPER, d.conjugated)
-        if w in self.doc.metrics:
-            return self.doc.metrics[w]
-        raise ParseError(f"unknown identifier {w!r} (expected a metric)", t.line, t.col)
-
-    def born_expr(self) -> Bornology:
-        t = self.expect_name()
-        w = t.text
-        if w in _NAMED_BORNS:
-            return _NAMED_BORNS[w]
-        if w == "metric_bounded":
-            return metric_bounded(*self.read("(METRIC)"))
-        if w == "schema":
-            lc, lo, hc, hi = self.read("(open|closed AFF, open|closed AFF)")
-            return custom_bornology(BaseSchema(
-                lo=lo, hi=hi, lo_closed=lc == "closed" and lo is not None,
-                hi_closed=hc == "closed" and hi is not None))
-        if w in self.doc.bornologies:
-            return self.doc.bornologies[w]
-        raise ParseError(f"unknown identifier {w!r} (expected a bornology)",
-                         t.line, t.col)
-
     def affine(self):
-        t = self.next()
-        if t.text in ("inf", "-inf"):
-            return None
-        if t.text == "affine":
-            return self.read("(RAT, RAT)")
+        """AFF: affine(RAT, RAT), a RAT, which is the pair (RAT, 0), or inf
+        or -inf, which is None."""
+        t = self.toks[self.i]
         if t.kind == "rat":
-            return (_fraction(t), Fraction(0))
-        raise ParseError("expected affine(RAT, RAT), RAT or inf", t.line, t.col)
-
-    def map_expr(self) -> PiecewiseAffineMap:
-        t = self.expect_name()
-        w = t.text
-        if w == "affine":
-            return PiecewiseAffineMap.affine(*self.read("(RAT, RAT)"))
-        if w == "pieces":
-            (head, breaks), *rest = self.list_of(lambda: self.read("breaks|piece(RAT, ...)"))
-            if head != "breaks" or any(h != "piece" or len(p) != 2 for h, p in rest):
-                raise ParseError("expected pieces(breaks(RAT, ...), piece(RAT, RAT), ...)",
-                                 t.line, t.col)
-            return PiecewiseAffineMap(breaks, tuple(p for _, p in rest))
-        if w in self.doc.maps:
-            return self.doc.maps[w]
-        raise ParseError(f"unknown identifier {w!r} (expected a map)", t.line, t.col)
+            return (self.rat(), Fraction(0))
+        if t.text == "inf" or t.text == "-inf":
+            self.i += 1
+            return None
+        return self.read("affine(RAT, RAT)")
 
     def line_id(self) -> LineId:
         t = self.expect_name()
@@ -576,12 +452,11 @@ class _Parser:
             raise ParseError(f"unknown line {t.text!r}", t.line, t.col) from None
 
     def collection_expr(self) -> CovCollection:
-        self.expect("collection")
-        fams = self.list_of(self.family_expr)
+        fams, = self.read("collection(FAMILY, ...)")
         carrier = REALS
         if self.at("in"):
             self.next()
-            carrier = self.set_expr()
+            carrier, = self.read("SET")
         return CovCollection.from_specs(fams, carrier)
 
     def collection_ref(self) -> CovCollection:
@@ -589,11 +464,6 @@ class _Parser:
         if t.text not in self.doc.collections:
             raise ParseError(f"unknown collection {t.text!r}", t.line, t.col)
         return self.doc.collections[t.text]
-
-
-def _tail_set(t: PeriodicTail) -> RealSet:
-    """The canonical set of one raw tail."""
-    return realset.normalize((), *((t, None) if t.direction == "left" else (None, t)))
 
 
 def _int(digits: str, t: Token) -> int:
@@ -621,22 +491,135 @@ def parse(text: str) -> QueryDoc:
 
 
 # ---------------------------------------------------------------------------
-# the query table
+# the expression tables
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class Query:
-    """One query kind: `query NAME <grammar>`, answered by `run(*args)`.
+def _named(value) -> Query:
+    """The row of a built-in constant: no grammar, always `value`."""
+    return Query("", lambda: value)
 
-    In the grammar an upper-case word names a parser reader (SET FAMILY
-    METRIC BORN MAP LINE KIND RAT INT COLLECTION), `(X, ...)` is a
-    parenthesised list of one or more X and `([X, ...])` one that may be
-    empty, `a|b` is a choice of keywords, and any other word is a keyword.
-    `run` gets one argument per reader, list or choice, in order."""
 
-    grammar: str
-    run: Callable[..., str]
+def _interval(lc, lo, hc, hi) -> RealSet:
+    return realset.interval(lo, hi, lc == "closed" and lo != NEG_INF,
+                            hc == "closed" and hi != POS_INF)
 
+
+def _raw_tail(side, pattern, period, cut) -> PeriodicTail:
+    """tail(...) as a raw tail: the pattern is the SET read, not yet
+    reduced, and must have no tail of its own."""
+    if pattern.left_tail is not None or pattern.right_tail is not None:
+        raise ConstructionError("tail pattern must be tail-free")
+    return PeriodicTail(pattern.core, period, side, cut)
+
+
+def _tail_set(t: PeriodicTail) -> RealSet:
+    """The canonical set of one raw tail."""
+    return realset.normalize((), *((t, None) if t.direction == "left" else (None, t)))
+
+
+def _union(operands) -> RealSet:
+    """union(OPERAND, ...).  Its tail(...) operands come raw and are
+    canonicalized once, with the other operands' pieces, unless an other
+    operand has a tail, two raw tails share a side or `misread_tail` flags
+    one.  Then each raw tail is canonicalized alone and `union_all` takes
+    the operands, in order: for a flagged tail its pairwise fold answers
+    differently (ROADMAP item 1)."""
+    tails = [x for x in operands if isinstance(x, PeriodicTail)]
+    if not tails:
+        return realset.union_all(operands)
+    sets = [x for x in operands if isinstance(x, RealSet)]
+    sides = {t.direction: t for t in tails}
+    if len(sides) == len(tails) and \
+            all(s.left_tail is None and s.right_tail is None for s in sets) and \
+            not any(realset.misread_tail(t) for t in tails):
+        return realset.normalize([iv for s in sets for iv in s.core],
+                                 sides.get("left"), sides.get("right"))
+    return realset.union_all([_tail_set(x) if isinstance(x, PeriodicTail) else x
+                              for x in operands])
+
+
+def _schema(lc, lo, hc, hi) -> Bornology:
+    return custom_bornology(BaseSchema(lo=lo, hi=hi, lo_closed=lc == "closed" and lo is not None,
+                                       hi_closed=hc == "closed" and hi is not None))
+
+
+_TAIL = "(left|right, SET, RAT, RAT)"
+
+_SETS = {
+    "empty": _named(EMPTY),
+    "reals": _named(REALS),
+    "point": Query("RAT", realset.point),
+    "points": Query("(RAT, ...)", realset.points),
+    "interval": Query("(open|closed EXT, open|closed EXT)", _interval),
+    "union": Query("(OPERAND, ...)", _union),
+    "intersect": Query("(SET, ...)", lambda sets: reduce(RealSet.intersect, sets)),
+    "complement": Query("(SET)", RealSet.complement),
+    "difference": Query("(SET, SET)", RealSet.difference),
+    "closure": Query("(SET, KIND)", RealSet.closure),
+    "interior": Query("(SET, KIND)", RealSet.interior),
+    "tail": Query(_TAIL, lambda *parts: _tail_set(_raw_tail(*parts))),
+}
+
+# The grammar words whose expressions the parser reads through rows, and
+# the order `print-grammar` prints their sections in.
+EXPRESSIONS: dict[str, Expr] = {
+    "SET": Expr(_SETS, "sets", "set"),
+    "FAMILY": Expr({
+        "finite": Query("([SET, ...])", finite_family),
+        "periodic": Query("(SET, RAT, RANGE)", Periodic),
+        "split": Query("(RAT, FAMILY, FAMILY)", Split),
+        "restricted": Query("(FAMILY, SET)", Restricted),
+        "fan": Query("(down|up, RAT, RAT)", lambda side, lo, hi: Fan(lo, hi, side)),
+    }, "families", "family"),
+    "RANGE": Expr({
+        "all": _named(ALL_INDICES),
+        "from": Query("INT", lambda lo: IndexRange(lo, None)),
+        "upto": Query("INT", lambda hi: IndexRange(None, hi)),
+        "span": Query("INT INT", IndexRange),
+    }, "", "range"),
+    "METRIC": Expr({
+        **{m.value: _named(metric(m)) for m in MetricName},
+        "conj": Query("(METRIC)", QuasiMetric.conjugate),
+        "float_paper": Query("(METRIC)", lambda d: QuasiMetric(d.name, PhiMode.FLOAT_PAPER,
+                                                               d.conjugated)),
+    }, "metrics", "metric"),
+    "BORN": Expr({
+        **{name: _named(b) for name, b in _NAMED_BORNS.items()},
+        "metric_bounded": Query("(METRIC)", metric_bounded),
+        "schema": Query("(open|closed AFF, open|closed AFF)", _schema),
+    }, "bornologies", "bornology"),
+    "MAP": Expr({
+        "affine": Query("(RAT, RAT)", PiecewiseAffineMap.affine),
+        "pieces": Query("(breaks(RAT, ...), piece(RAT, RAT), piece(RAT, RAT), ...)",
+                        lambda breaks, slope, intercept, rest:
+                        PiecewiseAffineMap(breaks, ((slope, intercept), *rest))),
+    }, "maps", "map"),
+}
+# A union's operand: a SET whose tail(...) stays raw for `_union`.
+_OPERAND = Expr({**_SETS, "tail": Query(_TAIL, _raw_tail)}, "sets", "set")
+_COLLECTIONS = Expr({}, "collections", "collection")
+
+# Upper-case grammar words: the _Parser method that reads each and its
+# arguments.
+_READERS = {
+    **{word: ("expr", (kind,)) for word, kind in EXPRESSIONS.items()},
+    "OPERAND": ("expr", (_OPERAND,)),
+    "LINE": ("line_id", ()), "KIND": ("kind", ()), "RAT": ("rat", ()),
+    "INT": ("int_", ()), "COLLECTION": ("collection_ref", ()), "EXT": ("ext", ()),
+    "AFF": ("affine", ()),
+}
+
+# Declaration keyword -> the kind of its right-hand side.
+_DECLARATION_READERS = {
+    "set": EXPRESSIONS["SET"], "family": EXPRESSIONS["FAMILY"],
+    "metric": EXPRESSIONS["METRIC"], "bornology": EXPRESSIONS["BORN"],
+    "map": EXPRESSIONS["MAP"], "collection": _COLLECTIONS,
+}
+
+
+# ---------------------------------------------------------------------------
+# the query table
+# ---------------------------------------------------------------------------
 
 def _fmt(value) -> str:
     if isinstance(value, bool):
@@ -770,6 +753,13 @@ QUERIES: dict[str, Query] = {
     "oracle_ess_finite": Query("FAMILY window INT INT SET max INT", _oracle_text),
 }
 
-GRAMMAR = _DECLARATIONS + """
+def _section(word: str, kind: Expr) -> str:
+    """The `print-grammar` lines of one expression kind: a row per line."""
+    rows = "".join(f"  {kw}{'' if row.grammar[:1] in ('', '(') else ' '}{row.grammar}\n"
+                   for kw, row in kind.rows.items())
+    return f"\n{word}:\n{rows}" + ("  NAME\n" if kind.env else "")
+
+
+GRAMMAR = _DECLARATIONS + "".join(_section(w, k) for w, k in EXPRESSIONS.items()) + """
 QUERIES (answers are printed one per line, in document order):
 """ + "".join(f"  query {name} {q.grammar}\n" for name, q in QUERIES.items())

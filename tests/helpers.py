@@ -319,12 +319,12 @@ class ReferenceParser(_Parser):
     """The query parser with every tail(...) canonicalized alone, by
     `with_tails`, and union(...) as `union_all` of its canonical operands."""
 
-    def set_expr(self) -> RealSet:
-        if self.at("tail"):
+    def expr(self, kind):
+        if kind.env == "sets" and self.at("tail"):
             self.next()
             side, pattern, period, cut = self.read("(left|right, SET, RAT, RAT)")
             return with_tails(EMPTY, **{side: (tuple(pattern.core), period, cut)})
-        return super().set_expr()
-
-    def union_expr(self) -> RealSet:
-        return union_all(self.list_of(self.set_expr))
+        if kind.env == "sets" and self.at("union"):
+            self.next()
+            return union_all(self.read("(SET, ...)")[0])
+        return super().expr(kind)

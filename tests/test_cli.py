@@ -1,5 +1,7 @@
+import itertools
 import os
 import random
+import re
 import subprocess
 import sys
 import time
@@ -13,7 +15,7 @@ from gtsreal import lines
 from gtsreal.cli import main
 from gtsreal.covers import ess_finite_on, union_of
 from gtsreal.lines import ALL_SETS, CORPUS, FB, LB, NAT_BOUNDED, UB, UF_SMALL, probe_corpus
-from gtsreal.queries import MAX_NESTING, QUERIES, ParseError, parse
+from gtsreal.queries import EXPRESSIONS, MAX_NESTING, QUERIES, ParseError, parse
 from gtsreal.report import (
     Caps,
     _section_identities,
@@ -459,7 +461,38 @@ DIAGNOSTICS = {
                                   "1:22: zero denominator in '-3/00'"),
     "fraction-for-integer": ("query chain_check d_n fb delta 1/2 upto 1/2",
                              "1:41: expected an integer, found '1/2'"),
+    "tailed-pattern": ("set N = union(point 1/2, tail(right, point 0, 1, 5))\n"
+                       "set S = tail(right, N, 1, 0)\nquery normalize S",
+                       "2:28: tail pattern must be tail-free"),
+    "built-in-set": ("set empty = point 1\nquery normalize empty",
+                     "1:5: cannot declare 'empty': it is a built-in set word"),
+    "built-in-metric": ("metric d_n = rho_S\nquery ball d_n at 0 radius 1/2",
+                        "1:8: cannot declare 'd_n': it is a built-in metric word"),
 }
+
+# Samples for the reader words of the grammar tables.  A row that reads a
+# word more than once takes its samples in turn: a fan needs lo < hi.
+GRAMMAR_SAMPLES = {
+    "SET": ("point 0",), "OPERAND": ("point 0",), "FAMILY": ("finite(point 0)",),
+    "RANGE": ("all",), "METRIC": ("d_n_plus",), "BORN": ("fb",), "MAP": ("affine(1, 0)",),
+    "LINE": ("standard/lst",), "KIND": ("nat",), "COLLECTION": ("C",),
+    "RAT": ("1", "2"), "INT": ("1", "2"), "EXT": ("0", "1"), "AFF": ("0", "1"),
+}
+# The declaration an expression of each kind is tried in.
+GRAMMAR_CONTEXT = {
+    "SET": "set A = {}", "FAMILY": "family A = {}", "METRIC": "metric A = {}",
+    "RANGE": "family A = periodic(point 0, 1, {})", "BORN": "bornology A = {}",
+    "MAP": "map A = {}",
+}
+
+
+def filled(grammar: str) -> str:
+    """A sample input of `grammar`: each list with one item, each choice
+    its first word and each reader word its samples in turn."""
+    text = re.sub(r"\[?(\w+(?:\([^()]*\))?), \.\.\.\]?\)", r"\1)", grammar)
+    text = re.sub(r"(\w+)(?:\|\w+)+", r"\1", text)
+    samples = {word: itertools.cycle(s) for word, s in GRAMMAR_SAMPLES.items()}
+    return re.sub(r"\b[A-Z]+\b", lambda m: next(samples[m.group()]), text)
 
 
 class TestParse:
@@ -712,9 +745,28 @@ class TestMain:
     def test_print_grammar(self, capsys):
         assert main(["print-grammar"]) == 0
         out = capsys.readouterr().out
-        assert "SET:" in out
         for name, q in QUERIES.items():
             assert f"  query {name} {q.grammar}\n" in out
+        # each expression kind prints its rows, one per line, in order
+        for word, kind in EXPRESSIONS.items():
+            section = out.split(f"\n{word}:\n", 1)[1].split("\n\n", 1)[0].splitlines()
+            assert section[len(kind.rows):] == (["  NAME"] if kind.env else [])
+            for line, (keyword, row) in zip(section, kind.rows.items()):
+                assert line.startswith(f"  {keyword}")
+                assert line[2 + len(keyword):].lstrip() == row.grammar
+        # what the parser reads, where the hand-kept grammar used to differ
+        assert "  interval(open|closed EXT, open|closed EXT)\n" in out
+        assert "AFF is affine(RAT, RAT) | RAT | inf | -inf:" in " ".join(out.split())
+        # a document built from each row's grammar parses
+        head = "collection C = collection(finite(point 0))\n"
+        for word, kind in EXPRESSIONS.items():
+            for keyword, row in kind.rows.items():
+                g = row.grammar
+                text = GRAMMAR_CONTEXT[word].format(
+                    keyword + ("" if g[:1] in ("", "(") else " ") + filled(g))
+                assert parse(head + text).print().splitlines()[1] == text
+        for name, q in QUERIES.items():
+            assert parse(head + f"query {name} {filled(q.grammar)}").queries[0][0] == name
 
     @pytest.mark.parametrize("text", MALFORMED.values(), ids=MALFORMED.keys())
     def test_malformed_document_is_a_parse_error(self, tmp_path, capsys, text):
