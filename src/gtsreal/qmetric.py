@@ -42,6 +42,7 @@ from gtsreal.realset import (
     TopologyKind,
     apply_local,
     interval,
+    is_finite,
     normalize,
     rat,
     union_all,
@@ -91,13 +92,6 @@ _MIRROR_KIND = {"ub": "lb", "lb": "ub", "nat": "nat", "all": "all"}
 _SIDES = {"nat": (True, True), "ub": (False, True), "lb": (True, False), "all": (False, False)}
 
 
-def _mirror(iv: Optional[Interval]) -> Optional[Interval]:
-    """The reflection y -> -y of an interval (None is the whole line)."""
-    if iv is None:
-        return None
-    return Interval(-iv.hi, -iv.lo, iv.hi_closed, iv.lo_closed)
-
-
 @dataclass(frozen=True)
 class MetricSpec:
     """One named metric.
@@ -127,7 +121,9 @@ class MetricSpec:
             coball, bounded_conj = self.ball, self.bounded
         elif self.invariant:
             ball = self.ball
-            coball, bounded_conj = (lambda x, r: _mirror(ball(-x, r))), _MIRROR_KIND[self.bounded]
+            # the reflection y -> -y of a ball; None, the whole line, mirrors to itself
+            coball = (lambda x, r: (iv := ball(-x, r)) and iv.scale(-1))
+            bounded_conj = _MIRROR_KIND[self.bounded]
         else:
             if self.coball is None or self.bounded_conj is None:
                 raise ConstructionError(f"{self.name}: an asymmetric, non-invariant "
@@ -168,38 +164,26 @@ def _ball_d_u(x: Fraction, r: Fraction) -> Optional[Interval]:
 
     f is continuous, 0 at x, nonincreasing left of x and nondecreasing right
     of x, and piecewise affine with breakpoints in {x-1, x, x+1, 0}; walk the
-    segments to locate the strict-sublevel crossing on each side.
+    segments away from x to locate the strict-sublevel crossing on each side.
+    Past the last breakpoint the right side has slope exactly 1, so f -> +inf
+    and the crossing lies on that last segment; the left side is the plateau
+    1 + max(x, 0), so a walk that never reaches r leaves every y below x in
+    the ball.
     """
-    def f(y: Fraction) -> Fraction:
-        return _d_u(x, y, phi_q, _ONE)
+    def walk(step: int) -> Optional[Fraction]:
+        """The crossing on the side of x + step (step = +-1); None when the
+        left walk ends on the plateau below r."""
+        prev, fprev = x, _ZERO
+        breaks = sorted({b for b in (x + step, _ZERO) if (b - x) * step > 0}, reverse=step < 0)
+        for b in breaks:
+            fb = _d_u(x, b, phi_q, _ONE)
+            if fb >= r:
+                return prev + (r - fprev) * (b - prev) / (fb - fprev)
+            prev, fprev = b, fb
+        return prev + (r - fprev) if step > 0 else None
 
-    # right side: beyond max(x+1, 0) the slope is exactly 1 and f -> +inf
-    breaks_r = sorted({b for b in (x + 1, _ZERO) if b > x})
-    prev, fprev = x, _ZERO
-    hi: Optional[Fraction] = None
-    for b in breaks_r:
-        fb = f(b)
-        if fb >= r:
-            hi = prev + (r - fprev) * (b - prev) / (fb - fprev)
-            break
-        prev, fprev = b, fb
-    if hi is None:
-        hi = prev + (r - fprev)  # slope 1 tail
-    # left side: beyond min(x-1, 0) f is the constant 1 + max(x, 0)
-    breaks_l = sorted({b for b in (x - 1, _ZERO) if b < x}, reverse=True)
-    prev, fprev = x, _ZERO
-    lo: Optional[Fraction] = None
-    for b in breaks_l:
-        fb = f(b)
-        if fb >= r:
-            lo = prev - (r - fprev) * (prev - b) / (fb - fprev)
-            break
-        prev, fprev = b, fb
-    if lo is None:
-        # walk exhausted without reaching r, so the plateau value 1+max(x,0)
-        # (attained at the last breakpoint) is below r
-        return Interval(NEG_INF, hi, False, False)
-    return Interval(lo, hi, False, False)
+    lo = walk(-1)
+    return Interval(NEG_INF if lo is None else lo, walk(1), False, False)
 
 
 def _rho_s_minus(x, y, phi, one):
@@ -363,25 +347,17 @@ class QuasiMetric:
         return self._nbhd_invariant(a, d)
 
     def _expand_piece(self, piece: Interval, d: Fraction) -> RealSet:
+        """The union of the d-balls centred in one piece: from the lower end's
+        ball to the upper end's; an infinite end stands for its own ball."""
         if piece.is_point:
             return self.ball(piece.lo, d)
-        if piece.lo == NEG_INF:
-            left = (NEG_INF, False)
-        else:
-            b = self.ball(piece.lo, d)
-            if b.is_reals:
-                return REALS
-            iv = b.core[0]
-            left = (iv.lo, piece.lo_closed and iv.lo_closed)
-        if piece.hi == POS_INF:
-            right = (POS_INF, False)
-        else:
-            b = self.ball(piece.hi, d)
-            if b.is_reals:
-                return REALS
-            iv = b.core[0]
-            right = (iv.hi, piece.hi_closed and iv.hi_closed)
-        return interval(left[0], right[0], left[1], right[1])
+        lo, hi = (self.ball(v, d) if is_finite(v) else RealSet((piece,))
+                  for v in (piece.lo, piece.hi))
+        if lo.is_reals or hi.is_reals:
+            return REALS
+        lo, hi = lo.core[0], hi.core[0]
+        return interval(lo.lo, hi.hi, piece.lo_closed and lo.lo_closed,
+                        piece.hi_closed and hi.hi_closed)
 
     def _nbhd_invariant(self, a: RealSet, d: Fraction) -> RealSet:
         """[A]^d of a tailed set: A plus the ball shape B(0, d)."""

@@ -172,11 +172,7 @@ def _tokenize(text: str) -> list:
     return out
 
 
-_KINDS = {
-    "nat": TopologyKind.NAT, "upper": TopologyKind.UPPER,
-    "lower": TopologyKind.LOWER, "sorg_r": TopologyKind.SORG_R,
-    "sorg_l": TopologyKind.SORG_L, "discrete": TopologyKind.DISCRETE,
-}
+_KINDS = {k.value: k for k in TopologyKind}
 
 _NAMED_BORNS = {"fb": lines.FB, "all_sets": lines.ALL_SETS,
                 "nat_bounded": lines.NAT_BOUNDED, "ub": lines.UB,
@@ -500,8 +496,9 @@ def _named(value) -> Query:
 
 
 def _interval(lc, lo, hc, hi) -> RealSet:
-    return realset.interval(lo, hi, lc == "closed" and lo != NEG_INF,
-                            hc == "closed" and hi != POS_INF)
+    """interval(...): a closed bracket on an infinite end reads as open."""
+    return realset.interval(lo, hi, lc == "closed" and realset.is_finite(lo),
+                            hc == "closed" and realset.is_finite(hi))
 
 
 def _raw_tail(side, pattern, period, cut) -> PeriodicTail:

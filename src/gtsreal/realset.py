@@ -437,6 +437,7 @@ class PeriodicTail:
 # germ encodings for the eventually-periodic behaviour at +-infinity
 _EMPTY_GERM = ("empty",)
 _FULL_GERM = ("full",)
+_SIDES = ("left", "right")   # the sides toward -inf and +inf, in that order
 
 
 def _pattern_reduce(pieces: Sequence[Interval], period: Fraction):
@@ -672,19 +673,13 @@ class RealSet:
 
     # -- germs ---------------------------------------------------------------
 
-    def _left_germ(self) -> tuple:
-        if self.core and self.core[0]._sk[0] == NEG_INF:
+    def _germ(self, side: str) -> tuple:
+        """The set's germ toward -inf (side "left") or +inf ("right")."""
+        left = side == "left"
+        if self.core and not is_finite(self.core[0].lo if left else self.core[-1].hi):
             return _FULL_GERM
-        if self.left_tail is not None:
-            return ("per", self.left_tail.pattern, self.left_tail.period)
-        return _EMPTY_GERM
-
-    def _right_germ(self) -> tuple:
-        if self.core and self.core[-1]._ek[0] == POS_INF:
-            return _FULL_GERM
-        if self.right_tail is not None:
-            return ("per", self.right_tail.pattern, self.right_tail.period)
-        return _EMPTY_GERM
+        tail = self.left_tail if left else self.right_tail
+        return _EMPTY_GERM if tail is None else ("per", tail.pattern, tail.period)
 
     def _finite_endpoints(self) -> list[Fraction]:
         out = []
@@ -780,31 +775,16 @@ REALS = RealSet((Interval(NEG_INF, POS_INF, False, False),))
 def _canonical(core: Tuple[Interval, ...], ltail: Optional[PeriodicTail],
                rtail: Optional[PeriodicTail]) -> RealSet:
     core = merge_intervals(core)
+    if ltail is None and rtail is None:
+        return RealSet(core, None, None)
 
-    # reduce raw tails; full patterns become half-line core pieces
+    # reduce raw tails; full patterns become half-line core pieces, open at
+    # the cut
+    raw_tails = (ltail, rtail)
+    germs = [_EMPTY_GERM if t is None else _pattern_reduce(t.pattern, t.period)
+             for t in raw_tails]
     extra: list[Interval] = []
-    lgerm = _EMPTY_GERM
-    if ltail is not None:
-        g = _pattern_reduce(ltail.pattern, ltail.period)
-        if g == _FULL_GERM:
-            extra.append(Interval(NEG_INF, ltail.cut, False, False))
-            ltail = None
-        elif g == _EMPTY_GERM:
-            ltail = None
-        else:
-            ltail = PeriodicTail(g[1], g[2], "left", ltail.cut)
-            lgerm = g
-    rgerm = _EMPTY_GERM
-    if rtail is not None:
-        g = _pattern_reduce(rtail.pattern, rtail.period)
-        if g == _FULL_GERM:
-            extra.append(Interval(rtail.cut, POS_INF, False, False))
-            rtail = None
-        elif g == _EMPTY_GERM:
-            rtail = None
-        else:
-            rtail = PeriodicTail(g[1], g[2], "right", rtail.cut)
-            rgerm = g
+    ltail, rtail = _place_germs(extra, germs, [t and t.cut for t in raw_tails], False)
     if extra:
         core = merge_intervals(list(core) + extra)
 
@@ -816,10 +796,7 @@ def _canonical(core: Tuple[Interval, ...], ltail: Optional[PeriodicTail],
     object.__setattr__(raw, "left_tail", ltail)
     object.__setattr__(raw, "right_tail", rtail)
 
-    if core and core[0]._sk[0] == NEG_INF:
-        lgerm = _FULL_GERM
-    if core and core[-1]._ek[0] == POS_INF:
-        rgerm = _FULL_GERM
+    lgerm, rgerm = raw._germ("left"), raw._germ("right")
 
     pts = raw._finite_endpoints()
     base_lo = min(pts)
@@ -837,44 +814,12 @@ def _canonical(core: Tuple[Interval, ...], ltail: Optional[PeriodicTail],
         p_rw = p_lw
         # fully periodic?
         if d_w == p_lw:
-            zero = Fraction(0)
-            near0 = _periodize(lgerm[1], lgerm[2], -lgerm[2], lgerm[2])
-            core0 = _clip(near0, zero, zero)
-            return RealSet(core0,
-                           PeriodicTail(lgerm[1], lgerm[2], "left", zero),
-                           PeriodicTail(lgerm[1], lgerm[2], "right", zero))
+            return _fully_periodic(lgerm)
     else:
         p_rw = _periodize(rgerm[1], rgerm[2], w_lo, w_hi) if rgerm[0] == "per" else None
 
-    cut_l: Optional[Fraction] = None
-    if p_lw is not None:
-        s = _clip(_symdiff_lists(d_w, p_lw), w_lo, w_hi)
-        if s:
-            v = s[0].lo
-            assert is_finite(v)
-            cut_l = v  # first discrepancy
-        else:
-            span = _lcm_frac(lgerm[2], rgerm[2]) if rgerm[0] == "per" else lgerm[2]
-            a = _germ_trace(lgerm, w_hi, w_hi + 4 * span)
-            b = _germ_trace(rgerm, w_hi, w_hi + 4 * span)
-            q = _symdiff_lists(a, b)
-            assert q, "left germ must differ somewhere if not fully periodic"
-            cut_l = q[0].lo  # type: ignore[assignment]
-
-    cut_r: Optional[Fraction] = None
-    if p_rw is not None:
-        s = _clip(_symdiff_lists(d_w, p_rw), w_lo, w_hi)
-        if s:
-            v = s[-1].hi
-            assert is_finite(v)
-            cut_r = v
-        else:
-            span = _lcm_frac(rgerm[2], lgerm[2]) if lgerm[0] == "per" else rgerm[2]
-            a = _germ_trace(rgerm, w_lo - 4 * span, w_lo)
-            b = _germ_trace(lgerm, w_lo - 4 * span, w_lo)
-            q = _symdiff_lists(a, b)
-            assert q, "right germ must differ somewhere if not fully periodic"
-            cut_r = q[-1].hi  # type: ignore[assignment]
+    cut_l = None if p_lw is None else _cut("left", d_w, p_lw, lgerm, rgerm, w_lo, w_hi)
+    cut_r = None if p_rw is None else _cut("right", d_w, p_rw, rgerm, lgerm, w_lo, w_hi)
 
     # core region: the raw set's trace from lo to hi.  A side without a cut
     # has an empty or full germ, and beyond the window the raw set is that
@@ -884,14 +829,51 @@ def _canonical(core: Tuple[Interval, ...], ltail: Optional[PeriodicTail],
     lo = cut_l if cut_l is not None else w_lo if cut_r is None else min(w_lo, cut_r)
     hi = cut_r if cut_r is not None else w_hi if cut_l is None else max(w_hi, cut_l)
     new_core = list(raw.materialize(lo, hi))
-    if lgerm == _FULL_GERM:
-        new_core.append(Interval(NEG_INF, lo, False, False))
-    if rgerm == _FULL_GERM:
-        new_core.append(Interval(hi, POS_INF, False, False))
+    tails = _place_germs(new_core, (lgerm, rgerm), (lo, hi), False)
+    return RealSet(merge_intervals(new_core), *tails)
 
-    new_l = PeriodicTail(lgerm[1], lgerm[2], "left", cut_l) if cut_l is not None else None
-    new_r = PeriodicTail(rgerm[1], rgerm[2], "right", cut_r) if cut_r is not None else None
-    return RealSet(merge_intervals(new_core), new_l, new_r)
+
+def _cut(side: str, d_w: Tuple[Interval, ...], p_w: Tuple[Interval, ...],
+         germ: tuple, other: tuple, w_lo: Fraction, w_hi: Fraction) -> Fraction:
+    """The canonical cut of the periodic germ on `side` ("left" or "right"):
+    the end toward that side of where the raw set's trace d_w on the window
+    [w_lo, w_hi] differs from the germ's trace p_w.  Where they agree on the
+    whole window, the cut is where the germ first differs from the `other`
+    side's germ, looked for over four common periods past the far edge."""
+    left = side == "left"
+    s = _clip(_symdiff_lists(d_w, p_w), w_lo, w_hi)
+    if s:
+        v = s[0].lo if left else s[-1].hi
+        assert is_finite(v)
+        return v
+    span = _lcm_frac(germ[2], other[2]) if other[0] == "per" else germ[2]
+    lo, hi = (w_hi, w_hi + 4 * span) if left else (w_lo - 4 * span, w_lo)
+    q = _symdiff_lists(_germ_trace(germ, lo, hi), _germ_trace(other, lo, hi))
+    assert q, f"{side} germ must differ somewhere if not fully periodic"
+    return q[0].lo if left else q[-1].hi
+
+
+def _place_germs(core: list, germs: Sequence[tuple], edges: Sequence[Fraction],
+                 closed: bool) -> list:
+    """Lay the left and the right germ past their edges: a full germ appends
+    its half-line to `core`, closed at the edge when `closed` says so, and a
+    periodic germ becomes a tail cut at the edge.  Returns the two tails,
+    None for a side whose germ is not periodic."""
+    tails = []
+    for side, germ, edge in zip(_SIDES, germs, edges):
+        if germ == _FULL_GERM:
+            core.append(Interval(NEG_INF, edge, False, closed) if side == "left"
+                        else Interval(edge, POS_INF, closed, False))
+        tails.append(PeriodicTail(germ[1], germ[2], side, edge) if germ[0] == "per" else None)
+    return tails
+
+
+def _fully_periodic(germ: tuple) -> RealSet:
+    """The set that repeats a periodic germ over the whole line: its trace at
+    0 and the tail pair cut at 0."""
+    zero = Fraction(0)
+    core0 = _clip(_periodize(germ[1], germ[2], -germ[2], germ[2]), zero, zero)
+    return RealSet(core0, *(PeriodicTail(germ[1], germ[2], side, zero) for side in _SIDES))
 
 
 def normalize(intervals: Iterable[Interval],
@@ -952,8 +934,7 @@ def _binary(a: RealSet, b: RealSet, table) -> RealSet:
     if b.is_empty:
         return EMPTY if table is _OP_INTER else a
 
-    lg = _germ_op_cached(a._left_germ(), b._left_germ(), table)
-    rg = _germ_op_cached(a._right_germ(), b._right_germ(), table)
+    lg, rg = (_germ_op_cached(a._germ(side), b._germ(side), table) for side in _SIDES)
 
     pts = a._finite_endpoints() + b._finite_endpoints() or [Fraction(0)]
     inner_lo = min(pts) - 1
@@ -966,18 +947,11 @@ def _binary(a: RealSet, b: RealSet, table) -> RealSet:
 
 def _assemble(window_pieces: Tuple[Interval, ...], lgerm, rgerm,
               lo: Fraction, hi: Fraction) -> RealSet:
-    """Combine a window trace with germ behaviour outside [lo, hi]."""
+    """Combine a window trace with germ behaviour outside [lo, hi]; a full
+    germ's half-line is closed at the window edge."""
     core = list(window_pieces)
-    ltail = rtail = None
-    if lgerm == _FULL_GERM:
-        core.append(Interval(NEG_INF, lo, False, True))
-    elif lgerm[0] == "per":
-        ltail = PeriodicTail(lgerm[1], lgerm[2], "left", lo)
-    if rgerm == _FULL_GERM:
-        core.append(Interval(hi, POS_INF, True, False))
-    elif rgerm[0] == "per":
-        rtail = PeriodicTail(rgerm[1], rgerm[2], "right", hi)
-    return _canonical(tuple(core), ltail, rtail)
+    tails = _place_germs(core, (lgerm, rgerm), (lo, hi), True)
+    return _canonical(tuple(core), *tails)
 
 
 def _misread(pattern: Sequence[Interval], period: Fraction) -> bool:
@@ -1054,12 +1028,7 @@ def union_of_translates(seed: RealSet, period: Fraction,
     if closed_form:
         full = germ == _FULL_GERM
         if k_min is None and k_max is None:
-            if full:
-                return REALS
-            pat, p = germ[1], germ[2]
-            core0 = _clip(_periodize(pat, p, -p, p), zero, zero)
-            return RealSet(core0, PeriodicTail(pat, p, "left", zero),
-                           PeriodicTail(pat, p, "right", zero))
+            return REALS if full else _fully_periodic(germ)
         if k_max is None:
             w_lo, w_hi = lo_v + (k_min - 2) * period, hi_v + k_min * period
         else:
@@ -1146,44 +1115,26 @@ def _affine_core(pieces: Tuple[Interval, ...], slope: Fraction,
 # closure / interior per TopologyKind
 # ---------------------------------------------------------------------------
 
-def _nat_close(iv: Interval) -> Interval:
-    return Interval(iv.lo, iv.hi, is_finite(iv.lo), is_finite(iv.hi))
+def _close_rule(lo: bool, hi: bool) -> Callable[[Interval], Interval]:
+    """The closure of one piece that closes its lower end when `lo` says so
+    and its upper end when `hi` does, each only where it is finite."""
+    return lambda iv: Interval(iv.lo, iv.hi, iv.lo_closed or lo and is_finite(iv.lo),
+                               iv.hi_closed or hi and is_finite(iv.hi))
 
 
-def _nat_open(iv: Interval) -> Optional[Interval]:
-    if iv.is_point:
-        return None
-    return Interval(iv.lo, iv.hi, False, False)
+def _open_rule(lo: bool, hi: bool) -> Callable[[Interval], Optional[Interval]]:
+    """The interior of one piece that opens its lower end when `lo` says so
+    and its upper end when `hi` does; a point has none."""
+    return lambda iv: None if iv.is_point else \
+        Interval(iv.lo, iv.hi, iv.lo_closed and not lo, iv.hi_closed and not hi)
 
 
-def _sorg_r_close(iv: Interval) -> Interval:
-    return Interval(iv.lo, iv.hi, is_finite(iv.lo), iv.hi_closed)
-
-
-def _sorg_r_open(iv: Interval) -> Optional[Interval]:
-    if iv.is_point:
-        return None
-    return Interval(iv.lo, iv.hi, iv.lo_closed, False)
-
-
-def _sorg_l_close(iv: Interval) -> Interval:
-    return Interval(iv.lo, iv.hi, iv.lo_closed, is_finite(iv.hi))
-
-
-def _sorg_l_open(iv: Interval) -> Optional[Interval]:
-    if iv.is_point:
-        return None
-    return Interval(iv.lo, iv.hi, False, iv.hi_closed)
-
-
-_LOCAL_RULES = {
-    (TopologyKind.NAT, "close"): _nat_close,
-    (TopologyKind.NAT, "open"): _nat_open,
-    (TopologyKind.SORG_R, "close"): _sorg_r_close,
-    (TopologyKind.SORG_R, "open"): _sorg_r_open,
-    (TopologyKind.SORG_L, "close"): _sorg_l_close,
-    (TopologyKind.SORG_L, "open"): _sorg_l_open,
-}
+# (lower, upper): the ends of a piece that each piecewise kind's closure
+# closes; its interior opens the reversed pair
+_CLOSES = {TopologyKind.NAT: (True, True), TopologyKind.SORG_R: (True, False),
+           TopologyKind.SORG_L: (False, True)}
+_LOCAL_RULES = {**{(k, "close"): _close_rule(lo, hi) for k, (lo, hi) in _CLOSES.items()},
+                **{(k, "open"): _open_rule(hi, lo) for k, (lo, hi) in _CLOSES.items()}}
 
 
 def apply_local(a: RealSet, rule: Callable[[Interval], Optional[Interval]],
@@ -1207,8 +1158,7 @@ def apply_local(a: RealSet, rule: Callable[[Interval], Optional[Interval]],
         out = [r for r in map(rule, occ) if r is not None]
         return _pattern_reduce(_clip(merge_intervals(out), Fraction(0), p, True, False), p)
 
-    lg = germ_rule(a._left_germ())
-    rg = germ_rule(a._right_germ())
+    lg, rg = (germ_rule(a._germ(side)) for side in _SIDES)
 
     pts = a._finite_endpoints()
     margin = reach + 1

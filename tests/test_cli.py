@@ -449,6 +449,11 @@ DIAGNOSTICS = {
     "ninf-before-punct": ("set A = interval(open -inf,open -inf)",
                           "1:37: degenerate interval must be closed on both sides"),
     "ninf-after-punct": ("query eval rho_S -inf,0", "1:18: infinite value not allowed here"),
+    # a closed bracket on an infinite end reads as open, at either end
+    "closed-ninf-upper-end": ("set A = interval(closed 0, closed -inf)",
+                              "1:39: empty interval: lo=0 > hi=-inf"),
+    "closed-inf-lower-end": ("set A = interval(closed inf, closed 3)",
+                             "1:38: empty interval: lo=inf > hi=3"),
     "ninf-glued": ("set A = interval(open -infx, open 0)",
                    "1:23: unexpected character '-'"),
     "end-inside-list": ("set A = points(1, 2,", "1:20: unexpected end of input"),

@@ -1,10 +1,15 @@
-"""Every family decision commutes with the mirror x -> -x.
+"""Every family decision and every set operation commutes with the mirror
+x -> -x.
 
 The covers module writes the union and essential finiteness of nested
 families and fans for rays down only, and decides a shape with rays up
 through its mirror image.  This differential test mirrors seeded random
 families of every shape by hand and checks each decision against the
-mirrored decision on the mirrored inputs."""
+mirrored decision on the mirrored inputs.  The realset kernel decides each
+side of a set (its tails, cuts and germs, and the ends a local closure or
+interior rule touches) with one routine that takes the side; the set
+algebra is checked the same way, against sets mirrored through
+`affine_image`."""
 
 import random
 import re
@@ -26,7 +31,16 @@ from gtsreal.covers import (
     violating_member,
 )
 from gtsreal.lines import FB, BaseSchema, line, op_member
-from gtsreal.realset import NEG_INF, POS_INF, affine_image, interval
+from gtsreal.realset import (
+    NEG_INF,
+    POS_INF,
+    Interval,
+    TopologyKind,
+    affine_image,
+    interval,
+    normalize,
+    union_of_translates,
+)
 
 from helpers import rand_family, rand_fraction, rand_realset
 
@@ -155,3 +169,66 @@ def test_the_mirrored_obstructions_name_the_callers_side():
         "trace accumulates at 1 but every ray stops short of it"
     assert ess_finite_on(Fan(-1, 0, "up"), mirror(near)).obstruction == \
         "trace accumulates at -1 but every ray stops short of it"
+
+
+# each topology and the one its mirror image carries
+MIRROR_KIND = {TopologyKind.UPPER: TopologyKind.LOWER, TopologyKind.LOWER: TopologyKind.UPPER,
+               TopologyKind.SORG_R: TopologyKind.SORG_L, TopologyKind.SORG_L: TopologyKind.SORG_R,
+               TopologyKind.NAT: TopologyKind.NAT, TopologyKind.DISCRETE: TopologyKind.DISCRETE}
+PERIODS = (F(1, 4), F(1, 2), F(1), F(3, 2), F(2), F(3))
+
+
+def rand_seed(rng):
+    """A bounded, tail-free seed: one to three pieces on the 1/4 grid of
+    [-3, 3]."""
+    pieces = []
+    for _ in range(rng.randint(1, 3)):
+        a, b = sorted(F(rng.randint(-12, 12), 4) for _ in range(2))
+        pieces.append(Interval(a, b, rng.random() < 0.5 or a == b, rng.random() < 0.5 or a == b))
+    return normalize(pieces)
+
+
+def rand_range(rng):
+    """(k_min, k_max) over all indices, from k, up to k, or a span."""
+    k, n = rng.randint(-3, 3), rng.randint(0, 3)
+    return rng.choice(((None, None), (k, None), (None, k), (k, k + n)))
+
+
+def test_set_algebra_commutes_with_the_mirror():
+    rng = random.Random(2509)
+    tails = {"left": 0, "right": 0}
+    for _ in range(250):
+        a, b = rand_realset(rng), rand_realset(rng)
+        ma, mb = mirror(a), mirror(b)
+        ctx = (str(a), str(b))
+        tails["left"] += a.left_tail is not None
+        tails["right"] += a.right_tail is not None
+
+        assert ma | mb == mirror(a | b), ctx
+        assert ma & mb == mirror(a & b), ctx
+        assert ma - mb == mirror(a - b), ctx
+        assert ma.inf_value() == -a.sup_value(), ctx
+        assert ma.sup_value() == -a.inf_value(), ctx
+        for kind, twin in MIRROR_KIND.items():
+            assert ma.closure(twin) == mirror(a.closure(kind)), ctx + (kind,)
+            assert ma.interior(twin) == mirror(a.interior(kind)), ctx + (kind,)
+    assert min(tails.values()) > 20
+
+
+def test_the_translate_ranges_commute_with_the_mirror():
+    """Seeded random seeds and ranges, and every range shape on a periodic,
+    a full and a misread germ: the open piece (0, 1) at period 1, which the
+    kernel reads as full."""
+    rng = random.Random(2510)
+    cases = [(rand_seed(rng), rng.choice(PERIODS), *rand_range(rng)) for _ in range(250)]
+    for seed, period in ((interval(F(1, 4), F(1, 2), True, True), F(1)),
+                         (interval(0, 1, True, True), F(1)),
+                         (interval(0, 1), F(1))):
+        for k_min, k_max in ((None, None), (2, None), (None, -2), (-1, 3)):
+            cases.append((seed, period, k_min, k_max))
+    for seed, period, k_min, k_max in cases:
+        got = union_of_translates(mirror(seed), period,
+                                  None if k_max is None else -k_max,
+                                  None if k_min is None else -k_min)
+        assert got == mirror(union_of_translates(seed, period, k_min, k_max)), \
+            (str(seed), period, k_min, k_max)
