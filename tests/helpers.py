@@ -11,6 +11,7 @@ from typing import Optional, Sequence
 
 from gtsreal.covers import (
     ALL_INDICES,
+    RULES,
     Fan,
     FamilySpec,
     IndexRange,
@@ -18,8 +19,18 @@ from gtsreal.covers import (
     Restricted,
     Split,
     finite_family,
+    plus_step,
 )
-from gtsreal.lines import ALL_SETS, FB, LB, NAT_BOUNDED, UB, BaseSchema, metric_bounded
+from gtsreal.lines import (
+    ALL_SETS,
+    FB,
+    LB,
+    NAT_BOUNDED,
+    UB,
+    BaseSchema,
+    metric_bounded,
+    topology_of_line,
+)
 from gtsreal.lines import probe_corpus  # noqa: F401
 from gtsreal.oracles import MAX_CHECKS, OracleRefusal
 from gtsreal.qmetric import ALL_METRICS
@@ -29,6 +40,7 @@ from gtsreal.realset import (
     EMPTY,
     NEG_INF,
     POS_INF,
+    REALS,
     Interval,
     RealSet,
     TopologyKind,
@@ -54,6 +66,31 @@ WINDOW_MISSES_UNION = Restricted(
     Periodic(open_iv(1, 2), Fraction(2)),
     with_tails(EMPTY, left=(_ODD, Fraction(2), Fraction(0)),
                right=(_ODD, Fraction(2), Fraction(0))))
+
+
+def battery_candidates(l, num=Fraction):
+    """The seven families `lines.admissible_battery` tries on line l, their
+    endpoints and periods built by num."""
+    sorg = topology_of_line(l) is TopologyKind.SORG_R
+
+    def block(lo, hi):
+        return interval(num(lo), num(hi), sorg, False)
+
+    return [finite_family([REALS]),
+            finite_family([block(k, k + 2) for k in (-3, -1, 0, 2)]),
+            Periodic(block(0, 2), num(1)),
+            Periodic(block(0, 2), num(1), IndexRange(0, None)),
+            Periodic(block(0, 2), num(1), IndexRange(None, 0)),
+            Periodic(interval(NEG_INF, num(0)), num(1)),
+            Fan(num(0), num(1), "down")]
+
+
+def plain_levels(psi, max_opens=48):
+    """`generation_levels` without its skip: every rule on every level."""
+    while True:
+        yield psi
+        for rule in RULES:
+            psi = plus_step(psi, rule, max_opens)
 
 
 def rand_fraction(rng: random.Random, lo=-6, hi=6, den=8) -> Fraction:

@@ -1,3 +1,4 @@
+import dataclasses
 import importlib
 import itertools
 import math
@@ -16,11 +17,13 @@ from gtsreal.covers import (
     End,
     Fan,
     FiniteFamily,
+    GenerationResult,
     IndexRange,
     Periodic,
     PreconditionError,
     Restricted,
     Split,
+    _dedupe,
     ef_member,
     ess_finite,
     ess_finite_on,
@@ -58,7 +61,7 @@ from gtsreal.checkers import default_probe_battery
 from gtsreal.oracles import OracleRefusal, oracle_ess_finite
 from gtsreal.queries import parse
 from gtsreal.report import run as run_doc
-from gtsreal import realset
+from gtsreal import covers, realset, report
 from gtsreal.qmetric import metric
 from gtsreal.realset import (
     EMPTY,
@@ -80,6 +83,7 @@ from gtsreal.realset import (
 from helpers import (
     WINDOW_MISSES_UNION,
     fan_edges,
+    plain_levels,
     rand_any_family,
     rand_family,
     rand_fraction,
@@ -479,6 +483,34 @@ class TestGeneration:
         assert [(g.found, g.truncated, g.depth_used) for g in shared] == \
             [(False, True, 3), (True, False, 1), (True, True, 2)]
 
+    def test_depth_past_the_fixpoint(self):
+        # the chain settles after a few levels, so a search a million levels
+        # deep answers as a shallow one does, at once
+        psi = CovCollection.from_specs([finite_family([open_iv(0, 2)]),
+                                        finite_family([open_iv(1, 3)])])
+        target = finite_family([open_iv(5, 6)])
+        levels = list(itertools.islice(plain_levels(psi), 12))
+        assert levels[-1] is levels[-2] and levels[-1].truncated
+        for k, level in enumerate(levels):
+            assert member_generated(target, generation_levels(psi), k) == \
+                GenerationResult(False, level.truncated, k)
+        # the search reads the chain up to the first level that repeats
+        settled = next(k for k in range(1, 12) if levels[k] is levels[k - 1])
+        read = []
+        start = time.perf_counter()
+        got = member_generated(target, (read.append(lv) or lv for lv in generation_levels(psi)),
+                               10 ** 6)
+        assert time.perf_counter() - start < 1
+        assert got == GenerationResult(False, True, 10 ** 6)
+        assert len(read) == settled + 1
+        doc = parse("collection C = collection(finite(interval(open 0, open 2)), "
+                    "finite(interval(open 1, open 3)))\n"
+                    "query member_generated finite(interval(open 5, open 6)) C 1000000\n")
+        start = time.perf_counter()
+        record, = run_doc(doc).records
+        assert time.perf_counter() - start < 1
+        assert record.machine().endswith("|ok|found=false depth=1000000 truncated")
+
     def test_monotone_and_contains_input(self):
         psi = CovCollection.from_specs([
             finite_family([open_iv(0, 2)]), finite_family([open_iv(1, 3)])])
@@ -710,6 +742,113 @@ class TestAtomEngine:
         assert len(calls) < 40
 
 
+# ---------------------------------------------------------------------------
+# settled rules: the chain skips a rule that left its level as it was
+# ---------------------------------------------------------------------------
+
+@pytest.fixture(scope="module")
+def battery_psis():
+    """The (Psi, max_opens) of each of the restriction-generation battery's
+    chains, as its generation_levels calls receive them."""
+    got = []
+    levels = report.generation_levels
+    report.generation_levels = \
+        lambda psi, max_opens=48: got.append((psi, max_opens)) or levels(psi, max_opens)
+    try:
+        report.restriction_generation_battery()
+    finally:
+        report.generation_levels = levels
+    assert len(got) == report.RESTRICTION_INSTANCES == 50
+    return got
+
+
+def _instances(battery_psis, seed):
+    """The battery's chains, then ten seeded ones for each max_opens."""
+    rng = random.Random(seed)
+    return battery_psis + [(psi, max_opens) for max_opens in (8, 24, 56)
+                           for psi in _seeded_psis(rng, 10)]
+
+
+class TestSettledRules:
+    def test_a_step_is_its_input_exactly_when_nothing_changed(self, battery_psis):
+        # each level, with its atoms and without, stepped by each rule under
+        # each max_opens: the answer is the input itself exactly when the
+        # input carries its atoms and the rule changed nothing, truncated
+        # included (a collection's equality compares it)
+        same = new = 0
+        for psi, max_opens in _instances(battery_psis, 9101):
+            for level in itertools.islice(plain_levels(psi, max_opens), 3):
+                bare = CovCollection(level.carrier, level.families, level.opens,
+                                     level.truncated)
+                for start, rule, cap in itertools.product((level, bare), RULES, (8, 24, 56)):
+                    got = plus_step(start, rule, cap)
+                    assert got.truncated or len(got.opens) <= cap, (rule, cap)
+                    assert (got is start) == (start._masks is not None and got == start), \
+                        (rule, cap)
+                    same += got is start
+                    new += got == start and got is not start
+        assert same and new
+
+    def test_a_truncation_flip_is_a_change(self):
+        # a settled level with 5 opens and no mark, stepped under max_opens
+        # 4: no rule adds anything, and each marks the collection truncated
+        psi = CovCollection.from_specs([finite_family([open_iv(0, 1), open_iv(2, 3)])])
+        chain = generation_levels(psi, 56)
+        level = next(lv for lv, nxt in itertools.pairwise(chain) if nxt is lv)
+        assert len(level.opens) == 5 and not level.truncated
+        for rule in RULES:
+            got = plus_step(level, rule, 4)
+            assert got is not level and got.truncated, rule
+            assert (got.families, got.opens) == (level.families, level.opens)
+        levels = list(itertools.islice(generation_levels(level, 4), 4))
+        assert levels == list(itertools.islice(plain_levels(level, 4), 4))
+        assert [lv.truncated for lv in levels] == [False, True, True, True]
+
+    def test_the_chain_is_the_plain_loop(self, battery_psis):
+        # level by level for 8 levels, truncated chains included
+        truncated = settled = 0
+        for psi, max_opens in _instances(battery_psis, 9102):
+            got = list(itertools.islice(generation_levels(psi, max_opens), 8))
+            assert got == list(itertools.islice(plain_levels(psi, max_opens), 8)), max_opens
+            truncated += got[-1].truncated
+            settled += got[-1] is got[-2]
+        assert truncated and settled
+
+    def test_a_settled_chain_makes_no_more_steps(self, battery_psis, monkeypatch):
+        calls = []
+        step = covers.plus_step
+        monkeypatch.setattr(covers, "plus_step", lambda psi, rule, max_opens=48:
+                            calls.append(rule) or step(psi, rule, max_opens))
+        for psi, max_opens in battery_psis:
+            calls.clear()
+            levels, counts = [], []
+            for level in itertools.islice(generation_levels(psi, max_opens), 8):
+                levels.append(level)
+                counts.append(len(calls))
+            k = next(k for k in range(1, 8) if levels[k] is levels[k - 1])
+            assert all(lv is levels[k] for lv in levels[k:])
+            assert counts[k:] == [counts[k]] * (8 - k)
+            assert counts[k] < k * len(RULES)
+
+    def test_an_equal_copy_is_not_skipped(self, battery_psis, monkeypatch):
+        # stability answers an unchanged level with an equal copy, so each
+        # rule meets a new object on every level and must run on it
+        calls = []
+        step = covers.plus_step
+
+        def copying(psi, rule, max_opens=48):
+            calls.append(rule)
+            got = step(psi, rule, max_opens)
+            return dataclasses.replace(got) if got is psi and rule == "stability" else got
+
+        monkeypatch.setattr(covers, "plus_step", copying)
+        for psi, max_opens in battery_psis[:10]:
+            calls.clear()
+            got = list(itertools.islice(generation_levels(psi, max_opens), 8))
+            assert len(calls) == 7 * len(RULES)
+            assert got == list(itertools.islice(plain_levels(psi, max_opens), 8))
+
+
 class TestAtomRing:
     def test_ring_matches_the_pairwise_fixpoint(self):
         rng = random.Random(9092)
@@ -915,6 +1054,21 @@ class TestFamilyCache:
             with pytest.raises(ConstructionError):
                 build()
 
+    def test_dedupe_keeps_first_occurrences(self):
+        a, b = open_iv(0, 1), closed(F(1, 2), 3)
+        got = _dedupe([a, b, open_iv(F(0), F(1)), point(5), closed(F(1, 2), F(3)), a])
+        assert got == [a, b, point(5)] and got[0] is a and got[1] is b
+
+    def test_members_of_a_long_span(self):
+        # 20,001 distinct members: the dedupe is linear in them
+        doc = parse("query members periodic(interval(closed 0, closed 1), 1, span 0 20000)\n")
+        start = time.perf_counter()
+        record, = run_doc(doc).records
+        assert time.perf_counter() - start < 2
+        assert record.status == "ok"
+        assert members(Periodic(closed(0, 1), F(1), IndexRange(0, 20000))) == \
+            [closed(k, k + 1) for k in range(20001)]
+
     def test_module_caches_are_bounded(self):
         # every module-level memo of the library holds a bounded number of
         # entries (the per-algebra maps of _Atoms live and die with one chain)
@@ -927,7 +1081,7 @@ class TestFamilyCache:
         for name in ("realset._pattern_reduce_cached", "realset._germ_op_cached",
                      "realset._materialize_cached", "covers.union_of",
                      "covers.ess_finite_on", "covers._probes", "covers.is_open_in",
-                     "lines._element",
+                     "lines._element", "lines.cov_member", "lines._admissible_battery",
                      "checkers._end_gaps"):
             assert name in found
         assert all(size is not None for size in found.values()), found

@@ -60,6 +60,7 @@ from gtsreal.realset import (
 )
 
 from helpers import WINDOW_MISSES_UNION, fan_edges, probe_corpus, rand_any_family
+from helpers import battery_candidates as _battery_candidates
 
 PROBES = probe_corpus()
 
@@ -328,22 +329,6 @@ LINE_PINS = {
     "sorgenfrey/sl_minus_om": ("100000100100110010000000001111111", "1100000"),
     "sorgenfrey/rom": ("100000100100110010000000001111111", "1100000"),
 }
-
-
-def _battery_candidates(l):
-    """The seven families admissible_battery tries on line l."""
-    sorg = topology_of_line(l) is TopologyKind.SORG_R
-
-    def block(lo, hi):
-        return interval(F(lo), F(hi), sorg, False)
-
-    return [finite_family([REALS]),
-            finite_family([block(k, k + 2) for k in (-3, -1, 0, 2)]),
-            Periodic(block(0, 2), F(1)),
-            Periodic(block(0, 2), F(1), IndexRange(0, None)),
-            Periodic(block(0, 2), F(1), IndexRange(None, 0)),
-            Periodic(interval(NEG_INF, 0), F(1)),
-            Fan(F(0), F(1), "down")]
 
 
 def _bits(xs):

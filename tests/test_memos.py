@@ -1,7 +1,9 @@
 """The memos of the values the corpus battery repeats: the base elements
 B_n (`lines._element`, behind `BaseSchema.element`), the end gaps of the
-chain condition (`checkers._end_gaps`) and the probe list of one family
-piece (`covers._probes`, behind `violating_member`).
+chain condition (`checkers._end_gaps`), the probe list of one family
+piece (`covers._probes`, behind `violating_member`), admissibility
+(`lines.cov_member`) and each line's admissible battery
+(`lines._admissible_battery`, behind `admissible_battery`).
 
 They are tested as `union_of` and `ess_finite_on` are in
 tests/test_covers.py::TestFamilyCache: a cached answer is the undecorated
@@ -30,7 +32,10 @@ from gtsreal.lines import (
     NAT_BOUNDED,
     UB,
     BaseSchema,
+    _admissible_battery,
     _element,
+    admissible_battery,
+    cov_member,
     metric_bounded,
     op_member,
     probe_corpus,
@@ -39,9 +44,10 @@ from gtsreal.qmetric import ALL_METRICS
 from gtsreal.realset import NEG_INF, POS_INF, ConstructionError, closed, interval, open_iv
 from gtsreal.report import corpus_verify
 
-from helpers import rand_any_family, rand_schema
+from helpers import battery_candidates, rand_any_family, rand_schema
 
 MEMOS = (_element, _end_gaps, _probes)
+ADMISSIBILITY_MEMOS = (cov_member, _admissible_battery)
 
 
 def _outcome(fn, *args):
@@ -53,7 +59,7 @@ def _outcome(fn, *args):
 
 
 def _clear():
-    for memo in MEMOS:
+    for memo in MEMOS + ADMISSIBILITY_MEMOS:
         memo.cache_clear()
 
 
@@ -160,6 +166,54 @@ class TestEqualKeys:
                 a, b = _probes(first, w), _probes(second, w)
                 want = _probes.__wrapped__(second, w)
                 assert a == b == want and str(a) == str(want)
+
+
+class TestAdmissibility:
+    def test_cov_member_matches_the_undecorated_function(self):
+        rng = random.Random(1905)
+        _clear()
+        families = list(dict.fromkeys(f for l in CORPUS for f in battery_candidates(l)))
+        families += [rand_any_family(rng) for _ in range(40)]
+        for l in CORPUS:
+            for f in families:
+                want = _outcome(cov_member.__wrapped__, l, f)
+                for _ in range(2):
+                    assert _outcome(cov_member, l, f) == want, (l, str(f))
+        assert cov_member.cache_info().hits >= len(CORPUS) * len(families)
+
+    def test_battery_matches_the_undecorated_function(self):
+        _clear()
+        for l in CORPUS:
+            want = [f for f in battery_candidates(l) if cov_member.__wrapped__(l, f)]
+            assert list(_admissible_battery.__wrapped__(l)) == want, l
+            for _ in range(2):
+                got = admissible_battery(l)
+                assert got == want and type(got) is list, l
+                got.append(None)   # a fresh list each time: the memo is not touched
+        info = _admissible_battery.cache_info()
+        assert (info.misses, info.hits) == (len(CORPUS), len(CORPUS))
+
+    @pytest.mark.parametrize("l", CORPUS, ids=str)
+    def test_equal_keys(self, l):
+        for int_built, frac_built in zip(battery_candidates(l, int), battery_candidates(l)):
+            assert int_built == frac_built and hash(int_built) == hash(frac_built)
+            for first, second in ((int_built, frac_built), (frac_built, int_built)):
+                _clear()
+                a, b = cov_member(l, first), cov_member(l, second)
+                assert a == b == cov_member.__wrapped__(l, second)
+                assert cov_member.cache_info().hits == 1
+
+    def test_one_corpus_battery_reuses_them(self):
+        # the battery asks for each line's admissible battery twice, and it
+        # asks 1401 distinct (line, family) pairs 2150 times: at most 749 of
+        # those asks can be hits, and nearly all of them come within 128
+        # other pairs
+        _clear()
+        assert corpus_verify().failures == 0
+        info = _admissible_battery.cache_info()
+        assert info.hits >= info.misses == len(CORPUS), info
+        info = cov_member.cache_info()
+        assert 2 * info.hits >= info.misses > 0, info
 
 
 class _NoProbes:
