@@ -1,5 +1,7 @@
 """Command-line surface: evaluate query documents, run the corpus battery,
-print the grammar.  Exit code 0 iff no query or suite entry failed."""
+print the grammar.  Exit code 0 iff no query or suite entry failed; 2 on bad
+flags, a document that does not parse or cannot be read, and a report that
+cannot be written."""
 
 from __future__ import annotations
 
@@ -12,12 +14,30 @@ from gtsreal.queries import GRAMMAR, ParseError, parse
 from gtsreal.report import Caps, Report, corpus_verify, run
 
 
+class _FileError(Exception):
+    """A document that cannot be read or a report that cannot be written:
+    `main` prints it as one line and exits 2."""
+
+
+def _read(path: str) -> str:
+    try:
+        return Path(path).read_text(encoding="utf-8")
+    except OSError as e:
+        raise _FileError(f"cannot read {path}: {e.strerror or e}") from None
+    except UnicodeDecodeError as e:
+        raise _FileError(f"cannot read {path}: not UTF-8 (byte 0x{e.object[e.start]:02x} "
+                          f"at offset {e.start})") from None
+
+
 def _emit(report: Report, fmt: str, path):
     text = report.machine_text() if fmt == "machine" else report.human_text()
-    if path is not None:
-        Path(path).write_text(text, encoding="utf-8")
-    else:
+    if path is None:
         sys.stdout.write(text)
+        return
+    try:
+        Path(path).write_text(text, encoding="utf-8")
+    except OSError as e:
+        raise _FileError(f"cannot write the report to {path}: {e.strerror or e}") from None
 
 
 def _count(text: str) -> int:
@@ -56,7 +76,14 @@ def _parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = _parser().parse_args(argv)
+    try:
+        return _command(args)
+    except _FileError as e:
+        sys.stderr.write(f"gtsreal: {e}\n")
+        return 2
 
+
+def _command(args) -> int:
     caps = Caps(chain_n=args.caps_chain, depth=args.caps_depth)
     if args.command == "print-grammar":
         sys.stdout.write(GRAMMAR)
@@ -66,7 +93,7 @@ def main(argv=None) -> int:
         _emit(report, args.format, args.report)
         return 0 if report.failures == 0 else 1
     try:
-        doc = parse(Path(args.file).read_text(encoding="utf-8"))
+        doc = parse(_read(args.file))
     except ParseError as e:
         sys.stderr.write(f"parse error: {e}\n")
         return 2

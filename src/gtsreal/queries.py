@@ -12,10 +12,13 @@ bornologies and maps: one reader, `_Parser.expr`, reads them all.
 from __future__ import annotations
 
 import re
+import string
 import sys
+from bisect import bisect_left
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache, reduce
+from operator import itemgetter
 from typing import Callable, NamedTuple, Tuple
 
 from gtsreal import lines, oracles, realset
@@ -117,59 +120,106 @@ class ParseError(ValueError):
 
 
 # One match per token: the blanks and the comment before a token are part of
-# its match.  "bad" takes any other character and "end" the end of input, so
-# the matches of `finditer` are contiguous and the last one ends the text.
+# its match, and the group is the token.  The last alternative takes the end
+# of input or any other character, so the matches are contiguous and the
+# first empty one is the end of input.  No two alternatives start with the
+# same character and every match succeeds without backtracking, so the
+# possessive quantifiers change no match: they spare the engine its
+# backtracking bookkeeping.
 _TOKEN = re.compile(r"""
-    [ \t]*(?:\#[^\n]*)?
-    (?:
-        (?P<newline>\n)
-      | (?P<ninf>-inf\b)
-      | (?P<rat>-?\d+(?:/\d+)?)
-      | (?P<name>[A-Za-z_][A-Za-z0-9_]*(?:/[A-Za-z_][A-Za-z0-9_]*)?)
-      | (?P<sep>;)
-      | (?P<punct>[(),=])
-      | (?P<bad>.)
-      | (?P<end>\Z)
+    [ \t]*+(?:\#[^\n]*+)?+
+    (   -inf\b | [A-Za-z_][A-Za-z0-9_]*+(?:/[A-Za-z_][A-Za-z0-9_]*+)?+
+      | [(),=]
+      | -?\d++(?:/\d++)?+
+      | [\n;]
+      | .|\Z
     )
 """, re.VERBOSE)
+# A token's kind by its first character, unless its whole text says
+# otherwise: '-' starts a rat, -inf is a name, and '-' alone and any other
+# character (None) start no token.
+_KIND_OF_FIRST = {**dict.fromkeys(string.ascii_letters + "_", "name"),
+                  **dict.fromkeys(string.digits + "-", "rat"),
+                  **dict.fromkeys("(),=", "punct"), "\n": "sep", ";": "sep"}
+_KIND_OF_TEXT = {"-inf": "name", "-": None}
+_FIRST = itemgetter(0)
+_NEWLINE = re.compile("\n")
 
 
 class Token(NamedTuple):
+    """One token: its kind, text and offset in the document, and the
+    document's `Tokens`, which work out its line and column when read."""
+
     kind: str
     text: str
-    line: int
-    col: int
+    offset: int
+    tokens: "Tokens"
+
+    @property
+    def line(self) -> int:
+        return self.tokens.position(self.offset)[0]
+
+    @property
+    def col(self) -> int:
+        return self.tokens.position(self.offset)[1]
 
 
-def _tokenize(text: str) -> list:
-    """The tokens of `text`, one `_TOKEN` match each, ending with an "end"
-    token at the last token's position.  Newlines and ';' become "sep"
-    tokens; whitespace and comments are dropped."""
-    out = []
-    # tuple.__new__ builds a Token without the Python-level call of its
-    # NamedTuple constructor: a document has about a hundred tokens
-    new = tuple.__new__
-    line, line_start = 1, 0
-    for m in _TOKEN.finditer(text):
-        kind = m.lastgroup
-        start = m.start(kind)
-        if kind == "name" or kind == "punct" or kind == "rat":
-            out.append(new(Token, (kind, m.group(kind), line, start - line_start + 1)))
-        elif kind == "newline" or kind == "sep":
-            out.append(new(Token, ("sep", ";", line, start - line_start + 1)))
-            if kind == "newline":
-                line += 1
-                line_start = start + 1
-        elif kind == "ninf":
-            out.append(new(Token, ("name", "-inf", line, start - line_start + 1)))
-        elif kind == "end":
-            break
-        else:
-            raise ParseError(f"unexpected character {text[start]!r}", line,
-                             start - line_start + 1)
-    last = out[-1] if out else Token("", "", 1, 1)
-    out.append(Token("end", "", last.line, last.col))
-    return out
+class Tokens:
+    """A document's tokens as parallel lists of kinds and texts, ending with
+    an "end" token at the last token's offset.  Newlines and ';' are "sep"
+    tokens; a newline keeps its text "\n" in `texts`, where no reader
+    compares it, and its `Token` has the text ';'.  Indexing gives a
+    `Token`.
+
+    Offsets, and lines and columns from them, are worked out only when an
+    error or a caller asks for them: offsets by a second pass of `_TOKEN`,
+    lines and columns by bisecting the document's newline offsets."""
+
+    __slots__ = ("source", "kinds", "texts", "_offsets", "_newlines")
+
+    def __init__(self, source: str, kinds: list, texts: list):
+        self.source = source
+        self.kinds = kinds
+        self.texts = texts
+        self._offsets = None
+        self._newlines = None
+
+    def __len__(self) -> int:
+        return len(self.kinds)
+
+    def __getitem__(self, i: int) -> Token:
+        text = self.texts[i]
+        return Token(self.kinds[i], ";" if text == "\n" else text, self.offset(i), self)
+
+    def offset(self, i: int) -> int:
+        """The offset of token i in the document."""
+        if self._offsets is None:
+            n = len(self.kinds) - 1
+            starts = [m.start(1) for m in _TOKEN.finditer(self.source)][:n]
+            self._offsets = starts + [starts[-1] if starts else 0]
+        return self._offsets[i]
+
+    def position(self, offset: int) -> Tuple[int, int]:
+        """The line and column of an offset, both counted from 1."""
+        if self._newlines is None:
+            self._newlines = [m.start() for m in _NEWLINE.finditer(self.source)]
+        line = bisect_left(self._newlines, offset)
+        return line + 1, offset - (self._newlines[line - 1] if line else -1)
+
+
+def _tokenize(text: str) -> Tokens:
+    """The tokens of `text`: the texts from one `findall` pass of `_TOKEN`,
+    their kinds looked up by `map`.  Whitespace and comments are dropped."""
+    texts = _TOKEN.findall(text)
+    del texts[texts.index(""):]
+    kinds = list(map(_KIND_OF_TEXT.get, texts, map(_KIND_OF_FIRST.get, map(_FIRST, texts))))
+    kinds.append("end")
+    texts.append("")
+    toks = Tokens(text, kinds, texts)
+    if None in kinds:
+        t = toks[kinds.index(None)]
+        raise ParseError(f"unexpected character {t.text!r}", t.line, t.col)
+    return toks
 
 
 _KINDS = {k.value: k for k in TopologyKind}
@@ -209,11 +259,23 @@ _WORD = re.compile(r"(\((\[)?)?([A-Z]+|[a-z_]+\([^()]*\)), \.\.\.\]?\)|[(),]|[^\
 
 
 @lru_cache(maxsize=256)
-def _words(grammar: str) -> tuple:
-    """A grammar's words as (word, reader or None, list item or None, list
-    opens with '(', list may be empty)."""
-    return tuple((m.group(), _READERS.get(m.group()), m.group(3), bool(m.group(1)),
-                  bool(m.group(2))) for m in _WORD.finditer(grammar))
+def _steps(grammar: str) -> tuple:
+    """A grammar compiled into the steps of `_Parser.read`: for each word,
+    the _Parser method that reads it, its one argument (None for a method
+    that takes none) and whether its value is kept."""
+    steps = []
+    for m in _WORD.finditer(grammar):
+        word, item = m.group(), m.group(3)
+        if item is not None:
+            read = _READERS.get(item) or (_Parser.read, item)
+            steps.append((_Parser.list_of, (*read, bool(m.group(1)), bool(m.group(2))), True))
+        elif word in _READERS:
+            steps.append((*_READERS[word], True))
+        elif "|" in word:
+            steps.append((_Parser.one_of, tuple(word.split("|")), True))
+        else:
+            steps.append((*_PUNCT.get(word, (_Parser.expect, word)), False))
+    return tuple(steps)
 
 
 @dataclass
@@ -222,7 +284,7 @@ class QueryDoc:
 
     Equality and printing go through the normalized statement texts, so
     parse(print(doc)) == doc.  The texts are rendered from the document's
-    tokens only when asked for."""
+    token texts only when asked for."""
 
     queries: Tuple[Tuple[str, tuple], ...] = ()
     sets: dict = field(default_factory=dict)
@@ -231,14 +293,14 @@ class QueryDoc:
     bornologies: dict = field(default_factory=dict)
     maps: dict = field(default_factory=dict)
     collections: dict = field(default_factory=dict)
-    tokens: list = field(default_factory=list, repr=False)
+    texts: list = field(default_factory=list, repr=False)
     spans: Tuple[Tuple[int, int], ...] = field(default=(), repr=False)
 
     @property
     def statements(self) -> Tuple[str, ...]:
         """Each statement's tokens, one space apart except around '(', ')'
         and before ','."""
-        return tuple(_render(self.tokens[a:b]) for a, b in self.spans)
+        return tuple(_render(self.texts[a:b]) for a, b in self.spans)
 
     def print(self) -> str:
         statements = self.statements
@@ -248,108 +310,121 @@ class QueryDoc:
         return isinstance(other, QueryDoc) and self.statements == other.statements
 
 
-def _render(tokens) -> str:
-    s = " ".join(tok.text for tok in tokens)
+def _render(texts) -> str:
+    s = " ".join(texts)
     return s.replace(" (", "(").replace("( ", "(").replace(" )", ")").replace(" ,", ",")
 
 
 class _Parser:
     def __init__(self, text: str):
         self.toks = _tokenize(text)
+        self.kinds = self.toks.kinds
+        self.texts = self.toks.texts
         self.i = 0
         self.depth = 0
-        self.doc = QueryDoc(tokens=self.toks)
+        self.doc = QueryDoc(texts=self.texts)
 
     # -- token plumbing ---------------------------------------------------
-    # The token list ends with an "end" token, so reading one past the
-    # current token never leaves it.
+    # The token lists end with an "end" token, so reading one past the
+    # current token never leaves them.  A reader that fails raises at the
+    # token it was reading.
 
-    def at(self, text: str) -> bool:
-        return self.toks[self.i].text == text
+    def error(self, msg: str, i: int) -> ParseError:
+        """A ParseError at token i."""
+        t = self.toks[i]
+        return ParseError(msg, t.line, t.col)
 
-    def next(self) -> Token:
+    def unexpected(self, expected: str) -> ParseError:
+        """The error of a current token that is not the `expected` one."""
         t = self.toks[self.i]
         if t.kind == "end":
-            raise ParseError("unexpected end of input", t.line, t.col)
+            return ParseError("unexpected end of input", t.line, t.col)
+        return ParseError(f"expected {expected}, found {t.text!r}", t.line, t.col)
+
+    def at(self, text: str) -> bool:
+        return self.texts[self.i] == text
+
+    def expect(self, text: str) -> None:
+        if self.texts[self.i] != text:
+            raise self.unexpected(repr(text))
         self.i += 1
-        return t
 
-    def expect(self, text: str) -> Token:
-        t = self.next()
-        if t.text != text:
-            raise ParseError(f"expected {text!r}, found {t.text!r}", t.line, t.col)
-        if text == "(":
-            self.depth += 1
-            if self.depth > MAX_NESTING:
-                raise ParseError(f"nested deeper than {MAX_NESTING}", t.line, t.col)
-        elif text == ")":
-            self.depth -= 1
-        return t
+    def open(self) -> None:
+        self.expect("(")
+        self.depth += 1
+        if self.depth > MAX_NESTING:
+            raise self.error(f"nested deeper than {MAX_NESTING}", self.i - 1)
 
-    def expect_name(self) -> Token:
-        t = self.next()
-        if t.kind != "name":
-            raise ParseError(f"expected a name, found {t.text!r}", t.line, t.col)
-        return t
+    def close(self) -> None:
+        self.expect(")")
+        self.depth -= 1
+
+    def name(self) -> str:
+        i = self.i
+        if self.kinds[i] != "name":
+            raise self.unexpected("a name")
+        self.i = i + 1
+        return self.texts[i]
 
     def one_of(self, choices) -> str:
-        t = self.expect_name()
-        if t.text not in choices:
-            raise ParseError(f"expected {' or '.join(choices)}, found {t.text!r}",
-                             t.line, t.col)
-        return t.text
+        word = self.texts[self.i]
+        if word not in choices:
+            if self.kinds[self.i] != "name":
+                raise self.unexpected("a name")
+            raise self.error(f"expected {' or '.join(choices)}, found {word!r}", self.i)
+        self.i += 1
+        return word
 
     def rat(self) -> Fraction:
-        t = self.next()
-        if t.kind == "rat":
-            return _fraction(t)
-        if t.text == "inf" or t.text == "-inf":
-            raise ParseError("infinite value not allowed here", t.line, t.col)
-        raise ParseError(f"expected a rational, found {t.text!r}", t.line, t.col)
+        i = self.i
+        if self.kinds[i] == "rat":
+            self.i = i + 1
+            try:
+                return _literal(self.texts[i])
+            except ValueError as e:
+                raise self.error(str(e), i) from None
+        if self.texts[i] == "inf" or self.texts[i] == "-inf":
+            raise self.error("infinite value not allowed here", i)
+        raise self.unexpected("a rational")
 
     def ext(self):
-        if self.at("inf") or self.at("-inf"):
-            return POS_INF if self.next().text == "inf" else NEG_INF
+        text = self.texts[self.i]
+        if text == "inf" or text == "-inf":
+            self.i += 1
+            return POS_INF if text == "inf" else NEG_INF
         return self.rat()
 
     def int_(self) -> int:
-        t = self.next()
-        if t.kind != "rat" or "/" in t.text:
-            raise ParseError(f"expected an integer, found {t.text!r}", t.line, t.col)
-        return _int(t.text, t)
+        i = self.i
+        if self.kinds[i] != "rat" or "/" in self.texts[i]:
+            raise self.unexpected("an integer")
+        return self.rat().numerator
 
-    def list_of(self, item: str, opens: bool, empty_ok: bool) -> tuple:
-        """A comma-separated list of `item`s up to its ')', after a '(' when
-        `opens`.  An item is a reader word or a keyword with its grammar."""
+    def list_of(self, spec: tuple) -> tuple:
+        """A comma-separated list up to its ')', after a '(' when `opens`,
+        of items each read by the step (read, arg): `spec` is (read, arg,
+        opens, empty_ok)."""
+        read, arg, opens, empty_ok = spec
         if opens:
-            self.expect("(")
-        if item in _READERS:
-            method, args = _READERS[item]
-            read = getattr(self, method)
-        else:
-            read, args = self.read, (item,)
+            self.open()
         out = []
-        if not (empty_ok and self.at(")")):
-            out.append(read(*args))
-            while self.at(","):
-                self.next()
-                out.append(read(*args))
-        self.expect(")")
+        if not (empty_ok and self.texts[self.i] == ")"):
+            out.append(read(self) if arg is None else read(self, arg))
+            while self.texts[self.i] == ",":
+                self.i += 1
+                out.append(read(self) if arg is None else read(self, arg))
+        self.close()
         return tuple(out)
 
     def read(self, grammar: str) -> tuple:
-        """Read the input `grammar` describes (see `Query`); return the values
-        of its readers, lists and keyword choices, in order."""
+        """Read the input `grammar` describes (see `Query`) by its compiled
+        steps (see `_steps`); return the values of its readers, lists and
+        keyword choices, in order."""
         out = []
-        for word, reader, item, opens, empty_ok in _words(grammar):
-            if item is not None:
-                out.append(self.list_of(item, opens, empty_ok))
-            elif reader is not None:
-                out.append(getattr(self, reader[0])(*reader[1]))
-            elif "|" in word:
-                out.append(self.one_of(word.split("|")))
-            else:
-                self.expect(word)
+        for read, arg, keep in _steps(grammar):
+            value = read(self) if arg is None else read(self, arg)
+            if keep:
+                out.append(value)
         return tuple(out)
 
     # -- statement level ----------------------------------------------------
@@ -357,52 +432,50 @@ class _Parser:
     def parse(self) -> QueryDoc:
         spans = []
         queries = []
-        toks = self.toks
-        while toks[self.i].kind != "end":
-            if toks[self.i].kind == "sep":
+        kinds = self.kinds
+        while kinds[self.i] != "end":
+            if kinds[self.i] == "sep":
                 self.i += 1
                 continue
             start = self.i
-            t = self.expect_name()
+            word = self.name()
             try:
-                if t.text == "query":
+                if word == "query":
                     queries.append(self.query_expr())
-                elif t.text in _DECLARATION_READERS:
-                    kind = _DECLARATION_READERS[t.text]
+                elif word in _DECLARATION_READERS:
+                    kind = _DECLARATION_READERS[word]
                     env = getattr(self.doc, kind.env)
                     name = self._decl_name(env, kind)
                     self.expect("=")
                     env[name] = self.collection_expr() if kind is _COLLECTIONS \
                         else self.expr(kind)
                 else:
-                    raise ParseError(f"unknown statement {t.text!r}", t.line, t.col)
+                    raise self.error(f"unknown statement {word!r}", start)
             except (ConstructionError, PreconditionError) as e:
-                last = toks[self.i - 1]
-                raise ParseError(str(e), last.line, last.col) from None
+                raise self.error(str(e), self.i - 1) from None
             spans.append((start, self.i))
-            nxt = toks[self.i]
-            if nxt.kind != "sep" and nxt.kind != "end":
-                raise ParseError(f"expected end of statement, found {nxt.text!r}",
-                                 nxt.line, nxt.col)
+            if kinds[self.i] != "sep" and kinds[self.i] != "end":
+                raise self.error(f"expected end of statement, found {self.texts[self.i]!r}",
+                                 self.i)
         self.doc.spans = tuple(spans)
         self.doc.queries = tuple(queries)
         return self.doc
 
     def _decl_name(self, env: dict, kind: Expr) -> str:
-        t = self.expect_name()
-        if t.text in kind.rows:
-            raise ParseError(f"cannot declare {t.text!r}: it is a built-in {kind.noun} word",
-                             t.line, t.col)
-        if t.text in env:
-            raise ParseError(f"duplicate declaration of {t.text!r}", t.line, t.col)
-        return t.text
+        word = self.name()
+        if word in kind.rows:
+            raise self.error(f"cannot declare {word!r}: it is a built-in {kind.noun} word",
+                             self.i - 1)
+        if word in env:
+            raise self.error(f"duplicate declaration of {word!r}", self.i - 1)
+        return word
 
     def query_expr(self):
-        t = self.expect_name()
-        q = QUERIES.get(t.text)
+        word = self.name()
+        q = QUERIES.get(word)
         if q is None:
-            raise ParseError(f"unknown query {t.text!r}", t.line, t.col)
-        return (t.text, self.read(q.grammar))
+            raise self.error(f"unknown query {word!r}", self.i - 1)
+        return (word, self.read(q.grammar))
 
     # -- expressions ---------------------------------------------------------
 
@@ -410,18 +483,16 @@ class _Parser:
         """One expression of `kind`: a row keyword and what the row's grammar
         reads, built by the row, or a name declared in the kind's
         environment."""
-        t = self.expect_name()
-        row = kind.rows.get(t.text)
+        word = self.name()
+        row = kind.rows.get(word)
         if row is not None:
             return row.run(*self.read(row.grammar)) if row.grammar else row.run()
         if not kind.env:
-            raise ParseError(f"expected {' or '.join(kind.rows)}, found {t.text!r}",
-                             t.line, t.col)
+            raise self.error(f"expected {' or '.join(kind.rows)}, found {word!r}", self.i - 1)
         env = getattr(self.doc, kind.env)
-        if t.text in env:
-            return env[t.text]
-        raise ParseError(f"unknown identifier {t.text!r} (expected a {kind.noun})",
-                         t.line, t.col)
+        if word in env:
+            return env[word]
+        raise self.error(f"unknown identifier {word!r} (expected a {kind.noun})", self.i - 1)
 
     def kind(self) -> TopologyKind:
         return _KINDS[self.one_of(_KINDS)]
@@ -429,56 +500,58 @@ class _Parser:
     def affine(self):
         """AFF: affine(RAT, RAT), a RAT, which is the pair (RAT, 0), or inf
         or -inf, which is None."""
-        t = self.toks[self.i]
-        if t.kind == "rat":
+        if self.kinds[self.i] == "rat":
             return (self.rat(), Fraction(0))
-        if t.text == "inf" or t.text == "-inf":
+        if self.at("inf") or self.at("-inf"):
             self.i += 1
             return None
         return self.read("affine(RAT, RAT)")
 
     def line_id(self) -> LineId:
-        t = self.expect_name()
-        if "/" not in t.text:
-            raise ParseError(f"expected LINE like standard/lst, found {t.text!r}",
-                             t.line, t.col)
+        word = self.name()
+        if "/" not in word:
+            raise self.error(f"expected LINE like standard/lst, found {word!r}", self.i - 1)
         try:
-            return lines.line(t.text)
+            return lines.line(word)
         except ConstructionError:
-            raise ParseError(f"unknown line {t.text!r}", t.line, t.col) from None
+            raise self.error(f"unknown line {word!r}", self.i - 1) from None
 
     def collection_expr(self) -> CovCollection:
         fams, = self.read("collection(FAMILY, ...)")
         carrier = REALS
         if self.at("in"):
-            self.next()
+            self.i += 1
             carrier, = self.read("SET")
         return CovCollection.from_specs(fams, carrier)
 
     def collection_ref(self) -> CovCollection:
-        t = self.expect_name()
-        if t.text not in self.doc.collections:
-            raise ParseError(f"unknown collection {t.text!r}", t.line, t.col)
-        return self.doc.collections[t.text]
+        word = self.name()
+        if word not in self.doc.collections:
+            raise self.error(f"unknown collection {word!r}", self.i - 1)
+        return self.doc.collections[word]
 
 
-def _int(digits: str, t: Token) -> int:
+def _int(digits: str) -> int:
     try:
         return int(digits)
     except ValueError:
         # only Python's int-string limit fails on a `rat` token's digits
-        raise ParseError(f"literal longer than {sys.get_int_max_str_digits()} digits",
-                         t.line, t.col) from None
+        raise ValueError(f"literal longer than {sys.get_int_max_str_digits()} digits") \
+            from None
 
 
-def _fraction(t: Token) -> Fraction:
-    num, slash, den = t.text.partition("/")
+@lru_cache(maxsize=1024)
+def _literal(text: str) -> Fraction:
+    """The value of a `rat` token's text; a ValueError carries the parse
+    error of a zero denominator or a literal over the int-string limit.
+    A document's literals repeat: memoized, each is built once."""
+    num, slash, den = text.partition("/")
     if not slash:
-        return Fraction(_int(num, t))
-    d = _int(den, t)
+        return Fraction(_int(num))
+    d = _int(den)
     if d == 0:
-        raise ParseError(f"zero denominator in {t.text!r}", t.line, t.col)
-    return Fraction(_int(num, t), d)
+        raise ValueError(f"zero denominator in {text!r}")
+    return Fraction(_int(num), d)
 
 
 def parse(text: str) -> QueryDoc:
@@ -599,12 +672,14 @@ _COLLECTIONS = Expr({}, "collections", "collection")
 # Upper-case grammar words: the _Parser method that reads each and its
 # arguments.
 _READERS = {
-    **{word: ("expr", (kind,)) for word, kind in EXPRESSIONS.items()},
-    "OPERAND": ("expr", (_OPERAND,)),
-    "LINE": ("line_id", ()), "KIND": ("kind", ()), "RAT": ("rat", ()),
-    "INT": ("int_", ()), "COLLECTION": ("collection_ref", ()), "EXT": ("ext", ()),
-    "AFF": ("affine", ()),
+    **{word: (_Parser.expr, kind) for word, kind in EXPRESSIONS.items()},
+    "OPERAND": (_Parser.expr, _OPERAND),
+    "LINE": (_Parser.line_id, None), "KIND": (_Parser.kind, None), "RAT": (_Parser.rat, None),
+    "INT": (_Parser.int_, None), "COLLECTION": (_Parser.collection_ref, None),
+    "EXT": (_Parser.ext, None), "AFF": (_Parser.affine, None),
 }
+# The parentheses of a grammar, which track the nesting depth.
+_PUNCT = {"(": (_Parser.open, None), ")": (_Parser.close, None)}
 
 # Declaration keyword -> the kind of its right-hand side.
 _DECLARATION_READERS = {

@@ -5,17 +5,20 @@ from __future__ import annotations
 import itertools
 import random
 import re
+import sys
 from fractions import Fraction
 from math import comb
-from typing import Optional, Sequence
+from typing import NamedTuple, Optional, Sequence
 
 from gtsreal.covers import (
     ALL_INDICES,
     RULES,
+    CovCollection,
     Fan,
     FamilySpec,
     IndexRange,
     Periodic,
+    PreconditionError,
     Restricted,
     Split,
     finite_family,
@@ -28,19 +31,30 @@ from gtsreal.lines import (
     NAT_BOUNDED,
     UB,
     BaseSchema,
+    line,
     metric_bounded,
     topology_of_line,
 )
 from gtsreal.lines import probe_corpus  # noqa: F401
 from gtsreal.oracles import MAX_CHECKS, OracleRefusal
 from gtsreal.qmetric import ALL_METRICS
-from gtsreal.queries import ParseError, Token, _Parser
+from gtsreal.queries import (
+    _COLLECTIONS,
+    _DECLARATION_READERS,
+    _OPERAND,
+    EXPRESSIONS,
+    MAX_NESTING,
+    QUERIES,
+    ParseError,
+    QueryDoc,
+)
 from gtsreal.realset import (
     _EMPTY_GERM,
     EMPTY,
     NEG_INF,
     POS_INF,
     REALS,
+    ConstructionError,
     Interval,
     RealSet,
     TopologyKind,
@@ -53,6 +67,8 @@ from gtsreal.realset import (
     union_all,
     with_tails,
 )
+
+_TOPOLOGY_KINDS = {k.value: k for k in TopologyKind}
 
 GRID_WINDOW = Interval(Fraction(-8), Fraction(8), True, True)
 GRID_STEP = Fraction(1, 16)
@@ -312,6 +328,21 @@ def reference_union_of_translates(seed: RealSet, period: Fraction,
 # references for the query front end
 # ---------------------------------------------------------------------------
 
+class RefToken(NamedTuple):
+    """A token with the line and column worked out as it is read."""
+
+    kind: str
+    text: str
+    line: int
+    col: int
+
+
+def positions(tokens) -> list:
+    """The (kind, text, line, col) of each token: the projection on which
+    the tokenizers are compared."""
+    return [(t.kind, t.text, t.line, t.col) for t in tokens]
+
+
 _REFERENCE_TOKEN = re.compile(r"""
     (?P<ws>[ \t]+)
   | (?P<comment>\#[^\n]*)
@@ -338,22 +369,301 @@ def reference_tokenize(text: str) -> list:
             continue
         col = start - line_start + 1
         if kind == "newline":
-            out.append(Token("sep", ";", line, col))
+            out.append(RefToken("sep", ";", line, col))
             line += 1
             line_start = pos
         elif kind == "punct" and text[start] == ";":
-            out.append(Token("sep", ";", line, col))
+            out.append(RefToken("sep", ";", line, col))
         else:
-            out.append(Token("name" if kind == "ninf" else kind, m.group(), line, col))
+            out.append(RefToken("name" if kind == "ninf" else kind, m.group(), line, col))
     if pos != len(text):
         raise ParseError(f"unexpected character {text[pos]!r}", line, pos - line_start + 1)
-    last = out[-1] if out else Token("", "", 1, 1)
-    out.append(Token("end", "", last.line, last.col))
+    last = out[-1] if out else RefToken("", "", 1, 1)
+    out.append(RefToken("end", "", last.line, last.col))
     return out
 
 
-class ReferenceParser(_Parser):
-    """The query parser with every tail(...) canonicalized alone, by
+# The front end as it read documents before its grammars were compiled:
+# `counting_tokenize` counts lines as it makes tokens, and `WordParser`
+# splits each grammar into words and looks each reader up by name on every
+# statement, and builds each literal afresh.  Only the tables, `EXPRESSIONS`
+# and `QUERIES`, are shared with the library.
+
+_COUNTING_TOKEN = re.compile(r"""
+    [ \t]*(?:\#[^\n]*)?
+    (?:
+        (?P<newline>\n)
+      | (?P<ninf>-inf\b)
+      | (?P<rat>-?\d+(?:/\d+)?)
+      | (?P<name>[A-Za-z_][A-Za-z0-9_]*(?:/[A-Za-z_][A-Za-z0-9_]*)?)
+      | (?P<sep>;)
+      | (?P<punct>[(),=])
+      | (?P<bad>.)
+      | (?P<end>\Z)
+    )
+""", re.VERBOSE)
+
+
+def counting_tokenize(text: str) -> list:
+    """The tokens of `text`, one `_COUNTING_TOKEN` match each, ending with
+    an "end" token at the last token's position."""
+    out = []
+    new = tuple.__new__
+    line, line_start = 1, 0
+    for m in _COUNTING_TOKEN.finditer(text):
+        kind = m.lastgroup
+        start = m.start(kind)
+        if kind == "name" or kind == "punct" or kind == "rat":
+            out.append(new(RefToken, (kind, m.group(kind), line, start - line_start + 1)))
+        elif kind == "newline" or kind == "sep":
+            out.append(new(RefToken, ("sep", ";", line, start - line_start + 1)))
+            if kind == "newline":
+                line += 1
+                line_start = start + 1
+        elif kind == "ninf":
+            out.append(new(RefToken, ("name", "-inf", line, start - line_start + 1)))
+        elif kind == "end":
+            break
+        else:
+            raise ParseError(f"unexpected character {text[start]!r}", line,
+                             start - line_start + 1)
+    last = out[-1] if out else RefToken("", "", 1, 1)
+    out.append(RefToken("end", "", last.line, last.col))
+    return out
+
+
+_GRAMMAR_WORD = re.compile(r"(\((\[)?)?([A-Z]+|[a-z_]+\([^()]*\)), \.\.\.\]?\)|[(),]|[^\s(),]+")
+
+# Upper-case grammar words: the WordParser method that reads each and its
+# arguments.
+_WORD_READERS = {
+    **{word: ("expr", (kind,)) for word, kind in EXPRESSIONS.items()},
+    "OPERAND": ("expr", (_OPERAND,)),
+    "LINE": ("line_id", ()), "KIND": ("kind", ()), "RAT": ("rat", ()),
+    "INT": ("int_", ()), "COLLECTION": ("collection_ref", ()), "EXT": ("ext", ()),
+    "AFF": ("affine", ()),
+}
+
+
+def _grammar_words(grammar: str) -> tuple:
+    """A grammar's words as (word, reader or None, list item or None, list
+    opens with '(', list may be empty)."""
+    return tuple((m.group(), _WORD_READERS.get(m.group()), m.group(3), bool(m.group(1)),
+                  bool(m.group(2))) for m in _GRAMMAR_WORD.finditer(grammar))
+
+
+def _ref_int(digits: str, t: RefToken) -> int:
+    try:
+        return int(digits)
+    except ValueError:
+        raise ParseError(f"literal longer than {sys.get_int_max_str_digits()} digits",
+                         t.line, t.col) from None
+
+
+def _ref_fraction(t: RefToken) -> Fraction:
+    num, slash, den = t.text.partition("/")
+    if not slash:
+        return Fraction(_ref_int(num, t))
+    d = _ref_int(den, t)
+    if d == 0:
+        raise ParseError(f"zero denominator in {t.text!r}", t.line, t.col)
+    return Fraction(_ref_int(num, t), d)
+
+
+class WordParser:
+    def __init__(self, text: str):
+        self.toks = counting_tokenize(text)
+        self.i = 0
+        self.depth = 0
+        self.doc = QueryDoc(texts=[t.text for t in self.toks])
+
+    def at(self, text: str) -> bool:
+        return self.toks[self.i].text == text
+
+    def next(self) -> RefToken:
+        t = self.toks[self.i]
+        if t.kind == "end":
+            raise ParseError("unexpected end of input", t.line, t.col)
+        self.i += 1
+        return t
+
+    def expect(self, text: str) -> RefToken:
+        t = self.next()
+        if t.text != text:
+            raise ParseError(f"expected {text!r}, found {t.text!r}", t.line, t.col)
+        if text == "(":
+            self.depth += 1
+            if self.depth > MAX_NESTING:
+                raise ParseError(f"nested deeper than {MAX_NESTING}", t.line, t.col)
+        elif text == ")":
+            self.depth -= 1
+        return t
+
+    def expect_name(self) -> RefToken:
+        t = self.next()
+        if t.kind != "name":
+            raise ParseError(f"expected a name, found {t.text!r}", t.line, t.col)
+        return t
+
+    def one_of(self, choices) -> str:
+        t = self.expect_name()
+        if t.text not in choices:
+            raise ParseError(f"expected {' or '.join(choices)}, found {t.text!r}",
+                             t.line, t.col)
+        return t.text
+
+    def rat(self) -> Fraction:
+        t = self.next()
+        if t.kind == "rat":
+            return _ref_fraction(t)
+        if t.text == "inf" or t.text == "-inf":
+            raise ParseError("infinite value not allowed here", t.line, t.col)
+        raise ParseError(f"expected a rational, found {t.text!r}", t.line, t.col)
+
+    def ext(self):
+        if self.at("inf") or self.at("-inf"):
+            return POS_INF if self.next().text == "inf" else NEG_INF
+        return self.rat()
+
+    def int_(self) -> int:
+        t = self.next()
+        if t.kind != "rat" or "/" in t.text:
+            raise ParseError(f"expected an integer, found {t.text!r}", t.line, t.col)
+        return _ref_int(t.text, t)
+
+    def list_of(self, item: str, opens: bool, empty_ok: bool) -> tuple:
+        if opens:
+            self.expect("(")
+        if item in _WORD_READERS:
+            method, args = _WORD_READERS[item]
+            read = getattr(self, method)
+        else:
+            read, args = self.read, (item,)
+        out = []
+        if not (empty_ok and self.at(")")):
+            out.append(read(*args))
+            while self.at(","):
+                self.next()
+                out.append(read(*args))
+        self.expect(")")
+        return tuple(out)
+
+    def read(self, grammar: str) -> tuple:
+        out = []
+        for word, reader, item, opens, empty_ok in _grammar_words(grammar):
+            if item is not None:
+                out.append(self.list_of(item, opens, empty_ok))
+            elif reader is not None:
+                out.append(getattr(self, reader[0])(*reader[1]))
+            elif "|" in word:
+                out.append(self.one_of(word.split("|")))
+            else:
+                self.expect(word)
+        return tuple(out)
+
+    def parse(self) -> QueryDoc:
+        spans = []
+        queries_ = []
+        toks = self.toks
+        while toks[self.i].kind != "end":
+            if toks[self.i].kind == "sep":
+                self.i += 1
+                continue
+            start = self.i
+            t = self.expect_name()
+            try:
+                if t.text == "query":
+                    queries_.append(self.query_expr())
+                elif t.text in _DECLARATION_READERS:
+                    kind = _DECLARATION_READERS[t.text]
+                    env = getattr(self.doc, kind.env)
+                    name = self._decl_name(env, kind)
+                    self.expect("=")
+                    env[name] = self.collection_expr() if kind is _COLLECTIONS \
+                        else self.expr(kind)
+                else:
+                    raise ParseError(f"unknown statement {t.text!r}", t.line, t.col)
+            except (ConstructionError, PreconditionError) as e:
+                last = toks[self.i - 1]
+                raise ParseError(str(e), last.line, last.col) from None
+            spans.append((start, self.i))
+            nxt = toks[self.i]
+            if nxt.kind != "sep" and nxt.kind != "end":
+                raise ParseError(f"expected end of statement, found {nxt.text!r}",
+                                 nxt.line, nxt.col)
+        self.doc.spans = tuple(spans)
+        self.doc.queries = tuple(queries_)
+        return self.doc
+
+    def _decl_name(self, env: dict, kind) -> str:
+        t = self.expect_name()
+        if t.text in kind.rows:
+            raise ParseError(f"cannot declare {t.text!r}: it is a built-in {kind.noun} word",
+                             t.line, t.col)
+        if t.text in env:
+            raise ParseError(f"duplicate declaration of {t.text!r}", t.line, t.col)
+        return t.text
+
+    def query_expr(self):
+        t = self.expect_name()
+        q = QUERIES.get(t.text)
+        if q is None:
+            raise ParseError(f"unknown query {t.text!r}", t.line, t.col)
+        return (t.text, self.read(q.grammar))
+
+    def expr(self, kind):
+        t = self.expect_name()
+        row = kind.rows.get(t.text)
+        if row is not None:
+            return row.run(*self.read(row.grammar)) if row.grammar else row.run()
+        if not kind.env:
+            raise ParseError(f"expected {' or '.join(kind.rows)}, found {t.text!r}",
+                             t.line, t.col)
+        env = getattr(self.doc, kind.env)
+        if t.text in env:
+            return env[t.text]
+        raise ParseError(f"unknown identifier {t.text!r} (expected a {kind.noun})",
+                         t.line, t.col)
+
+    def kind(self) -> TopologyKind:
+        return _TOPOLOGY_KINDS[self.one_of(_TOPOLOGY_KINDS)]
+
+    def affine(self):
+        t = self.toks[self.i]
+        if t.kind == "rat":
+            return (self.rat(), Fraction(0))
+        if t.text == "inf" or t.text == "-inf":
+            self.i += 1
+            return None
+        return self.read("affine(RAT, RAT)")
+
+    def line_id(self):
+        t = self.expect_name()
+        if "/" not in t.text:
+            raise ParseError(f"expected LINE like standard/lst, found {t.text!r}",
+                             t.line, t.col)
+        try:
+            return line(t.text)
+        except ConstructionError:
+            raise ParseError(f"unknown line {t.text!r}", t.line, t.col) from None
+
+    def collection_expr(self) -> CovCollection:
+        fams, = self.read("collection(FAMILY, ...)")
+        carrier = REALS
+        if self.at("in"):
+            self.next()
+            carrier, = self.read("SET")
+        return CovCollection.from_specs(fams, carrier)
+
+    def collection_ref(self) -> CovCollection:
+        t = self.expect_name()
+        if t.text not in self.doc.collections:
+            raise ParseError(f"unknown collection {t.text!r}", t.line, t.col)
+        return self.doc.collections[t.text]
+
+
+class ReferenceParser(WordParser):
+    """The word-by-word parser with every tail(...) canonicalized alone, by
     `with_tails`, and union(...) as `union_all` of its canonical operands."""
 
     def expr(self, kind):

@@ -814,6 +814,25 @@ class TestMain:
         assert main(["eval", str(f)]) == 2
         assert "parse error" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("case", ["missing", "not-utf8", "directory", "report-dir"])
+    def test_file_errors_are_one_line_exit_2(self, tmp_path, capsys, case):
+        doc = tmp_path / "doc.gts"
+        doc.write_bytes(b"query normalize reals\n" + (b"\xff" if case == "not-utf8" else b""))
+        argv, message = {
+            "missing": (["eval", str(tmp_path / "none.gts")],
+                        f"cannot read {tmp_path / 'none.gts'}: No such file or directory"),
+            "not-utf8": (["eval", str(doc)],
+                         f"cannot read {doc}: not UTF-8 (byte 0xff at offset 22)"),
+            "directory": (["eval", str(tmp_path)], f"cannot read {tmp_path}: Is a directory"),
+            "report-dir": (["--report", str(tmp_path / "none" / "r.txt"), "eval", str(doc)],
+                           f"cannot write the report to {tmp_path / 'none' / 'r.txt'}: "
+                           "No such file or directory"),
+        }[case]
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.err == f"gtsreal: {message}\n"
+        assert captured.out == ""
+
     @pytest.mark.parametrize("flag", ["--caps-chain", "--caps-depth"])
     def test_negative_caps_are_usage_errors(self, flag, capsys):
         with pytest.raises(SystemExit) as e:

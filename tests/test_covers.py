@@ -1082,6 +1082,6 @@ class TestFamilyCache:
                      "realset._materialize_cached", "covers.union_of",
                      "covers.ess_finite_on", "covers._probes", "covers.is_open_in",
                      "lines._element", "lines.cov_member", "lines._admissible_battery",
-                     "checkers._end_gaps"):
+                     "checkers._end_gaps", "queries._steps", "queries._literal"):
             assert name in found
         assert all(size is not None for size in found.values()), found

@@ -1,7 +1,8 @@
-"""The query front end against its references: the one-match-per-token
-tokenizer against the tokenizer that matches blanks and comments on their
-own, and union(...) declarations with raw tails against the parser that
-canonicalizes every tail(...) alone."""
+"""The query front end against its references: the tokenizer against the
+tokenizer that matches blanks and comments on their own, the parser with
+compiled grammars against the word-by-word parser it replaced, and union(...)
+declarations with raw tails against the parser that canonicalizes every
+tail(...) alone.  Tokens are compared by their (kind, text, line, col)."""
 
 import random
 import sys
@@ -15,7 +16,7 @@ from hypothesis import strategies as st
 from gtsreal import realset
 from gtsreal.queries import ParseError, _tokenize, parse
 
-from helpers import ReferenceParser, reference_tokenize
+from helpers import ReferenceParser, WordParser, positions, reference_tokenize
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "perfbench"))
 import evaldocs  # noqa: E402
@@ -27,6 +28,10 @@ def _outcome(f, text):
         return f(text)
     except ParseError as exc:
         return f"ParseError: {exc}"
+
+
+def _tokens(tokenize):
+    return lambda text: positions(tokenize(text))
 
 
 def _mutate(text: str, kind: str, rng: random.Random) -> str:
@@ -45,27 +50,61 @@ def _mutate(text: str, kind: str, rng: random.Random) -> str:
 
 
 MUTATIONS = ("tab", "cr", "bom", "comment", "letter", "truncate")
+TEXTS = st.text(alphabet=" \t\n\r#;(),=-/_aZi9nf0é\ufeff", max_size=40)
+
+
+def _mutants(count: int, seed: int):
+    """The first `count` universe documents, each with three mutants of
+    every kind."""
+    rng = random.Random(seed)
+    for i in range(count):
+        text, _ = evaldocs.document(i)
+        yield text
+        for kind in MUTATIONS:
+            for _ in range(3):
+                yield _mutate(text, kind, rng)
+
+
+def long_document(lines: int = 2000) -> str:
+    """A document of `lines` lines that parses: declarations and queries
+    indented by tabs and blanks, ';' separators, blank lines, and comments
+    holding a CR and non-ASCII letters."""
+    rng = random.Random(lines)
+    out = ["# héllo\r wörld λ"]
+    while len(out) < lines - 1:
+        n = len(out)
+        a = F(rng.randint(-40, 40), rng.choice((1, 2, 3, 4)))
+        out += [f"set S{n} =\tinterval(open {rat(a)},  closed {rat(a + 1)})  # ß\r é",
+                f"\t query normalize S{n} ; query contains S{n} {rat(a)};",
+                "", f"  family P{n} = periodic(point {rat(a)}, 1/2, span -2 {n % 7})\t#\r"]
+    return "\n".join(out[:lines - 1]) + "\n"
 
 
 class TestTokenizer:
     def test_universe_documents_and_their_mutations(self):
-        rng = random.Random(2026)
-        for i in range(48):
-            text, _ = evaldocs.document(i)
-            assert _tokenize(text) == reference_tokenize(text)
-            for kind in MUTATIONS:
-                for _ in range(3):
-                    mutated = _mutate(text, kind, rng)
-                    assert _outcome(_tokenize, mutated) == _outcome(reference_tokenize, mutated)
+        for text in _mutants(48, 2026):
+            assert _outcome(_tokens(_tokenize), text) == \
+                _outcome(_tokens(reference_tokenize), text)
 
     @settings(max_examples=600, deadline=None)
-    @given(st.text(alphabet=" \t\n\r#;(),=-/_aZi9nf0é\ufeff", max_size=40))
+    @given(TEXTS)
     @example("")
     @example("# only a comment")
     @example("x -inf -infinity -3/4 a/b 7/ -")
     @example("set S = point 1\t# c\n\n;query normalize S #")
     def test_any_text(self, text):
-        assert _outcome(_tokenize, text) == _outcome(reference_tokenize, text)
+        assert _outcome(_tokens(_tokenize), text) == _outcome(_tokens(reference_tokenize), text)
+
+    def test_positions_deep_in_a_long_document(self):
+        text = long_document()
+        assert text.count("\n") == 1999 and "\r" in text and "ö" in text
+        toks = _tokenize(text)
+        assert len(toks) > 15000
+        assert positions(toks) == positions(reference_tokenize(text))
+        last = "\tquery contains S1 1/0"
+        with pytest.raises(ParseError) as e:
+            parse(text + last)
+        assert str(e.value) == f"2000:{len(last) - 2}: zero denominator in '1/0'"
 
     def test_positions_and_errors(self):
         toks = _tokenize("set A =\tpoint 1 # c\n  query normalize A")
@@ -76,6 +115,52 @@ class TestTokenizer:
             ("end", "", 2, 19)]
         with pytest.raises(ParseError, match=r"^2:3: unexpected character '\\r'$"):
             _tokenize("a\n  \rb")
+
+
+ENVIRONMENTS = ("sets", "families", "metrics", "bornologies", "maps", "collections")
+
+
+def _parsed(parser, text):
+    """What `parser` makes of `text`: the exact ParseError text, or the
+    document with its queries and the values it declares."""
+    try:
+        doc = parser(text)
+    except ParseError as exc:
+        return f"ParseError: {exc}"
+    return doc, doc.queries, [getattr(doc, env) for env in ENVIRONMENTS]
+
+
+def _word_parse(text):
+    return WordParser(text).parse()
+
+
+class TestAgainstTheWordParser:
+    """The compiled grammars read every document as the word-by-word
+    parser did: the same documents accepted, equal QueryDocs, queries and
+    declared values, and the same ParseError text."""
+
+    def test_a_slice_of_the_universe(self):
+        for i in random.Random(27).sample(range(evaldocs.UNIVERSE), 160):
+            text, _ = evaldocs.document(i)
+            assert _parsed(parse, text) == _parsed(_word_parse, text), i
+
+    def test_mutated_documents(self):
+        for text in _mutants(16, 27):
+            assert _parsed(parse, text) == _parsed(_word_parse, text), text
+
+    @settings(max_examples=600, deadline=None)
+    @given(TEXTS)
+    @example("set A = points(1, 2,")
+    @example("query chain_check d_n fb delta 1/2 upto 1/2")
+    @example("family F = finite()\nquery gen_topology()\nquery full_ring reals of ()")
+    def test_any_text(self, text):
+        assert _parsed(parse, text) == _parsed(_word_parse, text)
+
+    def test_a_long_document(self):
+        text = long_document()
+        got = _parsed(parse, text)
+        assert got == _parsed(_word_parse, text)
+        assert len(got[0].statements) == 1999
 
 
 PERIODS = st.sampled_from((F(1, 2), F(1), F(2)))
