@@ -122,25 +122,37 @@ class ParseError(ValueError):
 # One match per token: the blanks and the comment before a token are part of
 # its match, and the group is the token.  The last alternative takes the end
 # of input or any other character, so the matches are contiguous and the
-# first empty one is the end of input.  No two alternatives start with the
-# same character and every match succeeds without backtracking, so the
-# possessive quantifiers change no match: they spare the engine its
-# backtracking bookkeeping.
+# first empty one is the end of input.  An optional part is written
+# `(?:X|)`, which matches what `(?:X)?` matches in fewer steps of `re`.  A
+# token's kind is read off its text by `_KIND_OF_FIRST` and `_KIND_OF_TEXT`
+# below, which must change together with these alternatives.
 _TOKEN = re.compile(r"""
-    [ \t]*+(?:\#[^\n]*+)?+
-    (   -inf\b | [A-Za-z_][A-Za-z0-9_]*+(?:/[A-Za-z_][A-Za-z0-9_]*+)?+
+    [ \t]*(?:\#[^\n]*|)
+    (   -inf\b | [A-Za-z_][A-Za-z0-9_]*(?:/[A-Za-z_][A-Za-z0-9_]*|)
       | [(),=]
-      | -?\d++(?:/\d++)?+
+      | -?\d+(?:/\d+|)
       | [\n;]
       | .|\Z
     )
 """, re.VERBOSE)
+
+
+class _FirstKinds(dict):
+    """A token's kind by its first character.  `\\d` in `_TOKEN` is any
+    Unicode decimal digit, as `str.isdecimal` is, so a character missing
+    from the table starts a rat if it is one and no token (None) if not."""
+
+    def __missing__(self, first: str):
+        return "rat" if first.isdecimal() else None
+
+
 # A token's kind by its first character, unless its whole text says
 # otherwise: '-' starts a rat, -inf is a name, and '-' alone and any other
-# character (None) start no token.
-_KIND_OF_FIRST = {**dict.fromkeys(string.ascii_letters + "_", "name"),
-                  **dict.fromkeys(string.digits + "-", "rat"),
-                  **dict.fromkeys("(),=", "punct"), "\n": "sep", ";": "sep"}
+# character (None) start no token.  These tables follow the alternatives of
+# `_TOKEN` and must change with them.
+_KIND_OF_FIRST = _FirstKinds({**dict.fromkeys(string.ascii_letters + "_", "name"),
+                              **dict.fromkeys(string.digits + "-", "rat"),
+                              **dict.fromkeys("(),=", "punct"), "\n": "sep", ";": "sep"})
 _KIND_OF_TEXT = {"-inf": "name", "-": None}
 _FIRST = itemgetter(0)
 _NEWLINE = re.compile("\n")
@@ -212,7 +224,8 @@ def _tokenize(text: str) -> Tokens:
     their kinds looked up by `map`.  Whitespace and comments are dropped."""
     texts = _TOKEN.findall(text)
     del texts[texts.index(""):]
-    kinds = list(map(_KIND_OF_TEXT.get, texts, map(_KIND_OF_FIRST.get, map(_FIRST, texts))))
+    firsts = map(_KIND_OF_FIRST.__getitem__, map(_FIRST, texts))
+    kinds = list(map(_KIND_OF_TEXT.get, texts, firsts))
     kinds.append("end")
     texts.append("")
     toks = Tokens(text, kinds, texts)

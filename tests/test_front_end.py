@@ -46,11 +46,18 @@ def _mutate(text: str, kind: str, rng: random.Random) -> str:
         return text.rstrip("\n") + rng.choice((" # end", "#", "\t#; x("))
     if kind == "letter":
         return text[:i] + rng.choice("éλß") + text[i:]
+    if kind == "digit":
+        zero = rng.choice((0x660, 0x966, 0xFF10, 0x1D7CE))
+        return text.translate({ord("0") + d: zero + d for d in range(10)})
     return text[:i]
 
 
-MUTATIONS = ("tab", "cr", "bom", "comment", "letter", "truncate")
-TEXTS = st.text(alphabet=" \t\n\r#;(),=-/_aZi9nf0é\ufeff", max_size=40)
+MUTATIONS = ("tab", "cr", "bom", "comment", "letter", "digit", "truncate")
+TEXTS = st.text(alphabet=" \t\n\r#;(),=-/_aZi9nf0é\ufeff\u0663", max_size=40)
+# Every character that str.isnumeric() accepts: the decimal digits of every
+# script, which `\d` reads as a rat's digits, and the other numerals, which
+# start no token.
+NUMERICS = [c for c in map(chr, range(0x110000)) if c.isnumeric()]
 
 
 def _mutants(count: int, seed: int):
@@ -94,6 +101,13 @@ class TestTokenizer:
     @example("set S = point 1\t# c\n\n;query normalize S #")
     def test_any_text(self, text):
         assert _outcome(_tokens(_tokenize), text) == _outcome(_tokens(reference_tokenize), text)
+
+    def test_every_numeric_character(self):
+        assert "\u0663" in NUMERICS and "\u00b2" in NUMERICS
+        for c in NUMERICS:
+            text = f"point {c} -{c}/{c}{c}"
+            assert _outcome(_tokens(_tokenize), text) == \
+                _outcome(_tokens(reference_tokenize), text), c
 
     def test_positions_deep_in_a_long_document(self):
         text = long_document()
@@ -155,6 +169,11 @@ class TestAgainstTheWordParser:
     @example("family F = finite()\nquery gen_topology()\nquery full_ring reals of ()")
     def test_any_text(self, text):
         assert _parsed(parse, text) == _parsed(_word_parse, text)
+
+    def test_every_numeric_character(self):
+        for c in NUMERICS:
+            text = f"set A = point -{c}/{c}{c}\nquery contains A {c}"
+            assert _parsed(parse, text) == _parsed(_word_parse, text), c
 
     def test_a_long_document(self):
         text = long_document()
