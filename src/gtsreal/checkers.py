@@ -123,7 +123,11 @@ class ProperReport:
     proper: bool
     witness_index: Optional[int] = None
     witness_closure: Optional[RealSet] = None
-    certificates: Tuple[Tuple[int, int], ...] = ()
+
+    def __str__(self):
+        if self.proper:
+            return "PROPER"
+        return f"IMPROPER at n={self.witness_index} closure={self.witness_closure}"
 
 
 def _check_index_bound(schema: BaseSchema, n_max: int) -> None:
@@ -161,15 +165,13 @@ def proper_check(b: Bornology, t1: TopologyKind, t2: TopologyKind,
                  n_max: int = 16) -> ProperReport:
     """(t1, t2)-properness on base elements (`_first_improper`): the base
     suffices, as cl/int are monotone and every member sits inside a base
-    element.  n_max bounds only the certificates (n, m)."""
+    element.  n_max is only checked against the base's first index."""
     schema = b.base_schema()
     if schema is None:
         raise PreconditionError(f"{b} has no indexed base to check properness on")
     _check_index_bound(schema, n_max)
     bad = _first_improper(schema, t1, t2)
-    last = n_max if bad is None else min(bad[0] - 1, n_max)
-    certs = tuple((n, _fit(schema, t2, n)[1]) for n in range(schema.n0, last + 1))
-    return ProperReport(bad is None, *(bad or (None, None)), certs)
+    return ProperReport(bad is None, *(bad or (None, None)))
 
 
 def base_check(b: Bornology, t: TopologyKind) -> bool:
@@ -186,24 +188,17 @@ def base_check(b: Bornology, t: TopologyKind) -> bool:
 # ---------------------------------------------------------------------------
 
 @dataclass(frozen=True)
-class ChainCertificate:
-    index: int
-    delta: Fraction
-    holds: bool
-
-
-@dataclass(frozen=True)
 class ChainReport:
     verdict: str                      # "pass" | "fail_at"
     uniform: bool
     fail_index: Optional[int] = None
     missing: Optional[RealSet] = None
     delta_used: Optional[Fraction] = None
-    certificates: Tuple[ChainCertificate, ...] = ()
 
-    def summary(self) -> str:
+    def __str__(self):
         if self.verdict == "fail_at":
-            return f"fail_at({self.fail_index})"
+            extra = "" if self.delta_used is None else f" delta={self.delta_used}"
+            return f"fail_at({self.fail_index}) missing={self.missing}{extra}"
         if self.uniform:
             return f"pass (uniform, delta={self.delta_used})"
         return "pass (per-index)"
@@ -222,8 +217,8 @@ def _missing(d: QuasiMetric, schema: BaseSchema, delta: Fraction, n: int) -> Rea
 def _end_gaps(d: QuasiMetric, schema: BaseSchema, n: int) -> Tuple[ExtRat, ExtRat]:
     """(lower, upper): the largest delta for which [B_n]^delta_d stays inside
     B_{n+1} on that side, POS_INF where B_{n+1} is unbounded.  Memoized by
-    value: the profile, the certificates and the bisection of a falling gap
-    ask for the same indices again.
+    value: the profile and the bisection of a falling gap ask for the same
+    indices again.
 
     [B_n]^delta reaches as far as the delta-balls at B_n's ends (finite
     where B_{n+1}'s are, as B_n is inside B_{n+1}).  An end that moves from
@@ -323,7 +318,7 @@ def _first_below(d: QuasiMetric, schema: BaseSchema, side: int, delta: Fraction,
 def chain_check(d: QuasiMetric, schema: BaseSchema, delta, n_max: int = 64) -> ChainReport:
     """[B_n]^delta_d subseteq B_{n+1} for all n >= n0: the first failure is
     the first n with delta*(n) < delta, i.e. the first at either end.
-    n_max bounds only the certificates."""
+    n_max is only checked against the base's first index."""
     _check_index_bound(schema, n_max)
     dq = rat(delta)
     laws = _profile(d, schema)
@@ -337,12 +332,9 @@ def chain_check(d: QuasiMetric, schema: BaseSchema, delta, n_max: int = 64) -> C
         if hit is not None:
             firsts.append(hit)
     n_f = min(firsts, default=None)
-    last = n_max if n_f is None else min(n_f, n_max)
-    certs = tuple(ChainCertificate(n, dq, _delta_star(d, schema, n) >= dq)
-                  for n in range(schema.n0, last + 1))
     if n_f is None:
-        return ChainReport("pass", True, None, None, dq, certs)
-    return ChainReport("fail_at", False, n_f, _missing(d, schema, dq, n_f), dq, certs)
+        return ChainReport("pass", True, None, None, dq)
+    return ChainReport("fail_at", False, n_f, _missing(d, schema, dq, n_f), dq)
 
 
 def _first_zero(laws) -> Optional[int]:
@@ -354,21 +346,17 @@ def chain_search(d: QuasiMetric, schema: BaseSchema, n_max: int = 64) -> ChainRe
     """Per-index condition: for each n some delta works (delta may vary
     with n), i.e. delta*(n) > 0 (`_first_zero`).  When inf delta*(n) > 0,
     the one delta min(1, inf) serves every index and the uniform report is
-    returned.  n_max bounds only the certificates, each with delta
-    min(1, delta*(n))."""
+    returned.  n_max is only checked against the base's first index."""
     _check_index_bound(schema, n_max)
     laws = _profile(d, schema)
     zero = _first_zero(laws)
     if zero is None and not any(falls for _, falls in laws):
         low = min(g for marks, _ in laws for _, g in marks)
         return chain_check(d, schema, min(Fraction(1), low), n_max)
-    last = n_max if zero is None else min(zero - 1, n_max)
-    certs = tuple(ChainCertificate(n, min(Fraction(1), _delta_star(d, schema, n)), True)
-                  for n in range(schema.n0, last + 1))
     if zero is None:
-        return ChainReport("pass", False, None, None, None, certs)
+        return ChainReport("pass", False)
     return ChainReport("fail_at", False, zero, _missing(d, schema, _PROBE_DELTA, zero),
-                       _PROBE_DELTA, certs)
+                       _PROBE_DELTA)
 
 
 def uniform_chain_check(d: QuasiMetric, schema: BaseSchema, n_max: int = 64) -> ChainReport:
@@ -392,6 +380,11 @@ class MetrizabilityReport:
     @property
     def consistent(self) -> bool:
         return self.verdict == "CONSISTENT"
+
+    def __str__(self):
+        if self.consistent:
+            return "CONSISTENT"
+        return f"INCONSISTENT part={self.failing_part}: {self.detail}"
 
 
 def _separating_set(b: Bornology, d: QuasiMetric) -> Optional[Tuple[str, RealSet]]:
@@ -456,6 +449,11 @@ class StrictContReport:
     preimage: Optional[FamilySpec] = None
     notes: Tuple[str, ...] = ()
 
+    def __str__(self):
+        if self.verdict == "REFUTED":
+            return f"REFUTED witness={self.witness}"
+        return "UNREFUTED" + (f" notes={'; '.join(self.notes)}" if self.notes else "")
+
 
 def preimage_family(f: PiecewiseAffineMap, fam: FamilySpec) -> FamilySpec:
     """{f^-1(U) : U in fam}; exact for enumerable families and for
@@ -497,6 +495,11 @@ class AxiomProbeReport:
     passed: bool
     checks: int
     failures: Tuple[str, ...] = ()
+
+    def __str__(self):
+        if self.passed:
+            return f"all pass ({self.checks} checks)"
+        return "violations: " + "; ".join(self.failures)
 
 
 def _split_open(l: LineId, u: RealSet) -> Optional[Tuple[RealSet, RealSet]]:

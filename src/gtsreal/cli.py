@@ -59,8 +59,9 @@ def _parser() -> argparse.ArgumentParser:
         prog="gtsreal",
         description="exact decision procedures for generalized-topology real lines")
     parser.add_argument("--caps-chain", type=_count, default=64, metavar="N",
-                        help="n_max of the corpus chain checks: bounds their "
-                             "certificates, not their verdicts (default 64)")
+                        help="n_max of the corpus chain checks: only checked "
+                             "against each base's first index, it bounds no "
+                             "verdict (default 64)")
     parser.add_argument("--caps-depth", type=_count, default=4, metavar="K",
                         help="generation depth for restriction probes (default 4)")
     parser.add_argument("--report", metavar="PATH", default=None,

@@ -453,6 +453,11 @@ class EssFinVerdict:
     def __bool__(self):
         return self.essentially_finite
 
+    def __str__(self):
+        if self.essentially_finite:
+            return f"essentially_finite witness_size={len(self.witness or ())}"
+        return f"not essentially finite: {self.obstruction}"
+
 
 # ---------------------------------------------------------------------------
 # the normal form: (base, window) pieces
@@ -722,6 +727,10 @@ class GenerationResult:
     found: bool
     truncated: bool
     depth_used: int
+
+    def __str__(self):
+        extra = " truncated" if self.truncated else ""
+        return f"found={str(self.found).lower()} depth={self.depth_used}{extra}"
 
 
 @dataclass(frozen=True)

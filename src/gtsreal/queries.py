@@ -3,10 +3,11 @@ families, metrics, bornologies and maps, and running the library's decision
 procedures over them.  `gtsreal print-grammar` documents the surface.
 
 `QUERIES` is the one list of query kinds.  Each row holds the argument
-grammar, which the parser reads and `print-grammar` prints, and the
-evaluator, which `report.run` calls.  `EXPRESSIONS` holds the same kind of
-rows for the constructors of sets, families, index ranges, metrics,
-bornologies and maps: one reader, `_Parser.expr`, reads them all.
+grammar, which the parser reads and `print-grammar` prints, and the library
+call that answers it, whose value `report.run` renders.  `EXPRESSIONS`
+holds the same kind of rows for the constructors of sets, families, index
+ranges, metrics, bornologies and maps: one reader, `_Parser.expr`, reads
+them all.
 """
 
 from __future__ import annotations
@@ -18,7 +19,7 @@ from bisect import bisect_left
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache, reduce
-from operator import itemgetter
+from operator import eq, itemgetter
 from typing import Callable, NamedTuple, Tuple
 
 from gtsreal import lines, oracles, realset
@@ -245,8 +246,9 @@ _NAMED_BORNS = {"fb": lines.FB, "all_sets": lines.ALL_SETS,
 @dataclass(frozen=True)
 class Query:
     """One row of a grammar table: a query kind, `query NAME <grammar>`,
-    answered by `run(*args)`, or an expression constructor, `NAME<grammar>`,
-    built by `run(*args)` right after its last token.
+    whose answer is the value `run(*args)` returns (`report.run` renders
+    it), or an expression constructor, `NAME<grammar>`, built by
+    `run(*args)` right after its last token.
 
     In the grammar an upper-case word names a parser reader (see
     `_READERS`), `(X, ...)` is a parenthesised list of one or more X and
@@ -706,29 +708,6 @@ _DECLARATION_READERS = {
 # the query table
 # ---------------------------------------------------------------------------
 
-def _fmt(value) -> str:
-    if isinstance(value, bool):
-        return "true" if value else "false"
-    if isinstance(value, (RealSet, Fraction)):
-        return str(value)
-    if isinstance(value, (list, tuple)):
-        return "[" + ", ".join(_fmt(v) for v in value) + "]"
-    return str(value)
-
-
-def _verdict_text(v) -> str:
-    if v.essentially_finite:
-        return f"essentially_finite witness_size={len(v.witness or ())}"
-    return f"not essentially finite: {v.obstruction}"
-
-
-def _chain_text(rep) -> str:
-    extra = f" delta={rep.delta_used}" if rep.delta_used is not None else ""
-    if rep.verdict == "fail_at":
-        return f"fail_at({rep.fail_index}) missing={rep.missing}{extra}"
-    return rep.summary()
-
-
 def _schema_of(b: Bornology):
     sc = b.base_schema()
     if sc is None:
@@ -736,107 +715,66 @@ def _schema_of(b: Bornology):
     return sc
 
 
-def _boundedness_text(a) -> str:
-    b = a.boundedness()
-    return (f"bounded={_fmt(b.bounded)} above={_fmt(b.bounded_above)} "
-            f"below={_fmt(b.bounded_below)} finite={_fmt(b.finite)}")
-
-
-def _members_text(fam) -> str:
+def _members(fam):
     ms = members(fam)
-    return "not finitely enumerable" if ms is None else _fmt(sorted(ms, key=str))
+    return "not finitely enumerable" if ms is None else sorted(ms, key=str)
 
 
-def _generated_text(fam, coll, depth) -> str:
-    got = member_generated(fam, generation_levels(coll), depth)
-    extra = " truncated" if got.truncated else ""
-    return f"found={_fmt(got.found)} depth={got.depth_used}{extra}"
-
-
-def _proper_text(b, t1, t2, n) -> str:
-    got = proper_check(b, t1, t2, n)
-    if got.proper:
-        return "PROPER"
-    return f"IMPROPER at n={got.witness_index} closure={got.witness_closure}"
-
-
-def _metrizable_text(l, b, d) -> str:
-    got = metrizable_verdict(l, b, d)
-    if got.consistent:
-        return "CONSISTENT"
-    return f"INCONSISTENT part={got.failing_part}: {got.detail}"
-
-
-def _strict_cont_text(f, src, dst, battery) -> str:
-    got = strict_cont_refute(f, src, dst, list(battery))
-    if got.verdict == "REFUTED":
-        return f"REFUTED witness={got.witness}"
-    return "UNREFUTED" + (f" notes={'; '.join(got.notes)}" if got.notes else "")
-
-
-def _axioms_text(l) -> str:
-    got = axiom_probe(l)
-    if got.passed:
-        return f"all pass ({got.checks} checks)"
-    return "violations: " + "; ".join(got.failures)
-
-
-def _oracle_text(fam, k0, k1, k_set, cap) -> str:
+def _oracle(fam, k0, k1, k_set, cap) -> bool:
     trunc = fam.truncated(k0, k1)
     if trunc is None:
         raise oracles.OracleRefusal("family is not finitely enumerable")
-    return _fmt(oracles.oracle_ess_finite(trunc, k_set, cap, full_union=union_of(fam)))
+    return oracles.oracle_ess_finite(trunc, k_set, cap, full_union=union_of(fam))
 
 
 QUERIES: dict[str, Query] = {
     "normalize": Query("SET", str),
-    "boundedness": Query("SET", _boundedness_text),
-    "subset": Query("SET SET", lambda a, b: _fmt(a.is_subset(b))),
-    "equal": Query("SET SET", lambda a, b: _fmt(a == b)),
-    "contains": Query("SET RAT", lambda a, x: _fmt(a.contains_point(x))),
-    "sample": Query("SET from RAT to RAT step RAT", lambda a, lo, hi, step: _fmt(
-        a.sample_points(Interval(lo, hi, True, True), step))),
-    "closure": Query("SET KIND", lambda a, k: str(a.closure(k))),
-    "interior": Query("SET KIND", lambda a, k: str(a.interior(k))),
-    "eval": Query("METRIC RAT RAT", lambda d, x, y: _fmt(d.eval(x, y))),
-    "ball": Query("METRIC at RAT radius RAT", lambda d, x, r: str(d.ball(x, r))),
-    "nbhd": Query("METRIC SET delta RAT", lambda d, a, delta: str(d.nbhd(a, delta))),
-    "bounded_set": Query("METRIC SET", lambda d, a: _fmt(d.is_bounded_set(a))),
+    "boundedness": Query("SET", RealSet.boundedness),
+    "subset": Query("SET SET", RealSet.is_subset),
+    "equal": Query("SET SET", eq),
+    "contains": Query("SET RAT", RealSet.contains_point),
+    "sample": Query("SET from RAT to RAT step RAT", lambda a, lo, hi, step:
+                    a.sample_points(Interval(lo, hi, True, True), step)),
+    "closure": Query("SET KIND", RealSet.closure),
+    "interior": Query("SET KIND", RealSet.interior),
+    "eval": Query("METRIC RAT RAT", QuasiMetric.eval),
+    "ball": Query("METRIC at RAT radius RAT", QuasiMetric.ball),
+    "nbhd": Query("METRIC SET delta RAT", QuasiMetric.nbhd),
+    "bounded_set": Query("METRIC SET", QuasiMetric.is_bounded_set),
     "topology_of": Query("METRIC", lambda d: d.topology_of().value),
-    "union_of": Query("FAMILY", lambda f: str(union_of(f))),
-    "members": Query("FAMILY", _members_text),
-    "ess_finite": Query("FAMILY", lambda f: _verdict_text(ess_finite(f))),
-    "ess_finite_on": Query("FAMILY SET", lambda f, a: _verdict_text(ess_finite_on(f, a))),
-    "locally_ess_finite": Query("FAMILY", lambda f: _fmt(locally_ess_finite(f))),
-    "full_ring": Query("SET of ([SET, ...])",
-                       lambda y, gens: _fmt(full_ring_closure(list(gens), y))),
-    "gen_topology": Query("([SET, ...])", lambda gens: _fmt(gen_topology(list(gens)))),
-    "gen_topology_member": Query("([SET, ...]) SET", lambda gens, a: _fmt(
-        gen_topology_member(list(gens), a))),
-    "ef_member": Query("FAMILY KIND BORN", lambda f, k, b: _fmt(ef_member(f, k, b))),
-    "member_generated": Query("FAMILY COLLECTION INT", _generated_text),
-    "op_member": Query("LINE SET", lambda l, a: _fmt(op_member(l, a))),
-    "cov_member": Query("LINE FAMILY", lambda l, f: _fmt(cov_member(l, f))),
-    "sm_member": Query("LINE SET", lambda l, a: _fmt(sm_member(l, a))),
-    "cb_member": Query("LINE SET", lambda l, a: _fmt(cb_member(l, a))),
-    "acb_member": Query("LINE SET", lambda l, a: _fmt(acb_member(l, a))),
-    "pt_of": Query("LINE", lambda l: str(pt_of(l))),
-    "bornology_member": Query("BORN SET", lambda b, a: _fmt(b.member(a))),
-    "proper_check": Query("BORN KIND KIND INT", _proper_text),
-    "base_check": Query("BORN KIND", lambda b, k: _fmt(base_check(b, k))),
+    "union_of": Query("FAMILY", union_of),
+    "members": Query("FAMILY", _members),
+    "ess_finite": Query("FAMILY", ess_finite),
+    "ess_finite_on": Query("FAMILY SET", ess_finite_on),
+    "locally_ess_finite": Query("FAMILY", locally_ess_finite),
+    "full_ring": Query("SET of ([SET, ...])", lambda y, gens: full_ring_closure(gens, y)),
+    "gen_topology": Query("([SET, ...])", gen_topology),
+    "gen_topology_member": Query("([SET, ...]) SET", gen_topology_member),
+    "ef_member": Query("FAMILY KIND BORN", ef_member),
+    "member_generated": Query("FAMILY COLLECTION INT", lambda fam, coll, depth:
+                              member_generated(fam, generation_levels(coll), depth)),
+    "op_member": Query("LINE SET", op_member),
+    "cov_member": Query("LINE FAMILY", cov_member),
+    "sm_member": Query("LINE SET", sm_member),
+    "cb_member": Query("LINE SET", cb_member),
+    "acb_member": Query("LINE SET", acb_member),
+    "pt_of": Query("LINE", pt_of),
+    "bornology_member": Query("BORN SET", Bornology.member),
+    "proper_check": Query("BORN KIND KIND INT", proper_check),
+    "base_check": Query("BORN KIND", base_check),
     "chain_check": Query("METRIC BORN delta RAT upto INT", lambda d, b, delta, n:
-                         _chain_text(chain_check(d, _schema_of(b), delta, n))),
+                         chain_check(d, _schema_of(b), delta, n)),
     "chain_search": Query("METRIC BORN upto INT", lambda d, b, n:
-                          _chain_text(chain_search(d, _schema_of(b), n))),
+                          chain_search(d, _schema_of(b), n)),
     "uniform_chain": Query("METRIC BORN upto INT", lambda d, b, n:
-                           _chain_text(uniform_chain_check(d, _schema_of(b), n))),
-    "metrizable": Query("LINE BORN METRIC", _metrizable_text),
-    "strict_cont_refute": Query("MAP LINE LINE (FAMILY, ...)", _strict_cont_text),
-    "axiom_probe": Query("LINE", _axioms_text),
-    "initial_member": Query("maps(MAP, ...) borns(BORN, ...) SET", lambda fs, bs, a:
-                            _fmt(initial_bornology_member(list(fs), list(bs), a))),
-    "oracle_ess_finite": Query("FAMILY window INT INT SET max INT", _oracle_text),
+                           uniform_chain_check(d, _schema_of(b), n)),
+    "metrizable": Query("LINE BORN METRIC", metrizable_verdict),
+    "strict_cont_refute": Query("MAP LINE LINE (FAMILY, ...)", strict_cont_refute),
+    "axiom_probe": Query("LINE", axiom_probe),
+    "initial_member": Query("maps(MAP, ...) borns(BORN, ...) SET", initial_bornology_member),
+    "oracle_ess_finite": Query("FAMILY window INT INT SET max INT", _oracle),
 }
+
 
 def _section(word: str, kind: Expr) -> str:
     """The `print-grammar` lines of one expression kind: a row per line."""

@@ -763,6 +763,10 @@ class Bounds:
     bounded_below: bool
     finite: bool
 
+    def __str__(self):
+        return (f"bounded={self.bounded} above={self.bounded_above} "
+                f"below={self.bounded_below} finite={self.finite}").lower()
+
 
 EMPTY = RealSet()
 REALS = RealSet((Interval(NEG_INF, POS_INF, False, False),))

@@ -124,14 +124,25 @@ class Report:
         return "\n".join(out) + "\n"
 
 
+def _text(answer) -> str:
+    """An answer's record text: true/false for a bool, [a, b] for a list,
+    and its own text otherwise."""
+    if isinstance(answer, bool):
+        return "true" if answer else "false"
+    if isinstance(answer, list):
+        return "[" + ", ".join(map(_text, answer)) + "]"
+    return str(answer)
+
+
 def run(doc, caps: Caps = Caps()) -> Report:
     """Evaluate every query of a document; per-query errors become records,
-    never aborts."""
+    never aborts.  An answer is rendered inside its query's `try`, so an
+    answer that cannot be printed is that query's error record."""
     records = []
     for i, (kind, args) in enumerate(doc.queries):
         ident = f"q{i:03d}"
         try:
-            records.append(Record(ident, kind, "ok", QUERIES[kind].run(*args)))
+            records.append(Record(ident, kind, "ok", _text(QUERIES[kind].run(*args))))
         except Exception as e:  # noqa: BLE001 - per-query isolation is the contract
             detail = f"{type(e).__name__}: {e}"
             if isinstance(e, ValueError) and "integer string conversion" in detail:
@@ -263,7 +274,7 @@ def _section_chains(records, caps):
 
     rep = chain_check(metric("d_n"), sym, Fraction(1, 2), n)
     _check(records, "chain/d_n-sym-1/2", "chain", rep.verdict == "pass" and rep.uniform,
-           rep.summary() + " (expected uniform pass)")
+           f"{rep} (expected uniform pass)")
     ok = True
     details = []
     for k in range(2, 13):
@@ -276,16 +287,16 @@ def _section_chains(records, caps):
            "fail indices " + ",".join(details) + " all <= ceil(1/delta)")
     rep = chain_check(metric("d_n_plus"), ub_schema, Fraction(1, 2), n)
     _check(records, "chain/d_n_plus-ub-1/2", "chain",
-           rep.verdict == "pass" and rep.uniform, rep.summary())
+           rep.verdict == "pass" and rep.uniform, str(rep))
     rep = uniform_chain_check(metric("d_n_plus"), ub_schema, n)
     _check(records, "chain/d_n_plus-ub-uniform", "chain", rep.verdict == "pass",
-           rep.summary())
+           str(rep))
     rep = uniform_chain_check(metric("rho_S_minus"), sym, min(n, 32))
     _check(records, "chain/rho_S_minus-not-uniform", "chain", rep.verdict == "fail_at",
-           rep.summary() + " (the flipped-damping metric admits no uniform delta)")
+           f"fail_at({rep.fail_index}) (the flipped-damping metric admits no uniform delta)")
     rep = uniform_chain_check(metric("rho_0"), NAT_BOUNDED.base_schema(), min(n, 32))
     _check(records, "chain/rho_0-nat-uniform", "chain", rep.verdict == "pass",
-           rep.summary() + " (localized Sorgenfrey chain closes uniformly)")
+           f"{rep} (localized Sorgenfrey chain closes uniformly)")
 
     got = proper_check(UB, TopologyKind.UPPER, TopologyKind.LOWER, 16)
     _check(records, "proper/ub-upper-lower", "properness", got.proper, "PROPER expected")

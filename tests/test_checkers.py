@@ -7,6 +7,7 @@ import pytest
 from gtsreal.checkers import (
     PiecewiseAffineMap,
     _delta_star,
+    _fit,
     _missing,
     axiom_probe,
     base_check,
@@ -103,12 +104,15 @@ class TestProperCheck:
         assert not got.proper
 
     def test_certificates_reverify(self):
+        # cl(B_n) fits in int(B_m), with the m of _fit, at each n up to the
+        # bound exactly when n comes before the witness
         got = proper_check(NAT_BOUNDED, TopologyKind.NAT, TopologyKind.NAT, 12)
         assert got.proper
         sc = NAT_BOUNDED.base_schema()
-        for n, m in got.certificates:
-            assert sc.element(n).closure(TopologyKind.NAT).is_subset(
-                sc.element(m).interior(TopologyKind.NAT))
+        for n in range(sc.n0, 13):
+            c, m = _fit(sc, TopologyKind.NAT, n)
+            fits = c.is_subset(sc.element(m).interior(TopologyKind.NAT))
+            assert fits == (got.witness_index is None or n < got.witness_index), n
 
 
 class TestBaseCheck:
@@ -167,8 +171,9 @@ class TestChainChecks:
         # equivalence/uniformity gap
         rep = chain_search(metric("d_n_plus"), SYM_SCHEMA, 32)
         assert rep.verdict == "pass" and not rep.uniform
-        assert rep.summary() == "pass (per-index)"
-        assert all(c.holds for c in rep.certificates)
+        assert str(rep) == "pass (per-index)"
+        assert all(_delta_star(metric("d_n_plus"), SYM_SCHEMA, n) > 0
+                   for n in range(SYM_SCHEMA.n0, 33))
         rep = uniform_chain_check(metric("d_n_plus"), SYM_SCHEMA, 32)
         assert rep.verdict == "fail_at"
 
@@ -209,7 +214,7 @@ class TestChainChecks:
             scan = next((n for n in range(sc.n0, 121)
                          if not _missing(d, sc, delta, n).is_empty), None)
             rep = chain_check(d, sc, delta, sc.n0 + 4)
-            case = (d.label(), sc, delta, rep.summary(), scan)
+            case = (d.label(), sc, delta, str(rep), scan)
             if scan is None:
                 assert rep.verdict == "pass" or rep.fail_index > 120, case
             else:
@@ -239,10 +244,23 @@ class TestChainChecks:
             start = time.perf_counter()
             rep = chain_search(metric("d_n_plus"), SYM_SCHEMA, n_max)
             assert time.perf_counter() - start < 1
-            assert rep.summary() == "pass (per-index)"
-            assert len(rep.certificates) == n_max + 1
+            assert str(rep) == "pass (per-index)"
         rep = chain_check(metric("d_n_plus"), SYM_SCHEMA, F(1, 2**25), 8)
         assert rep.verdict == "fail_at" and rep.fail_index == 5791
+
+    def test_a_large_index_bound_answers_at_once(self):
+        # the bound is only checked against the first index: each query
+        # answers at once and as it does with a small bound
+        queries = ("chain_check d_n nat_bounded delta 1/2 upto {}",
+                   "chain_search d_n_plus ub upto {}",
+                   "uniform_chain rho_S_minus nat_bounded upto {}",
+                   "proper_check nat_bounded nat nat {}")
+        for q in queries:
+            start = time.perf_counter()
+            got = run(parse(f"query {q.format(100000)}")).records[0]
+            assert time.perf_counter() - start < 0.1, q
+            assert got == run(parse(f"query {q.format(16)}")).records[0], q
+            assert got.status == "ok", (q, got.detail)
 
     def test_far_zero_crossing_is_read_not_scanned(self):
         # the lower end 100000 - n crosses 0 at n = 100000; the damped gap
@@ -272,7 +290,7 @@ class TestChainChecks:
             assert sc.element(0) == EMPTY
             got = (chain_check(d, sc, delta, 4) if q.startswith("chain_check")
                    else chain_search(d, sc, 4))
-            assert rec.detail.startswith(got.summary()), q
+            assert rec.detail == str(got), q
             for upto in (4, 40):
                 scan = next((n for n in range(sc.n0, upto + 1)
                              if not _missing(d, sc, delta, n).is_empty), None)
@@ -391,12 +409,10 @@ class TestCoherenceInvariants:
         assert seen >= 20
 
     def test_chain_certificates_reverify(self):
-        rep = chain_check(metric("d_n"), SYM_SCHEMA, F(1, 2), 16)
-        assert rep.certificates
-        for cert in rep.certificates:
-            nb = metric("d_n").nbhd(SYM_SCHEMA.element(cert.index), cert.delta)
-            assert nb.is_subset(SYM_SCHEMA.element(cert.index + 1)) == cert.holds
-        rep = chain_check(metric("d_n_plus"), SYM_SCHEMA, F(1, 8), 16)
-        for cert in rep.certificates:
-            nb = metric("d_n_plus").nbhd(SYM_SCHEMA.element(cert.index), cert.delta)
-            assert nb.is_subset(SYM_SCHEMA.element(cert.index + 1)) == cert.holds
+        # [B_n]^delta lies inside B_(n+1) at each n <= 16 exactly when n
+        # comes before the first failure
+        for d, delta in ((metric("d_n"), F(1, 2)), (metric("d_n_plus"), F(1, 8))):
+            rep = chain_check(d, SYM_SCHEMA, delta, 16)
+            for n in range(SYM_SCHEMA.n0, 17):
+                holds = d.nbhd(SYM_SCHEMA.element(n), delta).is_subset(SYM_SCHEMA.element(n + 1))
+                assert holds == (rep.fail_index is None or n < rep.fail_index), (d.label(), n)

@@ -1,4 +1,5 @@
-"""No module-level import in the library or the tests goes unused.
+"""No module-level import in the library or the tests goes unused, and every
+module still parses as Python 3.10, the oldest version pyproject.toml allows.
 
 A stand-in for pyflakes' F401, which is not a dependency: an import counts as
 used when its bound name is read anywhere in the module, in code or in a
@@ -6,6 +7,7 @@ string annotation.  `__init__.py` files (whose imports are re-exports) and
 lines marked `# noqa: F401` are exempt."""
 
 import ast
+import re
 from pathlib import Path
 
 import pytest
@@ -13,6 +15,8 @@ import pytest
 ROOT = Path(__file__).resolve().parent.parent
 SOURCES = sorted(p for d in ("src/gtsreal", "tests") for p in (ROOT / d).glob("*.py")
                  if p.name != "__init__.py")
+MODULES = sorted(p for d in ("src/gtsreal", "tests", "perfbench")
+                 for p in (ROOT / d).glob("*.py"))
 
 
 def _bound_imports(tree: ast.Module, lines: list[str]):
@@ -76,3 +80,49 @@ def test_the_gate_sees_an_unused_import():
             "x: 'Optional[int]' = osp.sep\n"
             "y = 'Tuple'\n")
     assert unused_imports(text) == ["2: os", "4: Tuple"]
+
+
+# A quantifier followed by '+' (possessive) or an atomic group, which `re`
+# accepts from Python 3.11 on; an escaped character and a character class
+# are skipped first, so neither counts.
+_NEWER_REGEX = re.compile(r"\\.|\[\^?\]?(?:\\.|[^\]\\])*\]|([*+?}]\+|\(\?>)", re.DOTALL)
+
+
+def newer_regex_syntax(text: str) -> list[str]:
+    """Each literal pattern of a `re.NAME(...)` call in `text` that uses
+    regex syntax newer than Python 3.10, as "line: syntax"."""
+    found = []
+    for node in ast.walk(ast.parse(text)):
+        if isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute) \
+                and isinstance(node.func.value, ast.Name) and node.func.value.id == "re" \
+                and node.args and isinstance(node.args[0], ast.Constant) \
+                and isinstance(node.args[0].value, str):
+            found += [f"{node.lineno}: {m[1]}" for m in _NEWER_REGEX.finditer(node.args[0].value)
+                      if m[1]]
+    return found
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: f"{p.parent.name}/{p.name}")
+def test_every_module_parses_as_python_3_10(path):
+    """`ast.parse` with `feature_version=(3, 10)` rejects the grammar that
+    3.10 lacks, such as `except*`.  It is best-effort: the running parser
+    does not reject every newer construct (nor any newer library call), so
+    this gate narrows the gap and a 3.10 interpreter would close it."""
+    ast.parse(path.read_text(encoding="utf-8"), filename=str(path), feature_version=(3, 10))
+
+
+@pytest.mark.parametrize("path", sorted((ROOT / "src/gtsreal").glob("*.py")),
+                         ids=lambda p: p.name)
+def test_no_regex_syntax_newer_than_python_3_10(path):
+    assert newer_regex_syntax(path.read_text(encoding="utf-8")) == []
+
+
+def test_the_gate_sees_newer_syntax():
+    text = ("import re\n"
+            "A = re.compile(r'[a-z]*+[0-9]++x?+')\n"
+            "B = re.match('(?>ab)c{2}+', s)\n"
+            "C = re.compile(r'\\*+\\?+[*+][?+]a+b*(?:c|)')\n"
+            "D = other.compile('a*+')\n")
+    assert newer_regex_syntax(text) == ["2: *+", "2: ++", "2: ?+", "3: (?>", "3: }+"]
+    with pytest.raises(SyntaxError):
+        ast.parse("try:\n    pass\nexcept* ValueError:\n    pass\n", feature_version=(3, 10))
