@@ -230,18 +230,36 @@ def _mk(lo: ExtRat, hi: ExtRat, lo_closed: bool, hi_closed: bool) -> Interval:
     return iv
 
 
+_new = object.__new__
+# the slot setters of Interval, which `_raw` calls without a lookup by name
+_SET_LO, _SET_HI, _SET_LC, _SET_HC, _SET_SK, _SET_EK, _SET_GK = (
+    Interval.__dict__[name].__set__
+    for name in ("lo", "hi", "lo_closed", "hi_closed", "_sk", "_ek", "_gk"))
+
+
 def _raw(lo: ExtRat, hi: ExtRat, lo_closed: bool, hi_closed: bool,
          sk: tuple, ek: tuple, gk: tuple) -> Interval:
     """Internal constructor from endpoints, flags and their keys."""
-    iv = object.__new__(Interval)
-    _set(iv, "lo", lo)
-    _set(iv, "hi", hi)
-    _set(iv, "lo_closed", lo_closed)
-    _set(iv, "hi_closed", hi_closed)
-    _set(iv, "_sk", sk)
-    _set(iv, "_ek", ek)
-    _set(iv, "_gk", gk)
+    iv = _new(Interval)
+    _SET_LO(iv, lo)
+    _SET_HI(iv, hi)
+    _SET_LC(iv, lo_closed)
+    _SET_HC(iv, hi_closed)
+    _SET_SK(iv, sk)
+    _SET_EK(iv, ek)
+    _SET_GK(iv, gk)
     return iv
+
+
+def _reflag(iv: Interval, lo_closed: bool, hi_closed: bool) -> Interval:
+    """iv with its ends closed or open as the flags say; iv itself when they
+    are its own.  Only the sides of the keys change, so no end is re-read."""
+    if lo_closed == iv.lo_closed and hi_closed == iv.hi_closed:
+        return iv
+    f, r, _ = iv._sk
+    g, s, _ = iv._ek
+    ek, gk = ((g, s, 0), (g, s, 1)) if hi_closed else ((g, s, -1), (g, s, 0))
+    return _raw(iv.lo, iv.hi, lo_closed, hi_closed, (f, r, 0 if lo_closed else 1), ek, gk)
 
 
 def _join(a: Interval, b: Interval) -> Interval:
@@ -348,6 +366,9 @@ def _union_lists(a: Sequence[Interval], b: Sequence[Interval]) -> Tuple[Interval
 
 
 def _difference_lists(a: Sequence[Interval], b: Sequence[Interval]) -> Tuple[Interval, ...]:
+    if len(a) == 1 and a[0]._sk == _NEG_GAP and a[0]._ek == _POS_END:
+        # the whole line minus b is b's gaps
+        return _complement_list(b)
     return _intersect_lists(a, _complement_list(b))
 
 
@@ -711,6 +732,16 @@ class RealSet:
         return self.difference(other).union(other.difference(self))
 
     def is_subset(self, other: "RealSet") -> bool:
+        if self.left_tail is None and self.right_tail is None and \
+           other.left_tail is None and other.right_tail is None:
+            # each piece lies in the one piece of other that starts last at
+            # or before it, or in none: other's pieces have gaps between them
+            core = other.core
+            for iv in self.core:
+                i = bisect_right(core, iv._sk, key=_START_KEY)
+                if not i or core[i - 1]._ek < iv._ek:
+                    return False
+            return True
         return self.difference(other).is_empty
 
     def shift(self, d: RatLike) -> "RealSet":
@@ -744,6 +775,18 @@ class RealSet:
             pat = " u ".join(str(i) for i in t.pattern)
             parts.append(f"x>{t.cut}|({pat} mod {t.period})~>")
         return " u ".join(parts)
+
+
+def _flat(core: Tuple[Interval, ...]) -> RealSet:
+    """The tail-free RealSet of a canonical core, filled in without the
+    frozen dataclass's __init__.  The fields are set one by one: reading
+    `__dict__` would give each set a dict of its own, whose attribute reads
+    are several times slower."""
+    rs = _new(RealSet)
+    _set(rs, "core", core)
+    _set(rs, "left_tail", None)
+    _set(rs, "right_tail", None)
+    return rs
 
 
 @lru_cache(maxsize=16384)
@@ -780,7 +823,7 @@ def _canonical(core: Tuple[Interval, ...], ltail: Optional[PeriodicTail],
                rtail: Optional[PeriodicTail]) -> RealSet:
     core = merge_intervals(core)
     if ltail is None and rtail is None:
-        return RealSet(core, None, None)
+        return _flat(core)
 
     # reduce raw tails; full patterns become half-line core pieces, open at
     # the cut
@@ -919,20 +962,20 @@ def _binary(a: RealSet, b: RealSet, table) -> RealSet:
     if a.left_tail is None and a.right_tail is None and \
        b.left_tail is None and b.right_tail is None:
         if table is _OP_UNION:
-            return RealSet(_union_lists(a.core, b.core))
+            return _flat(_union_lists(a.core, b.core))
         if table is _OP_INTER:
-            return RealSet(_intersect_lists(a.core, b.core))
-        return RealSet(_difference_lists(a.core, b.core))
+            return _flat(_intersect_lists(a.core, b.core))
+        return _flat(_difference_lists(a.core, b.core))
 
     # bounded fast paths: the result fits in a finite window
     if table is _OP_INTER:
         span = _bounded_span(a) or _bounded_span(b)
         if span is not None:
-            return RealSet(_intersect_lists(a.materialize(*span), b.materialize(*span)))
+            return _flat(_intersect_lists(a.materialize(*span), b.materialize(*span)))
     if table is _OP_DIFF:
         span = _bounded_span(a)
         if span is not None:
-            return RealSet(_difference_lists(a.core, b.materialize(*span)))
+            return _flat(_difference_lists(a.core, b.materialize(*span)))
     if a.is_empty:
         return EMPTY if table in (_OP_INTER, _OP_DIFF) else b
     if b.is_empty:
@@ -986,7 +1029,7 @@ def union_all(sets: Iterable[RealSet]) -> RealSet:
     rtails = [s.right_tail for s in sets if s.right_tail is not None]
     cores = tuple(iv for s in sets for iv in s.core)
     if not ltails and not rtails:
-        return RealSet(merge_intervals(cores))
+        return _flat(merge_intervals(cores))
     if len(ltails) > 1 or len(rtails) > 1 or \
             any(_misread(t.pattern, t.period) for t in ltails + rtails):
         out = EMPTY
@@ -1020,8 +1063,8 @@ def union_of_translates(seed: RealSet, period: Fraction,
     core = seed.core
     lo_v, hi_v = core[0].lo, core[-1].hi
     if k_min is not None and k_max is not None:
-        return RealSet(merge_intervals(iv.shift(k * period)
-                                       for k in range(k_min, k_max + 1) for iv in core))
+        return _flat(merge_intervals(iv.shift(k * period)
+                                     for k in range(k_min, k_max + 1) for iv in core))
     germ = _pattern_reduce(core, period)
     zero = Fraction(0)
     if germ[0] == "per":
@@ -1043,12 +1086,12 @@ def union_of_translates(seed: RealSet, period: Fraction,
             cut = diff[-1].hi
             part = _clip(window, w_lo, cut)
             if full:
-                return RealSet(merge_intervals(part + (Interval(cut, POS_INF, False, False),)))
+                return _flat(merge_intervals(part + (Interval(cut, POS_INF, False, False),)))
             return RealSet(part, None, PeriodicTail(germ[1], germ[2], "right", cut))
         cut = diff[0].lo
         part = _clip(window, cut, w_hi)
         if full:
-            return RealSet(merge_intervals((Interval(NEG_INF, cut, False, False),) + part))
+            return _flat(merge_intervals((Interval(NEG_INF, cut, False, False),) + part))
         return RealSet(part, PeriodicTail(germ[1], germ[2], "left", cut), None)
     span = hi_v - lo_v
     # a full germ's half-line starts at the window edge, so these edges are
@@ -1071,7 +1114,7 @@ def affine_image(a: RealSet, slope: Fraction, intercept: Fraction) -> RealSet:
         return EMPTY if a.is_empty else point(intercept)
     if a.left_tail is None and a.right_tail is None:
         return a if slope == 1 and intercept == 0 else \
-            RealSet(_affine_core(a.core, slope, intercept))
+            _flat(_affine_core(a.core, slope, intercept))
     core = _affine_core(a.core, slope, intercept)
     ltail = a.left_tail
     rtail = a.right_tail
@@ -1122,15 +1165,15 @@ def _affine_core(pieces: Tuple[Interval, ...], slope: Fraction,
 def _close_rule(lo: bool, hi: bool) -> Callable[[Interval], Interval]:
     """The closure of one piece that closes its lower end when `lo` says so
     and its upper end when `hi` does, each only where it is finite."""
-    return lambda iv: Interval(iv.lo, iv.hi, iv.lo_closed or lo and is_finite(iv.lo),
-                               iv.hi_closed or hi and is_finite(iv.hi))
+    return lambda iv: _reflag(iv, iv.lo_closed or lo and iv._sk[0] != NEG_INF,
+                              iv.hi_closed or hi and iv._ek[0] != POS_INF)
 
 
 def _open_rule(lo: bool, hi: bool) -> Callable[[Interval], Optional[Interval]]:
     """The interior of one piece that opens its lower end when `lo` says so
     and its upper end when `hi` does; a point has none."""
-    return lambda iv: None if iv.is_point else \
-        Interval(iv.lo, iv.hi, iv.lo_closed and not lo, iv.hi_closed and not hi)
+    return lambda iv: None if iv._sk == iv._ek else \
+        _reflag(iv, iv.lo_closed and not lo, iv.hi_closed and not hi)
 
 
 # (lower, upper): the ends of a piece that each piecewise kind's closure
@@ -1152,7 +1195,7 @@ def apply_local(a: RealSet, rule: Callable[[Interval], Optional[Interval]],
     at a window edge maps wrongly only within reach of that edge."""
     if a.left_tail is None and a.right_tail is None:
         out = [r for r in map(rule, a.core) if r is not None]
-        return RealSet(merge_intervals(out))
+        return _flat(merge_intervals(out))
 
     def germ_rule(germ):
         if germ[0] != "per":
@@ -1174,6 +1217,18 @@ def apply_local(a: RealSet, rule: Callable[[Interval], Optional[Interval]],
     return _assemble(window, lg, rg, inner_lo, inner_hi)
 
 
+def _ray(edge: Fraction, up: bool, closed: bool) -> RealSet:
+    """The half-line from the finite `edge` up to +inf when `up` says so,
+    else down to -inf, closed at the edge when `closed` says so."""
+    f, r = _lead(edge)
+    if up:
+        iv = _raw(edge, POS_INF, closed, False, (f, r, 0 if closed else 1), _POS_END, _POS_GAP)
+    else:
+        ek, gk = ((f, r, 0), (f, r, 1)) if closed else ((f, r, -1), (f, r, 0))
+        iv = _raw(NEG_INF, edge, False, closed, _NEG_GAP, ek, gk)
+    return _flat((iv,))
+
+
 def _closure(a: RealSet, kind: TopologyKind) -> RealSet:
     if kind is TopologyKind.DISCRETE:
         return a
@@ -1183,14 +1238,14 @@ def _closure(a: RealSet, kind: TopologyKind) -> RealSet:
         m = a.inf_value()
         if not is_finite(m):
             return REALS
-        return interval(m, POS_INF, True, False)
+        return _ray(m, True, True)
     if kind is TopologyKind.LOWER:
         if a.is_empty:
             return EMPTY
         m = a.sup_value()
         if not is_finite(m):
             return REALS
-        return interval(NEG_INF, m, False, True)
+        return _ray(m, False, True)
     return apply_local(a, _LOCAL_RULES[(kind, "close")])
 
 
@@ -1202,11 +1257,15 @@ def _interior(a: RealSet, kind: TopologyKind) -> RealSet:
         if c.is_empty:
             return REALS
         m = c.inf_value()
-        return EMPTY if not is_finite(m) else interval(NEG_INF, m, False, False)
+        return EMPTY if not is_finite(m) else _ray(m, False, False)
     if kind is TopologyKind.LOWER:
         c = a.complement()
         if c.is_empty:
             return REALS
         m = c.sup_value()
-        return EMPTY if not is_finite(m) else interval(m, POS_INF, False, False)
-    return apply_local(a, _LOCAL_RULES[(kind, "open")])
+        return EMPTY if not is_finite(m) else _ray(m, True, False)
+    rule = _LOCAL_RULES[(kind, "open")]
+    if a.left_tail is None and a.right_tail is None:
+        # the pieces only shrink, so they stay sorted and apart
+        return _flat(tuple(r for r in map(rule, a.core) if r is not None))
+    return apply_local(a, rule)

@@ -207,6 +207,9 @@ def test_set_algebra_commutes_with_the_mirror():
         assert ma | mb == mirror(a | b), ctx
         assert ma & mb == mirror(a & b), ctx
         assert ma - mb == mirror(a - b), ctx
+        assert ~ma == mirror(~a), ctx
+        for x, y in ((a, b), (b, a), (a & b, a), (a, a | b)):
+            assert mirror(x).is_subset(mirror(y)) == x.is_subset(y), ctx
         assert ma.inf_value() == -a.sup_value(), ctx
         assert ma.sup_value() == -a.inf_value(), ctx
         for kind, twin in MIRROR_KIND.items():
