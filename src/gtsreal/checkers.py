@@ -130,12 +130,6 @@ class ProperReport:
         return f"IMPROPER at n={self.witness_index} closure={self.witness_closure}"
 
 
-def _check_index_bound(schema: BaseSchema, n_max: int) -> None:
-    if n_max < schema.n0:
-        raise PreconditionError(
-            f"index bound {n_max} is below the first base index {schema.n0}")
-
-
 def _fit(schema: BaseSchema, t2: TopologyKind, n: int) -> Tuple[RealSet, int]:
     """cl_t2(B_n) and the m that decides whether it fits inside some
     int_t1(B_m): from m on, B_m is unchanged within 1 of the closure's finite
@@ -161,15 +155,13 @@ def _first_improper(schema: BaseSchema, t1: TopologyKind,
     return None
 
 
-def proper_check(b: Bornology, t1: TopologyKind, t2: TopologyKind,
-                 n_max: int = 16) -> ProperReport:
+def proper_check(b: Bornology, t1: TopologyKind, t2: TopologyKind) -> ProperReport:
     """(t1, t2)-properness on base elements (`_first_improper`): the base
     suffices, as cl/int are monotone and every member sits inside a base
-    element.  n_max is only checked against the base's first index."""
+    element."""
     schema = b.base_schema()
     if schema is None:
         raise PreconditionError(f"{b} has no indexed base to check properness on")
-    _check_index_bound(schema, n_max)
     bad = _first_improper(schema, t1, t2)
     return ProperReport(bad is None, *(bad or (None, None)))
 
@@ -315,11 +307,9 @@ def _first_below(d: QuasiMetric, schema: BaseSchema, side: int, delta: Fraction,
     return n_bad
 
 
-def chain_check(d: QuasiMetric, schema: BaseSchema, delta, n_max: int = 64) -> ChainReport:
+def chain_check(d: QuasiMetric, schema: BaseSchema, delta) -> ChainReport:
     """[B_n]^delta_d subseteq B_{n+1} for all n >= n0: the first failure is
-    the first n with delta*(n) < delta, i.e. the first at either end.
-    n_max is only checked against the base's first index."""
-    _check_index_bound(schema, n_max)
+    the first n with delta*(n) < delta, i.e. the first at either end."""
     dq = rat(delta)
     laws = _profile(d, schema)
     if dq <= 0:
@@ -342,29 +332,28 @@ def _first_zero(laws) -> Optional[int]:
     return min((n for marks, _ in laws for n, g in marks if g == 0), default=None)
 
 
-def chain_search(d: QuasiMetric, schema: BaseSchema, n_max: int = 64) -> ChainReport:
+def chain_search(d: QuasiMetric, schema: BaseSchema) -> ChainReport:
     """Per-index condition: for each n some delta works (delta may vary
     with n), i.e. delta*(n) > 0 (`_first_zero`).  When inf delta*(n) > 0,
     the one delta min(1, inf) serves every index and the uniform report is
-    returned.  n_max is only checked against the base's first index."""
-    _check_index_bound(schema, n_max)
+    returned."""
     laws = _profile(d, schema)
     zero = _first_zero(laws)
     if zero is None and not any(falls for _, falls in laws):
         low = min(g for marks, _ in laws for _, g in marks)
-        return chain_check(d, schema, min(Fraction(1), low), n_max)
+        return chain_check(d, schema, min(Fraction(1), low))
     if zero is None:
         return ChainReport("pass", False)
     return ChainReport("fail_at", False, zero, _missing(d, schema, _PROBE_DELTA, zero),
                        _PROBE_DELTA)
 
 
-def uniform_chain_check(d: QuasiMetric, schema: BaseSchema, n_max: int = 64) -> ChainReport:
+def uniform_chain_check(d: QuasiMetric, schema: BaseSchema) -> ChainReport:
     """Single-delta condition: passes iff inf delta*(n) > 0, with delta
     min(1, inf); otherwise the chain fails for every delta, and the report
     shows where it fails for delta = 2^-12."""
-    rep = chain_search(d, schema, n_max)
-    return rep if rep.uniform else chain_check(d, schema, _PROBE_DELTA, n_max)
+    rep = chain_search(d, schema)
+    return rep if rep.uniform else chain_check(d, schema, _PROBE_DELTA)
 
 
 # ---------------------------------------------------------------------------

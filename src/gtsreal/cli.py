@@ -1,7 +1,9 @@
 """Command-line surface: evaluate query documents, run the corpus battery,
-print the grammar.  Exit code 0 iff no query or suite entry failed; 2 on bad
-flags, a document that does not parse or cannot be read, and a report that
-cannot be written."""
+print the grammar.  The only global options are `--report PATH` and
+`--format human|machine`: no cap bounds an answer, so none is settable.
+Exit code 0 iff no query or suite entry failed; 2 on bad flags, a document
+that does not parse or cannot be read, and a report that cannot be
+written."""
 
 from __future__ import annotations
 
@@ -11,7 +13,7 @@ from functools import lru_cache
 from pathlib import Path
 
 from gtsreal.queries import GRAMMAR, ParseError, parse
-from gtsreal.report import Caps, Report, corpus_verify, run
+from gtsreal.report import Report, corpus_verify, run
 
 
 class _FileError(Exception):
@@ -40,17 +42,6 @@ def _emit(report: Report, fmt: str, path):
         raise _FileError(f"cannot write the report to {path}: {e.strerror or e}") from None
 
 
-def _count(text: str) -> int:
-    """A --caps-* value: a non-negative integer."""
-    try:
-        n = int(text)
-    except ValueError:
-        n = -1
-    if n < 0:
-        raise argparse.ArgumentTypeError(f"not a non-negative integer: {text!r}")
-    return n
-
-
 @lru_cache(maxsize=1)
 def _parser() -> argparse.ArgumentParser:
     """The argument parser, built once per process: parsing leaves no state
@@ -58,12 +49,6 @@ def _parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="gtsreal",
         description="exact decision procedures for generalized-topology real lines")
-    parser.add_argument("--caps-chain", type=_count, default=64, metavar="N",
-                        help="n_max of the corpus chain checks: only checked "
-                             "against each base's first index, it bounds no "
-                             "verdict (default 64)")
-    parser.add_argument("--caps-depth", type=_count, default=4, metavar="K",
-                        help="generation depth for restriction probes (default 4)")
     parser.add_argument("--report", metavar="PATH", default=None,
                         help="write the report to a file instead of stdout")
     parser.add_argument("--format", choices=("human", "machine"), default="human")
@@ -85,12 +70,11 @@ def main(argv=None) -> int:
 
 
 def _command(args) -> int:
-    caps = Caps(chain_n=args.caps_chain, depth=args.caps_depth)
     if args.command == "print-grammar":
         sys.stdout.write(GRAMMAR)
         return 0
     if args.command == "corpus":
-        report = corpus_verify(caps)
+        report = corpus_verify()
         _emit(report, args.format, args.report)
         return 0 if report.failures == 0 else 1
     try:
@@ -98,7 +82,7 @@ def _command(args) -> int:
     except ParseError as e:
         sys.stderr.write(f"parse error: {e}\n")
         return 2
-    report = run(doc, caps)
+    report = run(doc)
     _emit(report, args.format, args.report)
     return 0 if report.failures == 0 else 1
 

@@ -715,6 +715,22 @@ def _schema_of(b: Bornology):
     return sc
 
 
+def _bounded(schema, bound: int):
+    """schema, once a query's index bound is checked against it: the
+    checkers decide every index, so the bound must only not lie below the
+    first one.  None passes, for the caller to refuse."""
+    if schema is not None and bound < schema.n0:
+        raise PreconditionError(
+            f"index bound {bound} is below the first base index {schema.n0}")
+    return schema
+
+
+def _proper(b: Bornology, t1, t2, bound: int):
+    # a bornology without a base is proper_check's error, raised first
+    _bounded(b.base_schema(), bound)
+    return proper_check(b, t1, t2)
+
+
 def _members(fam):
     ms = members(fam)
     return "not finitely enumerable" if ms is None else sorted(ms, key=str)
@@ -760,14 +776,14 @@ QUERIES: dict[str, Query] = {
     "acb_member": Query("LINE SET", acb_member),
     "pt_of": Query("LINE", pt_of),
     "bornology_member": Query("BORN SET", Bornology.member),
-    "proper_check": Query("BORN KIND KIND INT", proper_check),
+    "proper_check": Query("BORN KIND KIND INT", _proper),
     "base_check": Query("BORN KIND", base_check),
     "chain_check": Query("METRIC BORN delta RAT upto INT", lambda d, b, delta, n:
-                         chain_check(d, _schema_of(b), delta, n)),
+                         chain_check(d, _bounded(_schema_of(b), n), delta)),
     "chain_search": Query("METRIC BORN upto INT", lambda d, b, n:
-                          chain_search(d, _schema_of(b), n)),
+                          chain_search(d, _bounded(_schema_of(b), n))),
     "uniform_chain": Query("METRIC BORN upto INT", lambda d, b, n:
-                           uniform_chain_check(d, _schema_of(b), n)),
+                           uniform_chain_check(d, _bounded(_schema_of(b), n))),
     "metrizable": Query("LINE BORN METRIC", metrizable_verdict),
     "strict_cont_refute": Query("MAP LINE LINE (FAMILY, ...)", strict_cont_refute),
     "axiom_probe": Query("LINE", axiom_probe),

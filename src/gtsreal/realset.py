@@ -278,7 +278,7 @@ _END_KEY = attrgetter("_ek")
 
 def interval(lo, hi, lo_closed: bool = False, hi_closed: bool = False) -> "RealSet":
     """RealSet consisting of one interval (default: open)."""
-    return RealSet._make((Interval(ext(lo), ext(hi), lo_closed, hi_closed),), None, None)
+    return _flat((Interval(ext(lo), ext(hi), lo_closed, hi_closed),))
 
 
 def closed(lo, hi) -> "RealSet":
@@ -299,11 +299,11 @@ def open_closed(lo, hi) -> "RealSet":
 
 def point(x) -> "RealSet":
     q = rat(x)
-    return RealSet._make((Interval(q, q, True, True),), None, None)
+    return _flat((Interval(q, q, True, True),))
 
 
 def points(xs: Iterable[RatLike]) -> "RealSet":
-    return RealSet._make(tuple(Interval(rat(x), rat(x), True, True) for x in xs), None, None)
+    return _flat(merge_intervals(Interval(rat(x), rat(x), True, True) for x in xs))
 
 
 # ---------------------------------------------------------------------------
@@ -578,10 +578,6 @@ class RealSet:
     left_tail: Optional[PeriodicTail] = None
     right_tail: Optional[PeriodicTail] = None
 
-    @staticmethod
-    def _make(core: Sequence[Interval], ltail, rtail) -> "RealSet":
-        return _canonical(tuple(core), ltail, rtail)
-
     # -- membership and sampling ------------------------------------------
 
     def contains_point(self, x: RatLike) -> bool:
@@ -836,7 +832,7 @@ def _canonical(core: Tuple[Interval, ...], ltail: Optional[PeriodicTail],
         core = merge_intervals(list(core) + extra)
 
     if ltail is None and rtail is None:
-        return RealSet(core, None, None)
+        return _flat(core)
 
     raw = RealSet.__new__(RealSet)
     object.__setattr__(raw, "core", core)

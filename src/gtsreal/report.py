@@ -68,17 +68,7 @@ from gtsreal.realset import (
     point,
 )
 
-SCHEMA_VERSION = "gtsreal-report-v1"
-
-
-@dataclass(frozen=True)
-class Caps:
-    chain_n: int = 64
-    depth: int = 4
-    oracle_subfamily: int = 8
-
-    def __str__(self):
-        return f"chain={self.chain_n} depth={self.depth} oracle={self.oracle_subfamily}"
+SCHEMA_VERSION = "gtsreal-report-v2"
 
 
 @dataclass(frozen=True)
@@ -95,7 +85,6 @@ class Record:
 
 @dataclass(frozen=True)
 class Report:
-    caps: Caps
     records: Tuple[Record, ...]
     engine_version: str = SCHEMA_VERSION
 
@@ -108,14 +97,14 @@ class Report:
         return sum(1 for r in self.records if r.status in ("pass", "ok"))
 
     def machine_text(self) -> str:
-        head = [self.engine_version, f"caps {self.caps}"]
+        head = [self.engine_version, "caps none"]
         body = [r.machine() for r in self.records]
         tail = [f"summary pass={self.passes} fail={self.failures} total={len(self.records)}"]
         return "\n".join(head + body + tail) + "\n"
 
     def human_text(self) -> str:
         width = max((len(r.ident) for r in self.records), default=8)
-        out = [f"{self.engine_version}  (caps: {self.caps})", ""]
+        out = [f"{self.engine_version}  (caps: none)", ""]
         for r in self.records:
             out.append(f"  {r.ident.ljust(width)}  {r.status.upper():5}  {r.detail}")
         out.append("")
@@ -134,7 +123,7 @@ def _text(answer) -> str:
     return str(answer)
 
 
-def run(doc, caps: Caps = Caps()) -> Report:
+def run(doc) -> Report:
     """Evaluate every query of a document; per-query errors become records,
     never aborts.  An answer is rendered inside its query's `try`, so an
     answer that cannot be printed is that query's error record."""
@@ -150,7 +139,7 @@ def run(doc, caps: Caps = Caps()) -> Report:
                 detail = (f"ValueError: answer has a number longer than "
                           f"{sys.get_int_max_str_digits()} digits, the most a report prints")
             records.append(Record(ident, kind, "error", detail))
-    return Report(caps, tuple(records))
+    return Report(tuple(records))
 
 
 # ---------------------------------------------------------------------------
@@ -266,44 +255,43 @@ def _section_metrizability(records):
                f" (expected {want}; {anchor})")
 
 
-def _section_chains(records, caps):
+def _section_chains(records):
     from gtsreal.lines import BaseSchema
     sym = BaseSchema(lo=(Fraction(-1), Fraction(-1)), hi=(Fraction(1), Fraction(1)))
     ub_schema = UB.base_schema()
-    n = caps.chain_n
 
-    rep = chain_check(metric("d_n"), sym, Fraction(1, 2), n)
+    rep = chain_check(metric("d_n"), sym, Fraction(1, 2))
     _check(records, "chain/d_n-sym-1/2", "chain", rep.verdict == "pass" and rep.uniform,
            f"{rep} (expected uniform pass)")
     ok = True
     details = []
     for k in range(2, 13):
         delta = Fraction(1, 2**k)
-        rep = chain_check(metric("d_n_plus"), sym, delta, n)
+        rep = chain_check(metric("d_n_plus"), sym, delta)
         good = rep.verdict == "fail_at" and rep.fail_index <= 1 / delta
         ok = ok and good
         details.append(f"2^-{k}->{rep.fail_index}")
     _check(records, "chain/d_n_plus-sym-dyadics", "chain", ok,
            "fail indices " + ",".join(details) + " all <= ceil(1/delta)")
-    rep = chain_check(metric("d_n_plus"), ub_schema, Fraction(1, 2), n)
+    rep = chain_check(metric("d_n_plus"), ub_schema, Fraction(1, 2))
     _check(records, "chain/d_n_plus-ub-1/2", "chain",
            rep.verdict == "pass" and rep.uniform, str(rep))
-    rep = uniform_chain_check(metric("d_n_plus"), ub_schema, n)
+    rep = uniform_chain_check(metric("d_n_plus"), ub_schema)
     _check(records, "chain/d_n_plus-ub-uniform", "chain", rep.verdict == "pass",
            str(rep))
-    rep = uniform_chain_check(metric("rho_S_minus"), sym, min(n, 32))
+    rep = uniform_chain_check(metric("rho_S_minus"), sym)
     _check(records, "chain/rho_S_minus-not-uniform", "chain", rep.verdict == "fail_at",
            f"fail_at({rep.fail_index}) (the flipped-damping metric admits no uniform delta)")
-    rep = uniform_chain_check(metric("rho_0"), NAT_BOUNDED.base_schema(), min(n, 32))
+    rep = uniform_chain_check(metric("rho_0"), NAT_BOUNDED.base_schema())
     _check(records, "chain/rho_0-nat-uniform", "chain", rep.verdict == "pass",
            f"{rep} (localized Sorgenfrey chain closes uniformly)")
 
-    got = proper_check(UB, TopologyKind.UPPER, TopologyKind.LOWER, 16)
+    got = proper_check(UB, TopologyKind.UPPER, TopologyKind.LOWER)
     _check(records, "proper/ub-upper-lower", "properness", got.proper, "PROPER expected")
-    got = proper_check(LB, TopologyKind.UPPER, TopologyKind.LOWER, 16)
+    got = proper_check(LB, TopologyKind.UPPER, TopologyKind.LOWER)
     _check(records, "proper/lb-upper", "properness", not got.proper,
            "IMPROPER expected (bounded-below sets have empty upper-interior)")
-    got = proper_check(FB, TopologyKind.SORG_R, TopologyKind.NAT, 16)
+    got = proper_check(FB, TopologyKind.SORG_R, TopologyKind.NAT)
     _check(records, "proper/fb-sorg", "properness", not got.proper, "IMPROPER expected")
     _check(records, "base/fb-sorg", "base-condition",
            not base_check(FB, TopologyKind.SORG_R),
@@ -364,9 +352,10 @@ def _section_wls(records):
 
 
 RESTRICTION_INSTANCES = 50   # random (Psi, Y) instances of the battery
+RESTRICTION_DEPTH = 4        # generation levels each candidate is searched to
 
 
-def restriction_generation_battery(depth: int = 4) -> Tuple[int, int, list]:
+def restriction_generation_battery() -> Tuple[int, int, list]:
     """Randomized restriction/generation agreement: membership in
     EssFin(L_Y[U(Psi n2 Y)]) must match bounded generation over Y.
 
@@ -399,7 +388,7 @@ def restriction_generation_battery(depth: int = 4) -> Tuple[int, int, list]:
             mats = members(cand) or []
             in_ring_side = all(m in ring_set for m in mats) and \
                 bool(ess_finite(cand)) if mats else True
-            got = member_generated(cand, levels, depth)
+            got = member_generated(cand, levels, RESTRICTION_DEPTH)
             if got.truncated and got.found != in_ring_side:
                 truncations += 1
                 continue
@@ -411,15 +400,15 @@ def restriction_generation_battery(depth: int = 4) -> Tuple[int, int, list]:
     return agreements, truncations, disagreements
 
 
-def _section_restriction_generation(records, caps):
-    agreements, truncations, disagreements = restriction_generation_battery(depth=caps.depth)
+def _section_restriction_generation(records):
+    agreements, truncations, disagreements = restriction_generation_battery()
     _check(records, "restriction-generation/battery", "restriction-generation",
            not disagreements,
            f"{agreements} agreements, {truncations} truncation reports, "
            f"{len(disagreements)} disagreements")
 
 
-def corpus_verify(caps: Caps = Caps()) -> Report:
+def corpus_verify() -> Report:
     """The flagship battery."""
     records: list[Record] = []
     probes = probe_corpus()
@@ -427,9 +416,9 @@ def corpus_verify(caps: Caps = Caps()) -> Report:
     _section_pt(records, probes)
     _section_subsumption(records, probes)
     _section_metrizability(records)
-    _section_chains(records, caps)
+    _section_chains(records)
     _section_axioms(records)
     _section_refuters(records, probes)
     _section_wls(records)
-    _section_restriction_generation(records, caps)
-    return Report(caps, tuple(records))
+    _section_restriction_generation(records)
+    return Report(tuple(records))

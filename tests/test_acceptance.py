@@ -45,8 +45,7 @@ from gtsreal.realset import (
     open_iv,
     with_tails,
 )
-from gtsreal.report import (Caps, corpus_verify, restriction_generation_battery,
-                            _metrizability_table)
+from gtsreal.report import corpus_verify, restriction_generation_battery, _metrizability_table
 
 from helpers import probe_corpus
 
@@ -181,18 +180,18 @@ def test_criterion_3_chain_criteria():
     t0 = time.time()
     sym = BaseSchema(lo=(F(-1), F(-1)), hi=(F(1), F(1)))
     ub_schema = BaseSchema(lo=None, hi=(F(0), F(1)), hi_closed=False)
-    rep = chain_check(metric("d_n"), sym, F(1, 2), 64)
+    rep = chain_check(metric("d_n"), sym, F(1, 2))
     assert rep.verdict == "pass" and rep.uniform
     fail_info = []
     for k in range(2, 13):
         delta = F(1, 2**k)
-        rep = chain_check(metric("d_n_plus"), sym, delta, 64)
+        rep = chain_check(metric("d_n_plus"), sym, delta)
         assert rep.verdict == "fail_at"
         assert rep.fail_index <= math.ceil(1 / delta)
         fail_info.append(rep.fail_index)
-    rep = chain_check(metric("d_n_plus"), ub_schema, F(1, 2), 64)
+    rep = chain_check(metric("d_n_plus"), ub_schema, F(1, 2))
     assert rep.verdict == "pass" and rep.uniform
-    rep2 = uniform_chain_check(metric("d_n_plus"), ub_schema, 64)
+    rep2 = uniform_chain_check(metric("d_n_plus"), ub_schema)
     assert rep2.verdict == "pass"
     dt = time.time() - t0
     assert dt < 5, f"criterion 3 took {dt:.1f}s"
@@ -428,8 +427,8 @@ def test_criterion_8_restriction_generation():
 # ---------------------------------------------------------------------------
 
 def test_criterion_9_determinism():
-    a = corpus_verify(Caps(chain_n=16)).machine_text()
-    b = corpus_verify(Caps(chain_n=16)).machine_text()
+    a = corpus_verify().machine_text()
+    b = corpus_verify().machine_text()
     assert a == b
-    assert a.startswith("gtsreal-report-v1")
+    assert a.startswith("gtsreal-report-v2")
     announce(9, "determinism", f"{len(a)} bytes, byte-identical across runs")

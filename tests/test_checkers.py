@@ -94,19 +94,19 @@ class TestPiecewiseAffine:
 
 class TestProperCheck:
     def test_spec_examples(self):
-        got = proper_check(UB, TopologyKind.UPPER, TopologyKind.LOWER, 16)
+        got = proper_check(UB, TopologyKind.UPPER, TopologyKind.LOWER)
         assert got.proper
-        got = proper_check(LB, TopologyKind.UPPER, TopologyKind.UPPER, 16)
+        got = proper_check(LB, TopologyKind.UPPER, TopologyKind.UPPER)
         assert not got.proper
-        got = proper_check(LB, TopologyKind.UPPER, TopologyKind.LOWER, 16)
+        got = proper_check(LB, TopologyKind.UPPER, TopologyKind.LOWER)
         assert not got.proper
-        got = proper_check(FB, TopologyKind.SORG_R, TopologyKind.NAT, 16)
+        got = proper_check(FB, TopologyKind.SORG_R, TopologyKind.NAT)
         assert not got.proper
 
     def test_certificates_reverify(self):
         # cl(B_n) fits in int(B_m), with the m of _fit, at each n up to the
         # bound exactly when n comes before the witness
-        got = proper_check(NAT_BOUNDED, TopologyKind.NAT, TopologyKind.NAT, 12)
+        got = proper_check(NAT_BOUNDED, TopologyKind.NAT, TopologyKind.NAT)
         assert got.proper
         sc = NAT_BOUNDED.base_schema()
         for n in range(sc.n0, 13):
@@ -129,13 +129,13 @@ class TestBaseCheck:
 
 class TestChainChecks:
     def test_d_n_uniform_pass(self):
-        rep = chain_check(metric("d_n"), SYM_SCHEMA, F(1, 2), 64)
+        rep = chain_check(metric("d_n"), SYM_SCHEMA, F(1, 2))
         assert rep.verdict == "pass" and rep.uniform
 
     def test_d_n_plus_fails_early(self):
         # left end of [B_n]^delta is phi^-1(1/(n+2) - delta), which escapes
         # B_(n+1) as soon as (n+2)(n+3) > 1/delta; for delta = 1/8 that is n=1
-        rep = chain_check(metric("d_n_plus"), SYM_SCHEMA, F(1, 8), 64)
+        rep = chain_check(metric("d_n_plus"), SYM_SCHEMA, F(1, 8))
         assert rep.verdict == "fail_at"
         assert rep.fail_index == 1
         assert rep.missing is not None and not rep.missing.is_empty
@@ -144,45 +144,45 @@ class TestChainChecks:
         import math
         for k in (2, 3, 4, 5, 7, 9, 12):
             d = F(1, 2**k)
-            rep = chain_check(metric("d_n_plus"), SYM_SCHEMA, d, 64)
+            rep = chain_check(metric("d_n_plus"), SYM_SCHEMA, d)
             predicted = next(n for n in range(200) if (n + 2) * (n + 3) > 1 / d)
             assert rep.verdict == "fail_at"
             assert rep.fail_index == predicted
             assert rep.fail_index <= math.ceil(1 / d)
 
     def test_d_n_plus_ub_schema_uniform(self):
-        rep = chain_check(metric("d_n_plus"), UB_SCHEMA, F(1, 2), 64)
+        rep = chain_check(metric("d_n_plus"), UB_SCHEMA, F(1, 2))
         assert rep.verdict == "pass" and rep.uniform
-        got = uniform_chain_check(metric("d_n_plus"), UB_SCHEMA, 64)
+        got = uniform_chain_check(metric("d_n_plus"), UB_SCHEMA)
         assert got.verdict == "pass"
 
     def test_chain_failures_carry_missing_region(self):
-        rep = chain_check(metric("d_n"), SYM_SCHEMA, F(3), 64)
+        rep = chain_check(metric("d_n"), SYM_SCHEMA, F(3))
         assert rep.verdict == "fail_at" and rep.fail_index == 0
         # [B_0]^3 = (-4, 4) vs B_1 = [-2, 2]
         assert rep.missing == open_iv(-4, -2) | open_iv(2, 4)
 
     def test_chain_search_theorem_style(self):
-        rep = chain_search(metric("d_n"), SYM_SCHEMA, 32)
+        rep = chain_search(metric("d_n"), SYM_SCHEMA)
         assert rep.verdict == "pass"
         # per-index deltas exist for d_n_plus (delta_n ~ n^-2) although no
         # single delta works: the theorem-style search passes at every index
         # while the uniform check refutes, reproducing the
         # equivalence/uniformity gap
-        rep = chain_search(metric("d_n_plus"), SYM_SCHEMA, 32)
+        rep = chain_search(metric("d_n_plus"), SYM_SCHEMA)
         assert rep.verdict == "pass" and not rep.uniform
         assert str(rep) == "pass (per-index)"
         assert all(_delta_star(metric("d_n_plus"), SYM_SCHEMA, n) > 0
                    for n in range(SYM_SCHEMA.n0, 33))
-        rep = uniform_chain_check(metric("d_n_plus"), SYM_SCHEMA, 32)
+        rep = uniform_chain_check(metric("d_n_plus"), SYM_SCHEMA)
         assert rep.verdict == "fail_at"
 
     def test_rho_s_minus_not_uniform_on_nat(self):
-        rep = uniform_chain_check(metric("rho_S_minus"), SYM_SCHEMA, 32)
+        rep = uniform_chain_check(metric("rho_S_minus"), SYM_SCHEMA)
         assert rep.verdict == "fail_at"
 
     def test_grid_schema_fails(self):
-        rep = chain_check(metric("d_n"), FB.base_schema(), F(1, 2), 8)
+        rep = chain_check(metric("d_n"), FB.base_schema(), F(1, 2))
         assert rep.verdict == "fail_at" and rep.fail_index == 0
 
     def test_delta_star_is_the_largest_delta(self):
@@ -213,7 +213,7 @@ class TestChainChecks:
             delta = rng.choice((F(2), F(1), F(1, 2), F(3, 7), F(1, 8), F(1, 64)))
             scan = next((n for n in range(sc.n0, 121)
                          if not _missing(d, sc, delta, n).is_empty), None)
-            rep = chain_check(d, sc, delta, sc.n0 + 4)
+            rep = chain_check(d, sc, delta)
             case = (d.label(), sc, delta, str(rep), scan)
             if scan is None:
                 assert rep.verdict == "pass" or rep.fail_index > 120, case
@@ -230,8 +230,8 @@ class TestChainChecks:
                 stars = [_delta_star(d, sc, n) for n in range(sc.n0, 121)]
                 zero = next((n for n, g in enumerate(stars, sc.n0) if g == 0), None)
                 case = (d.label(), sc)
-                assert chain_search(d, sc, sc.n0).fail_index == zero, case
-                rep = uniform_chain_check(d, sc, sc.n0)
+                assert chain_search(d, sc).fail_index == zero, case
+                rep = uniform_chain_check(d, sc)
                 if rep.verdict == "pass":
                     assert rep.delta_used == min(F(1), min(stars)), case
                 else:
@@ -240,12 +240,11 @@ class TestChainChecks:
     def test_per_index_search_on_d_n_plus_at_any_bound(self):
         # the damped metric needs delta_n ~ n^-2 but some delta works at
         # every n; an index window no longer decides this
-        for n_max in (3000, 5000):
-            start = time.perf_counter()
-            rep = chain_search(metric("d_n_plus"), SYM_SCHEMA, n_max)
-            assert time.perf_counter() - start < 1
-            assert str(rep) == "pass (per-index)"
-        rep = chain_check(metric("d_n_plus"), SYM_SCHEMA, F(1, 2**25), 8)
+        start = time.perf_counter()
+        rep = chain_search(metric("d_n_plus"), SYM_SCHEMA)
+        assert time.perf_counter() - start < 1
+        assert str(rep) == "pass (per-index)"
+        rep = chain_check(metric("d_n_plus"), SYM_SCHEMA, F(1, 2**25))
         assert rep.verdict == "fail_at" and rep.fail_index == 5791
 
     def test_a_large_index_bound_answers_at_once(self):
@@ -267,10 +266,10 @@ class TestChainChecks:
         # phi(-k) - phi(-k - 1) drops below 1/2 one step later
         sc = BaseSchema(lo=(F(100000), F(-1)), hi=(F(200000), F(1)))
         start = time.perf_counter()
-        rep = chain_check(metric("d_n_plus"), sc, F(1, 2), 8)
+        rep = chain_check(metric("d_n_plus"), sc, F(1, 2))
         assert time.perf_counter() - start < 1
         assert rep.fail_index == 100001 and not rep.missing.is_empty
-        assert chain_check(metric("d_n"), sc, F(1, 2), 8).verdict == "pass"
+        assert chain_check(metric("d_n"), sc, F(1, 2)).verdict == "pass"
 
     def test_schemas_whose_first_elements_are_empty(self):
         # B_0 = (0, 0) and B_0..B_4 = [5, n] are empty, so those inclusions
@@ -288,8 +287,8 @@ class TestChainChecks:
         for rec, (q, sc, delta) in zip(rep.records, cases):
             assert rec.status == "ok", (q, rec.detail)
             assert sc.element(0) == EMPTY
-            got = (chain_check(d, sc, delta, 4) if q.startswith("chain_check")
-                   else chain_search(d, sc, 4))
+            got = (chain_check(d, sc, delta) if q.startswith("chain_check")
+                   else chain_search(d, sc))
             assert rec.detail == str(got), q
             for upto in (4, 40):
                 scan = next((n for n in range(sc.n0, upto + 1)
@@ -403,7 +402,7 @@ class TestCoherenceInvariants:
                 continue
             got = metrizable_verdict(l, b, d)
             assert got.consistent, (str(l), str(b), d.label())
-            pr = proper_check(b, d.topology_of(), d.conjugate().topology_of(), 16)
+            pr = proper_check(b, d.topology_of(), d.conjugate().topology_of())
             assert pr.proper, (str(l), str(b), d.label())
             seen += 1
         assert seen >= 20
@@ -412,7 +411,7 @@ class TestCoherenceInvariants:
         # [B_n]^delta lies inside B_(n+1) at each n <= 16 exactly when n
         # comes before the first failure
         for d, delta in ((metric("d_n"), F(1, 2)), (metric("d_n_plus"), F(1, 8))):
-            rep = chain_check(d, SYM_SCHEMA, delta, 16)
+            rep = chain_check(d, SYM_SCHEMA, delta)
             for n in range(SYM_SCHEMA.n0, 17):
                 holds = d.nbhd(SYM_SCHEMA.element(n), delta).is_subset(SYM_SCHEMA.element(n + 1))
                 assert holds == (rep.fail_index is None or n < rep.fail_index), (d.label(), n)

@@ -12,12 +12,11 @@ import pytest
 
 import gtsreal
 from gtsreal import lines
-from gtsreal.cli import main
+from gtsreal.cli import _parser, main
 from gtsreal.covers import ess_finite_on, union_of
 from gtsreal.lines import ALL_SETS, CORPUS, FB, LB, NAT_BOUNDED, UB, UF_SMALL, probe_corpus
 from gtsreal.queries import EXPRESSIONS, MAX_NESTING, QUERIES, ParseError, parse
 from gtsreal.report import (
-    Caps,
     _section_identities,
     _section_pt,
     _section_refuters,
@@ -104,8 +103,8 @@ query oracle_ess_finite finite(interval(open 0, open 1), interval(open 0, open 2
 """
 
 ALL_KINDS_REPORT = """\
-gtsreal-report-v1
-caps chain=64 depth=4 oracle=8
+gtsreal-report-v2
+caps none
 q000|normalize|ok|[0, 1) u {2} u {7/2} u {5}
 q001|boundedness|ok|bounded=false above=true below=false finite=false
 q002|subset|ok|false
@@ -295,8 +294,8 @@ query oracle_ess_finite PU window -3 3 interval(closed 0, closed 4) max 8
 """
 
 NESTED_FAMILIES_REPORT = """\
-gtsreal-report-v1
-caps chain=64 depth=4 oracle=8
+gtsreal-report-v2
+caps none
 q000|union_of|ok|(-5, 4)
 q001|union_of|ok|[-3, 4]
 q002|union_of|ok|(3, 10)
@@ -677,13 +676,13 @@ query topology_of conj(rho_u)
 
 class TestCorpus:
     def test_default_battery_green(self):
-        rep = corpus_verify(Caps(chain_n=16))
+        rep = corpus_verify()
         assert rep.failures == 0
         assert rep.passes == len(rep.records) > 150
 
     def test_determinism(self):
-        a = corpus_verify(Caps(chain_n=8)).machine_text()
-        b = corpus_verify(Caps(chain_n=8)).machine_text()
+        a = corpus_verify().machine_text()
+        b = corpus_verify().machine_text()
         assert a == b
 
     def test_machine_report_is_independent_of_the_hash_seed(self):
@@ -698,16 +697,16 @@ class TestCorpus:
                 env=env, capture_output=True, check=True).stdout
 
         first = corpus("0")
-        assert first.startswith(b"gtsreal-report-v1")
+        assert first.startswith(b"gtsreal-report-v2")
         assert corpus("1") == first
 
     def test_family_caches_are_reused_and_hide_no_corrupted_row(self, monkeypatch):
         # a second battery in one process asks only questions the first asked
         union_of.cache_clear()
         ess_finite_on.cache_clear()
-        first = corpus_verify(Caps()).machine_text()
+        first = corpus_verify().machine_text()
         misses = (union_of.cache_info().misses, ess_finite_on.cache_info().misses)
-        assert corpus_verify(Caps()).machine_text() == first
+        assert corpus_verify().machine_text() == first
         assert (union_of.cache_info().misses, ess_finite_on.cache_info().misses) == misses
         # the caches are keyed on families and sets, not on the line table, so
         # warm caches still let a corrupted Sm cell make a record fail
@@ -722,9 +721,9 @@ class TestCorpus:
         assert any(r.status == "fail" for r in records)
 
     def test_golden_report(self):
-        # corpus_report.txt is `gtsreal --format machine corpus` at the default caps
+        # corpus_report.txt is `gtsreal --format machine corpus`
         golden = (Path(__file__).parent / "corpus_report.txt").read_bytes()
-        assert corpus_verify(Caps()).machine_text().encode("utf-8") == golden
+        assert corpus_verify().machine_text().encode("utf-8") == golden
 
     @pytest.mark.parametrize("l,cell,b", [
         pytest.param(l, cell, b, id=f"{l}-{cell}-{b.kind}")
@@ -804,7 +803,7 @@ class TestMain:
         assert main(["--format", "machine", "--report", str(out),
                      "eval", str(f)]) == 0
         text = out.read_text(encoding="utf-8")
-        assert text.startswith("gtsreal-report-v1")
+        assert text.startswith("gtsreal-report-v2")
         assert "q000|eval|ok|1/2" in text
         assert "q001|eval|ok|1" in text
 
@@ -834,25 +833,63 @@ class TestMain:
         assert captured.out == ""
 
     @pytest.mark.parametrize("flag", ["--caps-chain", "--caps-depth"])
-    def test_negative_caps_are_usage_errors(self, flag, capsys):
+    def test_removed_caps_flags_are_usage_errors(self, flag, capsys):
+        # no cap bounds an answer, so no flag sets one
         with pytest.raises(SystemExit) as e:
-            main([flag, "-1", "corpus"])
+            main(["corpus", flag, "2"])
         assert e.value.code == 2
-        assert "not a non-negative integer: '-1'" in capsys.readouterr().err
+        assert f"unrecognized arguments: {flag} 2" in capsys.readouterr().err
+
+    def test_readme_flags_name_the_parser_options(self):
+        readme = (Path(__file__).resolve().parent.parent / "README.md").read_text(
+            encoding="utf-8")
+        flags = readme.split("\nFlags: ", 1)[1].split("\n\n", 1)[0]
+        named = {m.split()[0] for m in re.findall(r"`(--[^`]*)`", flags)}
+        defined = {o for a in _parser()._actions for o in a.option_strings
+                   if o.startswith("--") and o != "--help"}
+        assert named == defined == {"--report", "--format"}
+
+    @pytest.mark.parametrize("command", ["eval", "corpus"])
+    def test_header_names_no_cap(self, tmp_path, command):
+        f = tmp_path / "doc.gts"
+        f.write_text("query eval rho_S 0 1/2\n", encoding="utf-8")
+        out = tmp_path / "report.txt"
+        argv = ["--format", "machine", "--report", str(out), command]
+        assert main(argv + ([str(f)] if command == "eval" else [])) == 0
+        assert out.read_text(encoding="utf-8").splitlines()[:2] == \
+            ["gtsreal-report-v2", "caps none"]
+
+    def test_index_bounds_bound_no_answer(self):
+        # a bound at or above the first base index reads the same answer
+        born = ("nat_bounded", "ub", "fb", "schema(closed affine(-1, -1), closed affine(1, 1))",
+                "schema(open 0, open affine(0, 1))", "metric_bounded(d_n_plus)")
+        queries = [q for b in born for q in (
+            f"chain_check d_n_plus {b} delta 1/8 upto {{}}",
+            f"chain_check rho_S_minus {b} delta 1/2 upto {{}}",
+            f"chain_search d_n_plus {b} upto {{}}",
+            f"uniform_chain rho_S_minus {b} upto {{}}",
+            f"uniform_chain rho_0 {b} upto {{}}",
+            f"proper_check {b} nat sorg_r {{}}",
+            f"proper_check {b} upper lower {{}}")]
+        reports = [run(parse("".join(f"query {q.format(n)}\n" for q in queries))).machine_text()
+                   for n in (0, 16, 1000000000)]
+        assert reports[0] == reports[1] == reports[2]
+        assert reports[0].count("|ok|") == len(queries)
 
     def test_shared_argument_parser_keeps_no_state(self, tmp_path, capsys):
         f = tmp_path / "doc.gts"
         f.write_text("query eval rho_S 0 1/2\nquery chain_check d_n fb delta 1/2 upto 4\n",
                      encoding="utf-8")
-        out, fresh = tmp_path / "report.txt", tmp_path / "fresh.txt"
-        assert main(["--caps-chain", "2", "--format", "human", "eval", str(f)]) == 0
-        assert main(["--format", "machine", "--report", str(out), "eval", str(f)]) == 0
-        assert out.read_text(encoding="utf-8").splitlines()[1] == \
-            "caps chain=64 depth=4 oracle=8"
+        out, human, fresh = (tmp_path / name for name in ("report.txt", "human.txt",
+                                                           "fresh.txt"))
+        assert main(["--format", "human", "--report", str(human), "eval", str(f)]) == 0
+        assert main(["--format", "machine", "eval", str(f)]) == 0
+        assert capsys.readouterr().out.startswith("gtsreal-report-v2\ncaps none\n")
         with pytest.raises(SystemExit) as e:
-            main(["--caps-chain", "-1", "eval", str(f)])
-        assert e.value.code == 2
-        out.unlink()
+            main(["--format", "xml", "--report", str(out), "eval", str(f)])
+        assert e.value.code == 2 and not out.exists()
+        assert main(["--report", str(out), "eval", str(f)]) == 0
+        assert out.read_bytes() == human.read_bytes()
         assert main(["--format", "machine", "--report", str(out), "eval", str(f)]) == 0
         src = str(Path(gtsreal.__file__).resolve().parents[1])
         proc = subprocess.run(

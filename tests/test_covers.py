@@ -770,6 +770,15 @@ def _instances(battery_psis, seed):
 
 
 class TestSettledRules:
+    def test_every_battery_chain_settles_within_the_battery_depth(self, battery_psis):
+        # the battery searches levels 0..RESTRICTION_DEPTH; a chain cut off
+        # before its fixpoint would turn "not generated" into "not found yet"
+        # and report a disagreement that is none
+        for psi, max_opens in battery_psis:
+            levels = list(itertools.islice(generation_levels(psi, max_opens),
+                                           report.RESTRICTION_DEPTH + 1))
+            assert any(b is a for a, b in itertools.pairwise(levels)), psi
+
     def test_a_step_is_its_input_exactly_when_nothing_changed(self, battery_psis):
         # each level, with its atoms and without, stepped by each rule under
         # each max_opens: the answer is the input itself exactly when the

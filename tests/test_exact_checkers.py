@@ -95,7 +95,7 @@ def test_properness_and_base_match_a_deep_sweep():
     cases = 0
     for b in customs + balls + [FB]:
         for t1, t2 in PAIRS:
-            got = proper_check(b, t1, t2, b.base_schema().n0)
+            got = proper_check(b, t1, t2)
             want = _swept(b.base_schema(), t1, t2)
             assert (got.witness_index, got.witness_closure) == (want or (None, None)), \
                 (b.base_schema(), t1, t2)
@@ -112,7 +112,7 @@ def test_properness_certificates_reverify():
         sc = b.base_schema()
         bound = (sc.first_nonempty() or sc.n0) + 2
         for t1, t2 in PAIRS:
-            got = proper_check(b, t1, t2, bound)
+            got = proper_check(b, t1, t2)
             for n in range(sc.n0, bound + 1):
                 c, m = checkers._fit(sc, t2, n)
                 fits = c.is_subset(sc.element(m).interior(t1))
@@ -179,6 +179,6 @@ def test_custom_and_ball_bornologies_meet_the_metric_in_verdicts():
 
 def test_a_late_first_element_is_where_properness_fails():
     late = Bornology("custom", BaseSchema(lo=(F(0), F(0)), hi=(F(-1000), F(1))))
-    got = proper_check(late, TopologyKind.NAT, TopologyKind.NAT, 16)
+    got = proper_check(late, TopologyKind.NAT, TopologyKind.NAT)
     assert (got.proper, got.witness_index, str(got.witness_closure)) == (False, 1000, "{0}")
     assert not base_check(late, TopologyKind.NAT)
