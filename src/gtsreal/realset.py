@@ -16,6 +16,12 @@ each output piece from the endpoints and flags of the input intervals whose
 keys won, and returns an input interval unchanged when the piece is that
 interval.
 
+Each set operation is one interval-list kernel (`_union_lists`,
+`_intersect_lists` or `_difference_lists`), applied to tail-free cores, to
+the window of tailed operands and to their germs read on one period.  The
+interior of a ray kind (upper, lower) is the complement of the closure of
+the complement.
+
 Every tail, germ and periodic family is a pattern's translates laid over a
 window, and `_periodize` is the one place that lays them out.  The germs
 (the behaviour toward -inf or +inf: `_EMPTY_GERM`, `_FULL_GERM` or
@@ -522,25 +528,6 @@ def _periodize(pattern: Sequence[Interval], period: Fraction,
     return _clip(merge_intervals(out), lo, hi)
 
 
-# A set operation is the set of (in a, in b) cases that belong to its result.
-_OP_UNION = frozenset({(True, True), (True, False), (False, True)})
-_OP_INTER = frozenset({(True, True)})
-_OP_DIFF = frozenset({(True, False)})
-
-
-def _select_regions(a: Sequence[Interval], b: Sequence[Interval], table) -> Tuple[Interval, ...]:
-    """The points of a u b whose (in a, in b) case the table keeps (no
-    operation keeps the points outside both)."""
-    pieces: list[Interval] = []
-    if (True, False) in table:
-        pieces += _difference_lists(a, b)
-    if (False, True) in table:
-        pieces += _difference_lists(b, a)
-    if (True, True) in table:
-        pieces += _intersect_lists(a, b)
-    return merge_intervals(pieces)
-
-
 def _germ_trace(germ, lo: Fraction, hi: Fraction) -> Tuple[Interval, ...]:
     """Trace on [lo, hi] of the set that the germ repeats."""
     if germ == _FULL_GERM:
@@ -549,17 +536,15 @@ def _germ_trace(germ, lo: Fraction, hi: Fraction) -> Tuple[Interval, ...]:
 
 
 @lru_cache(maxsize=16384)
-def _germ_op_cached(ga, gb, table) -> tuple:
-    """Pointwise set operation `table` on two germs."""
-    if ga[0] != "per" and gb[0] != "per":
-        return _FULL_GERM if (ga == _FULL_GERM, gb == _FULL_GERM) in table else _EMPTY_GERM
-    if ga[0] == "per" and gb[0] == "per":
-        period = _lcm_frac(ga[2], gb[2])
-    else:
-        period = ga[2] if ga[0] == "per" else gb[2]
+def _germ_op_cached(ga, gb, op) -> tuple:
+    """The germ of the set operation `op` (an interval-list kernel) on two
+    germs, read on one period: the lcm of the periodic germs' periods, or 1
+    when neither germ is periodic."""
+    pa, pb = (g[2] if g[0] == "per" else None for g in (ga, gb))
+    period = _lcm_frac(pa, pb) if pa and pb else pa or pb or Fraction(1)
     zero = Fraction(0)
     a, b = (_clip(_germ_trace(g, zero, period), zero, period, True, False) for g in (ga, gb))
-    return _pattern_reduce(_select_regions(a, b, table), period)
+    return _pattern_reduce(op(a, b), period)
 
 
 # ---------------------------------------------------------------------------
@@ -713,13 +698,13 @@ class RealSet:
     # -- set operations ------------------------------------------------------
 
     def union(self, other: "RealSet") -> "RealSet":
-        return _binary(self, other, _OP_UNION)
+        return _binary(self, other, _union_lists)
 
     def intersect(self, other: "RealSet") -> "RealSet":
-        return _binary(self, other, _OP_INTER)
+        return _binary(self, other, _intersect_lists)
 
     def difference(self, other: "RealSet") -> "RealSet":
-        return _binary(self, other, _OP_DIFF)
+        return _binary(self, other, _difference_lists)
 
     def complement(self) -> "RealSet":
         return REALS.difference(self)
@@ -834,10 +819,7 @@ def _canonical(core: Tuple[Interval, ...], ltail: Optional[PeriodicTail],
     if ltail is None and rtail is None:
         return _flat(core)
 
-    raw = RealSet.__new__(RealSet)
-    object.__setattr__(raw, "core", core)
-    object.__setattr__(raw, "left_tail", ltail)
-    object.__setattr__(raw, "right_tail", rtail)
+    raw = RealSet(core, ltail, rtail)
 
     lgerm, rgerm = raw._germ("left"), raw._germ("right")
 
@@ -954,37 +936,35 @@ def _bounded_span(a: RealSet):
     return None
 
 
-def _binary(a: RealSet, b: RealSet, table) -> RealSet:
+def _binary(a: RealSet, b: RealSet, op) -> RealSet:
+    """The set operation whose interval-list kernel is `op` (`_union_lists`,
+    `_intersect_lists` or `_difference_lists`): on the cores of tail-free
+    operands, else on the operands' window and on their germs."""
     if a.left_tail is None and a.right_tail is None and \
        b.left_tail is None and b.right_tail is None:
-        if table is _OP_UNION:
-            return _flat(_union_lists(a.core, b.core))
-        if table is _OP_INTER:
-            return _flat(_intersect_lists(a.core, b.core))
-        return _flat(_difference_lists(a.core, b.core))
+        return _flat(op(a.core, b.core))
 
     # bounded fast paths: the result fits in a finite window
-    if table is _OP_INTER:
+    if op is _intersect_lists:
         span = _bounded_span(a) or _bounded_span(b)
         if span is not None:
             return _flat(_intersect_lists(a.materialize(*span), b.materialize(*span)))
-    if table is _OP_DIFF:
+    if op is _difference_lists:
         span = _bounded_span(a)
         if span is not None:
             return _flat(_difference_lists(a.core, b.materialize(*span)))
     if a.is_empty:
-        return EMPTY if table in (_OP_INTER, _OP_DIFF) else b
+        return b if op is _union_lists else EMPTY
     if b.is_empty:
-        return EMPTY if table is _OP_INTER else a
+        return EMPTY if op is _intersect_lists else a
 
-    lg, rg = (_germ_op_cached(a._germ(side), b._germ(side), table) for side in _SIDES)
+    lg, rg = (_germ_op_cached(a._germ(side), b._germ(side), op) for side in _SIDES)
 
     pts = a._finite_endpoints() + b._finite_endpoints() or [Fraction(0)]
     inner_lo = min(pts) - 1
     inner_hi = max(pts) + 1
 
-    window = _select_regions(a.materialize(inner_lo, inner_hi),
-                             b.materialize(inner_lo, inner_hi), table)
+    window = op(a.materialize(inner_lo, inner_hi), b.materialize(inner_lo, inner_hi))
     return _assemble(window, lg, rg, inner_lo, inner_hi)
 
 
@@ -1049,8 +1029,8 @@ def union_of_translates(seed: RealSet, period: Fraction,
       hi + (k_min - 1)*period, where hi is the seed's sup, and G - U meets
       [a - period, a) for a = lo + k_min*period; so the canonical cut is the
       end of the last piece of G - U on [a - 2*period, hi + k_min*period],
-      and U is its trace below the cut plus G (a tail or, for a full germ, a
-      half-line) above it.  k <= k_max is the mirror image.
+      and U is its trace below the cut plus G laid past it by `_place_germs`
+      (a tail or, for a full germ, a half-line).  k <= k_max is the mirror image.
 
     For a range with an unbounded side, the patterns that `_misread` flags
     are laid out on a window instead: their answers hold the window's
@@ -1069,9 +1049,8 @@ def union_of_translates(seed: RealSet, period: Fraction,
         trace = _clip(_periodize(core, period, zero, period), zero, period, True, False)
         closed_form = trace == (Interval(zero, period, True, False),)
     if closed_form:
-        full = germ == _FULL_GERM
         if k_min is None and k_max is None:
-            return REALS if full else _fully_periodic(germ)
+            return REALS if germ == _FULL_GERM else _fully_periodic(germ)
         if k_max is None:
             w_lo, w_hi = lo_v + (k_min - 2) * period, hi_v + k_min * period
         else:
@@ -1080,15 +1059,12 @@ def union_of_translates(seed: RealSet, period: Fraction,
         diff = _symdiff_lists(_germ_trace(germ, w_lo, w_hi), window)
         if k_max is None:
             cut = diff[-1].hi
-            part = _clip(window, w_lo, cut)
-            if full:
-                return _flat(merge_intervals(part + (Interval(cut, POS_INF, False, False),)))
-            return RealSet(part, None, PeriodicTail(germ[1], germ[2], "right", cut))
-        cut = diff[0].lo
-        part = _clip(window, cut, w_hi)
-        if full:
-            return _flat(merge_intervals((Interval(NEG_INF, cut, False, False),) + part))
-        return RealSet(part, PeriodicTail(germ[1], germ[2], "left", cut), None)
+            part, germs = list(_clip(window, w_lo, cut)), (_EMPTY_GERM, germ)
+        else:
+            cut = diff[0].lo
+            part, germs = list(_clip(window, cut, w_hi)), (germ, _EMPTY_GERM)
+        tails = _place_germs(part, germs, (cut, cut), False)
+        return RealSet(merge_intervals(part), *tails)
     span = hi_v - lo_v
     # a full germ's half-line starts at the window edge, so these edges are
     # part of the answers for the patterns that _pattern_reduce_cached's
@@ -1228,38 +1204,22 @@ def _ray(edge: Fraction, up: bool, closed: bool) -> RealSet:
 def _closure(a: RealSet, kind: TopologyKind) -> RealSet:
     if kind is TopologyKind.DISCRETE:
         return a
-    if kind is TopologyKind.UPPER:
+    if kind is TopologyKind.UPPER or kind is TopologyKind.LOWER:
+        # the ray from the set's inf up, or from its sup down
         if a.is_empty:
             return EMPTY
-        m = a.inf_value()
-        if not is_finite(m):
-            return REALS
-        return _ray(m, True, True)
-    if kind is TopologyKind.LOWER:
-        if a.is_empty:
-            return EMPTY
-        m = a.sup_value()
-        if not is_finite(m):
-            return REALS
-        return _ray(m, False, True)
+        up = kind is TopologyKind.UPPER
+        m = a.inf_value() if up else a.sup_value()
+        return _ray(m, up, True) if is_finite(m) else REALS
     return apply_local(a, _LOCAL_RULES[(kind, "close")])
 
 
 def _interior(a: RealSet, kind: TopologyKind) -> RealSet:
     if kind is TopologyKind.DISCRETE:
         return a
-    if kind is TopologyKind.UPPER:
-        c = a.complement()
-        if c.is_empty:
-            return REALS
-        m = c.inf_value()
-        return EMPTY if not is_finite(m) else _ray(m, False, False)
-    if kind is TopologyKind.LOWER:
-        c = a.complement()
-        if c.is_empty:
-            return REALS
-        m = c.sup_value()
-        return EMPTY if not is_finite(m) else _ray(m, True, False)
+    if kind is TopologyKind.UPPER or kind is TopologyKind.LOWER:
+        # int A is the complement of the closure of the complement
+        return _closure(a.complement(), kind).complement()
     rule = _LOCAL_RULES[(kind, "open")]
     if a.left_tail is None and a.right_tail is None:
         # the pieces only shrink, so they stay sorted and apart

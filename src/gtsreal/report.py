@@ -41,6 +41,7 @@ from gtsreal.lines import (
     NAT_BOUNDED,
     UB,
     UF_SMALL,
+    BaseSchema,
     acb_bornology,
     acb_member,
     admissible_battery,
@@ -256,7 +257,6 @@ def _section_metrizability(records):
 
 
 def _section_chains(records):
-    from gtsreal.lines import BaseSchema
     sym = BaseSchema(lo=(Fraction(-1), Fraction(-1)), hi=(Fraction(1), Fraction(1)))
     ub_schema = UB.base_schema()
 

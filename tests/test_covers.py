@@ -725,7 +725,7 @@ class TestAtomEngine:
         calls = []
         binary = realset._binary
         monkeypatch.setattr(realset, "_binary",
-                            lambda a, b, table: calls.append(table) or binary(a, b, table))
+                            lambda a, b, op: calls.append(op) or binary(a, b, op))
         chain = generation_levels(PSI_PAST_64, 56)
         psi = next(chain)
         gens = {psi.carrier} | psi.opens | {m for f in psi.families for m in f}

@@ -11,6 +11,9 @@ compares it, over seeded tail-free sets, with the formula it replaces:
   of the keys, against the pieces rebuilt by `Interval(...)`;
 - `_flat(core)` is `RealSet(core)`.
 
+A gate keeps each interval-list kernel the set operation itself, also for
+operands with periodic tails.
+
 The sets have points, half-lines, adjacent pieces such as [0, 1) and [1, 2],
 and ends on the 1/3 and 1/7 grids, where `_lead` leaves a Fraction remainder.
 """
@@ -20,6 +23,7 @@ from fractions import Fraction as F
 
 import pytest
 
+from gtsreal import realset
 from gtsreal.realset import (
     EMPTY,
     NEG_INF,
@@ -29,13 +33,16 @@ from gtsreal.realset import (
     RealSet,
     TopologyKind,
     _complement_list,
+    _difference_lists,
     _flat,
     _intersect_lists,
     _LOCAL_RULES,
+    _union_lists,
     interval,
     is_finite,
     merge_intervals,
     normalize,
+    with_tails,
 )
 
 LOCAL_KINDS = (TopologyKind.NAT, TopologyKind.SORG_R, TopologyKind.SORG_L)
@@ -208,3 +215,22 @@ def test_flat_is_the_constructor():
             assert got == want and hash(got) == hash(want), str(s)
             assert (got.core, got.left_tail, got.right_tail) == (s.core, None, None)
             assert type(got) is RealSet and got.__dict__ == want.__dict__
+
+
+def test_each_set_operation_is_its_kernel(monkeypatch):
+    # the kernel reaches _binary as its third argument, for tailed operands
+    # too; no table of (in a, in b) cases is left to build it from
+    calls = []
+    binary = realset._binary
+    monkeypatch.setattr(realset, "_binary",
+                        lambda a, b, op: calls.append(op) or binary(a, b, op))
+    half = (Interval(F(0), F(1, 2), True, False),)
+    a = with_tails(interval(-3, 3), right=(half, F(1), F(5)))
+    b = with_tails(interval(1, 2, True, True), left=(half, F(2), F(-4)))
+    for x, y in ((a, b), (b, a), (a, REALS), (interval(0, 9), b)):
+        calls.clear()
+        assert x.union(y) == x | y
+        assert x.intersect(y) == x & y
+        assert x.difference(y) == x - y
+        assert calls == [_union_lists] * 2 + [_intersect_lists] * 2 + [_difference_lists] * 2
+    assert not hasattr(realset, "_select_regions")

@@ -1,6 +1,7 @@
 import math
 import random
 import sys
+import zlib
 from fractions import Fraction as F
 
 import pytest
@@ -159,7 +160,7 @@ class TestTopology:
 
     @pytest.mark.parametrize("kind", list(TopologyKind))
     def test_operator_laws_on_randoms(self, kind):
-        rng = random.Random(20240 + hash(kind.value) % 97)
+        rng = random.Random(20240 + zlib.crc32(kind.value.encode()) % 97)
         for _ in range(40):
             a = rand_realset(rng)
             cl = a.closure(kind)
@@ -171,7 +172,7 @@ class TestTopology:
 
     @pytest.mark.parametrize("kind", list(TopologyKind))
     def test_sampling_agreement(self, kind):
-        rng = random.Random(777 + hash(kind.value) % 31)
+        rng = random.Random(777 + zlib.crc32(kind.value.encode()) % 31)
         for _ in range(12):
             a = rand_realset(rng)
             cl = a.closure(kind)
