@@ -4,7 +4,8 @@ Each line is one `LineSpec` row of `_LINES`: a topology kind, the shape of
 its opens, its cover bornology B (the admissible families are the EF(B)
 families of opens), closed forms for its small and admissibly-compact
 bornologies, and its partial-topologization image.  The compact bornology
-depends on the topology alone (`_CB`).  Every Sm closed
+depends on the topology alone (`_CB`), and `axiom_verdict` decides the five
+gts axioms of a row from its columns.  Every Sm closed
 form is exercised against the definitional refuter battery in the suite: for
 each non-member the suite exhibits an admissible family with no finite
 subcover of the trace.
@@ -24,6 +25,7 @@ from gtsreal.covers import (
     Fan,
     IndexRange,
     Periodic,
+    PreconditionError,
     ess_finite_on_all_base,
     finite_family,
     is_open_in,
@@ -409,8 +411,9 @@ def pt_of(l: LineId) -> LineId:
 def cov_member(l: LineId, f: FamilySpec) -> bool:
     """Admissibility: every member has the line's open shape and the family
     is essentially finite on every member of the line's cover bornology.
-    Memoized by value: one corpus battery asks 1401 distinct (line, family)
-    pairs 2150 times, and 730 of its repeats come within 128 other pairs."""
+    Memoized by value: one corpus battery asks 211 distinct (line, family)
+    pairs 399 times, and each of its 188 repeats is a hit; eval documents
+    40..1839 ask 904 distinct pairs 915 times."""
     if violating_member(f, lambda u: op_member(l, u)) is not None:
         return False
     return ess_finite_on_all_base(f, l.spec.cover.base_schema())
@@ -420,6 +423,112 @@ def locally_ess_finite(f: FamilySpec) -> bool:
     """Every point has a neighborhood on which f is essentially finite; by
     compactness of [-n, n], that is EF(nat_bounded)."""
     return ess_finite_on_all_base(f, NAT_BOUNDED.base_schema())
+
+
+# ---------------------------------------------------------------------------
+# the gts axioms, decided from the row
+# ---------------------------------------------------------------------------
+
+@dataclass(frozen=True)
+class AxiomVerdict:
+    """The five gts axioms on one row: `holds` with the lemma behind each
+    axiom, or a failure at `axiom` with a witness pair, an admissible
+    `family` U and a set `glued` V inside its union whose every trace V n U_k
+    is open while V is not."""
+
+    holds: bool
+    lemmas: Tuple[str, ...] = ()
+    axiom: Optional[str] = None
+    family: Optional[FamilySpec] = None
+    glued: Optional[RealSet] = None
+
+    def __str__(self):
+        if self.holds:
+            return "holds: " + "; ".join(self.lemmas)
+        return (f"fails ({self.axiom}): U={self.family} V={self.glued}: "
+                f"each V n U_k is open, V is not")
+
+
+_RAY_KINDS = (TopologyKind.UPPER, TopologyKind.LOWER)
+
+
+def _tail_witness(spec: LineSpec, side: str) -> Tuple[Periodic, RealSet]:
+    """A family of translates of the row's block [0, 2) or (0, 2) from 0 on
+    toward `side`, and the periodic run of blocks [k, k + 1/2) or
+    (k, k + 1/2) inside its union that reaches toward that side."""
+    ho = spec.half_open
+    block = interval(0, 2, ho, False)
+    # cut at -1/2, in a gap of the run, so that block 0 is whole
+    run = ((Interval(Fraction(0), Fraction(1, 2), ho, False),), Fraction(1), Fraction(-1, 2))
+    if side == "above":
+        return Periodic(block, Fraction(1), IndexRange(0, None)), with_tails(EMPTY, right=run)
+    return Periodic(block, Fraction(1), IndexRange(None, 0)), with_tails(EMPTY, left=run)
+
+
+def axiom_verdict(spec: LineSpec) -> AxiomVerdict:
+    """The gts axioms of Delfs and Knebusch for the row's (Op, Cov), decided
+    in closed form from its topology, open shape, tail flags and the normal
+    form of its cover B (`ends` and `pointwise`).  Op is the sets open in
+    the topology (or half-open shaped) with the tails the row allows; Cov is
+    the families of opens essentially finite on every base element B_n.
+    Families are those of `covers`: Finite, Periodic, Split, Restricted and
+    Fan; the lemmas below hold for every family of opens, and a failure's
+    witness is a Periodic.
+
+    (i) The opens of a topology and the half-open shapes are closed under
+        finite u and n, and so are the sets with no tail on a side (they are
+        empty or full past some point).  The empty family and every finite
+        family of opens are essentially finite on every set.
+    (ii)-(iv) For every B, once Op is closed under finite n.  If U_1..U_m
+        cover B_n n UU, then: the U_k n V cover B_n n UU n V (stability);
+        finitely many members of each U_k's refining family cover B_n n U_k
+        (transitivity); and coarser opens holding the U_k cover it too
+        (saturation).
+    (v) V is the union of its open traces V n U_k, so V is open in the
+        topology.  On a half-open row a point x of V lies in a half-open
+        trace, so V holds [x, x + e); and each bounded set lies in some B_n,
+        so at a finite left end a of a piece of V finitely many traces
+        cover V n [a, a + 1), and their union, half-open shaped, inside V
+        and holding (a, a + e), holds a: V is half-open shaped.  On a side whose tails the row
+        forbids, a free end of B gives a B_n holding a ray there, and V
+        agrees on that ray with the union of finitely many tail-free traces,
+        so V has no tail there.  If that end is moving or fixed, the
+        translates of a block from 0 on toward that side are admissible
+        (they meet each B_n in finitely many) and glue a periodic run of
+        blocks, which is not open there.  The opens of a ray topology (upper,
+        lower) are rays, which have no tail.
+
+    A half-open row whose cover misses some bounded set, a cover with no
+    indexed base, and an isolated-points cover that is free on a side whose
+    tails the row forbids are outside these lemmas: they raise."""
+    cover = spec.cover
+    if cover.base_schema() is None:
+        raise PreconditionError(f"cover {cover} has no indexed base B_n")
+    ends = cover.ends
+    intervals = cover.pointwise is None   # each B_n an interval, not fb's grid
+    glue = ["open union"]
+    if spec.half_open:
+        if not intervals or End.FIXED in ends:
+            raise PreconditionError(
+                f"half-open opens with cover {cover}: not every bounded set is in B")
+        glue.append("half-open left ends (bounded sets in B)")
+    if spec.topology in _RAY_KINDS and not spec.half_open:
+        if not (spec.left_tail and spec.right_tail):
+            glue.append("no tails (ray opens)")
+    else:
+        for side, allowed, end in (("below", spec.left_tail, ends[0]),
+                                   ("above", spec.right_tail, ends[1])):
+            if allowed:
+                continue
+            if end is not End.FREE:
+                return AxiomVerdict(False, (), "v", *_tail_witness(spec, side))
+            if not intervals:
+                raise PreconditionError(
+                    f"cover {cover} is free {side} with isolated points only")
+            glue.append(f"no tail {side} (B free {side})")
+    return AxiomVerdict(True, (
+        "(i) finite lattice, finite families", "(ii) EF restricts",
+        "(iii) EF composes", "(iv) EF coarsens", "(v) " + ", ".join(glue)))
 
 
 # ---------------------------------------------------------------------------
@@ -468,16 +577,10 @@ def smallness_refuter(l: LineId, a: RealSet) -> Optional[FamilySpec]:
 
 def admissible_battery(l: LineId) -> list[FamilySpec]:
     """Line-admissible families used for the definitional smallness checks,
-    as a fresh list."""
-    return list(_admissible_battery(l))
-
-
-@lru_cache(maxsize=64)
-def _admissible_battery(l: LineId) -> Tuple[FamilySpec, ...]:
-    """`admissible_battery` memoized by line: the corpus battery builds it
-    twice per line."""
+    as a fresh list.  Not memoized: one corpus battery builds it once per
+    line, and eval documents 40..1839 never do."""
     block = _seed_block(l, 0, 2)
-    return tuple(f for f in (
+    return [f for f in (
         finite_family([REALS]),
         finite_family([_seed_block(l, k, k + 2) for k in (-3, -1, 0, 2)]),
         Periodic(block, Fraction(1)),
@@ -485,7 +588,7 @@ def _admissible_battery(l: LineId) -> Tuple[FamilySpec, ...]:
         Periodic(block, Fraction(1), IndexRange(None, 0)),
         Periodic(interval(NEG_INF, 0), Fraction(1)),
         Fan(Fraction(0), Fraction(1), "down"),
-    ) if cov_member(l, f))
+    ) if cov_member(l, f)]
 
 
 def weak_local_small_cover(l: LineId) -> Optional[FamilySpec]:

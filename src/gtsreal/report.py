@@ -1,8 +1,9 @@
 """Deterministic evaluation reports and the built-in corpus verification
 battery: the ACB identity, the pt map with its bornology invariance, the
 small/compact subsumption sweep, the metrizability verdict table, chain
-criteria, properness/base anchors, axiom probes, smallness refuters, weak
-local smallness, and the restriction/generation agreement battery."""
+criteria, properness/base anchors, the gts-axiom verdicts, smallness
+refuters, weak local smallness, and the restriction/generation agreement
+battery."""
 
 from __future__ import annotations
 
@@ -14,7 +15,6 @@ from fractions import Fraction
 from typing import Tuple
 
 from gtsreal.checkers import (
-    axiom_probe,
     base_check,
     chain_check,
     metrizable_verdict,
@@ -45,6 +45,7 @@ from gtsreal.lines import (
     acb_bornology,
     acb_member,
     admissible_battery,
+    axiom_verdict,
     cb_bornology,
     cb_member,
     cov_member,
@@ -69,7 +70,7 @@ from gtsreal.realset import (
     point,
 )
 
-SCHEMA_VERSION = "gtsreal-report-v2"
+SCHEMA_VERSION = "gtsreal-report-v3"
 
 
 @dataclass(frozen=True)
@@ -311,10 +312,8 @@ def _section_chains(records):
 
 def _section_axioms(records):
     for l in CORPUS:
-        rep = axiom_probe(l)
-        _check(records, f"axioms/{l}", "axiom-probe", rep.passed,
-               f"{rep.checks} instance checks"
-               + ("" if rep.passed else "; " + "; ".join(rep.failures[:2])))
+        got = axiom_verdict(l.spec)
+        _check(records, f"axioms/{l}", "axioms", got.holds, str(got))
 
 
 def _section_refuters(records, probes):

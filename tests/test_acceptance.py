@@ -430,5 +430,5 @@ def test_criterion_9_determinism():
     a = corpus_verify().machine_text()
     b = corpus_verify().machine_text()
     assert a == b
-    assert a.startswith("gtsreal-report-v2")
+    assert a.startswith("gtsreal-report-v3")
     announce(9, "determinism", f"{len(a)} bytes, byte-identical across runs")

@@ -1,9 +1,12 @@
 import random
+import sys
 import time
+from dataclasses import replace
 from fractions import Fraction as F
 
 import pytest
 
+from gtsreal import covers, lines
 from gtsreal.checkers import (
     PiecewiseAffineMap,
     _delta_star,
@@ -19,16 +22,20 @@ from gtsreal.checkers import (
     strict_cont_refute,
     uniform_chain_check,
 )
-from gtsreal.covers import Periodic, PreconditionError
+from gtsreal.covers import Periodic, PreconditionError, union_of
 from gtsreal.lines import (
     ALL_SETS,
+    CORPUS,
     FB,
     LB,
     NAT_BOUNDED,
     UB,
     BaseSchema,
+    axiom_verdict,
+    cov_member,
     line,
     metric_bounded,
+    op_member,
 )
 from gtsreal.qmetric import ALL_METRICS, metric
 from gtsreal.queries import parse
@@ -44,7 +51,7 @@ from gtsreal.realset import (
     point,
 )
 
-from gtsreal.report import run
+from gtsreal.report import corpus_verify, run
 
 
 SYM_SCHEMA = BaseSchema(lo=(F(-1), F(-1)), hi=(F(1), F(1)))          # [-(n+1), n+1]
@@ -355,7 +362,6 @@ class TestStrictCont:
                                line("standard/ut"), line("standard/st"), battery)
 
     def test_refuted_witness_reverifies(self):
-        from gtsreal.lines import cov_member
         battery = [Periodic(open_iv(0, 2), F(1))]
         got = strict_cont_refute(PiecewiseAffineMap.identity(),
                                  line("standard/st"), line("standard/lst"), battery)
@@ -379,6 +385,84 @@ class TestAxiomProbes:
             rep = axiom_probe(line(name))
             assert rep.passed, (name, rep.failures)
             assert rep.checks > 10
+
+
+@pytest.fixture
+def mutated(monkeypatch):
+    """make(base, name, **cells): the line `base` with some cells changed,
+    as a new variant `name` of its family.  The row is gone after the test,
+    and so is every memo of `lines` and `covers` that a question about it
+    filled."""
+
+    def make(base: str, name: str, **cells):
+        l = line(base)
+        assert (l.family, name) not in lines._LINES
+        monkeypatch.setitem(lines._LINES, (l.family, name), replace(l.spec, **cells))
+        return line(f"{l.family}/{name}")
+
+    yield make
+    for module in (lines, covers):
+        for obj in list(vars(module).values()):
+            if callable(getattr(obj, "cache_clear", None)):
+                obj.cache_clear()
+
+
+class TestAxiomVerdict:
+    """`lines.axiom_verdict` decides the gts axioms from a line's row.
+    `axiom_probe` is a reference it is compared with, not its oracle: it
+    glues along finite families only."""
+
+    @pytest.mark.parametrize("l", CORPUS, ids=str)
+    def test_every_corpus_line_holds_and_passes_the_probe(self, l):
+        got = axiom_verdict(l.spec)
+        assert got.holds, str(got)
+        assert [x.split(" ")[0] for x in got.lemmas] == ["(i)", "(ii)", "(iii)", "(iv)", "(v)"]
+        assert str(got).startswith("holds: (i) ")
+        rep = axiom_probe(l)
+        assert rep.passed, rep.failures
+
+    @pytest.mark.parametrize("base", ["standard/lom", "sorgenfrey/lom"])
+    @pytest.mark.parametrize("cell", ["right_tail", "left_tail"])
+    def test_a_forbidden_tail_fails_regularity_with_a_witness(self, mutated, base, cell):
+        l = mutated(base, f"lom_no_{cell}", **{cell: False})
+        got = axiom_verdict(l.spec)
+        assert not got.holds and got.axiom == "v", str(got)
+        assert str(got).startswith("fails (v): U=periodic(")
+        u, v = got.family, got.glued
+        assert cov_member(l, u)
+        assert v.is_subset(union_of(u))
+        assert all(op_member(l, v.intersect(m)) for m in u.truncated(-20, 20))
+        assert not op_member(l, v)
+        # the probe's blind spot: it still passes the mutated row
+        assert axiom_probe(l).passed
+
+    def test_ray_opens_have_no_tail_to_forbid(self, mutated):
+        l = mutated("standard/uu", "uu_no_tails", left_tail=False, right_tail=False)
+        got = axiom_verdict(l.spec)
+        assert got.holds and "no tails (ray opens)" in got.lemmas[-1], str(got)
+        assert axiom_probe(l).passed
+
+    def test_rows_outside_the_lemmas_raise(self, mutated):
+        # half-open opens whose cover misses a bounded set, and a cover
+        # with no indexed base
+        for name, cover in (("lom_fb", FB), ("lom_uf_small", lines.UF_SMALL)):
+            l = mutated("sorgenfrey/lom", name, cover=cover)
+            with pytest.raises(PreconditionError):
+                axiom_verdict(l.spec)
+
+    def test_the_corpus_battery_runs_no_probe(self, monkeypatch):
+        def refuse(*args):
+            raise AssertionError("the corpus battery ran axiom_probe")
+
+        for name, module in list(sys.modules.items()):
+            if name == "gtsreal" or name.startswith("gtsreal."):
+                if getattr(module, "axiom_probe", None) is axiom_probe:
+                    monkeypatch.setattr(module, "axiom_probe", refuse)
+        rep = corpus_verify()
+        assert (rep.passes, rep.failures, len(rep.records)) == (204, 0, 204)
+        axioms = [r for r in rep.records if r.ident.startswith("axioms/")]
+        assert len(axioms) == len(CORPUS)
+        assert all(r.kind == "axioms" and r.status == "pass" for r in axioms)
 
 
 class TestInitialBornology:

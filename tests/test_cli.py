@@ -103,7 +103,7 @@ query oracle_ess_finite finite(interval(open 0, open 1), interval(open 0, open 2
 """
 
 ALL_KINDS_REPORT = """\
-gtsreal-report-v2
+gtsreal-report-v3
 caps none
 q000|normalize|ok|[0, 1) u {2} u {7/2} u {5}
 q001|boundedness|ok|bounded=false above=true below=false finite=false
@@ -294,7 +294,7 @@ query oracle_ess_finite PU window -3 3 interval(closed 0, closed 4) max 8
 """
 
 NESTED_FAMILIES_REPORT = """\
-gtsreal-report-v2
+gtsreal-report-v3
 caps none
 q000|union_of|ok|(-5, 4)
 q001|union_of|ok|[-3, 4]
@@ -697,7 +697,7 @@ class TestCorpus:
                 env=env, capture_output=True, check=True).stdout
 
         first = corpus("0")
-        assert first.startswith(b"gtsreal-report-v2")
+        assert first.startswith(b"gtsreal-report-v3")
         assert corpus("1") == first
 
     def test_family_caches_are_reused_and_hide_no_corrupted_row(self, monkeypatch):
@@ -803,7 +803,7 @@ class TestMain:
         assert main(["--format", "machine", "--report", str(out),
                      "eval", str(f)]) == 0
         text = out.read_text(encoding="utf-8")
-        assert text.startswith("gtsreal-report-v2")
+        assert text.startswith("gtsreal-report-v3")
         assert "q000|eval|ok|1/2" in text
         assert "q001|eval|ok|1" in text
 
@@ -857,7 +857,7 @@ class TestMain:
         argv = ["--format", "machine", "--report", str(out), command]
         assert main(argv + ([str(f)] if command == "eval" else [])) == 0
         assert out.read_text(encoding="utf-8").splitlines()[:2] == \
-            ["gtsreal-report-v2", "caps none"]
+            ["gtsreal-report-v3", "caps none"]
 
     def test_index_bounds_bound_no_answer(self):
         # a bound at or above the first base index reads the same answer
@@ -884,7 +884,7 @@ class TestMain:
                                                            "fresh.txt"))
         assert main(["--format", "human", "--report", str(human), "eval", str(f)]) == 0
         assert main(["--format", "machine", "eval", str(f)]) == 0
-        assert capsys.readouterr().out.startswith("gtsreal-report-v2\ncaps none\n")
+        assert capsys.readouterr().out.startswith("gtsreal-report-v3\ncaps none\n")
         with pytest.raises(SystemExit) as e:
             main(["--format", "xml", "--report", str(out), "eval", str(f)])
         assert e.value.code == 2 and not out.exists()

@@ -1090,7 +1090,7 @@ class TestFamilyCache:
         for name in ("realset._pattern_reduce_cached", "realset._germ_op_cached",
                      "realset._materialize_cached", "covers.union_of",
                      "covers.ess_finite_on", "covers._probes", "covers.is_open_in",
-                     "lines._element", "lines.cov_member", "lines._admissible_battery",
+                     "lines._element", "lines.cov_member",
                      "checkers._end_gaps", "queries._steps", "queries._literal"):
             assert name in found
         assert all(size is not None for size in found.values()), found
