@@ -35,10 +35,8 @@ from gtsreal.lines import (
     LineId,
     admissible_battery,
     cov_member,
-    metric_bounded,
     op_member,
     probe_corpus,
-    topology_of_line,
 )
 from gtsreal.qmetric import QuasiMetric, UnsupportedCombinationError
 from gtsreal.realset import (
@@ -159,7 +157,7 @@ def proper_check(b: Bornology, t1: TopologyKind, t2: TopologyKind) -> ProperRepo
     """(t1, t2)-properness on base elements (`_first_improper`): the base
     suffices, as cl/int are monotone and every member sits inside a base
     element."""
-    schema = b.base_schema()
+    schema = b.schema
     if schema is None:
         raise PreconditionError(f"{b} has no indexed base to check properness on")
     bad = _first_improper(schema, t1, t2)
@@ -169,7 +167,7 @@ def proper_check(b: Bornology, t1: TopologyKind, t2: TopologyKind) -> ProperRepo
 def base_check(b: Bornology, t: TopologyKind) -> bool:
     """Is tau(t) n B a base for B, i.e. does every B_n fit inside the
     t-interior of a later one?  That is (t, discrete)-properness."""
-    schema = b.base_schema()
+    schema = b.schema
     if schema is None:
         raise PreconditionError(f"{b} has no indexed base")
     return _first_improper(schema, t, TopologyKind.DISCRETE) is None
@@ -383,14 +381,14 @@ def _separating_set(b: Bornology, d: QuasiMetric) -> Optional[Tuple[str, RealSet
     probe that tells them apart, else built at the first end that differs: a
     point past b's fixed end, a ray on b's moving side (d's is free), or
     B_(s+1), unbounded on b's free side (a ball of radius 1 may not be)."""
-    ends = metric_bounded(d).ends
+    ends = d.bounded_ends
     if b.pointwise is None and b.ends == ends:
         return None
     a = next((a for a in probe_corpus() if b.member(a) != d.is_bounded_set(a)), None)
     if a is not None:
         return "probe", a
     side = next(i for i in (0, 1) if b.ends[i] != ends[i])
-    schema = b.base_schema()
+    schema = b.schema
     if b.ends[side] is End.FIXED:
         return "set", point((schema.lo, schema.hi)[side][0] + (1 if side else -1))
     if b.ends[side] is End.MOVING:
@@ -402,7 +400,7 @@ def metrizable_verdict(l: LineId, b: Bornology, d: QuasiMetric) -> Metrizability
     """Three-part consistency check of "the line is quasi-metrizable with
     respect to b by d", each part in closed form: the topologies match, b is
     the d-bounded sets (`_separating_set`), and no B_n has delta*(n) = 0."""
-    want = topology_of_line(l)
+    want = l.spec.topology
     got = d.topology_of()
     if got is not want:
         return MetrizabilityReport(
@@ -414,7 +412,7 @@ def metrizable_verdict(l: LineId, b: Bornology, d: QuasiMetric) -> Metrizability
         side = "bornology-member but not d-bounded" if b.member(a) else \
             "d-bounded but outside the bornology"
         return MetrizabilityReport("INCONSISTENT", "bornology", f"{word} {a}: {side}")
-    schema = b.base_schema()
+    schema = b.schema
     if schema is None:
         return MetrizabilityReport(
             "INCONSISTENT", "base",
@@ -501,7 +499,7 @@ def _split_open(l: LineId, u: RealSet) -> Optional[Tuple[RealSet, RealSet]]:
         return None
     mid = (iv.lo + iv.hi) / 2
     rest = u.difference(interval(iv.lo, iv.hi, iv.lo_closed, iv.hi_closed))
-    if topology_of_line(l) is TopologyKind.SORG_R:
+    if l.spec.topology is TopologyKind.SORG_R:
         a = interval(iv.lo, mid, iv.lo_closed, False)
         b = interval(mid, iv.hi, True, iv.hi_closed)
     else:
@@ -588,7 +586,7 @@ def axiom_probe(l: LineId) -> AxiomProbeReport:
 
 def default_probe_battery(l: LineId):
     """Line-shaped opens plus the admissible families of the corpus battery."""
-    t = topology_of_line(l)
+    t = l.spec.topology
     if t is TopologyKind.UPPER:
         opens = [EMPTY, REALS, interval(NEG_INF, 0), interval(NEG_INF, 3)]
     else:

@@ -44,6 +44,7 @@ from gtsreal.realset import (
     NEG_INF,
     POS_INF,
     REALS,
+    Bounds,
     ConstructionError,
     RealSet,
     TopologyKind,
@@ -693,6 +694,12 @@ class End(Enum):
                        # inside B_n, read off its stable trace
 
 
+def bounded_on(ends: Tuple[End, End], b: Bounds) -> bool:
+    """Do the boundedness flags b bound each side whose end is not free?"""
+    lo, hi = ends
+    return (lo is End.FREE or b.bounded_below) and (hi is End.FREE or b.bounded_above)
+
+
 def ess_finite_on_all_base(f: FamilySpec, schema) -> bool:
     """Is f essentially finite on every element B_n of the monotone base
     `schema` (a `lines.BaseSchema`: its `ends` and `stable_trace`)?  Exactly
@@ -712,7 +719,7 @@ def ef_member(f: FamilySpec, l_kind: TopologyKind, bornology) -> bool:
     bad = violating_member(f, lambda a: is_open_in(a, l_kind))
     if bad is not None:
         raise PreconditionError(f"family member {bad} is outside L")
-    schema = bornology.base_schema()
+    schema = bornology.schema
     if schema is None:
         raise PreconditionError(f"bornology {bornology} supplies no indexed base")
     return ess_finite_on_all_base(f, schema)

@@ -4,11 +4,11 @@ Each line is one `LineSpec` row of `_LINES`: a topology kind, the shape of
 its opens, its cover bornology B (the admissible families are the EF(B)
 families of opens), closed forms for its small and admissibly-compact
 bornologies, and its partial-topologization image.  The compact bornology
-depends on the topology alone (`_CB`), and `axiom_verdict` decides the five
-gts axioms of a row from its columns.  Every Sm closed
-form is exercised against the definitional refuter battery in the suite: for
-each non-member the suite exhibits an admissible family with no finite
-subcover of the trace.
+depends on the topology alone (`_CB`, read through `LineSpec.cb`), and
+`axiom_verdict` decides the five gts axioms of a row from its columns.
+Every Sm closed form is exercised against the definitional refuter battery
+in the suite: for each non-member the suite exhibits an admissible family
+with no finite subcover of the trace.
 """
 
 from __future__ import annotations
@@ -26,6 +26,7 @@ from gtsreal.covers import (
     IndexRange,
     Periodic,
     PreconditionError,
+    bounded_on,
     ess_finite_on_all_base,
     finite_family,
     is_open_in,
@@ -37,7 +38,6 @@ from gtsreal.realset import (
     NEG_INF,
     POS_INF,
     REALS,
-    Bounds,
     ConstructionError,
     ExtRat,
     Interval,
@@ -126,7 +126,7 @@ class BaseSchema:
         if self.kind == "grid":
             return End.MOVING, End.MOVING
         if self.metric is not None:
-            return tuple(End.MOVING if s else End.FREE for s in self.metric.bounded_sides)
+            return self.metric.bounded_ends
         return tuple(End.FREE if e is None else End.MOVING if e[1] else End.FIXED
                      for e in (self.lo, self.hi))
 
@@ -190,17 +190,15 @@ class Bornology:
 
     A member is bounded on each side whose end is not free; a fixed end also
     needs the subset test a <= B_n, read off the schema's stable trace.
-    `kind` names the bornology and `label`, when given, is what it prints
-    as.  fb (the finite sets) has the grid's moving ends and isolated
-    points; uf_small, the reverse-well-ordered sets, has a moving upper end
-    and isolated points, and no countable base."""
+    `name` is what the bornology prints as.  fb (the finite sets) has the
+    grid's moving ends and isolated points; uf_small, the
+    reverse-well-ordered sets, has a moving upper end and isolated points,
+    and no countable base (`schema` None)."""
 
-    kind: str                          # fb | all | nat_bounded | ub | lb |
-                                       # metric | uf_small | custom
+    name: str
     schema: Optional[BaseSchema] = None
     own_ends: Optional[Tuple[End, End]] = None   # None: the schema's ends
     pointwise: Optional[Callable[[RealSet], bool]] = None
-    label: Optional[str] = None
 
     @cached_property
     def ends(self) -> Tuple[End, End]:
@@ -208,24 +206,16 @@ class Bornology:
         to tell, and its bornology refuses there rather than when built."""
         return self.schema.ends if self.own_ends is None else self.own_ends
 
-    def ends_hold(self, b: Bounds) -> bool:
-        """Do the boundedness flags b bound each side whose end is not free?"""
-        lo, hi = self.ends
-        return (lo is End.FREE or b.bounded_below) and (hi is End.FREE or b.bounded_above)
-
     def member(self, a: RealSet) -> bool:
         if self.pointwise is not None and not self.pointwise(a):
             return False
-        if not self.ends_hold(a.boundedness()):
+        if not bounded_on(self.ends, a.boundedness()):
             return False
         return End.FIXED not in self.ends or a.is_empty or \
             a.is_subset(self.schema.stable_trace(a.inf_value(), a.sup_value()))
 
-    def base_schema(self) -> Optional[BaseSchema]:
-        return self.schema
-
     def __str__(self):
-        return self.label or self.kind
+        return self.name
 
 
 FB = Bornology("fb", BaseSchema(kind="grid"), pointwise=_isolated_points)
@@ -235,15 +225,15 @@ NAT_BOUNDED = Bornology("nat_bounded", BaseSchema(lo=(Fraction(0), Fraction(-1))
 UB = Bornology("ub", BaseSchema(lo=None, hi=(Fraction(0), Fraction(1)), hi_closed=False))
 LB = Bornology("lb", BaseSchema(lo=(Fraction(0), Fraction(-1)), hi=None, lo_closed=False))
 UF_SMALL = Bornology(
-    "uf_small", own_ends=(End.FREE, End.MOVING), pointwise=_isolated_points,
-    label="uf_small[reverse-well-ordered (every nonempty subset has a largest element)]")
+    "uf_small[reverse-well-ordered (every nonempty subset has a largest element)]",
+    own_ends=(End.FREE, End.MOVING), pointwise=_isolated_points)
 
 
 def metric_bounded(d: QuasiMetric) -> Bornology:
     """The d-bounded sets, with the balls B_d(0, n + 1) as base.  A
     float_paper metric bounds no set exactly: its base's ends, and so its
     members and EF decisions, raise as `is_bounded_set` does."""
-    return Bornology("metric", BaseSchema(kind="ball", metric=d), label=f"B({d.label()})")
+    return Bornology(f"B({d.label()})", BaseSchema(kind="ball", metric=d))
 
 
 def custom_bornology(schema: BaseSchema) -> Bornology:
@@ -299,6 +289,11 @@ class LineSpec:
     sm: Bornology
     acb: Bornology
     pt: str             # variant of the pt image, in the same family
+
+    @property
+    def cb(self) -> Bornology:
+        """The compact bornology, which depends on the topology alone."""
+        return _CB[self.topology]
 
 
 _NAT, _SORG, _UPPER = TopologyKind.NAT, TopologyKind.SORG_R, TopologyKind.UPPER
@@ -374,32 +369,16 @@ def op_member(l: LineId, u: RealSet) -> bool:
         (s.right_tail or u.right_tail is None)
 
 
-def topology_of_line(l: LineId) -> TopologyKind:
-    return l.spec.topology
-
-
-def sm_bornology(l: LineId) -> Bornology:
-    return l.spec.sm
-
-
-def cb_bornology(l: LineId) -> Bornology:
-    return _CB[l.spec.topology]
-
-
-def acb_bornology(l: LineId) -> Bornology:
-    return l.spec.acb
-
-
 def sm_member(l: LineId, a: RealSet) -> bool:
-    return sm_bornology(l).member(a)
+    return l.spec.sm.member(a)
 
 
 def cb_member(l: LineId, a: RealSet) -> bool:
-    return cb_bornology(l).member(a)
+    return l.spec.cb.member(a)
 
 
 def acb_member(l: LineId, a: RealSet) -> bool:
-    return acb_bornology(l).member(a)
+    return l.spec.acb.member(a)
 
 
 def pt_of(l: LineId) -> LineId:
@@ -416,13 +395,13 @@ def cov_member(l: LineId, f: FamilySpec) -> bool:
     40..1839 ask 904 distinct pairs 915 times."""
     if violating_member(f, lambda u: op_member(l, u)) is not None:
         return False
-    return ess_finite_on_all_base(f, l.spec.cover.base_schema())
+    return ess_finite_on_all_base(f, l.spec.cover.schema)
 
 
 def locally_ess_finite(f: FamilySpec) -> bool:
     """Every point has a neighborhood on which f is essentially finite; by
     compactness of [-n, n], that is EF(nat_bounded)."""
-    return ess_finite_on_all_base(f, NAT_BOUNDED.base_schema())
+    return ess_finite_on_all_base(f, NAT_BOUNDED.schema)
 
 
 # ---------------------------------------------------------------------------
@@ -502,7 +481,7 @@ def axiom_verdict(spec: LineSpec) -> AxiomVerdict:
     indexed base, and an isolated-points cover that is free on a side whose
     tails the row forbids are outside these lemmas: they raise."""
     cover = spec.cover
-    if cover.base_schema() is None:
+    if cover.schema is None:
         raise PreconditionError(f"cover {cover} has no indexed base B_n")
     ends = cover.ends
     intervals = cover.pointwise is None   # each B_n an interval, not fb's grid
@@ -560,12 +539,12 @@ def smallness_refuter(l: LineId, a: RealSet) -> Optional[FamilySpec]:
     non-small `a`; None when `a` is small (nothing to refute)."""
     if sm_member(l, a):
         return None
-    sm = sm_bornology(l)
+    sm = l.spec.sm
     b = a.boundedness()
-    if topology_of_line(l) is TopologyKind.UPPER and not b.bounded_above:
+    if l.spec.topology is TopologyKind.UPPER and not b.bounded_above:
         # the upper line's opens are down-rays
         return Periodic(interval(NEG_INF, 0), Fraction(1))
-    if sm.ends_hold(b):
+    if bounded_on(sm.ends, b):
         # a is bounded where Sm bounds, so it fails Sm's isolated points
         # (fb, uf_small; any family of the line's opens is admissible there)
         t = _accumulation_sup(a)
@@ -594,7 +573,7 @@ def admissible_battery(l: LineId) -> list[FamilySpec]:
 def weak_local_small_cover(l: LineId) -> Optional[FamilySpec]:
     """A representable collection of small opens covering the line, when one
     exists (definitional weak local smallness; no admissibility needed)."""
-    sm = sm_bornology(l)
+    sm = l.spec.sm
     if sm.pointwise is not None:
         return None  # fb / uf_small: small opens cannot cover the line
     free_below, free_above = (e is End.FREE for e in sm.ends)
@@ -603,9 +582,3 @@ def weak_local_small_cover(l: LineId) -> Optional[FamilySpec]:
     if free_below:
         return Periodic(interval(NEG_INF, 0), Fraction(1))
     return Periodic(_seed_block(l, 0, POS_INF if free_above else 2), Fraction(1))
-
-
-def weak_local_small_verdict(l: LineId) -> bool:
-    """True when the line has a representable cover by small opens; the cover
-    (or its impossibility on ut/uf lines) is re-verified by the test suite."""
-    return weak_local_small_cover(l) is not None

@@ -11,10 +11,10 @@ to 1 and the whole line beyond, and they bound every set.
 The conjugate d^-1(x, y) = d(y, x) is derived, not tabled.  A symmetric
 metric is its own conjugate.  A translation-invariant d(x, y) = f(y - x)
 has coballs {y : f(x - y) < r} = -B(-x, r): the mirror image of a ball, so
-"ub" and "lb" swap and the topology is mirrored.  rho_S^-(x, y) =
+the bounded ends swap sides and the topology is mirrored.  rho_S^-(x, y) =
 rho_S(Phi(-y), Phi(-x)) is neither: it reads rho_S through the decreasing
 map x -> Phi(-x), which no reflection of the line undoes, so its row alone
-carries its own coball and its conjugate bounded kind.
+carries its own coball and its conjugate's bounded ends.
 
 Phi is replaced by the rational surrogate Phi_q(x) = 1/(1-x) for x < 0,
 1 + x for x >= 0: a strictly increasing bijection R -> (0, +inf) sending
@@ -31,6 +31,7 @@ from enum import Enum
 from fractions import Fraction
 from typing import Callable, Iterable, Optional, Tuple
 
+from gtsreal.covers import End, bounded_on
 from gtsreal.realset import (
     EMPTY,
     NEG_INF,
@@ -87,9 +88,10 @@ _CONJ_TOPOLOGY = {
     TopologyKind.SORG_L: TopologyKind.SORG_R,
 }
 
-_MIRROR_KIND = {"ub": "lb", "lb": "ub", "nat": "nat", "all": "all"}
-# per bounded kind, the sides (below, above) on which a d-bounded set is bounded
-_SIDES = {"nat": (True, True), "ub": (False, True), "lb": (True, False), "all": (False, False)}
+# the ends (below, above) of the balls B_d(0, n + 1) as n grows: MOVING on a
+# side on which every d-bounded set is bounded, FREE on the other
+_BOTH, _ABOVE, _BELOW, _NEITHER = ((End.MOVING, End.MOVING), (End.FREE, End.MOVING),
+                                   (End.MOVING, End.FREE), (End.FREE, End.FREE))
 
 
 @dataclass(frozen=True)
@@ -99,22 +101,23 @@ class MetricSpec:
     `eval(x, y, phi, one)` is the distance formula, with the damping map and
     the unit of the number type passed in so that exact and float_paper
     evaluation share it; `ball(x, r)` is the ball B(x, r) = {y : d(x, y) < r}
-    as one Interval, None for the whole line.  `bounded` says which
-    boundedness flags the d-bounded sets need: "nat" both, "ub" above, "lb"
-    below, "all" none.  `coball` and `bounded_conj` are derived for
-    symmetric and translation-invariant rows and must be given otherwise."""
+    as one Interval, None for the whole line.  `bounded` is the (below,
+    above) pair of `End`s of the d-bounded sets: MOVING on a side they are
+    all bounded on, FREE on the other.  `coball` and `bounded_conj` are
+    derived for symmetric and translation-invariant rows and must be given
+    otherwise."""
 
     name: str
     eval: Callable
     ball: Callable[[Fraction, Fraction], Optional[Interval]]
     topology: TopologyKind
-    bounded: str
+    bounded: Tuple[End, End]
     symmetric: bool = False
     invariant: bool = False
     pseudo: bool = False
     phi_based: bool = False
     coball: Optional[Callable[[Fraction, Fraction], Optional[Interval]]] = None
-    bounded_conj: Optional[str] = None
+    bounded_conj: Optional[Tuple[End, End]] = None
 
     def __post_init__(self):
         if self.symmetric:
@@ -123,7 +126,7 @@ class MetricSpec:
             ball = self.ball
             # the reflection y -> -y of a ball; None, the whole line, mirrors to itself
             coball = (lambda x, r: (iv := ball(-x, r)) and iv.scale(-1))
-            bounded_conj = _MIRROR_KIND[self.bounded]
+            bounded_conj = self.bounded[::-1]
         else:
             if self.coball is None or self.bounded_conj is None:
                 raise ConstructionError(f"{self.name}: an asymmetric, non-invariant "
@@ -144,7 +147,7 @@ def _with_capped(row: MetricSpec, capped_name: str) -> Tuple[MetricSpec, MetricS
         capped_name,
         lambda x, y, phi, one: min(one, base_eval(x, y, phi, one)),
         lambda x, r: None if r > 1 else base_ball(x, r),
-        row.topology, "all", symmetric=row.symmetric, invariant=row.invariant,
+        row.topology, _NEITHER, symmetric=row.symmetric, invariant=row.invariant,
         pseudo=row.pseudo, phi_based=row.phi_based)
 
 
@@ -214,34 +217,34 @@ _ROWS = (
     *_with_capped(MetricSpec(
         "d_n", lambda x, y, phi, one: abs(x - y),
         lambda x, r: Interval(x - r, x + r, False, False),
-        _NAT, "nat", symmetric=True, invariant=True), "d_n1"),
+        _NAT, _BOTH, symmetric=True, invariant=True), "d_n1"),
     *_with_capped(MetricSpec(
         "d_n_plus", lambda x, y, phi, one: abs(phi(x) - phi(y)), _phi_ball,
-        _NAT, "ub", symmetric=True, phi_based=True), "d_n_plus_1"),
-    MetricSpec("d_u", _d_u, _ball_d_u, _NAT, "ub", symmetric=True),
+        _NAT, _ABOVE, symmetric=True, phi_based=True), "d_n_plus_1"),
+    MetricSpec("d_u", _d_u, _ball_d_u, _NAT, _ABOVE, symmetric=True),
     *_with_capped(MetricSpec(
         "rho_u", lambda x, y, phi, one: max(_ZERO, y - x),
         lambda x, r: Interval(NEG_INF, x + r, False, False),
-        _UPPER, "ub", invariant=True, pseudo=True), "rho_u1"),
+        _UPPER, _ABOVE, invariant=True, pseudo=True), "rho_u1"),
     *_with_capped(MetricSpec(
         "rho_S", lambda x, y, phi, one: y - x if x <= y else one,
         lambda x, r: Interval(x, x + r, True, False) if r <= 1
         else Interval(NEG_INF, x + r, False, False),
-        _SORG_R, "ub", invariant=True), "rho_S1"),
+        _SORG_R, _ABOVE, invariant=True), "rho_S1"),
     MetricSpec(
         "rho_L", lambda x, y, phi, one: min(y - x, one) if x <= y else 1 + x - y,
         lambda x, r: Interval(x, x + r, True, False) if r <= 1
         else Interval(x - r + 1, POS_INF, False, False),
-        _SORG_R, "lb", invariant=True),
+        _SORG_R, _BELOW, invariant=True),
     *_with_capped(MetricSpec(
         "rho_0", lambda x, y, phi, one: y - x if x <= y else 1 + x - y,
         lambda x, r: Interval(x, x + r, True, False) if r <= 1
         else Interval(x + 1 - r, x + r, False, False),
-        _SORG_R, "nat", invariant=True), "rho_0_1"),
+        _SORG_R, _BOTH, invariant=True), "rho_0_1"),
     # its balls are [x, h) too: the two orientation flips of
     # rho_S(Phi(-y), Phi(-x)) cancel
-    MetricSpec("rho_S_minus", _rho_s_minus, _ball_rho_s_minus, _SORG_R, "all",
-               phi_based=True, coball=_coball_rho_s_minus, bounded_conj="lb"),
+    MetricSpec("rho_S_minus", _rho_s_minus, _ball_rho_s_minus, _SORG_R, _NEITHER,
+               phi_based=True, coball=_coball_rho_s_minus, bounded_conj=_BELOW),
 )
 
 MetricName = Enum("MetricName", [(row.name.upper(), row.name) for row in _ROWS],
@@ -280,19 +283,14 @@ class QuasiMetric:
         return self._row.pseudo
 
     @property
-    def bounded_kind(self) -> str:
-        """Which boundedness flags the d-bounded sets need: "nat" both, "ub"
-        above, "lb" below, "all" none."""
-        return self._row.bounded_conj if self.conjugated else self._row.bounded
-
-    @property
-    def bounded_sides(self) -> Tuple[bool, bool]:
-        """(below, above): the sides on which every d-bounded set is bounded.
-        A float_paper metric bounds no set exactly, so it refuses, and so does
-        everything read off its balls: membership and the EF decisions."""
+    def bounded_ends(self) -> Tuple[End, End]:
+        """(below, above): MOVING on each side on which every d-bounded set
+        is bounded, FREE on the other.  A float_paper metric bounds no set
+        exactly, so it refuses, and so does everything read off its balls:
+        membership and the EF decisions."""
         if not self.exact:
             raise UnsupportedCombinationError("d-boundedness requires exact mode")
-        return _SIDES[self.bounded_kind]
+        return self._row.bounded_conj if self.conjugated else self._row.bounded
 
     def conjugate(self) -> "QuasiMetric":
         return QuasiMetric(self.name, self.phi_mode, not self.conjugated)
@@ -387,10 +385,8 @@ class QuasiMetric:
     # -- boundedness ---------------------------------------------------------------
 
     def is_bounded_set(self, a: RealSet) -> bool:
-        """A subset of some ball?  Decided by the metric's ball family shape."""
-        below, above = self.bounded_sides
-        b = a.boundedness()
-        return (b.bounded_below or not below) and (b.bounded_above or not above)
+        """A subset of some ball?  Decided by the metric's bounded ends."""
+        return bounded_on(self.bounded_ends, a.boundedness())
 
     def topology_of(self) -> TopologyKind:
         base = self._row.topology

@@ -709,7 +709,7 @@ _DECLARATION_READERS = {
 # ---------------------------------------------------------------------------
 
 def _schema_of(b: Bornology):
-    sc = b.base_schema()
+    sc = b.schema
     if sc is None:
         raise PreconditionError(f"{b} has no indexed base")
     return sc
@@ -727,7 +727,7 @@ def _bounded(schema, bound: int):
 
 def _proper(b: Bornology, t1, t2, bound: int):
     # a bornology without a base is proper_check's error, raised first
-    _bounded(b.base_schema(), bound)
+    _bounded(b.schema, bound)
     return proper_check(b, t1, t2)
 
 

@@ -42,22 +42,18 @@ from gtsreal.lines import (
     UB,
     UF_SMALL,
     BaseSchema,
-    acb_bornology,
     acb_member,
     admissible_battery,
     axiom_verdict,
-    cb_bornology,
     cb_member,
     cov_member,
     line,
     op_member,
     probe_corpus,
     pt_of,
-    sm_bornology,
     sm_member,
     smallness_refuter,
     weak_local_small_cover,
-    weak_local_small_verdict,
 )
 from gtsreal.qmetric import EquivVerdict, metric, uniform_equiv_refute
 from gtsreal.queries import QUERIES
@@ -77,7 +73,7 @@ SCHEMA_VERSION = "gtsreal-report-v3"
 class Record:
     ident: str
     kind: str
-    status: str          # "pass" | "fail" | "error" | "info"
+    status: str          # "pass" | "fail" (corpus), "ok" (eval) | "error"
     detail: str
 
     def machine(self) -> str:
@@ -88,7 +84,6 @@ class Record:
 @dataclass(frozen=True)
 class Report:
     records: Tuple[Record, ...]
-    engine_version: str = SCHEMA_VERSION
 
     @property
     def failures(self) -> int:
@@ -99,14 +94,14 @@ class Report:
         return sum(1 for r in self.records if r.status in ("pass", "ok"))
 
     def machine_text(self) -> str:
-        head = [self.engine_version, "caps none"]
+        head = [SCHEMA_VERSION, "caps none"]
         body = [r.machine() for r in self.records]
         tail = [f"summary pass={self.passes} fail={self.failures} total={len(self.records)}"]
         return "\n".join(head + body + tail) + "\n"
 
     def human_text(self) -> str:
         width = max((len(r.ident) for r in self.records), default=8)
-        out = [f"{self.engine_version}  (caps: none)", ""]
+        out = [f"{SCHEMA_VERSION}  (caps: none)", ""]
         for r in self.records:
             out.append(f"  {r.ident.ljust(width)}  {r.status.upper():5}  {r.detail}")
         out.append("")
@@ -210,7 +205,7 @@ def _section_identities(records, probes):
     """ACB = Sm u CB on every probe.  This is a property of the corpus lines,
     checked on the probes; it is not a theorem of the paper."""
     for l in CORPUS:
-        sb, cb, ab = sm_bornology(l), cb_bornology(l), acb_bornology(l)
+        sb, cb, ab = l.spec.sm, l.spec.cb, l.spec.acb
         bad = [f"acb({a})" for a in probes
                if ab.member(a) != (sb.member(a) or cb.member(a))]
         _check(records, f"identity/{l}", "bornology-identity", not bad,
@@ -259,7 +254,7 @@ def _section_metrizability(records):
 
 def _section_chains(records):
     sym = BaseSchema(lo=(Fraction(-1), Fraction(-1)), hi=(Fraction(1), Fraction(1)))
-    ub_schema = UB.base_schema()
+    ub_schema = UB.schema
 
     rep = chain_check(metric("d_n"), sym, Fraction(1, 2))
     _check(records, "chain/d_n-sym-1/2", "chain", rep.verdict == "pass" and rep.uniform,
@@ -283,7 +278,7 @@ def _section_chains(records):
     rep = uniform_chain_check(metric("rho_S_minus"), sym)
     _check(records, "chain/rho_S_minus-not-uniform", "chain", rep.verdict == "fail_at",
            f"fail_at({rep.fail_index}) (the flipped-damping metric admits no uniform delta)")
-    rep = uniform_chain_check(metric("rho_0"), NAT_BOUNDED.base_schema())
+    rep = uniform_chain_check(metric("rho_0"), NAT_BOUNDED.schema)
     _check(records, "chain/rho_0-nat-uniform", "chain", rep.verdict == "pass",
            f"{rep} (localized Sorgenfrey chain closes uniformly)")
 
@@ -338,10 +333,9 @@ def _section_refuters(records, probes):
 def _section_wls(records):
     for l in CORPUS:
         expect = l.variant not in ("ut", "uf")
-        got = weak_local_small_verdict(l)
-        ok = got == expect
-        if ok and got:
-            f = weak_local_small_cover(l)
+        f = weak_local_small_cover(l)
+        ok = (f is not None) == expect
+        if ok and f is not None:
             ok = union_of(f) == REALS
             ms = f.truncated(-3, 3)
             ok = ok and all(op_member(l, m) and sm_member(l, m) for m in ms)

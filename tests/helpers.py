@@ -33,7 +33,6 @@ from gtsreal.lines import (
     BaseSchema,
     line,
     metric_bounded,
-    topology_of_line,
 )
 from gtsreal.lines import probe_corpus  # noqa: F401
 from gtsreal.oracles import MAX_CHECKS, OracleRefusal
@@ -87,7 +86,7 @@ WINDOW_MISSES_UNION = Restricted(
 def battery_candidates(l, num=Fraction):
     """The seven families `lines.admissible_battery` tries on line l, their
     endpoints and periods built by num."""
-    sorg = topology_of_line(l) is TopologyKind.SORG_R
+    sorg = l.spec.topology is TopologyKind.SORG_R
 
     def block(lo, hi):
         return interval(num(lo), num(hi), sorg, False)
@@ -155,9 +154,9 @@ def rand_schema(rng: random.Random) -> BaseSchema:
     conjugate)."""
     kind = rng.randrange(4)
     if kind == 0:
-        return FB.base_schema()
+        return FB.schema
     if kind == 1:
-        return rng.choice((NAT_BOUNDED, ALL_SETS, UB, LB)).base_schema()
+        return rng.choice((NAT_BOUNDED, ALL_SETS, UB, LB)).schema
     if kind == 2:
         def end(alpha, sign):
             r = rng.random()
@@ -170,7 +169,7 @@ def rand_schema(rng: random.Random) -> BaseSchema:
         return BaseSchema(lo=lo, hi=hi, lo_closed=rng.random() < 0.5,
                           hi_closed=rng.random() < 0.5, n0=rng.randint(0, 3))
     d = rng.choice(ALL_METRICS)
-    return metric_bounded(d.conjugate() if rng.random() < 0.5 else d).base_schema()
+    return metric_bounded(d.conjugate() if rng.random() < 0.5 else d).schema
 
 
 def rand_family(rng: random.Random) -> FamilySpec:

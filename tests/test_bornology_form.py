@@ -31,9 +31,26 @@ from helpers import probe_corpus, rand_realset, rand_schema
 
 METRICS = ALL_METRICS + tuple(d.conjugate() for d in ALL_METRICS)
 
-# the boundedness flags (below, above) that a d-bounded set needs, per bounded kind
-METRIC_FLAGS = {"nat": (True, True), "ub": (False, True), "lb": (True, False),
-                "all": (False, False)}
+# the boundedness flags (below, above) that a d-bounded set needs, per metric
+BOTH, ABOVE, BELOW, NEITHER = (True, True), (False, True), (True, False), (False, False)
+METRIC_FLAGS = {
+    "d_n": BOTH, "rho_0": BOTH,
+    "d_n_plus": ABOVE, "d_u": ABOVE, "rho_u": ABOVE, "rho_S": ABOVE,
+    "rho_L": BELOW,
+    "d_n1": NEITHER, "d_n_plus_1": NEITHER, "rho_u1": NEITHER, "rho_S1": NEITHER,
+    "rho_0_1": NEITHER, "rho_S_minus": NEITHER,
+}
+SYMMETRIC = {"d_n", "d_n1", "d_n_plus", "d_n_plus_1", "d_u"}
+
+
+def metric_flags(d):
+    """The flags of d: a conjugate keeps those of a symmetric metric and
+    mirrors those of a translation-invariant one, and conj(rho_S_minus),
+    which is neither, bounds below."""
+    flags = METRIC_FLAGS[d.name.value]
+    if not d.conjugated or d.name.value in SYMMETRIC:
+        return flags
+    return BELOW if d.name.value == "rho_S_minus" else flags[::-1]
 
 
 def _reverse_well_ordered(a):
@@ -86,7 +103,7 @@ def test_named_bornologies(sets):
 @pytest.mark.parametrize("d", METRICS, ids=lambda d: d.label())
 def test_metric_bornologies(sets, d):
     born = metric_bounded(d)
-    below, above = METRIC_FLAGS[d.bounded_kind]
+    below, above = metric_flags(d)
     for a in sets:
         assert born.member(a) == _flags(a, below, above) == d.is_bounded_set(a), str(a)
 
@@ -102,7 +119,7 @@ def test_custom_schemas(sets):
     for schema in schemas:
         born = custom_bornology(schema)
         if schema.kind == "ball":
-            below, above = METRIC_FLAGS[schema.metric.bounded_kind]
+            below, above = metric_flags(schema.metric)
             want = [_flags(a, below, above) for a in sets]
         else:
             want = [_inside_an_element(schema, a) for a in sets]
@@ -112,19 +129,19 @@ def test_custom_schemas(sets):
 def test_the_grid_is_no_custom_base():
     # its B_n hold integers alone; fb, the finite sets, only borrows it
     with pytest.raises(ConstructionError):
-        custom_bornology(FB.base_schema())
+        custom_bornology(FB.schema)
 
 
 def test_named_bases_and_names_are_unchanged():
     d = ALL_METRICS[0]
-    assert FB.base_schema() == BaseSchema(kind="grid")
-    assert ALL_SETS.base_schema() == BaseSchema(lo=None, hi=None, lo_closed=False,
-                                                hi_closed=False)
-    assert NAT_BOUNDED.base_schema() == BaseSchema(lo=(F(0), F(-1)), hi=(F(0), F(1)))
-    assert UB.base_schema() == BaseSchema(lo=None, hi=(F(0), F(1)), hi_closed=False)
-    assert LB.base_schema() == BaseSchema(lo=(F(0), F(-1)), hi=None, lo_closed=False)
-    assert metric_bounded(d).base_schema() == BaseSchema(kind="ball", metric=d)
-    assert UF_SMALL.base_schema() is None
+    assert FB.schema == BaseSchema(kind="grid")
+    assert ALL_SETS.schema == BaseSchema(lo=None, hi=None, lo_closed=False,
+                                         hi_closed=False)
+    assert NAT_BOUNDED.schema == BaseSchema(lo=(F(0), F(-1)), hi=(F(0), F(1)))
+    assert UB.schema == BaseSchema(lo=None, hi=(F(0), F(1)), hi_closed=False)
+    assert LB.schema == BaseSchema(lo=(F(0), F(-1)), hi=None, lo_closed=False)
+    assert metric_bounded(d).schema == BaseSchema(kind="ball", metric=d)
+    assert UF_SMALL.schema is None
     assert [str(b) for b in (FB, ALL_SETS, NAT_BOUNDED, UB, LB)] == [
         "fb", "all", "nat_bounded", "ub", "lb"]
     assert str(UF_SMALL) == ("uf_small[reverse-well-ordered (every nonempty subset "
@@ -142,11 +159,13 @@ def test_the_ends_of_each_base():
     born = custom_bornology(schema)
     assert born.member(closed(-1, 100)) and not born.member(closed(-2, 0))
     for d in METRICS:
-        assert metric_bounded(d).ends == tuple(
-            moving if s else free for s in METRIC_FLAGS[d.bounded_kind])
+        want = tuple(moving if s else free for s in metric_flags(d))
+        assert metric_bounded(d).ends == d.bounded_ends == want, d.label()
 
 
 def test_a_float_paper_metric_bounds_no_set():
     d = QuasiMetric(ALL_METRICS[2].name, PhiMode.FLOAT_PAPER)
     with pytest.raises(UnsupportedCombinationError, match="requires exact mode"):
         metric_bounded(d).member(EMPTY)
+    with pytest.raises(UnsupportedCombinationError, match="d-boundedness requires exact mode"):
+        d.bounded_ends

@@ -115,7 +115,7 @@ class TestProperCheck:
         # bound exactly when n comes before the witness
         got = proper_check(NAT_BOUNDED, TopologyKind.NAT, TopologyKind.NAT)
         assert got.proper
-        sc = NAT_BOUNDED.base_schema()
+        sc = NAT_BOUNDED.schema
         for n in range(sc.n0, 13):
             c, m = _fit(sc, TopologyKind.NAT, n)
             fits = c.is_subset(sc.element(m).interior(TopologyKind.NAT))
@@ -189,7 +189,7 @@ class TestChainChecks:
         assert rep.verdict == "fail_at"
 
     def test_grid_schema_fails(self):
-        rep = chain_check(metric("d_n"), FB.base_schema(), F(1, 2))
+        rep = chain_check(metric("d_n"), FB.schema, F(1, 2))
         assert rep.verdict == "fail_at" and rep.fail_index == 0
 
     def test_delta_star_is_the_largest_delta(self):

@@ -726,7 +726,7 @@ class TestCorpus:
         assert corpus_verify().machine_text().encode("utf-8") == golden
 
     @pytest.mark.parametrize("l,cell,b", [
-        pytest.param(l, cell, b, id=f"{l}-{cell}-{b.kind}")
+        pytest.param(l, cell, b, id=f"{l}-{cell}-{str(b).partition('[')[0]}")
         for l in CORPUS for cell in ("sm", "acb")
         for b in (FB, ALL_SETS, NAT_BOUNDED, UB, LB, UF_SMALL)
         if b != getattr(l.spec, cell)])

@@ -236,10 +236,7 @@ class _FakeSchema:
 
 class _FakeBornology:
     def __init__(self, *ends):
-        self._schema = _FakeSchema(*ends)
-
-    def base_schema(self):
-        return self._schema
+        self.schema = _FakeSchema(*ends)
 
 
 class TestEfMember:
@@ -311,15 +308,15 @@ FAR_FAN_FAILURES = (
 class TestEfMemberWithFans:
     @pytest.mark.parametrize("fan,born,n", FAR_FAN_FAILURES)
     def test_failure_past_the_first_64_base_elements(self, fan, born, n):
-        schema = born.base_schema()
+        schema = born.schema
         assert ess_finite_on(fan, schema.element(n - 1))
         assert not ess_finite_on(fan, schema.element(n))
         assert ef_member(fan, TopologyKind.UPPER, born) is False
 
     def test_closed_form_returns_a_bool_for_a_fan_piece(self):
         f = Split(F(0), finite_family([interval(NEG_INF, -1)]), Fan(F(0), F(1)))
-        assert ess_finite_on_all_base(f, NAT_BOUNDED.base_schema()) is False
-        assert ess_finite_on_all_base(f, FB.base_schema()) is True
+        assert ess_finite_on_all_base(f, NAT_BOUNDED.schema) is False
+        assert ess_finite_on_all_base(f, FB.schema) is True
 
     def test_a_fan_piece_reads_one_stable_trace(self):
         schema = _CountingSchema(MOVING, MOVING)
@@ -330,7 +327,7 @@ class TestEfMemberWithFans:
     def test_a_far_fan_on_the_grid_reads_only_points_next_to_its_edge(self):
         # B_n of the grid near the edge 10^9 + 1 would hold 2 * 10^9 points
         edge = F(10**9 + 1)
-        assert FB.base_schema().stable_trace(edge - 1, edge + 1) == points(
+        assert FB.schema.stable_trace(edge - 1, edge + 1) == points(
             [edge - 1, edge, edge + 1])
         fan = Fan(edge - 1, edge)
         assert ef_member(fan, TopologyKind.UPPER, FB) is True
@@ -351,7 +348,7 @@ class TestEfMemberWithFans:
 
     def test_closed_form_agrees_with_a_sweep(self):
         rng = random.Random(101)
-        cases = [(WINDOW_MISSES_UNION, b.base_schema())
+        cases = [(WINDOW_MISSES_UNION, b.schema)
                  for b in (ALL_SETS, UB, LB, NAT_BOUNDED)]
         cases += [(rand_any_family(rng), rand_schema(rng)) for _ in range(1500)]
         for f, schema in cases:

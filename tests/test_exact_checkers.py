@@ -96,9 +96,9 @@ def test_properness_and_base_match_a_deep_sweep():
     for b in customs + balls + [FB]:
         for t1, t2 in PAIRS:
             got = proper_check(b, t1, t2)
-            want = _swept(b.base_schema(), t1, t2)
+            want = _swept(b.schema, t1, t2)
             assert (got.witness_index, got.witness_closure) == (want or (None, None)), \
-                (b.base_schema(), t1, t2)
+                (b.schema, t1, t2)
             assert got.proper == (want is None)
             if t2 is TopologyKind.DISCRETE:
                 assert base_check(b, t1) == got.proper
@@ -109,7 +109,7 @@ def test_properness_and_base_match_a_deep_sweep():
 def test_properness_certificates_reverify():
     customs, balls = _bornologies()
     for b in customs[::4] + balls[::4] + [FB]:
-        sc = b.base_schema()
+        sc = b.schema
         bound = (sc.first_nonempty() or sc.n0) + 2
         for t1, t2 in PAIRS:
             got = proper_check(b, t1, t2)
@@ -123,7 +123,7 @@ def test_properness_certificates_reverify():
 def _sample(b):
     rng = random.Random(str(b))
     far = [F(10) ** 6, F(1000), F(1001), F(9), F(5), F(17, 2)]
-    sc = b.base_schema()
+    sc = b.schema
     elements = [] if sc is None or sc.kind == "grid" else \
         [sc.element(sc.n0 + k) for k in range(3)]
     return (list(probe_corpus()) + [rand_realset(rng) for _ in range(40)] + elements

@@ -37,9 +37,7 @@ from gtsreal.lines import (
     pt_of,
     sm_member,
     smallness_refuter,
-    topology_of_line,
     weak_local_small_cover,
-    weak_local_small_verdict,
 )
 from gtsreal.qmetric import metric
 from gtsreal.realset import (
@@ -173,8 +171,8 @@ class TestCoverBornology:
             want = {kind: define(f) for kind, define in _COVER_DEFINITIONS.items()}
             for l in CORPUS:
                 cover = l.spec.cover
-                got = ess_finite_on_all_base(f, cover.base_schema())
-                assert got == want[cover.kind], (str(l), str(f))
+                got = ess_finite_on_all_base(f, cover.schema)
+                assert got == want[str(cover)], (str(l), str(f))
 
 class TestBornologies:
     def test_spec_examples(self):
@@ -182,20 +180,20 @@ class TestBornologies:
         tail = with_tails(EMPTY, right=((Interval(F(0), F(1, 2), True, False),),
                                         F(1), F(0)))
         assert not NAT_BOUNDED.member(tail)
-        sc = FB.base_schema()
+        sc = FB.schema
         assert sc.element(2) == points([-2, -1, 0, 1, 2])
 
     def test_named_bases_monotone_and_inside(self):
         for b in (FB, ALL_SETS, NAT_BOUNDED, UB, LB,
                   metric_bounded(metric("d_n")), metric_bounded(metric("rho_u"))):
-            sc = b.base_schema()
+            sc = b.schema
             for n in range(0, 6):
                 e_n, e_next = sc.element(n), sc.element(n + 1)
                 assert e_n.is_subset(e_next)
                 assert b.member(e_n)
 
     def test_uf_small_has_no_base(self):
-        assert UF_SMALL.base_schema() is None
+        assert UF_SMALL.schema is None
         assert UF_SMALL.member(points([0, 1, 2]))
         left_points = with_tails(EMPTY, left=((Interval(F(0), F(0), True, True),),
                                               F(1), F(0)))
@@ -234,9 +232,9 @@ class TestIdentityTables:
         assert acb_member(line("standard/uf"), interval(NEG_INF, 0))
 
     def test_line_topologies(self):
-        assert topology_of_line(line("standard/ut")) is TopologyKind.NAT
-        assert topology_of_line(line("standard/uu")) is TopologyKind.UPPER
-        assert topology_of_line(line("sorgenfrey/lst")) is TopologyKind.SORG_R
+        assert line("standard/ut").spec.topology is TopologyKind.NAT
+        assert line("standard/uu").spec.topology is TopologyKind.UPPER
+        assert line("sorgenfrey/lst").spec.topology is TopologyKind.SORG_R
 
     def test_acb_subsumption_sweep(self):
         for l in CORPUS:
@@ -349,7 +347,7 @@ class TestWeakLocalSmallness:
     def test_classification(self):
         for l in CORPUS:
             expect = not (l.variant in ("ut", "uf"))
-            assert weak_local_small_verdict(l) == expect, str(l)
+            assert (weak_local_small_cover(l) is not None) == expect, str(l)
 
     def test_covers_are_small_open_and_cover(self):
         for l in CORPUS:

@@ -64,8 +64,8 @@ def _clear():
 
 def _schemas(rng, count):
     """The bases of the named and metric bornologies, then random ones."""
-    named = [b.base_schema() for b in (FB, NAT_BOUNDED, UB)]
-    named += [metric_bounded(d).base_schema() for d in ALL_METRICS]
+    named = [b.schema for b in (FB, NAT_BOUNDED, UB)]
+    named += [metric_bounded(d).schema for d in ALL_METRICS]
     return named + [rand_schema(rng) for _ in range(count)]
 
 
@@ -232,7 +232,7 @@ class TestExceptionsAreNotCached:
 
 def test_one_corpus_battery_reuses_the_memos():
     # a key that never matches (say, a new unequal schema from every
-    # base_schema() call) would leave every lookup a miss
+    # read of a bornology's schema) would leave every lookup a miss
     _clear()
     assert corpus_verify().failures == 0
     for memo in MEMOS:

@@ -95,7 +95,7 @@ def mirror_schema(s):
 
 def rand_schema(rng):
     if rng.random() < 0.2:
-        return FB.base_schema()
+        return FB.schema
     a = rand_fraction(rng, -2, 2, 2)
     ends = [None if rng.random() < 0.3 else (e, F(sign, rng.choice((1, 3, 4))))
             for e, sign in ((a, -1), (a + F(rng.randint(0, 4), 2), 1))]

@@ -3,6 +3,7 @@ from fractions import Fraction as F
 
 import pytest
 
+from gtsreal.covers import End
 from gtsreal.qmetric import (
     ALL_METRICS,
     EquivVerdict,
@@ -209,14 +210,15 @@ class TestRows:
             return Interval(x - r, x + r, False, False)
 
         nat = TopologyKind.NAT
+        both, above = (End.MOVING, End.MOVING), (End.FREE, End.MOVING)
         with pytest.raises(ConstructionError):
-            MetricSpec("x", dist, ball, nat, "nat")
+            MetricSpec("x", dist, ball, nat, both)
         with pytest.raises(ConstructionError):
-            MetricSpec("x", dist, ball, nat, "nat", symmetric=True, coball=ball)
+            MetricSpec("x", dist, ball, nat, both, symmetric=True, coball=ball)
         with pytest.raises(ConstructionError):
-            MetricSpec("x", dist, ball, nat, "nat", invariant=True, bounded_conj="nat")
-        row = MetricSpec("x", dist, ball, nat, "ub", invariant=True)
-        assert row.bounded_conj == "lb"
+            MetricSpec("x", dist, ball, nat, both, invariant=True, bounded_conj=both)
+        row = MetricSpec("x", dist, ball, nat, above, invariant=True)
+        assert row.bounded_conj == (End.MOVING, End.FREE)
         assert row.coball(F(1), F(1, 2)) == Interval(F(1, 2), F(3, 2), False, False)
 
     def test_qmetric_imports_no_private_realset_name(self):
@@ -403,8 +405,15 @@ def _pin_call(fn, *args):
         return type(e).__name__
 
 
+# the word each pin was recorded with for a row's bounded ends (below, above)
+_PIN_BOUNDED_WORD = {(End.MOVING, End.MOVING): "nat", (End.FREE, End.MOVING): "ub",
+                     (End.MOVING, End.FREE): "lb", (End.FREE, End.FREE): "all"}
+
+
 def _pin_dump(d) -> str:
-    lines = [d.label(), repr(d.bounded_kind), repr(d.topology_of()),
+    # read off the row: a float_paper metric refuses `bounded_ends`
+    ends = d._row.bounded_conj if d.conjugated else d._row.bounded
+    lines = [d.label(), repr(_PIN_BOUNDED_WORD[ends]), repr(d.topology_of()),
              repr(d.is_pseudo), repr(d.translation_invariant)]
     lines += [f"eval {x} {y} {d.eval(x, y)!r}" for x in PIN_GRID for y in PIN_GRID]
     lines += [f"ball {x} {r} {_pin_call(d.ball, x, r)}"
@@ -454,7 +463,7 @@ PIN_SHA256 = {
 
 def test_metric_pin():
     """Every metric, its conjugate and the float_paper metrics answer as
-    pinned: eval on a grid, balls, the bounded kind, the topology, the
+    pinned: eval on a grid, balls, the bounded ends, the topology, the
     pseudo and invariance flags, and nbhd of bounded and tailed sets."""
     import hashlib
     got = {d.label(): hashlib.sha256(_pin_dump(d).encode()).hexdigest()
